@@ -102,9 +102,6 @@ class Matrix:
     def row(self, i: int):
         return self.entries[i]
 
-    def col(self, j: int) -> "Matrix":
-        return Matrix([[self.entries[i][j]] for i in range(self.rows)], self.backend)
-
     def take_rows(self, indices) -> "Matrix":
         idx = list(indices)
         return Matrix([list(self.entries[i]) for i in idx], self.backend,

@@ -98,12 +98,6 @@ def local_multiplicity(system, point, n_max: int = 30) -> MultiplicityCertificat
     raise NotIsolated(f"codimension still growing at truncation order {n_max}")
 
 
-def jacobian_matrix(system):
-    """Matrix of formal partial derivatives d g_i / d z_j."""
-    system, nvars = _require_square(system)
-    return [[g.partial(j + 1) for j in range(nvars)] for g in system]
-
-
 def jacobian_regular(system, point) -> bool:
     """True when the Jacobian determinant is nonzero at the point (exact)."""
     system, nvars = _require_square(system)

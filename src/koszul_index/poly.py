@@ -594,13 +594,11 @@ def groebner(gens, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
         pending.update((k, new) for k in range(new))
 
     # minimalize: drop members whose leading term another member divides
-    minimal = []
     for i, g in enumerate(basis):
         lm = g.leading(order)[0]
         if any(mono_divides(basis[k].leading(order)[0], lm)
                for k in range(len(basis)) if k != i and basis[k] is not None):
             basis[i] = None
-            continue
     minimal = [g for g in basis if g is not None]
     # tail-reduce to the unique reduced basis
     changed = True
@@ -634,17 +632,6 @@ class QuotientAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def index(self, mono: Monomial) -> int:
-        return self.basis.index(mono)
-
-    def coordinates(self, p: Polynomial):
-        """Coordinates of the residue class of p in the standard basis."""
-        nf = normal_form(p, self.gb)
-        pos = {m: i for i, m in enumerate(self.basis)}
-        vec = [QQi(0)] * self.dim
-        for mono, coeff in nf.terms.items():
-            vec[pos[mono]] = coeff
-        return vec
 
 
 def quotient_algebra(gb: GroebnerBasis) -> QuotientAlgebra:

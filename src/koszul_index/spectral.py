@@ -1,28 +1,40 @@
-"""The row-filtration bicomplex of a joined commuting pair and its homology
-spectral sequence.
+"""The row-filtration spectral sequence of a joined commuting pair.
 
-Pages are presented as nested subspaces of the fixed bigraded chain spaces:
-an entry on page r is cycles/boundaries where both sit inside K_{p,q}, and
-every differential is computed by lifting representatives through the total
-complex. This machinery is exact-only; float tuples are rejected.
+The Koszul complex of the joined tuple A+B is K(A) tensor K(B), so it is
+built once and filtered: a basis subset S of {1..n+m} in degree k sits at
+p = |S meet {1..n}|, q = k - p. Pages are subquotients of this
+subset-filtered complex, presented as nested subspaces of the fixed chain
+spaces K_{p,q}: an entry on page r is cycles/boundaries where both sit
+inside K_{p,q}, and every differential is computed by lifting
+representatives through the joined differential. This machinery is
+exact-only; float tuples are rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from . import koszul, linalg
 from .errors import BackendMismatch
-from .koszul import ChainComplex, CommutingTuple, subsets
+from .koszul import CommutingTuple, subsets
 from .linalg import Matrix, Subspace
 from .scalars import EXACT, QQi
 
 
 class Bicomplex:
-    """Chain spaces K_{p,q} with the vertical differential from the first
-    tuple and the horizontal differential from the second; the square and
-    anticommutation laws are asserted at build time."""
+    """The Koszul complex of the joined tuple, filtered by subset: K_{p,q}
+    is spanned by the basis subsets with p generators from the first tuple
+    and q from the second. Within a block the joined lexicographic order is
+    the order of the pairs (I, J), so the vertical (p -> p-1) and horizontal
+    (q -> q-1) parts of the joined differential are those of K(A) tensor
+    K(B). The bicomplex laws (both squares vanish, the two parts
+    anticommute) are the three filtration components of d*d = 0, which
+    ChainComplex asserts when the joined complex is built.
+
+    Pages and the approximate-cycle subspaces they come from are computed
+    once per bicomplex and cached."""
 
     def __init__(self, tuple_a: CommutingTuple, tuple_b: CommutingTuple):
         if tuple_a.backend != EXACT or tuple_b.backend != EXACT:
@@ -35,120 +47,123 @@ class Bicomplex:
         self.m = tuple_b.n
         self.d = tuple_a.dim
         n, m, d = self.n, self.m, self.d
-        self.dims = [[d * comb(n, p) * comb(m, q) for q in range(m + 1)]
+        self.complex = koszul.build_complex(self.joined)
+        # blocks[k][p]: indices of K_{p,k-p} in the joined degree-k basis
+        self.blocks = []
+        for k in range(n + m + 1):
+            by_p = [[] for _ in range(n + 1)]
+            for pos, subset in enumerate(subsets(n + m, k)):
+                p = sum(1 for i in subset if i <= n)
+                by_p[p].extend(range(pos * d, pos * d + d))
+            self.blocks.append(by_p)
+        self.dims = [[len(self.blocks[p + q][p]) for q in range(m + 1)]
                      for p in range(n + 1)]
-        self.dv = {}
-        self.dh = {}
-        for p in range(n + 1):
-            for q in range(m + 1):
-                if p >= 1:
-                    self.dv[(p, q)] = self._vertical(p, q)
-                if q >= 1:
-                    self.dh[(p, q)] = self._horizontal(p, q)
-        self._assert_laws()
+        self._a_cache = {}
+        self._pages = {}
 
-    def _block_pairs(self, p, q):
-        return [(i, j) for i in subsets(self.n, p) for j in subsets(self.m, q)]
+    @cached_property
+    def profile(self) -> koszul.HomologyProfile:
+        """Homology of the joined tuple, the limit of the pages."""
+        return koszul.homology(self.complex)
 
-    def _vertical(self, p, q) -> Matrix:
-        source = self._block_pairs(p, q)
-        target = self._block_pairs(p - 1, q)
-        pos = {s: k for k, s in enumerate(target)}
-        d = self.d
-        zero = QQi(0)
-        rows = [[zero] * (d * len(source)) for _ in range(d * len(target))]
-        for ci, (i_set, j_set) in enumerate(source):
-            for i in i_set:
-                sign = koszul.removal_sign(i_set, i)
-                ri = pos[(tuple(x for x in i_set if x != i), j_set)]
-                op = self.a.operators[i - 1]
-                for r in range(d):
-                    oprow = op.entries[r]
-                    row = rows[ri * d + r]
-                    for c in range(d):
-                        if oprow[c]:
-                            val = oprow[c] if sign > 0 else -oprow[c]
-                            row[ci * d + c] = row[ci * d + c] + val
-        return Matrix(rows, EXACT, shape=(d * len(target), d * len(source)))
+    def _indices(self, k: int, keep):
+        """Degree-k basis indices of the blocks whose p passes keep, p ascending."""
+        if not 0 <= k <= self.complex.length:
+            return []
+        return [i for p, block in enumerate(self.blocks[k]) if keep(p) for i in block]
 
-    def _horizontal(self, p, q) -> Matrix:
-        source = self._block_pairs(p, q)
-        target = self._block_pairs(p, q - 1)
-        pos = {s: k for k, s in enumerate(target)}
-        d = self.d
-        zero = QQi(0)
-        rows = [[zero] * (d * len(source)) for _ in range(d * len(target))]
-        for ci, (i_set, j_set) in enumerate(source):
-            for j in j_set:
-                sign = koszul.removal_sign(j_set, j) * (-1 if p % 2 else 1)
-                ri = pos[(i_set, tuple(x for x in j_set if x != j))]
-                op = self.b.operators[j - 1]
-                for r in range(d):
-                    oprow = op.entries[r]
-                    row = rows[ri * d + r]
-                    for c in range(d):
-                        if oprow[c]:
-                            val = oprow[c] if sign > 0 else -oprow[c]
-                            row[ci * d + c] = row[ci * d + c] + val
-        return Matrix(rows, EXACT, shape=(d * len(target), d * len(source)))
+    def _block_cols(self, k: int, level: int):
+        return self._indices(k, lambda p: p <= level)
 
-    def _assert_laws(self):
-        for p in range(2, self.n + 1):
-            for q in range(self.m + 1):
-                if not (self.dv[(p - 1, q)] @ self.dv[(p, q)]).is_zero():
-                    raise AssertionError("vertical differential fails d*d = 0")
+    def _rows_above(self, k: int, floor: int):
+        """Row indices of total degree k whose filtration level exceeds floor."""
+        return self._indices(k, lambda p: p > floor)
+
+    def approx_cycles(self, level: int, floor: int, k: int) -> Matrix:
+        """Basis (in total degree-k coordinates) of the space of chains
+        supported in filtration <= level whose boundary drops to <= floor."""
+        level = min(level, self.n)
+        if k < 0:
+            return Matrix.zeros(0, 0, EXACT)
+        key = (level, floor, k)
+        if key in self._a_cache:
+            return self._a_cache[key]
+        total_dim = self.complex.dims[k] if k <= self.complex.length else 0
+        cols = self._block_cols(k, level)
+        if not cols:
+            out = Matrix.zeros(total_dim, 0, EXACT)
+            self._a_cache[key] = out
+            return out
+        d = self.complex.d(k)
+        kill_rows = self._rows_above(k - 1, floor) if k >= 1 else []
+        restricted = d.take_cols(cols).take_rows(kill_rows) if kill_rows else \
+            Matrix.zeros(0, len(cols), EXACT)
+        ker = linalg.kernel_basis(restricted)
+        rows = [[QQi(0)] * ker.dim for _ in range(total_dim)]
+        for ci in range(ker.dim):
+            for local, col in enumerate(cols):
+                val = ker.basis[local, ci]
+                if val:
+                    rows[col][ci] = val
+        out = Matrix(rows, EXACT, shape=(total_dim, ker.dim))
+        self._a_cache[key] = out
+        return out
+
+    def _project(self, k: int, p: int, mat: Matrix) -> Matrix:
+        """The rows of a degree-k matrix that lie in K_{p,k-p}."""
+        return mat.take_rows(self._indices(k, lambda bp: bp == p))
+
+    def entry(self, p: int, q: int, r: int) -> PageEntry:
+        k = p + q
+        a_now = self.approx_cycles(p, p - r, k)
+        cycles = linalg.image_basis(self._project(k, p, a_now))
+        if r == 0:
+            boundaries = Subspace.trivial(self.dims[p][q], EXACT)
+        else:
+            a_prev = self.approx_cycles(p + r - 1, p, k + 1)
+            if a_prev.cols and k + 1 <= self.complex.length:
+                img = self.complex.d(k + 1) @ a_prev
+                boundaries = linalg.image_basis(self._project(k, p, img))
+            else:
+                boundaries = Subspace.trivial(self.dims[p][q], EXACT)
+        reps = linalg.extend_basis(boundaries.basis, cycles.basis)
+        return PageEntry(cycles, boundaries, reps)
+
+    def page(self, r: int) -> SpectralPage:
+        if r in self._pages:
+            return self._pages[r]
+        entries = {}
         for p in range(self.n + 1):
-            for q in range(2, self.m + 1):
-                if not (self.dh[(p, q - 1)] @ self.dh[(p, q)]).is_zero():
-                    raise AssertionError("horizontal differential fails d*d = 0")
-        for p in range(1, self.n + 1):
-            for q in range(1, self.m + 1):
-                anti = self.dv[(p, q - 1)] @ self.dh[(p, q)] + \
-                    self.dh[(p - 1, q)] @ self.dv[(p, q)]
-                if not anti.is_zero():
-                    raise AssertionError("differentials fail to anticommute")
-
-    # -- totalization -------------------------------------------------------
-
-    def degree_blocks(self, k: int):
-        """(p, q, offset, size) blocks of the total degree-k space, p ascending."""
-        blocks = []
-        offset = 0
-        for p in range(max(0, k - self.m), min(self.n, k) + 1):
-            q = k - p
-            size = self.dims[p][q]
-            blocks.append((p, q, offset, size))
-            offset += size
-        return blocks
-
-    def total_complex(self) -> ChainComplex:
-        """Totalization; isomorphic to the Koszul complex of the joined tuple
-        (checked degreewise on dimensions at build)."""
-        length = self.n + self.m
-        dims = [sum(b[3] for b in self.degree_blocks(k)) for k in range(length + 1)]
-        joined_dims = [self.d * comb(self.n + self.m, k) for k in range(length + 1)]
-        if dims != joined_dims:
-            raise AssertionError("totalization dimensions do not match")
+            for q in range(self.m + 1):
+                entries[(p, q)] = self.entry(p, q, r)
         diffs = {}
-        for k in range(1, length + 1):
-            src = self.degree_blocks(k)
-            tgt = self.degree_blocks(k - 1)
-            tpos = {(p, q): (off, size) for p, q, off, size in tgt}
-            rows = [[QQi(0)] * dims[k] for _ in range(dims[k - 1])]
-            for p, q, off, size in src:
-                for key, mat in (((p - 1, q), self.dv.get((p, q))),
-                                 ((p, q - 1), self.dh.get((p, q)))):
-                    if mat is None or key not in tpos:
-                        continue
-                    toff, _ = tpos[key]
-                    for r in range(mat.rows):
-                        row = rows[toff + r]
-                        matrow = mat.entries[r]
-                        for c in range(mat.cols):
-                            if matrow[c]:
-                                row[off + c] = row[off + c] + matrow[c]
-            diffs[k] = Matrix(rows, EXACT, shape=(dims[k - 1], dims[k]))
-        return ChainComplex(dims, diffs)
+        for (p, q), entry in entries.items():
+            target = entries.get((p - r, q + r - 1))
+            if entry.dim == 0 or target is None:
+                continue
+            diffs[(p, q)] = self._differential(p, q, r, entry, target)
+        self._pages[r] = SpectralPage(r, entries, diffs)
+        return self._pages[r]
+
+    def _differential(self, p, q, r, entry: PageEntry, target: PageEntry) -> Matrix:
+        k = p + q
+        a_now = self.approx_cycles(p, p - r, k)
+        proj = self._project(k, p, a_now)
+        cols = []
+        for ci in range(entry.reps.cols):
+            rep = entry.reps.take_cols([ci])
+            coeff = linalg.solve(proj, rep)
+            lift = a_now @ coeff
+            image = self.complex.d(k) @ lift
+            wt = self._project(k - 1, p - r, image)
+            if target.dim == 0:
+                cols.append([])
+                continue
+            frame = Matrix.hstack([target.boundaries.basis, target.reps])
+            coords = linalg.solve(frame, wt)
+            cols.append([coords[target.boundaries.dim + i, 0] for i in range(target.dim)])
+        return Matrix([[cols[c][i] for c in range(len(cols))] for i in range(target.dim)],
+                      EXACT, shape=(target.dim, entry.reps.cols))
 
 
 def build_bicomplex(a: CommutingTuple, b: CommutingTuple) -> Bicomplex:
@@ -192,116 +207,6 @@ class SpectralPage:
         return all(mat.is_zero() for mat in self.differentials.values())
 
 
-class _PageEngine:
-    """Computes approximate-cycle subspaces of the filtered total complex and
-    assembles pages from them."""
-
-    def __init__(self, bc: Bicomplex):
-        self.bc = bc
-        self.total = bc.total_complex()
-        self._a_cache = {}
-
-    def _block_cols(self, k: int, level: int):
-        cols = []
-        for p, q, off, size in self.bc.degree_blocks(k):
-            if p <= level:
-                cols.extend(range(off, off + size))
-        return cols
-
-    def _rows_above(self, k: int, floor: int):
-        """Row indices of total degree k whose filtration level exceeds floor."""
-        rows = []
-        for p, q, off, size in self.bc.degree_blocks(k):
-            if p > floor:
-                rows.extend(range(off, off + size))
-        return rows
-
-    def approx_cycles(self, level: int, floor: int, k: int) -> Matrix:
-        """Basis (in total degree-k coordinates) of the space of chains
-        supported in filtration <= level whose boundary drops to <= floor."""
-        level = min(level, self.bc.n)
-        if k < 0:
-            return Matrix.zeros(0, 0, EXACT)
-        key = (level, floor, k)
-        if key in self._a_cache:
-            return self._a_cache[key]
-        total_dim = self.total.dims[k] if k <= self.total.length else 0
-        cols = self._block_cols(k, level)
-        if not cols:
-            out = Matrix.zeros(total_dim, 0, EXACT)
-            self._a_cache[key] = out
-            return out
-        d = self.total.d(k)
-        kill_rows = self._rows_above(k - 1, floor) if k >= 1 else []
-        restricted = d.take_cols(cols).take_rows(kill_rows) if kill_rows else \
-            Matrix.zeros(0, len(cols), EXACT)
-        ker = linalg.kernel_basis(restricted)
-        rows = [[QQi(0)] * ker.dim for _ in range(total_dim)]
-        for ci in range(ker.dim):
-            for local, col in enumerate(cols):
-                val = ker.basis[local, ci]
-                if val:
-                    rows[col][ci] = val
-        out = Matrix(rows, EXACT, shape=(total_dim, ker.dim))
-        self._a_cache[key] = out
-        return out
-
-    def _project(self, k: int, p: int, q: int, mat: Matrix) -> Matrix:
-        for bp, bq, off, size in self.bc.degree_blocks(k):
-            if (bp, bq) == (p, q):
-                return mat.take_rows(range(off, off + size))
-        return Matrix.zeros(0, mat.cols, EXACT)
-
-    def entry(self, p: int, q: int, r: int) -> PageEntry:
-        k = p + q
-        a_now = self.approx_cycles(p, p - r, k)
-        cycles = linalg.image_basis(self._project(k, p, q, a_now))
-        if r == 0:
-            boundaries = Subspace.trivial(self.bc.dims[p][q], EXACT)
-        else:
-            a_prev = self.approx_cycles(p + r - 1, p, k + 1)
-            if a_prev.cols and k + 1 <= self.total.length:
-                img = self.total.d(k + 1) @ a_prev
-                boundaries = linalg.image_basis(self._project(k, p, q, img))
-            else:
-                boundaries = Subspace.trivial(self.bc.dims[p][q], EXACT)
-        reps = linalg.extend_basis(boundaries.basis, cycles.basis)
-        return PageEntry(cycles, boundaries, reps)
-
-    def page(self, r: int) -> SpectralPage:
-        entries = {}
-        for p in range(self.bc.n + 1):
-            for q in range(self.bc.m + 1):
-                entries[(p, q)] = self.entry(p, q, r)
-        diffs = {}
-        for (p, q), entry in entries.items():
-            target = entries.get((p - r, q + r - 1))
-            if entry.dim == 0 or target is None:
-                continue
-            diffs[(p, q)] = self._differential(p, q, r, entry, target)
-        return SpectralPage(r, entries, diffs)
-
-    def _differential(self, p, q, r, entry: PageEntry, target: PageEntry) -> Matrix:
-        k = p + q
-        a_now = self.approx_cycles(p, p - r, k)
-        proj = self._project(k, p, q, a_now)
-        cols = []
-        for ci in range(entry.reps.cols):
-            rep = entry.reps.take_cols([ci])
-            coeff = linalg.solve(proj, rep)
-            lift = a_now @ coeff
-            image = self.total.d(k) @ lift
-            wt = self._project(k - 1, p - r, q + r - 1, image)
-            if target.dim == 0:
-                cols.append([])
-                continue
-            frame = Matrix.hstack([target.boundaries.basis, target.reps])
-            coords = linalg.solve(frame, wt)
-            cols.append([coords[target.boundaries.dim + i, 0] for i in range(target.dim)])
-        return Matrix([[cols[c][i] for c in range(len(cols))] for i in range(target.dim)],
-                      EXACT, shape=(target.dim, entry.reps.cols))
-
-
 def page_sequence(bc: Bicomplex, r_max: int = 2):
     """Pages E^0..E^R with R at least the filtration length + 1, so the last
     page is the limit page.
@@ -310,9 +215,8 @@ def page_sequence(bc: Bicomplex, r_max: int = 2):
     on, the limit page adds up to the Koszul homology of the joined tuple,
     and the page-2 (non)triviality consequences hold.
     """
-    engine = _PageEngine(bc)
     r_stop = max(r_max, bc.n + 1, 2)
-    pages = [engine.page(r) for r in range(r_stop + 1)]
+    pages = [bc.page(r) for r in range(r_stop + 1)]
 
     for r in range(len(pages) - 1):
         _check_page_step(pages[r], pages[r + 1])
@@ -321,7 +225,7 @@ def page_sequence(bc: Bicomplex, r_max: int = 2):
         if page.euler_sum() != euler_ref:
             raise AssertionError("signed dimension sum changed between pages")
 
-    total_profile = koszul.homology(koszul.build_complex(bc.joined))
+    total_profile = bc.profile
     limit = pages[-1]
     for k in range(bc.n + bc.m + 1):
         esum = sum(limit.dim(p, k - p) for p in range(max(0, k - bc.m),
@@ -375,8 +279,7 @@ def e2_page(bc: Bicomplex) -> SpectralPage:
     """The page-2 term, cross-checked against the independent pipeline: row
     homology, induced action of the first tuple on it, Koszul homology of
     the induced tuple."""
-    engine = _PageEngine(bc)
-    page = engine.page(2)
+    page = bc.page(2)
     indep = e2_dims_independent(bc)
     for p in range(bc.n + 1):
         for q in range(bc.m + 1):
@@ -415,7 +318,6 @@ def euler_via_e2(bc: Bicomplex) -> int:
     joined tuple (both vanish in finite dimension)."""
     page = e2_page(bc)
     value = -page.euler_sum()
-    profile = koszul.homology(koszul.build_complex(bc.joined))
-    if value != profile.index:
+    if value != bc.profile.index:
         raise AssertionError("page-2 index disagrees with the Koszul index")
     return value

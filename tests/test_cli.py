@@ -73,11 +73,32 @@ def test_exit_code_one_on_computational_error(tmp_path):
                                  "payload": {"operators": [[["zz"]]]}}]},
     {"schema": 1, "extra": True,
      "scenarios": [{"id": "x", "kind": "IDENTITIES", "payload": {"n": 1, "m": 1}}]},
-])
-def test_exit_code_two_on_schema_violation(tmp_path, doc):
+] + [{"schema": 1, "scenarios": [{"id": "x", "kind": kind, "payload": payload}]}
+     for kind, payload in [
+    # operator lists that are empty, non-square or of unequal size
+    ("HOMOLOGY", {"operators": [[["1", "0"]]]}),
+    ("HOMOLOGY", {"operators": [[["1"]], [["1", "0"], ["0", "1"]]]}),
+    ("HOMOLOGY", {"operators": [[["1"]]], "cone_with": [["1", "0"], ["0", "1"]]}),
+    ("HOMOLOGY", {"operators": []}),
+    ("SPECTRUM", {"operators": [[["1", "0"]]]}),
+    ("SPECTRUM", {"operators": [[["1"]], [["1", "0"], ["0", "1"]]]}),
+    ("SPECTRAL_SEQUENCE", {"operators_a": [[["1", "0"]]],
+                           "operators_b": [[["1", "0"]]]}),
+    ("SPECTRAL_SEQUENCE", {"operators_a": [[["1"]]],
+                           "operators_b": [[["1", "0"], ["0", "1"]]]}),
+    # zero denominators in a matrix, a point and a domain center
+    ("HOMOLOGY", {"operators": [[["1/0"]]]}),
+    ("SPECTRUM", {"operators": [[["1"]]], "at": ["1/0"]}),
+    ("MULTIPLICITY", {"system": "z1", "at": ["2+1/0i"]}),
+    ("INDEX", {"system": "z1", "domain": {"kind": "polydisc", "center": ["1/0"],
+                                          "radii": ["1"]}}),
+]])
+def test_exit_code_two_on_schema_violation(tmp_path, capsys, doc):
     code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path)
     assert code == 2
     assert reports == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_duplicate_ids_rejected():

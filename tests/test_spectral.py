@@ -1,14 +1,17 @@
 import random
+from math import comb
 
 import pytest
 
 from koszul_index import koszul
+from koszul_index.cli import Scenario, _matrix_json, run_scenario
 from koszul_index.errors import BackendMismatch, CommutatorError
 from koszul_index.koszul import CommutingTuple, build_complex, homology
 from koszul_index.linalg import Matrix
 from koszul_index.scalars import FLOAT
-from koszul_index.spectral import (build_bicomplex, e2_dims_independent,
-                                   e2_page, euler_via_e2, page_sequence)
+from koszul_index.spectral import (Bicomplex, build_bicomplex,
+                                   e2_dims_independent, e2_page, euler_via_e2,
+                                   page_sequence)
 from koszul_index.suites import random_bicomplex_pair
 
 ZERO1 = Matrix.zeros(1, 1)
@@ -43,14 +46,52 @@ def test_bicomplex_laws_assert_on_build():
 
 
 def test_totalization_matches_joined_complex():
+    # the subset filtration of the joined complex is the bicomplex: block
+    # (p, q) has the tensor-product size, and d keeps p or lowers it by one
     rng = random.Random(8)
     for _ in range(8):
-        a, b = random_bicomplex_pair(rng, 2, 1, rng.randint(1, 4))
+        a, b = random_bicomplex_pair(rng, 2, rng.choice([1, 2]), rng.randint(1, 4))
         bc = build_bicomplex(a, b)
-        total = bc.total_complex()
-        joined = build_complex(bc.joined)
-        assert total.dims == joined.dims
-        assert total.homology_dims() == joined.homology_dims()
+        for p in range(bc.n + 1):
+            for q in range(bc.m + 1):
+                assert len(bc.blocks[p + q][p]) == bc.d * comb(bc.n, p) * comb(bc.m, q)
+        for k in range(1, bc.n + bc.m + 1):
+            dk = bc.complex.d(k)
+            for p, cols in enumerate(bc.blocks[k]):
+                for lower, rows in enumerate(bc.blocks[k - 1]):
+                    if lower not in (p, p - 1):
+                        assert dk.take_cols(cols).take_rows(rows).is_zero()
+
+
+def test_spectral_scenario_builds_joined_complex_once(monkeypatch):
+    rng = random.Random(11)
+    a, b = random_bicomplex_pair(rng, 2, 1, 3)
+    calls = {"build": 0, "homology": 0, "page_two_entries": 0}
+    build, homology_, entry = koszul.build_complex, koszul.homology, Bicomplex.entry
+
+    def counting_build(t, *args, **kwargs):
+        calls["build"] += t.n == 3
+        return build(t, *args, **kwargs)
+
+    def counting_homology(c, *args, **kwargs):
+        calls["homology"] += getattr(c, "n", None) == 3
+        return homology_(c, *args, **kwargs)
+
+    def counting_entry(self, p, q, r):
+        calls["page_two_entries"] += r == 2
+        return entry(self, p, q, r)
+
+    monkeypatch.setattr(koszul, "build_complex", counting_build)
+    monkeypatch.setattr(koszul, "homology", counting_homology)
+    monkeypatch.setattr(Bicomplex, "entry", counting_entry)
+    scenario = Scenario("ss", "SPECTRAL_SEQUENCE", {
+        "operators_a": [_matrix_json(op) for op in a.operators],
+        "operators_b": [_matrix_json(op) for op in b.operators],
+        "r_max": 3})
+    report = run_scenario(scenario)
+    assert report["error"] is None and report["pass"]
+    # page 2 has (n + 1)(m + 1) = 6 entries, each computed once
+    assert calls == {"build": 1, "homology": 1, "page_two_entries": 6}
 
 
 def test_jordan_example_pipelines_agree():
