@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -125,8 +126,6 @@ def _parse_domain(obj) -> DomainDescriptor:
 
 
 def _infer_variables(text: str) -> int:
-    import re
-
     indices = [int(m.group(1)) for m in re.finditer(r"z(\d+)", text)]
     return max(indices) if indices else 1
 
@@ -362,6 +361,7 @@ def execute_scenario(scenario: Scenario) -> dict:
         system, nvars = _system_from_payload(payload)
         domain = _parse_domain(payload["domain"])
         report = models.global_index(ModelTuple(domain, tuple(system)), tol, rng)
+        backend = report.backend  # float when the zeros leave Q(i)
         outputs["global_index"] = report.global_index
         outputs["quotient_dim"] = report.quotient_dim
         outputs["zeros"] = [

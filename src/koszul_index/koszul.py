@@ -35,6 +35,21 @@ class CommutingTuple:
 
     def __init__(self, operators, tol: TolerancePolicy | None = None):
         operators = tuple(operators)
+        n = len(operators)
+        self._setup(operators, [(a, b) for a in range(n) for b in range(a + 1, n)], tol)
+
+    @classmethod
+    def _concat(cls, first, second, tol: TolerancePolicy | None = None):
+        """The tuple first + second, where each part is already known to
+        commute within itself: only the cross pairs are checked."""
+        operators = tuple(first) + tuple(second)
+        k = len(first)
+        self = cls.__new__(cls)
+        self._setup(operators, [(a, b) for a in range(k)
+                                for b in range(k, len(operators))], tol)
+        return self
+
+    def _setup(self, operators, pairs, tol):
         if not operators:
             raise ValueError("empty tuple of operators")
         d = operators[0].rows
@@ -44,11 +59,10 @@ class CommutingTuple:
                 raise ValueError("operators must be square of a common size")
             if op.backend != backend:
                 raise CommutatorError("operators mix scalar backends")
-        for a in range(len(operators)):
-            for b in range(a + 1, len(operators)):
-                if not linalg.commutes(operators[a], operators[b], tol):
-                    raise CommutatorError(
-                        f"operators {a + 1} and {b + 1} do not commute")
+        for a, b in pairs:
+            if not linalg.commutes(operators[a], operators[b], tol):
+                raise CommutatorError(
+                    f"operators {a + 1} and {b + 1} do not commute")
         object.__setattr__(self, "operators", operators)
         object.__setattr__(self, "n", len(operators))
         object.__setattr__(self, "dim", d)
@@ -58,20 +72,23 @@ class CommutingTuple:
         raise AttributeError("CommutingTuple values are immutable")
 
     def shift(self, point) -> "CommutingTuple":
-        """The tuple A - lambda."""
+        """The tuple A - lambda; it commutes because A does, so no pair is
+        re-checked."""
         if len(point) != self.n:
             raise ValueError("point dimension differs from tuple length")
         ident = Matrix.identity(self.dim, self.backend)
         ops = [op - ident.scale(lam) for op, lam in zip(self.operators, point)]
-        return CommutingTuple(ops)
+        return CommutingTuple._concat(ops, ())
 
     def extend(self, extra: Matrix) -> "CommutingTuple":
-        """The (n+1)-tuple with `extra` appended; commutation re-verified."""
-        return CommutingTuple(self.operators + (extra,))
+        """The (n+1)-tuple with `extra` appended; `extra` is checked against
+        every operator."""
+        return CommutingTuple._concat(self.operators, (extra,))
 
     def join(self, other: "CommutingTuple") -> "CommutingTuple":
-        """Concatenation of two tuples on the same space."""
-        return CommutingTuple(self.operators + other.operators)
+        """Concatenation of two tuples on the same space; only the cross
+        pairs are checked."""
+        return CommutingTuple._concat(self.operators, other.operators)
 
     def conjugate(self, s: Matrix, s_inv: Matrix) -> "CommutingTuple":
         return CommutingTuple(tuple(s @ op @ s_inv for op in self.operators))

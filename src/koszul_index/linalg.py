@@ -4,13 +4,14 @@ solving and subspace calculus.
 Exact ranks and kernels run fraction-free (Bareiss) over Gaussian integers
 after clearing row denominators; float ranks use singular values with the
 relative cutoff carried by an explicit TolerancePolicy, never a global.
+numpy is imported only inside the float branches, so exact work never
+loads it.
 """
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import BackendMismatch, InconsistentSystem, NotContained
 from .scalars import DEFAULT_TOL, EXACT, FLOAT, QQi, TolerancePolicy, as_scalar
@@ -61,6 +62,8 @@ class Matrix:
 
     @staticmethod
     def from_numpy(arr) -> "Matrix":
+        import numpy as np
+
         return Matrix([[complex(x) for x in row] for row in np.atleast_2d(arr)], FLOAT)
 
     @staticmethod
@@ -203,6 +206,8 @@ class Matrix:
         return hash((self.backend, self.entries))
 
     def to_numpy(self):
+        import numpy as np
+
         return np.array(
             [[complex(a) for a in r] for r in self.entries], dtype=np.complex128
         ).reshape(self.rows, self.cols)
@@ -211,6 +216,8 @@ class Matrix:
         """Largest singular value (0 for empty shapes)."""
         if 0 in self.shape:
             return 0.0
+        import numpy as np
+
         return float(np.linalg.norm(self.to_numpy(), 2))
 
     def __repr__(self):
@@ -223,7 +230,7 @@ def _infer_backend(rows_data) -> str:
         for x in r:
             if isinstance(x, QQi):
                 has_exact = True
-            elif isinstance(x, (complex, float, np.complexfloating, np.floating)):
+            elif isinstance(x, numbers.Complex) and not isinstance(x, numbers.Rational):
                 has_float = True
     if has_exact and has_float:
         raise BackendMismatch("mixed exact and float entries in one matrix")
@@ -376,6 +383,8 @@ def _echelon(m: Matrix, pivot_limit=None):
 
 
 def _float_svd(m: Matrix):
+    import numpy as np
+
     return np.linalg.svd(m.to_numpy(), full_matrices=True)
 
 
@@ -386,6 +395,8 @@ def rank(m: Matrix, tol: TolerancePolicy | None = None) -> int:
         return 0
     if m.backend == EXACT:
         return _echelon(m)[0]
+    import numpy as np
+
     tol = tol or DEFAULT_TOL
     s = np.linalg.svd(m.to_numpy(), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
@@ -423,6 +434,8 @@ def kernel_basis(m: Matrix, tol: TolerancePolicy | None = None) -> "Subspace":
     if m.rows == 0:
         return Subspace(m.cols, Matrix.identity(m.cols, m.backend), check=False)
     if m.backend == FLOAT:
+        import numpy as np
+
         tol = tol or DEFAULT_TOL
         u, s, vh = _float_svd(m)
         cut = tol.rel * (s[0] if s.size and s[0] > 0 else 1.0)
@@ -461,6 +474,8 @@ def image_basis(m: Matrix, tol: TolerancePolicy | None = None) -> "Subspace":
     if 0 in m.shape:
         return Subspace(m.rows, Matrix.zeros(m.rows, 0, m.backend), check=False)
     if m.backend == FLOAT:
+        import numpy as np
+
         tol = tol or DEFAULT_TOL
         u, s, vh = _float_svd(m)
         cut = tol.rel * (s[0] if s.size and s[0] > 0 else 1.0)
@@ -478,6 +493,8 @@ def solve(m: Matrix, rhs: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
     if m.rows != rhs.rows:
         raise ValueError("solve: row counts differ")
     if m.backend == FLOAT:
+        import numpy as np
+
         tol = tol or DEFAULT_TOL
         a = m.to_numpy()
         b = rhs.to_numpy()

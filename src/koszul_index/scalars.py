@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import BackendMismatch, ParseError
+
 EXACT = "exact"
 FLOAT = "float"
 
@@ -74,8 +76,11 @@ class QQi:
     def parse(text: str) -> "QQi":
         """Parse `[-]a[/b][[+|-]c[/d]i]`, plus the pure-imaginary shorthands
         `i`, `-i`, `c[/d]i`."""
-        from .errors import ParseError
-
+        # fast path for ASCII integers; strip() and the regexes' \s agree
+        body = text.strip()
+        digits = body[1:] if body[:1] in ("+", "-") else body
+        if digits.isascii() and digits.isdigit():
+            return QQi(int(body))
         m = _REAL_RE.match(text)
         if m:
             return QQi(Fraction(m.group(1)))
@@ -203,8 +208,6 @@ ONE = QQi(1)
 
 def as_scalar(value, backend: str):
     """Coerce a number-like value into the scalar type of `backend`."""
-    from .errors import BackendMismatch
-
     if backend == EXACT:
         if isinstance(value, QQi):
             return value

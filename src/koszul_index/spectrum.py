@@ -6,7 +6,8 @@ combination: its characteristic polynomial is split over the Gaussian
 rationals (square-free decomposition, then numerically guided rational
 reconstruction, then exact verification). When splitting or the nilpotency
 verification fails, IrrationalSpectrum is raised and the caller may retry
-with the float backend.
+with the float backend. numpy is imported only where float code runs: the
+numeric root guesses and the float decomposition.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import koszul, linalg
 from .errors import ArityMismatch, ClusteringAmbiguity, IrrationalSpectrum
@@ -137,6 +136,8 @@ def exact_eigenvalues(m: Matrix):
     as (value, algebraic multiplicity) pairs; raises IrrationalSpectrum."""
     if m.rows == 0:
         return []
+    import numpy as np
+
     p = charpoly(m)
     out = {}
     for factor, mult in _squarefree(p):
@@ -221,6 +222,8 @@ def _try_decomposition_exact(t: CommutingTuple, coeffs):
 
 
 def _decomposition_float(t: CommutingTuple, tol: TolerancePolicy):
+    import numpy as np
+
     d = t.dim
     ops = [op.to_numpy() for op in t.operators]
     rng = np.random.default_rng(DEFAULT_SEED)

@@ -8,6 +8,7 @@ suite bit-exactly.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -153,7 +154,6 @@ def random_regular_system(rng: random.Random, nvars: int = 2):
                 h = h + system[j] * v[i, j]
         mixed.append(h)
     zeros = []
-    import itertools
     for combo in itertools.product(*roots):
         a = Matrix([[QQi(c)] for c in combo], EXACT)
         y = u_inv @ a

@@ -175,6 +175,54 @@ def test_one_off_commands(tmp_path):
     assert reports[0]["outputs"]["at"]["in_taylor_spectrum"] is True
 
 
+def test_index_reports_the_backend_that_ran(tmp_path):
+    domain = '{"kind":"polydisc","center":["0"],"radii":["2"]}'
+    code, reports, _ = run_main(
+        ["index", "--domain", domain, "--system", "z1^2-2"], tmp_path)
+    assert code == 0
+    assert reports[0]["backend"] == "float"  # the zeros +-sqrt(2) leave Q(i)
+    assert reports[0]["outputs"]["global_index"] == -2
+    code, reports, _ = run_main(
+        ["index", "--domain", domain, "--system", "z1^2-1"], tmp_path)
+    assert code == 0 and reports[0]["backend"] == "exact"
+
+
+_EXACT_RUN_WITHOUT_NUMPY = """
+import io, json, sys
+from koszul_index import cli
+defaults = cli.Scenario("defaults", "IDENTITIES", {}, "exact", None, 7)
+doc = json.loads(sys.argv[1])
+reports = [cli.run_scenario(s) for s in cli.scenarios_from_document(doc, defaults)]
+cli.emit_reports(reports, io.StringIO())
+print(all(r["pass"] for r in reports), "numpy" in sys.modules)
+doc["scenarios"] = [dict(doc["scenarios"][0], backend="float")]
+reports = [cli.run_scenario(s) for s in cli.scenarios_from_document(doc, defaults)]
+print(reports[0]["pass"], reports[0]["backend"], "numpy" in sys.modules)
+"""
+
+
+def test_exact_scenarios_never_import_numpy():
+    jordan = [["0", "1"], ["0", "0"]]
+    doc = {"schema": 1, "scenarios": [
+        {"id": "h", "kind": "HOMOLOGY",
+         "payload": {"operators": [jordan, [["1/2", "0"], ["0", "1/2"]]],
+                     "cone_with": [["i", "3"], ["0", "i"]],
+                     "expect": {"cone_isomorphism": True, "index": 0}}},
+        {"id": "ss", "kind": "SPECTRAL_SEQUENCE",
+         "payload": {"operators_a": [jordan],
+                     "operators_b": [[["0", "0"], ["0", "0"]]], "r_max": 3}},
+        {"id": "ident", "kind": "IDENTITIES", "payload": {"n": 2, "m": 3}},
+    ]}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXACT_RUN_WITHOUT_NUMPY, json.dumps(doc)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["True False", "True float True"]
+
+
 def test_verify_all_float_variant_passes(tmp_path):
     code, reports, _ = run_main(["verify-all", "--backend", "float"], tmp_path)
     assert code == 0

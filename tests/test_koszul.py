@@ -25,6 +25,26 @@ def test_commutation_verified_at_build():
     CommutingTuple([JORDAN, JORDAN])  # a tuple may repeat operators
 
 
+def test_derived_tuples_check_only_new_pairs(monkeypatch):
+    rng = random.Random(3)
+    three = random_commuting_tuple(rng, 3, 3)
+    calls = []
+    real = linalg.commutes
+    monkeypatch.setattr(linalg, "commutes",
+                        lambda a, b, tol=None: calls.append(1) or real(a, b, tol))
+    shifted = three.shift([QQi(1), QQi(0, 2), QQi(-3)])
+    assert len(calls) == 0  # A - lambda commute exactly when A do
+    extended = three.extend(three.operators[0] @ three.operators[1])
+    assert len(calls) == 3  # the new operator against each of the three
+    joined = three.join(shifted)
+    assert len(calls) == 3 + 9  # cross pairs only
+    assert (shifted.n, extended.n, joined.n) == (3, 4, 6)
+    with pytest.raises(CommutatorError, match="operators 1 and 2"):
+        CommutingTuple([JORDAN]).extend(exact([[1, 0], [1, 1]]))
+    with pytest.raises(CommutatorError, match="operators 2 and 3"):
+        CommutingTuple([ZERO2, JORDAN]).join(CommutingTuple([exact([[1, 0], [1, 1]])]))
+
+
 def test_build_single_zero_operator():
     c = build_complex(CommutingTuple([ZERO2]))
     assert c.dims == [2, 2]

@@ -20,10 +20,35 @@ def test_parse_examples():
     assert QQi.parse("0") == QQi(0)
 
 
-@pytest.mark.parametrize("bad", ["", "abc", "1+", "i2", "1//2", "2.5", "1 + 2"])
+@pytest.mark.parametrize("text, value", [
+    ("+3", QQi(3)),
+    (" 3 ", QQi(3)),
+    ("\t-5\n", QQi(-5)),
+    ("-0", QQi(0)),
+    ("007", QQi(7)),
+    ("\u0663", QQi(3)),  # ARABIC-INDIC DIGIT THREE is a decimal digit
+    ("12345678901234567890123", QQi(12345678901234567890123)),
+    ("-12345678901234567890123", QQi(-12345678901234567890123)),
+    ("12/4", QQi(3)),
+    ("+i", QQi(0, 1)),
+    ("3-0i", QQi(3)),
+])
+def test_parse_integer_literals(text, value):
+    parsed = QQi.parse(text)
+    assert parsed == value
+    assert type(parsed.re) is Fraction and type(parsed.im) is Fraction
+
+
+@pytest.mark.parametrize("bad", ["", "abc", "1+", "i2", "1//2", "2.5", "1 + 2",
+                                 "1_0", "\u00b2", "+", "-", "+-3", "3 4"])
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
-        QQi.parse(bad)
+        QQi.parse(bad)  # "\u00b2" (superscript two) passes str.isdigit
+
+
+def test_parse_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        QQi.parse("3/0")
 
 
 @given(gaussians)
