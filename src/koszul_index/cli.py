@@ -2,23 +2,26 @@
 
 Exit codes: 0 when every scenario passes, 1 when any scenario fails or hits
 a computational error (zero on a boundary, irrational spectrum, ...), 2 for
-schema violations or bad usage. Reports are emitted in input order whatever
-the worker count, and an exact-backend run is byte-identical for a fixed
-seed (timings are only added under --timings).
+schema violations or bad usage. Reports are emitted in input order, and an
+exact-backend run is byte-identical for a fixed seed (timings are only added
+under --timings).
+
+Each scenario kind is one entry of KINDS: its payload fields, which are also
+the options of its one-off subcommand, one function that validates a payload
+and returns the parsed inputs, and one that runs them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import koszul, models, multiplicity as mult_mod, spectral, spectrum, suites
 from .errors import KoszulIndexError, ParseError
@@ -29,23 +32,7 @@ from .poly import parse_system
 from .scalars import EXACT, FLOAT, QQi, TolerancePolicy, scalar_str
 
 SCHEMA_VERSION = 1
-KINDS = ("HOMOLOGY", "SPECTRUM", "MULTIPLICITY", "INDEX", "RECIPROCITY",
-         "SPECTRAL_SEQUENCE", "IDENTITIES")
 DEFAULT_SEED = 7
-
-# kinds whose engines are exact-only; a float request falls back to exact
-EXACT_ONLY = {"MULTIPLICITY", "IDENTITIES", "SPECTRAL_SEQUENCE", "INDEX",
-              "RECIPROCITY"}
-
-_PAYLOAD_KEYS = {
-    "HOMOLOGY": {"operators", "cone_with", "expect"},
-    "SPECTRUM": {"operators", "at", "expect"},
-    "MULTIPLICITY": {"system", "variables", "at", "check_diagonal", "expect"},
-    "INDEX": {"domain", "system", "variables", "expect"},
-    "RECIPROCITY": {"domain_a", "domain_b", "system", "variables", "expect"},
-    "SPECTRAL_SEQUENCE": {"operators_a", "operators_b", "r_max", "expect"},
-    "IDENTITIES": {"n", "m", "range", "expect"},
-}
 
 
 class SchemaError(Exception):
@@ -137,7 +124,7 @@ def _system_from_payload(payload):
     nvars = payload.get("variables", _infer_variables(text))
     if not isinstance(nvars, int) or nvars < 1:
         raise SchemaError("payload field 'variables' must be a positive integer")
-    return parse_system(text, nvars), nvars
+    return parse_system(text, nvars)
 
 
 # -- scenario file parsing -----------------------------------------------------
@@ -183,7 +170,7 @@ def scenarios_from_document(doc, defaults) -> list:
         payload = entry.get("payload")
         if not isinstance(payload, dict):
             raise SchemaError(f"scenario {sid!r}: payload must be an object")
-        extra = set(payload) - _PAYLOAD_KEYS[kind]
+        extra = set(payload) - {f.name for f in KINDS[kind].fields} - {"expect"}
         if extra:
             raise SchemaError(
                 f"scenario {sid!r}: unknown payload fields {sorted(extra)}")
@@ -197,60 +184,13 @@ def scenarios_from_document(doc, defaults) -> list:
         if not isinstance(seed, int) or seed < 0:
             raise SchemaError(f"scenario {sid!r}: seed must be a non-negative integer")
         try:
-            _validate_payload(kind, payload, backend)
+            KINDS[kind].inputs(payload, backend)  # validation; execution parses again
         except (SchemaError, ParseError) as err:
             raise SchemaError(f"scenario {sid!r}: {err}")
+        if "expect" in payload and not isinstance(payload["expect"], dict):
+            raise SchemaError(f"scenario {sid!r}: expect must be an object")
         out.append(Scenario(sid, kind, payload, backend, tol, seed))
     return out
-
-
-def _validate_payload(kind: str, payload: dict, backend: str):
-    """Full structural and literal validation; execution never re-raises
-    schema problems after this passes."""
-    def need(field):
-        if field not in payload:
-            raise SchemaError(f"missing payload field {field!r}")
-        return payload[field]
-
-    if kind == "HOMOLOGY":
-        ops = _parse_operators(need("operators"), backend)
-        if "cone_with" in payload:
-            ops.append(_parse_matrix(payload["cone_with"], backend))
-        _require_common_square(ops)
-    elif kind == "SPECTRUM":
-        ops = _parse_operators(need("operators"), backend)
-        _require_common_square(ops)
-        if "at" in payload:
-            _parse_point(payload["at"], backend)
-    elif kind == "MULTIPLICITY":
-        _system_from_payload(payload)
-        if "at" in payload:
-            _parse_point(payload["at"])
-        if "check_diagonal" in payload and not isinstance(
-                payload["check_diagonal"], bool):
-            raise SchemaError("check_diagonal must be a boolean")
-    elif kind == "INDEX":
-        _system_from_payload(payload)
-        _parse_domain(need("domain"))
-    elif kind == "RECIPROCITY":
-        _system_from_payload(payload)
-        _parse_domain(need("domain_a"))
-        _parse_domain(need("domain_b"))
-    elif kind == "SPECTRAL_SEQUENCE":
-        _require_common_square(_parse_operators(need("operators_a"), EXACT) +
-                               _parse_operators(need("operators_b"), EXACT))
-        r_max = payload.get("r_max", 2)
-        if not isinstance(r_max, int) or r_max < 2:
-            raise SchemaError("r_max must be an integer >= 2")
-    elif kind == "IDENTITIES":
-        n, m = need("n"), need("m")
-        if not (isinstance(n, int) and isinstance(m, int) and 1 <= n <= m):
-            raise SchemaError("identities need integers 1 <= n <= m")
-        shift = payload.get("range", 8)
-        if not isinstance(shift, int) or shift < 0:
-            raise SchemaError("range must be a non-negative integer")
-    if "expect" in payload and not isinstance(payload["expect"], dict):
-        raise SchemaError("expect must be an object")
 
 
 # -- execution ------------------------------------------------------------------
@@ -271,170 +211,309 @@ def _check_dict(name, passed, detail=""):
 
 
 def _apply_expect(expect, outputs, checks):
-    if expect is None:
-        return
-    for key, wanted in expect.items():
+    for key, wanted in (expect or {}).items():
         actual = outputs.get(key)
         checks.append(_check_dict(
             f"expected_{key}", actual == wanted, f"{actual} vs {wanted}"))
 
 
-def execute_scenario(scenario: Scenario) -> dict:
-    backend = scenario.backend
-    if scenario.kind in EXACT_ONLY:
-        backend = EXACT
-    tol = _policy(scenario)
-    rng = random.Random(scenario.seed)
-    payload = scenario.payload
-    outputs = {}
-    checks = []
+# -- the scenario kinds: parse a payload, run the parsed inputs ------------------
 
-    if scenario.kind == "HOMOLOGY":
-        ops = [_parse_matrix(m, backend) for m in payload["operators"]]
-        tup = CommutingTuple(ops, tol)
-        profile = koszul.homology(koszul.build_complex(tup, tol), tol)
-        outputs.update(dims=list(profile.dims), euler=profile.euler,
-                       index=profile.index)
-        checks.append(_check_dict("euler_characteristic_zero",
-                                  profile.index == 0, f"index {profile.index}"))
-        if "cone_with" in payload:
-            extra = _parse_matrix(payload["cone_with"], backend)
-            ok = koszul.verify_cone_isomorphism(tup, extra, tol)
-            outputs["cone_isomorphism"] = ok
-            checks.append(_check_dict("cone_isomorphism", ok))
 
-    elif scenario.kind == "SPECTRUM":
-        ops = [_parse_matrix(m, backend) for m in payload["operators"]]
-        tup = CommutingTuple(ops, tol)
-        decomposition = spectrum.spectral_decomposition(tup, tol, rng)
-        outputs["eigenvalues"] = [
-            {"point": _point_strs(pt), "multiplicity": space.dim}
-            for pt, space in decomposition.components]
-        total = decomposition.total_dim()
-        checks.append(_check_dict("eigenspace_dimensions_sum",
-                                  total == tup.dim, f"{total} of {tup.dim}"))
-        if "at" in payload:
-            point = _parse_point(payload["at"], backend)
-            report = spectrum.joint_spectrum_equivalences(tup, point, tol, rng)
-            outputs["at"] = {
-                "point": _point_strs(point),
-                "in_taylor_spectrum": report.in_taylor_spectrum,
-                "in_eigenvalue_support": report.in_eigenvalue_support,
-                "top_homology_nonzero": report.top_homology_nonzero,
-            }
-            checks.append(_check_dict("membership_equivalences", report.agree))
+def _parse_homology(payload, backend):
+    ops = _parse_operators(payload["operators"], backend)
+    cone = None
+    if "cone_with" in payload:
+        cone = _parse_matrix(payload["cone_with"], backend)
+    _require_common_square(ops if cone is None else ops + [cone])
+    return ops, cone
 
-    elif scenario.kind == "MULTIPLICITY":
-        system, nvars = _system_from_payload(payload)
-        if "at" in payload:
-            point = _parse_point(payload["at"])
-            cert = mult_mod.local_multiplicity(system, point)
-            outputs.update(multiplicity=cert.multiplicity,
-                           N_star=cert.stabilization_order,
-                           point=_point_strs(point))
-            outputs["jacobian_regular"] = mult_mod.jacobian_regular(system, point)
-            if outputs["jacobian_regular"]:
-                checks.append(_check_dict("regular_zero_is_simple",
-                                          cert.multiplicity == 1))
-            table = mult_mod.global_multiplicity_table(system)
-            match = [m for pt, m in table.entries if pt == tuple(point)]
-            checks.append(_check_dict(
-                "eigenspace_oracle_agreement",
-                bool(match) and match[0] == cert.multiplicity,
-                f"eigenspace {match} vs truncation {cert.multiplicity}"))
-            if payload.get("check_diagonal"):
-                ok = mult_mod.verify_diagonal_degree(system, point)
-                outputs["diagonal_degree_equal"] = ok
-                checks.append(_check_dict("diagonal_degree_identity", ok))
-        else:
-            table = mult_mod.global_multiplicity_table(system)
-            outputs["zeros"] = [
-                {"point": _point_strs(pt), "multiplicity": m}
-                for pt, m in table.entries]
-            outputs["quotient_dim"] = table.quotient_dim
-            total = table.total()
-            checks.append(_check_dict("multiplicities_sum_to_quotient",
-                                      total == table.quotient_dim,
-                                      f"{total} of {table.quotient_dim}"))
 
-    elif scenario.kind == "INDEX":
-        system, nvars = _system_from_payload(payload)
-        domain = _parse_domain(payload["domain"])
-        report = models.global_index(ModelTuple(domain, tuple(system)), tol, rng)
-        backend = report.backend  # float when the zeros leave Q(i)
-        outputs["global_index"] = report.global_index
-        outputs["quotient_dim"] = report.quotient_dim
+def _run_homology(inputs, tol, rng, outputs, checks):
+    ops, cone = inputs
+    tup = CommutingTuple(ops, tol)
+    profile = koszul.homology(koszul.build_complex(tup, tol), tol)
+    outputs.update(dims=list(profile.dims), euler=profile.euler,
+                   index=profile.index)
+    checks.append(_check_dict("euler_characteristic_zero",
+                              profile.index == 0, f"index {profile.index}"))
+    if cone is not None:
+        ok = koszul.verify_cone_isomorphism(tup, cone, tol)
+        outputs["cone_isomorphism"] = ok
+        checks.append(_check_dict("cone_isomorphism", ok))
+    return tup.backend
+
+
+def _parse_spectrum(payload, backend):
+    ops = _parse_operators(payload["operators"], backend)
+    _require_common_square(ops)
+    point = _parse_point(payload["at"], backend) if "at" in payload else None
+    return ops, point
+
+
+def _run_spectrum(inputs, tol, rng, outputs, checks):
+    ops, point = inputs
+    tup = CommutingTuple(ops, tol)
+    decomposition = spectrum.spectral_decomposition(tup, tol, rng)
+    outputs["eigenvalues"] = [
+        {"point": _point_strs(pt), "multiplicity": space.dim}
+        for pt, space in decomposition.components]
+    total = decomposition.total_dim()
+    checks.append(_check_dict("eigenspace_dimensions_sum",
+                              total == tup.dim, f"{total} of {tup.dim}"))
+    if point is not None:
+        report = spectrum.joint_spectrum_equivalences(tup, point, tol, rng)
+        outputs["at"] = {
+            "point": _point_strs(point),
+            "in_taylor_spectrum": report.in_taylor_spectrum,
+            "in_eigenvalue_support": report.in_eigenvalue_support,
+            "top_homology_nonzero": report.top_homology_nonzero,
+        }
+        checks.append(_check_dict("membership_equivalences", report.agree))
+    return tup.backend
+
+
+def _parse_multiplicity(payload, backend):
+    system = _system_from_payload(payload)
+    point = _parse_point(payload["at"]) if "at" in payload else None
+    if "check_diagonal" in payload and not isinstance(
+            payload["check_diagonal"], bool):
+        raise SchemaError("check_diagonal must be a boolean")
+    return system, point, payload.get("check_diagonal", False)
+
+
+def _run_multiplicity(inputs, tol, rng, outputs, checks):
+    system, point, check_diagonal = inputs
+    if point is None:
+        table = mult_mod.global_multiplicity_table(system)
         outputs["zeros"] = [
-            {"point": _point_strs(z.point), "multiplicity": z.multiplicity,
-             "location": z.location, "coordinate_index": z.coordinate_index}
-            for z in report.zeros]
-        outputs["local_indices"] = [
-            {"point": _point_strs(pt), "index": li}
-            for pt, li in report.local_indices]
-        checks.extend(_check_dict(c.name, c.passed, c.detail)
-                      for c in report.checks)
+            {"point": _point_strs(pt), "multiplicity": m}
+            for pt, m in table.entries]
+        outputs["quotient_dim"] = table.quotient_dim
+        total = table.total()
+        checks.append(_check_dict("multiplicities_sum_to_quotient",
+                                  total == table.quotient_dim,
+                                  f"{total} of {table.quotient_dim}"))
+        return EXACT
+    cert = mult_mod.local_multiplicity(system, point)
+    outputs.update(multiplicity=cert.multiplicity,
+                   N_star=cert.stabilization_order,
+                   point=_point_strs(point))
+    outputs["jacobian_regular"] = mult_mod.jacobian_regular(system, point)
+    if outputs["jacobian_regular"]:
+        checks.append(_check_dict("regular_zero_is_simple",
+                                  cert.multiplicity == 1))
+    table = mult_mod.global_multiplicity_table(system)
+    match = [m for pt, m in table.entries if pt == tuple(point)]
+    checks.append(_check_dict(
+        "eigenspace_oracle_agreement",
+        bool(match) and match[0] == cert.multiplicity,
+        f"eigenspace {match} vs truncation {cert.multiplicity}"))
+    if check_diagonal:
+        ok = mult_mod.verify_diagonal_degree(system, point)
+        outputs["diagonal_degree_equal"] = ok
+        checks.append(_check_dict("diagonal_degree_identity", ok))
+    return EXACT
 
-    elif scenario.kind == "RECIPROCITY":
-        system, nvars = _system_from_payload(payload)
-        domain_a = _parse_domain(payload["domain_a"])
-        domain_b = _parse_domain(payload["domain_b"])
-        report = models.reciprocity_check(domain_a, domain_b, system, tol, rng)
-        outputs.update(lhs=report.lhs, rhs=report.rhs)
-        outputs["zeros"] = [
-            {"point": _point_strs(pt), "multiplicity": m,
-             "location_a": la, "location_b": lb}
-            for pt, m, la, lb in report.zeros]
-        checks.append(_check_dict("reciprocity_identity", report.equal,
-                                  f"{report.lhs} vs {report.rhs}"))
 
-    elif scenario.kind == "SPECTRAL_SEQUENCE":
-        ops_a = [_parse_matrix(m, EXACT) for m in payload["operators_a"]]
-        ops_b = [_parse_matrix(m, EXACT) for m in payload["operators_b"]]
-        bc = spectral.build_bicomplex(CommutingTuple(ops_a), CommutingTuple(ops_b))
-        r_max = payload.get("r_max", 2)
-        pages = spectral.page_sequence(bc, r_max)
-        outputs["pages"] = [{"r": page.r, "dims": page.dims_grid()}
-                            for page in pages]
-        outputs["stabilization_page"] = spectral.stabilization_page(pages)
-        outputs["euler_via_e2"] = spectral.euler_via_e2(bc)
-        outputs["total_homology"] = list(bc.profile.dims)
-        checks.append(_check_dict("signed_sums_constant", True,
-                                  "asserted during the page run"))
-        checks.append(_check_dict("limit_page_matches_homology", True,
-                                  "asserted during the page run"))
-        checks.append(_check_dict("index_via_page_two",
-                                  outputs["euler_via_e2"] == bc.profile.index))
+def _parse_index(payload, backend):
+    return _system_from_payload(payload), _parse_domain(payload["domain"])
 
-    elif scenario.kind == "IDENTITIES":
-        n, m = payload["n"], payload["m"]
-        shift = payload.get("range", 8)
-        lr = models.lr_identity_holds(n, m)
-        binom = models.binomial_identity_holds(n, m, shift)
-        outputs.update(n=n, m=m, range=shift, left_inverse=lr,
-                       binomial_identity=binom)
-        sample = list(range(n + 1, 0, -1))
-        outputs["identity_transform_fixedpoint"] = \
-            models.regular_case_identities(sample, n) == sample
-        checks.append(_check_dict("left_inverse_identity", lr))
-        checks.append(_check_dict("binomial_composition_identity", binom))
-        checks.append(_check_dict("equal_length_transform_is_identity",
-                                  outputs["identity_transform_fixedpoint"]))
 
-    else:  # pragma: no cover - guarded by schema validation
-        raise SchemaError(f"unhandled kind {scenario.kind}")
+def _run_index(inputs, tol, rng, outputs, checks):
+    system, domain = inputs
+    report = models.global_index(ModelTuple(domain, tuple(system)), tol, rng)
+    outputs["global_index"] = report.global_index
+    outputs["quotient_dim"] = report.quotient_dim
+    outputs["zeros"] = [
+        {"point": _point_strs(z.point), "multiplicity": z.multiplicity,
+         "location": z.location, "coordinate_index": z.coordinate_index}
+        for z in report.zeros]
+    outputs["local_indices"] = [
+        {"point": _point_strs(pt), "index": li}
+        for pt, li in report.local_indices]
+    checks.extend(_check_dict(c.name, c.passed, c.detail)
+                  for c in report.checks)
+    return report.backend  # float when the zeros leave Q(i)
 
-    _apply_expect(payload.get("expect"), outputs, checks)
+
+def _parse_reciprocity(payload, backend):
+    return (_system_from_payload(payload), _parse_domain(payload["domain_a"]),
+            _parse_domain(payload["domain_b"]))
+
+
+def _run_reciprocity(inputs, tol, rng, outputs, checks):
+    system, domain_a, domain_b = inputs
+    report = models.reciprocity_check(domain_a, domain_b, system, tol, rng)
+    outputs.update(lhs=report.lhs, rhs=report.rhs)
+    outputs["zeros"] = [
+        {"point": _point_strs(pt), "multiplicity": m,
+         "location_a": la, "location_b": lb}
+        for pt, m, la, lb in report.zeros]
+    checks.append(_check_dict("reciprocity_identity", report.equal,
+                              f"{report.lhs} vs {report.rhs}"))
+    return report.backend
+
+
+def _parse_spectral_sequence(payload, backend):
+    ops_a = _parse_operators(payload["operators_a"], EXACT)
+    ops_b = _parse_operators(payload["operators_b"], EXACT)
+    _require_common_square(ops_a + ops_b)
+    r_max = payload["r_max"]
+    if not isinstance(r_max, int) or r_max < 2:
+        raise SchemaError("r_max must be an integer >= 2")
+    return ops_a, ops_b, r_max
+
+
+def _run_spectral_sequence(inputs, tol, rng, outputs, checks):
+    ops_a, ops_b, r_max = inputs
+    bc = spectral.build_bicomplex(CommutingTuple(ops_a), CommutingTuple(ops_b))
+    pages = spectral.page_sequence(bc, r_max)
+    outputs["pages"] = [{"r": page.r, "dims": page.dims_grid()}
+                        for page in pages]
+    outputs["stabilization_page"] = spectral.stabilization_page(pages)
+    outputs["euler_via_e2"] = spectral.euler_via_e2(bc)
+    outputs["total_homology"] = list(bc.profile.dims)
+    checks.append(_check_dict("signed_sums_constant", True,
+                              "asserted during the page run"))
+    checks.append(_check_dict("limit_page_matches_homology", True,
+                              "asserted during the page run"))
+    checks.append(_check_dict("index_via_page_two",
+                              outputs["euler_via_e2"] == bc.profile.index))
+    return EXACT
+
+
+def _parse_identities(payload, backend):
+    n, m = payload["n"], payload["m"]
+    if not (isinstance(n, int) and isinstance(m, int) and 1 <= n <= m):
+        raise SchemaError("identities need integers 1 <= n <= m")
+    shift = payload["range"]
+    if not isinstance(shift, int) or shift < 0:
+        raise SchemaError("range must be a non-negative integer")
+    return n, m, shift
+
+
+def _run_identities(inputs, tol, rng, outputs, checks):
+    n, m, shift = inputs
+    lr = models.lr_identity_holds(n, m)
+    binom = models.binomial_identity_holds(n, m, shift)
+    outputs.update(n=n, m=m, range=shift, left_inverse=lr,
+                   binomial_identity=binom)
+    sample = list(range(n + 1, 0, -1))
+    outputs["identity_transform_fixedpoint"] = \
+        models.regular_case_identities(sample, n) == sample
+    checks.append(_check_dict("left_inverse_identity", lr))
+    checks.append(_check_dict("binomial_composition_identity", binom))
+    checks.append(_check_dict("equal_length_transform_is_identity",
+                              outputs["identity_transform_fixedpoint"]))
+    return EXACT
+
+
+@dataclass(frozen=True)
+class Field:
+    """A payload field, given to a one-off subcommand as --name (dashes for
+    underscores). `option` is "json" (a JSON literal), "text", "int" or
+    "flag". A non-None default fills both the option and a payload that
+    leaves the field out."""
+    name: str
+    option: str = "json"
+    required: bool = False
+    default: object = None
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class Kind:
+    command: str
+    help: str
+    fields: tuple
+    # (payload with defaults filled in, engine backend) -> inputs; raises
+    # SchemaError or ParseError, and never again once a payload passed
+    parse: Callable
+    # (inputs, tol, rng, outputs, checks) -> the backend that actually ran;
+    # fills outputs and checks
+    run: Callable
+    exact_only: bool = True  # a float request runs exact engines
+
+    def backend(self, requested: str) -> str:
+        return EXACT if self.exact_only else requested
+
+    def inputs(self, payload: dict, requested: str):
+        """The parsed inputs of a payload; raises SchemaError or ParseError."""
+        for f in self.fields:
+            if f.required and f.name not in payload:
+                raise SchemaError(f"missing payload field {f.name!r}")
+        defaults = {f.name: f.default for f in self.fields
+                    if f.default is not None}
+        return self.parse({**defaults, **payload}, self.backend(requested))
+
+
+_OPERATORS = "JSON array of matrices (scalar-string entries)"
+_SYSTEM = (Field("system", "text", required=True), Field("variables", "int"))
+
+KINDS = {
+    "HOMOLOGY": Kind(
+        "homology", "Koszul homology of one tuple",
+        (Field("operators", required=True, help=_OPERATORS),
+         Field("cone_with",
+               help="extra commuting matrix for the cone isomorphism check")),
+        _parse_homology, _run_homology, exact_only=False),
+    "SPECTRUM": Kind(
+        "spectrum", "joint eigenvalues and equivalences",
+        (Field("operators", required=True, help=_OPERATORS),
+         Field("at", "text", help="comma-separated point")),
+        _parse_spectrum, _run_spectrum, exact_only=False),
+    "MULTIPLICITY": Kind(
+        "multiplicity", "local multiplicity at a zero",
+        _SYSTEM + (Field("at", "text", help="comma-separated point"),
+                   Field("check_diagonal", "flag")),
+        _parse_multiplicity, _run_multiplicity),
+    "INDEX": Kind(
+        "index", "global index over a model domain",
+        (Field("domain", required=True, help="JSON domain descriptor"),)
+        + _SYSTEM,
+        _parse_index, _run_index),
+    "RECIPROCITY": Kind(
+        "reciprocity", "two-domain index pairing",
+        (Field("domain_a", required=True), Field("domain_b", required=True))
+        + _SYSTEM,
+        _parse_reciprocity, _run_reciprocity),
+    "SPECTRAL_SEQUENCE": Kind(
+        "ss", "spectral sequence of a joined pair",
+        (Field("operators_a", required=True), Field("operators_b", required=True),
+         Field("r_max", "int", default=2)),
+        _parse_spectral_sequence, _run_spectral_sequence),
+    "IDENTITIES": Kind(
+        "identities", "binomial transform identities",
+        (Field("n", "int", required=True), Field("m", "int", required=True),
+         Field("range", "int", default=8)),
+        _parse_identities, _run_identities),
+}
+
+
+def _report(scenario: Scenario, backend, outputs, checks, error=None) -> dict:
     return {
         "id": scenario.id,
         "kind": scenario.kind,
         "backend": backend,
         "seed": scenario.seed,
-        "inputs": payload,
+        "inputs": scenario.payload,
         "outputs": outputs,
         "checks": checks,
-        "pass": all(c["passed"] for c in checks),
-        "error": None,
+        "pass": error is None and all(c["passed"] for c in checks),
+        "error": error,
     }
+
+
+def execute_scenario(scenario: Scenario) -> dict:
+    kind = KINDS[scenario.kind]
+    outputs = {}
+    checks = []
+    backend = kind.run(kind.inputs(scenario.payload, scenario.backend),
+                       _policy(scenario), random.Random(scenario.seed),
+                       outputs, checks)
+    _apply_expect(scenario.payload.get("expect"), outputs, checks)
+    return _report(scenario, backend, outputs, checks)
 
 
 def run_scenario(scenario: Scenario) -> dict:
@@ -442,27 +521,11 @@ def run_scenario(scenario: Scenario) -> dict:
     try:
         report = execute_scenario(scenario)
     except (KoszulIndexError, AssertionError) as err:
-        report = {
-            "id": scenario.id,
-            "kind": scenario.kind,
-            "backend": scenario.backend,
-            "seed": scenario.seed,
-            "inputs": scenario.payload,
-            "outputs": {},
-            "checks": [],
-            "pass": False,
-            "error": {"type": type(err).__name__, "message": str(err)},
-        }
+        report = _report(scenario, KINDS[scenario.kind].backend(scenario.backend),
+                         {}, [],
+                         {"type": type(err).__name__, "message": str(err)})
     report["_wall_ms"] = (time.perf_counter() - started) * 1000.0
     return report
-
-
-def run_all(scenarios, jobs: int = 1):
-    if jobs <= 1:
-        return [run_scenario(s) for s in scenarios]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_scenario, s) for s in scenarios]
-        return [f.result() for f in futures]  # input order regardless of finish
 
 
 def emit_reports(reports, stream, timings=False):
@@ -484,41 +547,39 @@ def builtin_scenarios(seed: int = DEFAULT_SEED, backend: str = EXACT) -> list:
     """The bundled verification suites, generated deterministically from the
     seed: the Euler anchor, cone isomorphisms, spectral sequences, the
     multiplicity corpus with the diagonal identity, the index and
-    reciprocity scenarios, and the binomial identities."""
+    reciprocity scenarios, and the binomial identities. Exact-only kinds
+    run exact whatever the backend."""
     rng = random.Random(seed)
     out = []
+
+    def add(sid, kind, payload):
+        out.append(Scenario(sid, kind, payload, backend, None, seed))
 
     for k in range(200):
         n = rng.choice([1, 2, 3])
         dim = rng.randint(1, 8)
         tup = suites.random_commuting_tuple(rng, n, dim)
-        out.append(Scenario(
-            f"euler-anchor-{k:03d}", "HOMOLOGY",
+        add(f"euler-anchor-{k:03d}", "HOMOLOGY",
             {"operators": [_matrix_json(op) for op in tup.operators],
-             "expect": {"index": 0}},
-            backend, None, seed))
+             "expect": {"index": 0}})
 
     for k in range(50):
         n = rng.choice([1, 2])
         dim = rng.randint(1, 6)
         tup, extra = suites.random_cone_instance(rng, n, dim)
-        out.append(Scenario(
-            f"cone-iso-{k:03d}", "HOMOLOGY",
+        add(f"cone-iso-{k:03d}", "HOMOLOGY",
             {"operators": [_matrix_json(op) for op in tup.operators],
              "cone_with": _matrix_json(extra),
-             "expect": {"cone_isomorphism": True, "index": 0}},
-            backend, None, seed))
+             "expect": {"cone_isomorphism": True, "index": 0}})
 
     for k in range(50):
         n = rng.choice([1, 2])
         dim = rng.randint(1, 5)
         a, b = suites.random_bicomplex_pair(rng, n, 1, dim)
-        out.append(Scenario(
-            f"spectral-seq-{k:03d}", "SPECTRAL_SEQUENCE",
+        add(f"spectral-seq-{k:03d}", "SPECTRAL_SEQUENCE",
             {"operators_a": [_matrix_json(op) for op in a.operators],
              "operators_b": [_matrix_json(op) for op in b.operators],
-             "r_max": 3},
-            EXACT, None, seed))
+             "r_max": 3})
 
     corpus = [(f"z1^{k}", 1, ["0"], k) for k in range(1, 6)]
     corpus += [
@@ -528,41 +589,31 @@ def builtin_scenarios(seed: int = DEFAULT_SEED, backend: str = EXACT) -> list:
         ("z1 + z2; z1 - z2", 2, ["0", "0"], 1),
     ]
     for k, (text, nvars, at, expected) in enumerate(corpus):
-        out.append(Scenario(
-            f"multiplicity-{k:02d}", "MULTIPLICITY",
+        add(f"multiplicity-{k:02d}", "MULTIPLICITY",
             {"system": text, "variables": nvars, "at": at,
              "check_diagonal": True,
-             "expect": {"multiplicity": expected}},
-            EXACT, None, seed))
+             "expect": {"multiplicity": expected}})
     for k in range(10):
         system, zeros = suites.random_regular_system(rng)
         text = "; ".join(str(g) for g in system)
         at = [scalar_str(c) for c in zeros[0]]
-        out.append(Scenario(
-            f"multiplicity-regular-{k:02d}", "MULTIPLICITY",
+        add(f"multiplicity-regular-{k:02d}", "MULTIPLICITY",
             {"system": text, "variables": 2, "at": at, "check_diagonal": True,
-             "expect": {"multiplicity": 1}},
-            EXACT, None, seed))
+             "expect": {"multiplicity": 1}})
 
     disc = {"kind": "polydisc", "center": ["0"], "radii": ["1"]}
     bidisc = {"kind": "polydisc", "center": ["0", "0"], "radii": ["1", "1"]}
-    out.append(Scenario(
-        "index-disc-two-zeros", "INDEX",
-        {"domain": disc, "system": "z1^2 - 1/4",
-         "expect": {"global_index": -2}}, EXACT, None, seed))
-    out.append(Scenario(
-        "index-disc-exterior", "INDEX",
-        {"domain": disc, "system": "z1 - 2",
-         "expect": {"global_index": 0}}, EXACT, None, seed))
-    out.append(Scenario(
-        "index-bidisc-multiplicity-four", "INDEX",
-        {"domain": bidisc, "system": "z1^2; z2^2",
-         "expect": {"global_index": -4, "quotient_dim": 4}}, EXACT, None, seed))
-    out.append(Scenario(
-        "index-ball-regular", "INDEX",
-        {"domain": {"kind": "ball", "center": ["0", "0"], "radii": ["1"]},
-         "system": "z1 + z2; z1 - z2",
-         "expect": {"global_index": -1}}, EXACT, None, seed))
+    index = [
+        ("index-disc-two-zeros", disc, "z1^2 - 1/4", {"global_index": -2}),
+        ("index-disc-exterior", disc, "z1 - 2", {"global_index": 0}),
+        ("index-bidisc-multiplicity-four", bidisc, "z1^2; z2^2",
+         {"global_index": -4, "quotient_dim": 4}),
+        ("index-ball-regular",
+         {"kind": "ball", "center": ["0", "0"], "radii": ["1"]},
+         "z1 + z2; z1 - z2", {"global_index": -1}),
+    ]
+    for sid, domain, text, expect in index:
+        add(sid, "INDEX", {"domain": domain, "system": text, "expect": expect})
 
     half = {"kind": "polydisc", "center": ["0"], "radii": ["1/2"]}
     shifted = {"kind": "polydisc", "center": ["3"], "radii": ["1/2"]}
@@ -585,15 +636,13 @@ def builtin_scenarios(seed: int = DEFAULT_SEED, backend: str = EXACT) -> list:
         payload = {"domain_a": da, "domain_b": db, "system": text}
         if expect:
             payload["expect"] = expect
-        out.append(Scenario(sid, "RECIPROCITY", payload, EXACT, None, seed))
+        add(sid, "RECIPROCITY", payload)
 
     for n in range(1, 9):
         for m in range(n, 9):
-            out.append(Scenario(
-                f"identities-{n}-{m}", "IDENTITIES",
+            add(f"identities-{n}-{m}", "IDENTITIES",
                 {"n": n, "m": m, "range": 8,
-                 "expect": {"left_inverse": True, "binomial_identity": True}},
-                EXACT, None, seed))
+                 "expect": {"left_inverse": True, "binomial_identity": True}})
     return out
 
 
@@ -605,14 +654,23 @@ def _add_common(parser):
                         help="scalar backend (default exact)")
     parser.add_argument("--tol", type=float, default=None,
                         help="relative float tolerance (default 1e-9)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker count (default 1 or KOSZUL_INDEX_JOBS)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for the separating-combination generator")
     parser.add_argument("--output", default=None,
                         help="write reports to this path instead of stdout")
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock fields in reports")
+
+
+def _add_field(parser, field: Field):
+    option = "--" + field.name.replace("_", "-")
+    if field.option == "flag":
+        parser.add_argument(option, action="store_const", const=True,
+                            help=field.help)
+    else:
+        parser.add_argument(option, type=int if field.option == "int" else str,
+                            required=field.required, default=field.default,
+                            help=field.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -625,143 +683,49 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run scenarios from a JSON file")
     p.add_argument("scenario_file")
     _add_common(p)
+    p.set_defaults(scenarios=lambda args: load_scenario_file(
+        args.scenario_file,
+        Scenario("defaults", "IDENTITIES", {}, args.backend, args.tol, args.seed)))
 
     p = sub.add_parser("verify-all", help="run the bundled verification suites")
     _add_common(p)
+    p.set_defaults(
+        scenarios=lambda args: builtin_scenarios(args.seed, args.backend))
 
-    p = sub.add_parser("homology", help="Koszul homology of one tuple")
-    p.add_argument("--operators", required=True,
-                   help="JSON array of matrices (scalar-string entries)")
-    p.add_argument("--cone-with", default=None,
-                   help="extra commuting matrix for the cone isomorphism check")
-    _add_common(p)
-
-    p = sub.add_parser("spectrum", help="joint eigenvalues and equivalences")
-    p.add_argument("--operators", required=True)
-    p.add_argument("--at", default=None, help="comma-separated point")
-    _add_common(p)
-
-    p = sub.add_parser("multiplicity", help="local multiplicity at a zero")
-    p.add_argument("--system", required=True)
-    p.add_argument("--variables", type=int, default=None)
-    p.add_argument("--at", default=None, help="comma-separated point")
-    p.add_argument("--check-diagonal", action="store_true")
-    _add_common(p)
-
-    p = sub.add_parser("index", help="global index over a model domain")
-    p.add_argument("--domain", required=True, help="JSON domain descriptor")
-    p.add_argument("--system", required=True)
-    p.add_argument("--variables", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("reciprocity", help="two-domain index pairing")
-    p.add_argument("--domain-a", required=True)
-    p.add_argument("--domain-b", required=True)
-    p.add_argument("--system", required=True)
-    p.add_argument("--variables", type=int, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("ss", help="spectral sequence of a joined pair")
-    p.add_argument("--operators-a", required=True)
-    p.add_argument("--operators-b", required=True)
-    p.add_argument("--r-max", type=int, default=2)
-    _add_common(p)
-
-    p = sub.add_parser("identities", help="binomial transform identities")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--range", type=int, default=8)
-    _add_common(p)
+    for name, kind in KINDS.items():
+        p = sub.add_parser(kind.command, help=kind.help)
+        for field in kind.fields:
+            _add_field(p, field)
+        _add_common(p)
+        p.set_defaults(scenarios=_one_off_scenario, kind=name)
 
     return parser
 
 
-def _jobs_from(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    env = os.environ.get("KOSZUL_INDEX_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SchemaError("KOSZUL_INDEX_JOBS must be an integer")
-    return 1
-
-
-def _one_off_scenario(args) -> Scenario:
-    scenario = _build_one_off(args)
-    _validate_payload(scenario.kind, scenario.payload, scenario.backend)
-    return scenario
-
-
-def _build_one_off(args) -> Scenario:
-    command = args.command
-    if command == "homology":
-        payload = {"operators": json.loads(args.operators)}
-        if args.cone_with:
-            payload["cone_with"] = json.loads(args.cone_with)
-        return Scenario("cli-homology", "HOMOLOGY", payload,
-                        args.backend, args.tol, args.seed)
-    if command == "spectrum":
-        payload = {"operators": json.loads(args.operators)}
-        if args.at:
-            payload["at"] = args.at
-        return Scenario("cli-spectrum", "SPECTRUM", payload,
-                        args.backend, args.tol, args.seed)
-    if command == "multiplicity":
-        payload = {"system": args.system}
-        if args.variables:
-            payload["variables"] = args.variables
-        if args.at:
-            payload["at"] = args.at
-        if args.check_diagonal:
-            payload["check_diagonal"] = True
-        return Scenario("cli-multiplicity", "MULTIPLICITY", payload,
-                        EXACT, args.tol, args.seed)
-    if command == "index":
-        payload = {"domain": json.loads(args.domain), "system": args.system}
-        if args.variables:
-            payload["variables"] = args.variables
-        return Scenario("cli-index", "INDEX", payload, EXACT, args.tol, args.seed)
-    if command == "reciprocity":
-        payload = {"domain_a": json.loads(args.domain_a),
-                   "domain_b": json.loads(args.domain_b),
-                   "system": args.system}
-        if args.variables:
-            payload["variables"] = args.variables
-        return Scenario("cli-reciprocity", "RECIPROCITY", payload,
-                        EXACT, args.tol, args.seed)
-    if command == "ss":
-        payload = {"operators_a": json.loads(args.operators_a),
-                   "operators_b": json.loads(args.operators_b),
-                   "r_max": args.r_max}
-        return Scenario("cli-ss", "SPECTRAL_SEQUENCE", payload,
-                        EXACT, args.tol, args.seed)
-    if command == "identities":
-        payload = {"n": args.n, "m": args.m, "range": args.range}
-        return Scenario("cli-identities", "IDENTITIES", payload,
-                        EXACT, args.tol, args.seed)
-    raise SchemaError(f"unknown command {command}")
+def _one_off_scenario(args) -> list:
+    """The one scenario of a one-off subcommand: every option given (or
+    defaulted) is passed through to the payload."""
+    kind = KINDS[args.kind]
+    payload = {}
+    for field in kind.fields:
+        value = getattr(args, field.name)
+        if value is not None:
+            payload[field.name] = (json.loads(value) if field.option == "json"
+                                   else value)
+    kind.inputs(payload, args.backend)
+    return [Scenario(f"cli-{kind.command}", args.kind, payload,
+                     args.backend, args.tol, args.seed)]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        jobs = _jobs_from(args)
-        if args.command == "run":
-            defaults = Scenario("defaults", "IDENTITIES", {}, args.backend,
-                                args.tol, args.seed)
-            scenarios = load_scenario_file(args.scenario_file, defaults)
-        elif args.command == "verify-all":
-            scenarios = builtin_scenarios(args.seed, args.backend)
-        else:
-            scenarios = [_one_off_scenario(args)]
+        scenarios = args.scenarios(args)
     except (SchemaError, ParseError, json.JSONDecodeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-    reports = run_all(scenarios, jobs)
+    reports = [run_scenario(s) for s in scenarios]
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
@@ -771,8 +735,7 @@ def main(argv=None) -> int:
             return 2
     else:
         emit_reports(reports, sys.stdout, args.timings)
-    failed = [r for r in reports if not r["pass"]]
-    return 1 if failed else 0
+    return 0 if all(r["pass"] for r in reports) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -90,9 +90,6 @@ class CommutingTuple:
         pairs are checked."""
         return CommutingTuple._concat(self.operators, other.operators)
 
-    def conjugate(self, s: Matrix, s_inv: Matrix) -> "CommutingTuple":
-        return CommutingTuple(tuple(s @ op @ s_inv for op in self.operators))
-
     def __repr__(self):
         return f"CommutingTuple(n={self.n}, dim={self.dim}, {self.backend})"
 
@@ -219,6 +216,11 @@ def mapping_cone(c: KoszulComplex, b: Matrix, tol: TolerancePolicy | None = None
     for op in c.tuple.operators:
         if not linalg.commutes(op, b, tol):
             raise CommutatorError("cone operator does not commute with the tuple")
+    return _cone(c, b, tol)
+
+
+def _cone(c: KoszulComplex, b: Matrix, tol: TolerancePolicy | None) -> ChainComplex:
+    """`mapping_cone` for a b already known to commute with the tuple."""
     n = c.n
     dims = [c.dims[k] if k <= n else 0 for k in range(n + 1)]
     cone_dims = [(dims[k] if k <= n else 0) + (dims[k - 1] if k >= 1 else 0)
@@ -253,8 +255,8 @@ def verify_cone_isomorphism(t: CommutingTuple, b: Matrix,
     K_(k-1) summand to the subsets extended by n+1, with the sign of moving
     the new generator into last position.
     """
-    extended = t.extend(b)
-    cone = mapping_cone(build_complex(t, tol), b, tol)
+    extended = t.extend(b)  # checks that b commutes with the tuple
+    cone = _cone(build_complex(t, tol), b, tol)
     full = build_complex(extended, tol)
     n, d = t.n, t.dim
     backend = t.backend

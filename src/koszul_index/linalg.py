@@ -10,6 +10,7 @@ loads it.
 
 from __future__ import annotations
 
+import math
 import numbers
 from fractions import Fraction
 
@@ -178,10 +179,6 @@ class Matrix:
                 base = base @ base
         return result
 
-    def transpose(self) -> "Matrix":
-        return Matrix([list(c) for c in zip(*self.entries)] if self.rows else [],
-                      self.backend, shape=(self.cols, self.rows))
-
     def kron(self, other: "Matrix") -> "Matrix":
         _same_backend(self, other)
         data = []
@@ -262,23 +259,20 @@ def commutes(a: Matrix, b: Matrix, tol: TolerancePolicy | None = None) -> bool:
 # -- fraction-free elimination over Gaussian integers ------------------------
 
 
+def _row_scale(r) -> int:
+    """The least common denominator of the entries of an exact row."""
+    return math.lcm(*[a.re.denominator for a in r],
+                    *[a.im.denominator for a in r])
+
+
 def _clear_denominators(m: Matrix):
     """Scale each row to Gaussian-integer pairs; preserves rank, kernel and
     pivot-column structure."""
     out = []
     for r in m.entries:
-        lcm = 1
-        for a in r:
-            lcm = lcm * a.re.denominator // _gcd(lcm, a.re.denominator)
-            lcm = lcm * a.im.denominator // _gcd(lcm, a.im.denominator)
+        lcm = _row_scale(r)
         out.append([(int(a.re * lcm), int(a.im * lcm)) for a in r])
     return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _is_real(rows) -> bool:
@@ -413,13 +407,7 @@ def det(m: Matrix) -> QQi:
     if m.rows == 0:
         return QQi(1)
     # Track the row scalings introduced by denominator clearing.
-    scale = Fraction(1)
-    for r in m.entries:
-        lcm = 1
-        for a in r:
-            lcm = lcm * a.re.denominator // _gcd(lcm, a.re.denominator)
-            lcm = lcm * a.im.denominator // _gcd(lcm, a.im.denominator)
-        scale *= lcm
+    scale = math.prod(_row_scale(r) for r in m.entries)
     rank_, pivots, rows, sign, last = _echelon(m)
     if rank_ < m.rows:
         return QQi(0)
@@ -565,10 +553,6 @@ class Subspace:
             return True
         joint = Matrix.hstack([self.basis, other.basis])
         return rank(joint, tol) == self.dim
-
-    def sum(self, other: "Subspace", tol: TolerancePolicy | None = None) -> "Subspace":
-        joint = Matrix.hstack([self.basis, other.basis])
-        return image_basis(joint, tol)
 
     def intersect(self, other: "Subspace", tol: TolerancePolicy | None = None) -> "Subspace":
         if self.dim == 0 or other.dim == 0:

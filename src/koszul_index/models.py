@@ -162,14 +162,12 @@ class IndexReport:
 
 
 def classify_zeros(mt: ModelTuple, tol: TolerancePolicy | None = None,
-                   rng=None, allow_float: bool = True):
+                   rng=None):
     """All zeros of the symbol with multiplicities, each tagged against the
     domain; zeros on the boundary raise ZeroOnBoundary."""
     try:
         table = global_multiplicity_table(list(mt.system), tol=tol, rng=rng)
     except IrrationalSpectrum:
-        if not allow_float:
-            raise
         table = global_multiplicity_table(list(mt.system), tol=tol, rng=rng,
                                           backend=FLOAT)
     records = []
@@ -242,7 +240,7 @@ def global_index(mt: ModelTuple, tol: TolerancePolicy | None = None,
             f"winding {w:.6f}"))
     report = IndexReport(tuple(records), tuple(locals_), total,
                          table.quotient_dim, table.backend, tuple(checks))
-    if not all(c.passed for c in report.checks):
+    if not report.all_passed:
         raise AssertionError(f"index cross-checks failed: {report.checks}")
     return report
 
@@ -317,6 +315,7 @@ class ReciprocityReport:
     rhs: int
     equal: bool
     zeros: tuple  # (point, multiplicity, location in A, location in B)
+    backend: str  # float when the zeros leave Q(i)
 
 
 def reciprocity_check(domain_a: DomainDescriptor, domain_b: DomainDescriptor,
@@ -346,7 +345,7 @@ def reciprocity_check(domain_a: DomainDescriptor, domain_b: DomainDescriptor,
         lhs += ind_mu_a * local_b
         rhs += local_a * ind_mu_b
         zeros.append((rec.point, rec.multiplicity, rec.location, loc_b))
-    return ReciprocityReport(lhs, rhs, lhs == rhs, tuple(zeros))
+    return ReciprocityReport(lhs, rhs, lhs == rhs, tuple(zeros), table.backend)
 
 
 # -- nilpotent tensor bookkeeping ------------------------------------------------

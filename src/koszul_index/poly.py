@@ -213,10 +213,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """-1 for the zero polynomial."""
-        return max((mono_degree(m) for m in self.terms), default=-1)
-
     def order_of_vanishing(self) -> int:
         """Smallest total degree of a term; -1 for the zero polynomial."""
         return min((mono_degree(m) for m in self.terms), default=-1)
@@ -549,10 +545,6 @@ class GroebnerBasis:
 
     def leading_monomials(self):
         return [g.leading(self.order)[0] for g in self.polys]
-
-    def contains(self, p: Polynomial) -> bool:
-        """Ideal membership via vanishing normal form."""
-        return normal_form(p, self).is_zero()
 
     def __iter__(self):
         return iter(self.polys)

@@ -7,7 +7,7 @@ import pytest
 
 from koszul_index import cli
 from koszul_index.cli import (Scenario, SchemaError, builtin_scenarios,
-                              execute_scenario, run_all, scenarios_from_document)
+                              scenarios_from_document)
 
 DEFAULTS = Scenario("defaults", "IDENTITIES", {}, "exact", None, 7)
 
@@ -109,25 +109,6 @@ def test_duplicate_ids_rejected():
         scenarios_from_document(doc, DEFAULTS)
 
 
-def test_jobs_preserve_input_order(tmp_path):
-    doc = {"schema": 1, "scenarios": [
-        {"id": f"ident-{k}", "kind": "IDENTITIES",
-         "payload": {"n": 1 + k % 3, "m": 4}} for k in range(12)]}
-    path = write_scenarios(tmp_path, doc)
-    code1, serial, raw1 = run_main(["run", path, "--jobs", "1"], tmp_path, "a.jsonl")
-    code4, parallel, raw4 = run_main(["run", path, "--jobs", "4"], tmp_path, "b.jsonl")
-    assert code1 == code4 == 0
-    assert [r["id"] for r in serial] == [r["id"] for r in parallel]
-    assert raw1 == raw4  # worker count never changes the exact stream
-
-
-def test_jobs_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("KOSZUL_INDEX_JOBS", "3")
-    path = write_scenarios(tmp_path, GOOD_DOC)
-    code, reports, _ = run_main(["run", path], tmp_path)
-    assert code == 0 and len(reports) == 3
-
-
 def test_scenario_backend_and_seed_fields(tmp_path):
     doc = {"schema": 1, "scenarios": [
         {"id": "f", "kind": "HOMOLOGY", "backend": "float", "seed": 3,
@@ -175,6 +156,107 @@ def test_one_off_commands(tmp_path):
     assert reports[0]["outputs"]["at"]["in_taylor_spectrum"] is True
 
 
+# One-off report lines, byte for byte; each defaulted option (--range,
+# --r-max) is echoed in the inputs.
+_DISC = '{"kind":"polydisc","center":["0"],"radii":["1"]}'
+ONE_OFF_REPORTS = [
+    (['identities', '--n', '3', '--m', '5'],
+     '{"id":"cli-identities","kind":"IDENTITIES","backend":"exact","seed'
+     '":7,"inputs":{"n":3,"m":5,"range":8},"outputs":{"n":3,"m":5,"range'
+     '":8,"left_inverse":true,"binomial_identity":true,"identity_transfo'
+     'rm_fixedpoint":true},"checks":[{"name":"left_inverse_identity","pa'
+     'ssed":true,"detail":""},{"name":"binomial_composition_identity","p'
+     'assed":true,"detail":""},{"name":"equal_length_transform_is_identi'
+     'ty","passed":true,"detail":""}],"pass":true,"error":null}'),
+    (['ss', '--operators-a', '[[["0","1"],["0","0"]]]',
+      '--operators-b', '[[["0","0"],["0","0"]]]'],
+     '{"id":"cli-ss","kind":"SPECTRAL_SEQUENCE","backend":"exact","seed"'
+     ':7,"inputs":{"operators_a":[[["0","1"],["0","0"]]],"operators_b":['
+     '[["0","0"],["0","0"]]],"r_max":2},"outputs":{"pages":[{"r":0,"dims'
+     '":[[2,2],[2,2]]},{"r":1,"dims":[[2,2],[2,2]]},{"r":2,"dims":[[1,1]'
+     ',[1,1]]}],"stabilization_page":2,"euler_via_e2":0,"total_homology"'
+     ':[1,2,1]},"checks":[{"name":"signed_sums_constant","passed":true,"'
+     'detail":"asserted during the page run"},{"name":"limit_page_matche'
+     's_homology","passed":true,"detail":"asserted during the page run"}'
+     ',{"name":"index_via_page_two","passed":true,"detail":""}],"pass":t'
+     'rue,"error":null}'),
+    (['multiplicity', '--system', 'z1^2 - z2 ; z2^2', '--at', '0,0',
+      '--check-diagonal'],
+     '{"id":"cli-multiplicity","kind":"MULTIPLICITY","backend":"exact","'
+     'seed":7,"inputs":{"system":"z1^2 - z2 ; z2^2","at":"0,0","check_di'
+     'agonal":true},"outputs":{"multiplicity":4,"N_star":4,"point":["0",'
+     '"0"],"jacobian_regular":false,"diagonal_degree_equal":true},"check'
+     's":[{"name":"eigenspace_oracle_agreement","passed":true,"detail":"'
+     'eigenspace [4] vs truncation 4"},{"name":"diagonal_degree_identity'
+     '","passed":true,"detail":""}],"pass":true,"error":null}'),
+    (['multiplicity', '--system', 'z1^2 - z2 ; z2^2', '--variables', '2'],
+     '{"id":"cli-multiplicity","kind":"MULTIPLICITY","backend":"exact","'
+     'seed":7,"inputs":{"system":"z1^2 - z2 ; z2^2","variables":2},"outp'
+     'uts":{"zeros":[{"point":["0","0"],"multiplicity":4}],"quotient_dim'
+     '":4},"checks":[{"name":"multiplicities_sum_to_quotient","passed":t'
+     'rue,"detail":"4 of 4"}],"pass":true,"error":null}'),
+    (['index', '--domain', _DISC, '--system', 'z1^2 - 1/4'],
+     '{"id":"cli-index","kind":"INDEX","backend":"exact","seed":7,"input'
+     's":{"domain":{"kind":"polydisc","center":["0"],"radii":["1"]},"sys'
+     'tem":"z1^2 - 1/4"},"outputs":{"global_index":-2,"quotient_dim":2,"'
+     'zeros":[{"point":["-1/2"],"multiplicity":1,"location":"interior","'
+     'coordinate_index":-1},{"point":["1/2"],"multiplicity":1,"location"'
+     ':"interior","coordinate_index":-1}],"local_indices":[{"point":["-1'
+     '/2"],"index":-1},{"point":["1/2"],"index":-1}]},"checks":[{"name":'
+     '"sum_of_local_indices","passed":true,"detail":"truncation route -2'
+     ' vs eigenspace route -2"},{"name":"interior_zero_count","passed":t'
+     'rue,"detail":"interior multiplicity 2"},{"name":"all_interior_quot'
+     'ient_dimension","passed":true,"detail":"quotient dimension 2"},{"n'
+     'ame":"univariate_winding_oracle","passed":true,"detail":"winding 2'
+     '.000000"}],"pass":true,"error":null}'),
+    (['homology', '--operators', '[[["0","1"],["0","0"]]]',
+      '--cone-with', '[["1","2"],["0","1"]]', '--backend', 'float'],
+     '{"id":"cli-homology","kind":"HOMOLOGY","backend":"float","seed":7,'
+     '"inputs":{"operators":[[["0","1"],["0","0"]]],"cone_with":[["1","2'
+     '"],["0","1"]]},"outputs":{"dims":[1,1],"euler":0,"index":0,"cone_i'
+     'somorphism":true},"checks":[{"name":"euler_characteristic_zero","p'
+     'assed":true,"detail":"index 0"},{"name":"cone_isomorphism","passed'
+     '":true,"detail":""}],"pass":true,"error":null}'),
+    (['spectrum', '--operators',
+      '[[["1","0"],["0","2"]], [["3","0"],["0","4"]]]', '--at', '1,3'],
+     '{"id":"cli-spectrum","kind":"SPECTRUM","backend":"exact","seed":7,'
+     '"inputs":{"operators":[[["1","0"],["0","2"]],[["3","0"],["0","4"]]'
+     '],"at":"1,3"},"outputs":{"eigenvalues":[{"point":["1","3"],"multip'
+     'licity":1},{"point":["2","4"],"multiplicity":1}],"at":{"point":["1'
+     '","3"],"in_taylor_spectrum":true,"in_eigenvalue_support":true,"top'
+     '_homology_nonzero":true}},"checks":[{"name":"eigenspace_dimensions'
+     '_sum","passed":true,"detail":"2 of 2"},{"name":"membership_equival'
+     'ences","passed":true,"detail":""}],"pass":true,"error":null}'),
+    (['reciprocity', '--domain-a', _DISC,
+      '--domain-b', '{"kind":"polydisc","center":["0"],"radii":["1/2"]}',
+      '--system', 'z1*(z1 - 3/4)'],
+     '{"id":"cli-reciprocity","kind":"RECIPROCITY","backend":"exact","se'
+     'ed":7,"inputs":{"domain_a":{"kind":"polydisc","center":["0"],"radi'
+     'i":["1"]},"domain_b":{"kind":"polydisc","center":["0"],"radii":["1'
+     '/2"]},"system":"z1*(z1 - 3/4)"},"outputs":{"lhs":1,"rhs":1,"zeros"'
+     ':[{"point":["0"],"multiplicity":1,"location_a":"interior","locatio'
+     'n_b":"interior"},{"point":["3/4"],"multiplicity":1,"location_a":"i'
+     'nterior","location_b":"exterior"}]},"checks":[{"name":"reciprocity'
+     '_identity","passed":true,"detail":"1 vs 1"}],"pass":true,"error":n'
+     'ull}'),
+]
+
+
+@pytest.mark.parametrize("argv,line", ONE_OFF_REPORTS,
+                         ids=[argv[0] for argv, _ in ONE_OFF_REPORTS])
+def test_one_off_reports_are_pinned(tmp_path, argv, line):
+    code, _, raw = run_main(argv, tmp_path)
+    assert code == 0
+    assert raw.decode() == line + "\n"
+
+
+def test_one_off_options_are_passed_through(tmp_path, capsys):
+    code, reports, _ = run_main(
+        ["multiplicity", "--system", "z1^2", "--variables", "0"], tmp_path)
+    assert code == 2 and reports == []
+    assert "'variables' must be a positive integer" in capsys.readouterr().err
+
+
 def test_index_reports_the_backend_that_ran(tmp_path):
     domain = '{"kind":"polydisc","center":["0"],"radii":["2"]}'
     code, reports, _ = run_main(
@@ -185,6 +267,31 @@ def test_index_reports_the_backend_that_ran(tmp_path):
     code, reports, _ = run_main(
         ["index", "--domain", domain, "--system", "z1^2-1"], tmp_path)
     assert code == 0 and reports[0]["backend"] == "exact"
+
+
+def test_reciprocity_reports_the_backend_that_ran(tmp_path):
+    args = ["reciprocity", "--domain-a",
+            '{"kind":"polydisc","center":["0"],"radii":["2"]}', "--domain-b",
+            '{"kind":"polydisc","center":["0"],"radii":["1"]}', "--system"]
+    code, reports, _ = run_main(args + ["z1^2-2"], tmp_path)
+    assert code == 0
+    assert reports[0]["backend"] == "float"  # the zeros +-sqrt(2) leave Q(i)
+    assert reports[0]["outputs"]["lhs"] == reports[0]["outputs"]["rhs"] == 0
+    code, reports, _ = run_main(args + ["z1^2-1/4"], tmp_path)
+    assert code == 0 and reports[0]["backend"] == "exact"
+
+
+def test_error_reports_name_the_backend_a_success_would(tmp_path):
+    doc = {"schema": 1, "scenarios": [
+        {"id": "not-a-zero", "kind": "MULTIPLICITY", "backend": "float",
+         "payload": {"system": "z1", "at": ["1"]}},
+        {"id": "not-commuting", "kind": "HOMOLOGY", "backend": "float",
+         "payload": {"operators": [[["0", "1"], ["0", "0"]],
+                                   [["1", "0"], ["1", "1"]]]}}]}
+    code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path)
+    assert code == 1
+    assert [r["error"]["type"] for r in reports] == ["NotAZero", "CommutatorError"]
+    assert [r["backend"] for r in reports] == ["exact", "float"]
 
 
 _EXACT_RUN_WITHOUT_NUMPY = """

@@ -94,7 +94,7 @@ def test_homology_invariant_under_similarity():
 
         s = _unimodular(rng, 4)
         s_inv = linalg.solve(s, Matrix.identity(4))
-        conj = t.conjugate(s, s_inv)
+        conj = CommutingTuple([s @ op @ s_inv for op in t.operators])
         assert homology(build_complex(conj)).dims == base
 
 
@@ -149,6 +149,18 @@ def test_cone_rejects_non_commuting():
     t = CommutingTuple([JORDAN])
     with pytest.raises(CommutatorError):
         verify_cone_isomorphism(t, exact([[1, 0], [1, 1]]))
+    with pytest.raises(CommutatorError):
+        mapping_cone(build_complex(t), exact([[1, 0], [1, 1]]))
+
+
+def test_cone_isomorphism_checks_each_pair_once(monkeypatch):
+    t = CommutingTuple([JORDAN, ZERO2])
+    calls = []
+    real = linalg.commutes
+    monkeypatch.setattr(linalg, "commutes",
+                        lambda a, b, tol=None: calls.append(1) or real(a, b, tol))
+    assert verify_cone_isomorphism(t, exact([[2, 1], [0, 2]]))
+    assert len(calls) == 2  # the cone operator against each of the two
 
 
 def test_end_groups_match_kernel_and_cokernel():

