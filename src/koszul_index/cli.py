@@ -229,7 +229,7 @@ def _parse_homology(payload, backend):
     return ops, cone
 
 
-def _run_homology(inputs, tol, rng, outputs, checks):
+def _run_homology(inputs, tol, outputs, checks):
     ops, cone = inputs
     tup = CommutingTuple(ops, tol)
     profile = koszul.homology(koszul.build_complex(tup, tol), tol)
@@ -251,10 +251,10 @@ def _parse_spectrum(payload, backend):
     return ops, point
 
 
-def _run_spectrum(inputs, tol, rng, outputs, checks):
+def _run_spectrum(inputs, tol, outputs, checks):
     ops, point = inputs
     tup = CommutingTuple(ops, tol)
-    decomposition = spectrum.spectral_decomposition(tup, tol, rng)
+    decomposition = spectrum.spectral_decomposition(tup, tol)
     outputs["eigenvalues"] = [
         {"point": _point_strs(pt), "multiplicity": space.dim}
         for pt, space in decomposition.components]
@@ -262,7 +262,7 @@ def _run_spectrum(inputs, tol, rng, outputs, checks):
     checks.append(_check_dict("eigenspace_dimensions_sum",
                               total == tup.dim, f"{total} of {tup.dim}"))
     if point is not None:
-        report = spectrum.joint_spectrum_equivalences(tup, point, tol, rng)
+        report = spectrum.joint_spectrum_equivalences(tup, point, tol)
         outputs["at"] = {
             "point": _point_strs(point),
             "in_taylor_spectrum": report.in_taylor_spectrum,
@@ -282,7 +282,7 @@ def _parse_multiplicity(payload, backend):
     return system, point, payload.get("check_diagonal", False)
 
 
-def _run_multiplicity(inputs, tol, rng, outputs, checks):
+def _run_multiplicity(inputs, tol, outputs, checks):
     system, point, check_diagonal = inputs
     if point is None:
         table = mult_mod.global_multiplicity_table(system)
@@ -320,9 +320,9 @@ def _parse_index(payload, backend):
     return _system_from_payload(payload), _parse_domain(payload["domain"])
 
 
-def _run_index(inputs, tol, rng, outputs, checks):
+def _run_index(inputs, tol, outputs, checks):
     system, domain = inputs
-    report = models.global_index(ModelTuple(domain, tuple(system)), tol, rng)
+    report = models.global_index(ModelTuple(domain, tuple(system)), tol)
     outputs["global_index"] = report.global_index
     outputs["quotient_dim"] = report.quotient_dim
     outputs["zeros"] = [
@@ -342,9 +342,9 @@ def _parse_reciprocity(payload, backend):
             _parse_domain(payload["domain_b"]))
 
 
-def _run_reciprocity(inputs, tol, rng, outputs, checks):
+def _run_reciprocity(inputs, tol, outputs, checks):
     system, domain_a, domain_b = inputs
-    report = models.reciprocity_check(domain_a, domain_b, system, tol, rng)
+    report = models.reciprocity_check(domain_a, domain_b, system, tol)
     outputs.update(lhs=report.lhs, rhs=report.rhs)
     outputs["zeros"] = [
         {"point": _point_strs(pt), "multiplicity": m,
@@ -365,7 +365,7 @@ def _parse_spectral_sequence(payload, backend):
     return ops_a, ops_b, r_max
 
 
-def _run_spectral_sequence(inputs, tol, rng, outputs, checks):
+def _run_spectral_sequence(inputs, tol, outputs, checks):
     ops_a, ops_b, r_max = inputs
     bc = spectral.build_bicomplex(CommutingTuple(ops_a), CommutingTuple(ops_b))
     pages = spectral.page_sequence(bc, r_max)
@@ -393,7 +393,7 @@ def _parse_identities(payload, backend):
     return n, m, shift
 
 
-def _run_identities(inputs, tol, rng, outputs, checks):
+def _run_identities(inputs, tol, outputs, checks):
     n, m, shift = inputs
     lr = models.lr_identity_holds(n, m)
     binom = models.binomial_identity_holds(n, m, shift)
@@ -430,7 +430,7 @@ class Kind:
     # (payload with defaults filled in, engine backend) -> inputs; raises
     # SchemaError or ParseError, and never again once a payload passed
     parse: Callable
-    # (inputs, tol, rng, outputs, checks) -> the backend that actually ran;
+    # (inputs, tol, outputs, checks) -> the backend that actually ran;
     # fills outputs and checks
     run: Callable
     exact_only: bool = True  # a float request runs exact engines
@@ -510,8 +510,7 @@ def execute_scenario(scenario: Scenario) -> dict:
     outputs = {}
     checks = []
     backend = kind.run(kind.inputs(scenario.payload, scenario.backend),
-                       _policy(scenario), random.Random(scenario.seed),
-                       outputs, checks)
+                       _policy(scenario), outputs, checks)
     _apply_expect(scenario.payload.get("expect"), outputs, checks)
     return _report(scenario, backend, outputs, checks)
 
@@ -548,7 +547,8 @@ def builtin_scenarios(seed: int = DEFAULT_SEED, backend: str = EXACT) -> list:
     seed: the Euler anchor, cone isomorphisms, spectral sequences, the
     multiplicity corpus with the diagonal identity, the index and
     reciprocity scenarios, and the binomial identities. Exact-only kinds
-    run exact whatever the backend."""
+    run exact whatever the backend. Operator lists are serialized as drawn:
+    each tuple is checked for commutation once, when its scenario runs."""
     rng = random.Random(seed)
     out = []
 
@@ -558,27 +558,27 @@ def builtin_scenarios(seed: int = DEFAULT_SEED, backend: str = EXACT) -> list:
     for k in range(200):
         n = rng.choice([1, 2, 3])
         dim = rng.randint(1, 8)
-        tup = suites.random_commuting_tuple(rng, n, dim)
+        ops = suites.random_commuting_family(rng, n, dim)
         add(f"euler-anchor-{k:03d}", "HOMOLOGY",
-            {"operators": [_matrix_json(op) for op in tup.operators],
+            {"operators": [_matrix_json(op) for op in ops],
              "expect": {"index": 0}})
 
     for k in range(50):
         n = rng.choice([1, 2])
         dim = rng.randint(1, 6)
-        tup, extra = suites.random_cone_instance(rng, n, dim)
+        ops = suites.random_commuting_family(rng, n + 1, dim)
         add(f"cone-iso-{k:03d}", "HOMOLOGY",
-            {"operators": [_matrix_json(op) for op in tup.operators],
-             "cone_with": _matrix_json(extra),
+            {"operators": [_matrix_json(op) for op in ops[:n]],
+             "cone_with": _matrix_json(ops[n]),
              "expect": {"cone_isomorphism": True, "index": 0}})
 
     for k in range(50):
         n = rng.choice([1, 2])
         dim = rng.randint(1, 5)
-        a, b = suites.random_bicomplex_pair(rng, n, 1, dim)
+        ops = suites.random_commuting_family(rng, n + 1, dim)
         add(f"spectral-seq-{k:03d}", "SPECTRAL_SEQUENCE",
-            {"operators_a": [_matrix_json(op) for op in a.operators],
-             "operators_b": [_matrix_json(op) for op in b.operators],
+            {"operators_a": [_matrix_json(op) for op in ops[:n]],
+             "operators_b": [_matrix_json(op) for op in ops[n:]],
              "r_max": 3})
 
     corpus = [(f"z1^{k}", 1, ["0"], k) for k in range(1, 6)]
@@ -655,7 +655,8 @@ def _add_common(parser):
     parser.add_argument("--tol", type=float, default=None,
                         help="relative float tolerance (default 1e-9)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for the separating-combination generator")
+                        help="seed of the verify-all generator, echoed in "
+                             "each report")
     parser.add_argument("--output", default=None,
                         help="write reports to this path instead of stdout")
     parser.add_argument("--timings", action="store_true",

@@ -49,6 +49,12 @@ class CommutingTuple:
                                 for b in range(k, len(operators))], tol)
         return self
 
+    @classmethod
+    def proven(cls, operators):
+        """A tuple whose operators are already proved to commute: no pair is
+        checked, so the caller says where the proof lives."""
+        return cls._concat(operators, ())
+
     def _setup(self, operators, pairs, tol):
         if not operators:
             raise ValueError("empty tuple of operators")
@@ -77,8 +83,8 @@ class CommutingTuple:
         if len(point) != self.n:
             raise ValueError("point dimension differs from tuple length")
         ident = Matrix.identity(self.dim, self.backend)
-        ops = [op - ident.scale(lam) for op, lam in zip(self.operators, point)]
-        return CommutingTuple._concat(ops, ())
+        return CommutingTuple.proven(
+            [op - ident.scale(lam) for op, lam in zip(self.operators, point)])
 
     def extend(self, extra: Matrix) -> "CommutingTuple":
         """The (n+1)-tuple with `extra` appended; `extra` is checked against
@@ -205,6 +211,17 @@ def homology(c: ChainComplex, tol: TolerancePolicy | None = None) -> HomologyPro
         if top != dims[-1] or bottom != dims[0]:
             raise AssertionError("homology cross-check failed at the ends")
     return profile
+
+
+def homology_action(c: KoszulComplex, k: int, operators,
+                    tol: TolerancePolicy | None = None):
+    """The matrices, in one basis of H_k(c), of the maps induced on it by
+    `operators`, each of which commutes with the tuple of c."""
+    cycles = c.cycles(k, tol)
+    boundaries = c.boundaries(k, tol)
+    ident = Matrix.identity(len(subsets(c.n, k)), c.backend)
+    return [linalg.induced_on_subquotient(ident.kron(op), cycles, boundaries, tol)[0]
+            for op in operators]
 
 
 def mapping_cone(c: KoszulComplex, b: Matrix, tol: TolerancePolicy | None = None) -> ChainComplex:

@@ -554,16 +554,6 @@ class Subspace:
         joint = Matrix.hstack([self.basis, other.basis])
         return rank(joint, tol) == self.dim
 
-    def intersect(self, other: "Subspace", tol: TolerancePolicy | None = None) -> "Subspace":
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.trivial(self.ambient, self.backend)
-        joint = Matrix.hstack([self.basis, other.basis.scale(-1)])
-        ker = kernel_basis(joint, tol)
-        if ker.dim == 0:
-            return Subspace.trivial(self.ambient, self.backend)
-        coeff = ker.basis.take_rows(range(self.dim))
-        return image_basis(self.basis @ coeff, tol)
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
 

@@ -161,15 +161,13 @@ class IndexReport:
         return all(c.passed for c in self.checks)
 
 
-def classify_zeros(mt: ModelTuple, tol: TolerancePolicy | None = None,
-                   rng=None):
+def classify_zeros(mt: ModelTuple, tol: TolerancePolicy | None = None):
     """All zeros of the symbol with multiplicities, each tagged against the
     domain; zeros on the boundary raise ZeroOnBoundary."""
     try:
-        table = global_multiplicity_table(list(mt.system), tol=tol, rng=rng)
+        table = global_multiplicity_table(list(mt.system), tol=tol)
     except IrrationalSpectrum:
-        table = global_multiplicity_table(list(mt.system), tol=tol, rng=rng,
-                                          backend=FLOAT)
+        table = global_multiplicity_table(list(mt.system), tol=tol, backend=FLOAT)
     records = []
     for point, m in table.entries:
         location = mt.domain.classify(point, tol)
@@ -198,7 +196,7 @@ def local_index(mt: ModelTuple, point, tol: TolerancePolicy | None = None,
 
 
 def global_index(mt: ModelTuple, tol: TolerancePolicy | None = None,
-                 rng=None, n_max: int = 30) -> IndexReport:
+                 n_max: int = 30) -> IndexReport:
     """The index of the composed model tuple with its cross-checks.
 
     The headline number comes from the zero table; interior contributions
@@ -206,7 +204,7 @@ def global_index(mt: ModelTuple, tol: TolerancePolicy | None = None,
     compared against the quotient dimension, and one-variable scenarios are
     compared against the numeric winding oracle.
     """
-    records, table = classify_zeros(mt, tol, rng)
+    records, table = classify_zeros(mt, tol)
     checks = []
     locals_ = []
     total = 0
@@ -319,8 +317,7 @@ class ReciprocityReport:
 
 
 def reciprocity_check(domain_a: DomainDescriptor, domain_b: DomainDescriptor,
-                      system, tol: TolerancePolicy | None = None,
-                      rng=None) -> ReciprocityReport:
+                      system, tol: TolerancePolicy | None = None) -> ReciprocityReport:
     """Both sides of the two-domain local index pairing.
 
     One side pairs the index function of the first domain against local
@@ -330,7 +327,7 @@ def reciprocity_check(domain_a: DomainDescriptor, domain_b: DomainDescriptor,
     system = list(system)
     mt_a = ModelTuple(domain_a, tuple(system))
     mt_b = ModelTuple(domain_b, tuple(system))
-    records_a, table = classify_zeros(mt_a, tol, rng)
+    records_a, table = classify_zeros(mt_a, tol)
     zeros = []
     lhs = 0
     rhs = 0

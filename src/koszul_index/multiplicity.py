@@ -144,7 +144,7 @@ class GlobalMultiplicityTable:
 
 def global_multiplicity_table(system, order: MonomialOrder = DEGREVLEX,
                               tol: TolerancePolicy | None = None,
-                              rng=None, backend: str = EXACT) -> GlobalMultiplicityTable:
+                              backend: str = EXACT) -> GlobalMultiplicityTable:
     """Zeros with multiplicities as the joint spectral decomposition of the
     multiplication tuple on the quotient algebra.
 
@@ -159,8 +159,9 @@ def global_multiplicity_table(system, order: MonomialOrder = DEGREVLEX,
     mats = list(algebra.mult_matrices)
     if backend == FLOAT:
         mats = [linalg.Matrix.from_numpy(m.to_numpy()) for m in mats]
-    mult_tuple = CommutingTuple(mats, tol)
-    decomposition = spectrum.spectral_decomposition(mult_tuple, tol, rng)
+    # quotient_algebra has proved that the multiplication matrices commute
+    mult_tuple = CommutingTuple.proven(mats)
+    decomposition = spectrum.spectral_decomposition(mult_tuple, tol)
     entries = tuple((point, space.dim) for point, space in decomposition.components)
     table = GlobalMultiplicityTable(entries, algebra.dim, backend)
     if table.total() != algebra.dim:

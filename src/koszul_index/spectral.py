@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 
 from . import koszul, linalg
 from .errors import BackendMismatch
@@ -295,16 +294,8 @@ def e2_dims_independent(bc: Bicomplex):
     complex_b = koszul.build_complex(bc.b)
     out = [[0] * (bc.m + 1) for _ in range(bc.n + 1)]
     for q in range(bc.m + 1):
-        cycles = complex_b.cycles(q)
-        boundaries = complex_b.boundaries(q)
-        blocks = comb(bc.m, q)
-        induced = []
-        for op in bc.a.operators:
-            big = Matrix.identity(blocks, EXACT).kron(op)
-            mat, _ = linalg.induced_on_subquotient(big, cycles, boundaries)
-            induced.append(mat)
-        hdim = cycles.dim - boundaries.dim
-        if hdim == 0:
+        induced = koszul.homology_action(complex_b, q, bc.a.operators)
+        if not induced[0].rows:
             continue
         tup = CommutingTuple(induced)
         dims = koszul.build_complex(tup).homology_dims()

@@ -1,18 +1,20 @@
 """Joint spectra of commuting tuples, simultaneous generalized-eigenspace
 decompositions, polynomial functional calculus, and localized homology.
 
-Exact joint eigenvalues come from a random Gaussian-rational separating
-combination: its characteristic polynomial is split over the Gaussian
-rationals (square-free decomposition, then numerically guided rational
-reconstruction, then exact verification). When splitting or the nilpotency
-verification fails, IrrationalSpectrum is raised and the caller may retry
-with the float backend. numpy is imported only where float code runs: the
-numeric root guesses and the float decomposition.
+The exact decomposition is deterministic: it splits the space by one
+operator at a time. On each piece an operator either has one eigenvalue,
+which a nilpotency test proves without a characteristic polynomial, or
+its characteristic polynomial is split over the Gaussian rationals
+(square-free decomposition, then numerically guided rational
+reconstruction, then exact verification) and the piece is cut into the
+kernels of (A - mu)^mult. When some eigenvalue leaves the Gaussian
+rationals, IrrationalSpectrum is raised and the caller may retry with the
+float backend. numpy is imported only where float code runs: the numeric
+root guesses and the float decomposition.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,6 +77,13 @@ def _eval(p, x: QQi) -> QQi:
     return acc
 
 
+def _trace(m: Matrix) -> QQi:
+    acc = QQi(0)
+    for i in range(m.rows):
+        acc = acc + m[i, i]
+    return acc
+
+
 def charpoly(m: Matrix):
     """Characteristic polynomial of an exact matrix, low-to-high coefficients,
     by the Faddeev-LeVerrier recursion."""
@@ -84,10 +93,7 @@ def charpoly(m: Matrix):
     mk = m
     ident = Matrix.identity(d, EXACT)
     for k in range(1, d + 1):
-        trace = QQi(0)
-        for i in range(d):
-            trace = trace + mk[i, i]
-        ck = -trace / QQi(k)
+        ck = -_trace(mk) / QQi(k)
         coeffs[d - k] = ck
         if k < d:
             mk = m @ (mk + ident.scale(ck))
@@ -122,11 +128,14 @@ def _pad(a, b):
     return zip(a, b)
 
 
-def _reconstruct_root(z: complex, factor) -> QQi | None:
+def _reconstruct_root(z: complex, factor, radius: float) -> QQi | None:
+    """The first exact root of `factor` on the denominator ladder that lies
+    within `radius` of the numeric root z, so it is z's root and not a
+    neighbour's."""
     for bound in _DENOMINATOR_LADDER:
         cand = QQi(Fraction(z.real).limit_denominator(bound),
                    Fraction(z.imag).limit_denominator(bound))
-        if _eval(factor, cand).is_zero():
+        if abs(complex(cand) - z) < radius and _eval(factor, cand).is_zero():
             return cand
     return None
 
@@ -141,10 +150,13 @@ def exact_eigenvalues(m: Matrix):
     p = charpoly(m)
     out = {}
     for factor, mult in _squarefree(p):
-        numeric = np.roots([complex(c) for c in reversed(factor)])
+        numeric = [complex(z) for z in np.roots([complex(c) for c in reversed(factor)])]
         found = set()
-        for z in numeric:
-            cand = _reconstruct_root(complex(z), factor)
+        for i, z in enumerate(numeric):
+            # half the gap to the nearest other root of this square-free factor
+            radius = min((abs(z - w) / 2 for j, w in enumerate(numeric) if j != i),
+                         default=float("inf"))
+            cand = _reconstruct_root(z, factor, radius)
             if cand is None:
                 raise IrrationalSpectrum(
                     "characteristic polynomial does not split over the "
@@ -164,10 +176,9 @@ def exact_eigenvalues(m: Matrix):
 class SpectralDecomposition:
     """Joint generalized eigenspaces V(lambda) with their base tuple.
 
-    Invariants (verified at construction time by the decomposition routine):
-    the eigenspaces are invariant under every operator, each shifted operator
-    is nilpotent on its eigenspace, and the dimensions add up to the whole
-    space.
+    Invariants (established by the decomposition routine): the eigenspaces
+    are invariant under every operator, each shifted operator is nilpotent
+    on its eigenspace, and the dimensions add up to the whole space.
     """
 
     tuple: CommutingTuple
@@ -188,36 +199,44 @@ def _restriction(op: Matrix, basis: Matrix) -> Matrix:
     return linalg.solve(basis, op @ basis)
 
 
-def _try_decomposition_exact(t: CommutingTuple, coeffs):
-    d = t.dim
-    comb = Matrix.zeros(d, d, EXACT)
-    for c, op in zip(coeffs, t.operators):
-        comb = comb + op.scale(c)
-    eigen = exact_eigenvalues(comb)
-    ident = Matrix.identity(d, EXACT)
-    components = []
-    total = 0
-    for mu, mult in eigen:
-        power = (comb - ident.scale(mu)).power(min(mult, d))
-        space = linalg.kernel_basis(power)
-        if space.dim != mult:
-            return None
-        point = []
-        for op in t.operators:
-            rep = _restriction(op, space.basis)
-            trace = QQi(0)
-            for i in range(rep.rows):
-                trace = trace + rep[i, i]
-            lam = trace / QQi(mult)
-            nil = (rep - Matrix.identity(mult, EXACT).scale(lam)).power(mult)
-            if not nil.is_zero():
-                return None
-            point.append(lam)
-        components.append((tuple(point), space))
-        total += mult
-    if total != d:
-        return None
-    components.sort(key=lambda cs: tuple(x.sort_key() for x in cs[0]))
+def _power_at_least(m: Matrix, k: int) -> Matrix:
+    """m^e for the least power of two e >= k by repeated squaring, stopping
+    early at zero. When k bounds the size of m's Jordan blocks at 0, this
+    has the kernel of m^k, and it is zero exactly when m^k is."""
+    e = 1
+    while e < k and not m.is_zero():
+        m, e = m @ m, 2 * e
+    return m
+
+
+def _decomposition_exact(t: CommutingTuple) -> SpectralDecomposition:
+    """Split the space by one operator at a time. Each piece carries its
+    basis and the operators not yet used, restricted to it. An operator
+    with one eigenvalue on a piece keeps it whole; otherwise the piece is
+    cut into the generalized eigenspaces of that operator. A piece on which
+    every operator has one eigenvalue is a component."""
+    pieces = [((), Matrix.identity(t.dim, EXACT), t.operators)]
+    for _ in range(t.n):
+        refined = []
+        for point, basis, (rep, *rest) in pieces:
+            k = rep.rows
+            ident = Matrix.identity(k, EXACT)
+            lam = _trace(rep) / QQi(k)
+            if _power_at_least(rep - ident.scale(lam), k).is_zero():
+                refined.append((point + (lam,), basis, rest))
+                continue
+            for mu, mult in exact_eigenvalues(rep):
+                kernel = linalg.kernel_basis(
+                    _power_at_least(rep - ident.scale(mu), mult)).basis
+                if kernel.cols != mult:
+                    raise AssertionError("generalized eigenspace dimension "
+                                         "differs from the multiplicity")
+                refined.append((point + (mu,), basis @ kernel,
+                                [_restriction(op, kernel) for op in rest]))
+        pieces = refined
+    components = sorted(((point, Subspace(t.dim, basis, check=False))
+                         for point, basis, _ in pieces),
+                        key=lambda cs: tuple(x.sort_key() for x in cs[0]))
     return SpectralDecomposition(t, tuple(components))
 
 
@@ -268,37 +287,16 @@ def _decomposition_float(t: CommutingTuple, tol: TolerancePolicy):
     return SpectralDecomposition(t, tuple(components))
 
 
-def spectral_decomposition(t: CommutingTuple, tol: TolerancePolicy | None = None,
-                           rng: random.Random | None = None,
-                           max_tries: int = 8) -> SpectralDecomposition:
-    """Decompose the space into joint generalized eigenspaces.
-
-    The random coefficients of the separating combination come from the
-    explicit generator `rng` (a fixed default seed keeps runs deterministic).
-    """
+def spectral_decomposition(t: CommutingTuple,
+                           tol: TolerancePolicy | None = None) -> SpectralDecomposition:
+    """Decompose the space into joint generalized eigenspaces."""
     if t.dim == 0:
         return SpectralDecomposition(t, ())
     if t.backend == FLOAT:
         return _decomposition_float(t, tol or DEFAULT_TOL)
-    rng = rng or random.Random(DEFAULT_SEED)
-    last_error = None
-    for attempt in range(max_tries):
-        if attempt == 0:
-            coeffs = [QQi(1)] + [QQi(0)] * (t.n - 1)
-        else:
-            coeffs = [QQi(rng.randint(-9, 9), 0) for _ in range(t.n)]
-            if all(not c for c in coeffs):
-                coeffs[0] = QQi(1)
-        try:
-            result = _try_decomposition_exact(t, coeffs)
-        except IrrationalSpectrum as err:
-            last_error = err
-            result = None
-        if result is not None:
-            _verify_decomposition(result)
-            return result
-    raise last_error or IrrationalSpectrum(
-        "no separating Gaussian-rational combination found")
+    result = _decomposition_exact(t)
+    _verify_decomposition(result)
+    return result
 
 
 def _verify_decomposition(dec: SpectralDecomposition):
@@ -338,8 +336,7 @@ def generalized_eigenspace(t: CommutingTuple, point,
 
 
 def joint_spectrum_equivalences(t: CommutingTuple, point,
-                                tol: TolerancePolicy | None = None,
-                                rng: random.Random | None = None) -> JointSpectrumReport:
+                                tol: TolerancePolicy | None = None) -> JointSpectrumReport:
     """Evaluate the three equivalent membership predicates at a point."""
     point = tuple(point)
     if len(point) != t.n:
@@ -348,7 +345,7 @@ def joint_spectrum_equivalences(t: CommutingTuple, point,
     profile = koszul.homology(koszul.build_complex(shifted), tol)
     vlam = generalized_eigenspace(t, point, tol)
     top = linalg.kernel_basis(Matrix.vstack(shifted.operators), tol)
-    decomposition = spectral_decomposition(t, tol, rng)
+    decomposition = spectral_decomposition(t, tol)
     return JointSpectrumReport(
         point=point,
         in_taylor_spectrum=any(profile.dims),
@@ -387,24 +384,7 @@ def localized_homology(t: CommutingTuple, polys, point,
         raise ArityMismatch("point dimension differs from tuple length")
     mapped = apply_polynomial_map(t, polys)
     complex_ = koszul.build_complex(mapped, tol)
-    m = mapped.n
-    from math import comb as _comb
-    dims = []
-    for k in range(m + 1):
-        cycles = complex_.cycles(k, tol)
-        boundaries = complex_.boundaries(k, tol)
-        hdim = cycles.dim - boundaries.dim
-        if hdim == 0:
-            dims.append(0)
-            continue
-        blocks = _comb(m, k)
-        induced = []
-        for op in t.operators:
-            big = Matrix.identity(blocks, t.backend).kron(op)
-            mat, _ = linalg.induced_on_subquotient(big, cycles, boundaries, tol)
-            induced.append(mat)
-        stacked = Matrix.vstack([
-            (ind - Matrix.identity(hdim, t.backend).scale(lam)).power(hdim)
-            for ind, lam in zip(induced, point)])
-        dims.append(linalg.kernel_basis(stacked, tol).dim)
-    return dims
+    # the induced matrices commute because the operators of t do
+    return [generalized_eigenspace(CommutingTuple.proven(
+                koszul.homology_action(complex_, k, t.operators, tol)), point, tol).dim
+            for k in range(mapped.n + 1)]

@@ -346,6 +346,18 @@ def test_builtin_scenarios_deterministic():
     assert [s.payload for s in one] != [s.payload for s in other]
 
 
+def test_builtin_scenarios_check_no_commutation(monkeypatch):
+    # each generated tuple is checked once, when its scenario runs
+    from koszul_index import linalg
+
+    calls = []
+    original = linalg.commutes
+    monkeypatch.setattr(linalg, "commutes",
+                        lambda *args: calls.append(1) or original(*args))
+    builtin_scenarios(7)
+    assert calls == []
+
+
 def test_console_entry_point_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "koszul_index.cli", "identities",

@@ -113,9 +113,11 @@ def test_subspace_sum_and_intersection():
     assert e12.contains(e1)
     assert not e1.contains(e12)
     assert linalg.image_basis(Matrix.hstack([e1.basis, diag.basis])).dim == 2
-    meet = e12.intersect(diag)
-    assert meet.dim == 1
-    assert e12.contains(meet)
+    # e12 and diag meet in a line: the kernel of [e12 | -diag] is one-dimensional
+    ker = linalg.kernel_basis(Matrix.hstack([e12.basis, diag.basis.scale(-1)]))
+    assert ker.dim == 1
+    meet = Subspace(3, e12.basis @ ker.basis.take_rows(range(e12.dim)))
+    assert e12.contains(meet) and diag.contains(meet)
 
 
 def test_induced_on_subquotient_jordan():

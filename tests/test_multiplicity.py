@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from koszul_index import linalg, spectrum
 from koszul_index.errors import (ArityMismatch, IrrationalSpectrum, NotAZero,
                                  NotIsolated, ZeroOnBoundary)
 from koszul_index.multiplicity import (build_diagonal_system,
@@ -112,6 +113,33 @@ def test_global_table_examples():
     table3 = global_multiplicity_table(system("z1*(z1 - 1); z2", 2))
     assert [(tuple(map(str, p)), m) for p, m in table3.entries] == \
         [(("0", "0"), 1), (("1", "0"), 1)]
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_single_zero_table_needs_no_characteristic_polynomial(monkeypatch):
+    calls = counting(monkeypatch, spectrum, "charpoly")
+    table = global_multiplicity_table(system("z1^3 - z2; z2^4", 2))
+    assert table.entries == (((QQi(0), QQi(0)), 12),)
+    assert calls == []
+
+
+def test_global_table_checks_commutation_once(monkeypatch):
+    # quotient_algebra proves the multiplication matrices commute
+    calls = counting(monkeypatch, linalg, "commutes")
+    table = global_multiplicity_table(system("z1*(z1 - 1); z2^2 - z2", 2))
+    assert table.total() == 4
+    assert calls == []
 
 
 def test_global_table_float_fallback():
