@@ -220,8 +220,8 @@ def homology_action(c: KoszulComplex, k: int, operators,
     cycles = c.cycles(k, tol)
     boundaries = c.boundaries(k, tol)
     ident = Matrix.identity(len(subsets(c.n, k)), c.backend)
-    return [linalg.induced_on_subquotient(ident.kron(op), cycles, boundaries, tol)[0]
-            for op in operators]
+    return linalg.induced_on_subquotient([ident.kron(op) for op in operators],
+                                         cycles, boundaries, tol)[0]
 
 
 def mapping_cone(c: KoszulComplex, b: Matrix, tol: TolerancePolicy | None = None) -> ChainComplex:

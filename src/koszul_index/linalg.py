@@ -588,21 +588,21 @@ def extend_basis(inner: Matrix, spanning: Matrix, tol: TolerancePolicy | None = 
     return spanning.take_cols(picked)
 
 
-def induced_on_subquotient(op: Matrix, cycles: Subspace, boundaries: Subspace,
+def induced_on_subquotient(ops, cycles: Subspace, boundaries: Subspace,
                            tol: TolerancePolicy | None = None):
-    """Matrix of the map induced by `op` on cycles/boundaries.
+    """Matrices, in one basis of cycles/boundaries, of the maps induced by `ops`.
 
     Requires op(cycles) inside cycles and op(boundaries) inside boundaries.
-    Returns (matrix on the quotient, representative columns).
+    Returns (list of matrices on the quotient, representative columns).
     """
     comp = extend_basis(boundaries.basis, cycles.basis, tol)
     q = comp.cols
     if q == 0:
-        return Matrix.zeros(0, 0, op.backend), comp
+        return [Matrix.zeros(0, 0, comp.backend) for _ in ops], comp
     frame = Matrix.hstack([boundaries.basis, comp])
-    images = op @ comp
-    coords = solve(frame, images, tol)
-    return coords.take_rows(range(boundaries.dim, boundaries.dim + q)), comp
+    coords = solve(frame, Matrix.hstack([op @ comp for op in ops]), tol)
+    tail = coords.take_rows(range(boundaries.dim, boundaries.dim + q))
+    return [tail.take_cols(range(j * q, (j + 1) * q)) for j in range(len(ops))], comp
 
 
 class SparseEchelon:

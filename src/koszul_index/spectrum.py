@@ -1,20 +1,21 @@
 """Joint spectra of commuting tuples, simultaneous generalized-eigenspace
 decompositions, polynomial functional calculus, and localized homology.
 
-The exact decomposition is deterministic: it splits the space by one
-operator at a time. On each piece an operator either has one eigenvalue,
-which a nilpotency test proves without a characteristic polynomial, or
-its characteristic polynomial is split over the Gaussian rationals
-(square-free decomposition, then numerically guided rational
-reconstruction, then exact verification) and the piece is cut into the
-kernels of (A - mu)^mult. When some eigenvalue leaves the Gaussian
-rationals, IrrationalSpectrum is raised and the caller may retry with the
-float backend. numpy is imported only where float code runs: the numeric
-root guesses and the float decomposition.
+The exact decomposition is deterministic pure Python. It splits the space
+by one operator at a time. On each piece an operator either has one
+eigenvalue, which a nilpotency test proves, or its Hessenberg
+characteristic polynomial is split over the Gaussian rationals (Yun
+factors, Aberth-Ehrlich root guesses, rational reconstruction, exact
+verification) and the piece is cut into generalized eigenspaces, each a
+kernel chain that forms no matrix power. When an eigenvalue leaves the
+Gaussian rationals, IrrationalSpectrum is raised and the caller may retry
+with the float backend; only the float decomposition imports numpy.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,8 @@ from .scalars import EXACT, FLOAT, QQi, TolerancePolicy, DEFAULT_TOL
 
 DEFAULT_SEED = 0x5EED
 _DENOMINATOR_LADDER = (1, 100, 10**4, 10**6, 10**9)
+_ABERTH_TOL = 1e-15
+_ABERTH_SWEEPS = 200
 
 
 # -- exact univariate polynomial helpers (coefficients low to high) -----------
@@ -77,27 +80,37 @@ def _eval(p, x: QQi) -> QQi:
     return acc
 
 
-def _trace(m: Matrix) -> QQi:
-    acc = QQi(0)
-    for i in range(m.rows):
-        acc = acc + m[i, i]
-    return acc
-
-
 def charpoly(m: Matrix):
-    """Characteristic polynomial of an exact matrix, low-to-high coefficients,
-    by the Faddeev-LeVerrier recursion."""
-    d = m.rows
-    coeffs = [QQi(0)] * (d + 1)
-    coeffs[d] = QQi(1)
-    mk = m
-    ident = Matrix.identity(d, EXACT)
-    for k in range(1, d + 1):
-        ck = -_trace(mk) / QQi(k)
-        coeffs[d - k] = ck
-        if k < d:
-            mk = m @ (mk + ident.scale(ck))
-    return coeffs
+    """Characteristic polynomial det(x - m) of an exact matrix, low-to-high
+    coefficients, in O(d^3) field operations: an exact similarity reduction
+    to upper Hessenberg form, then the Hessenberg recurrence (Cohen, A
+    Course in Computational Algebraic Number Theory, GTM 138, 2.2.9)."""
+    h = [list(r) for r in m.entries]
+    d = len(h)
+    for k in range(1, d - 1):
+        piv = next((i for i in range(k, d) if h[i][k - 1]), None)
+        if piv is None:
+            continue
+        h[k], h[piv] = h[piv], h[k]
+        for row in h:
+            row[k], row[piv] = row[piv], row[k]
+        for i in range(k + 1, d):
+            u = h[i][k - 1] / h[k][k - 1]
+            if u:  # row i -= u * row k, then column k += u * column i
+                h[i] = [a - u * b if b else a for a, b in zip(h[i], h[k])]
+                for row in h:
+                    row[k] = row[k] + u * row[i] if row[i] else row[k]
+    # p_(k+1) = x p_k - sum over i <= k of h_ik (h_(i+1),i ... h_k,(k-1)) p_i
+    polys = [[QQi(1)]]
+    for k in range(d):
+        p, t = [QQi(0)] + polys[k], QQi(1)
+        for i in range(k, -1, -1):
+            f = t * h[i][k]
+            for j, c in enumerate(polys[i] if f else ()):
+                p[j] = p[j] - f * c
+            t = t * h[i][i - 1]  # unused after i = 0
+        polys.append(p)
+    return polys[d]
 
 
 def _squarefree(p):
@@ -140,31 +153,58 @@ def _reconstruct_root(z: complex, factor, radius: float) -> QQi | None:
     return None
 
 
+def _numeric_roots(factor):
+    """Numeric roots of a square-free polynomial of degree >= 2 by the
+    Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973) from fixed
+    points on a circle. A root is settled when its step is below
+    _ABERTH_TOL of it or its residual is at the rounding level of its
+    evaluation (Bini, Numer. Algorithms 13, 1996)."""
+    n = _degree(factor)
+    c = [complex(x) for x in factor]  # Yun factors are monic
+    radius = max(abs(c[n - k]) ** (1 / k) for k in range(1, n + 1))
+    zs = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
+    for _ in range(_ABERTH_SWEEPS):
+        settled = True
+        for i, z in enumerate(zs):
+            p, dp, scale = c[n], 0j, 1.0
+            for coeff in reversed(c[:n]):
+                p, dp = p * z + coeff, dp * z + p
+                scale = scale * abs(z) + abs(coeff)
+            if abs(p) <= _ABERTH_TOL * scale:
+                continue
+            denom = dp - p * sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+            step = p / denom if denom else 0j
+            zs[i] = z - step
+            settled = settled and abs(step) <= _ABERTH_TOL * abs(zs[i])
+        if settled:
+            break
+    return zs
+
+
 def exact_eigenvalues(m: Matrix):
     """Eigenvalues of an exact matrix certified in the Gaussian rationals,
     as (value, algebraic multiplicity) pairs; raises IrrationalSpectrum."""
     if m.rows == 0:
         return []
-    import numpy as np
-
-    p = charpoly(m)
     out = {}
-    for factor, mult in _squarefree(p):
-        numeric = [complex(z) for z in np.roots([complex(c) for c in reversed(factor)])]
-        found = set()
-        for i, z in enumerate(numeric):
-            # half the gap to the nearest other root of this square-free factor
-            radius = min((abs(z - w) / 2 for j, w in enumerate(numeric) if j != i),
-                         default=float("inf"))
-            cand = _reconstruct_root(z, factor, radius)
-            if cand is None:
+    for factor, mult in _squarefree(charpoly(m)):
+        if _degree(factor) == 1:
+            found = {-factor[0] / factor[1]}
+        else:
+            numeric = _numeric_roots(factor)
+            found = set()
+            for i, z in enumerate(numeric):
+                # half the gap to the nearest other root of this square-free factor
+                radius = min(abs(z - w) / 2 for j, w in enumerate(numeric) if j != i)
+                cand = _reconstruct_root(z, factor, radius)
+                if cand is None:
+                    raise IrrationalSpectrum(
+                        "characteristic polynomial does not split over the "
+                        "Gaussian rationals")
+                found.add(cand)
+            if len(found) != _degree(factor):
                 raise IrrationalSpectrum(
-                    "characteristic polynomial does not split over the "
-                    "Gaussian rationals")
-            found.add(cand)
-        if len(found) != _degree(factor):
-            raise IrrationalSpectrum(
-                "root reconstruction collapsed distinct eigenvalues")
+                    "root reconstruction collapsed distinct eigenvalues")
         for root in found:
             out[root] = out.get(root, 0) + mult
     if sum(out.values()) != m.rows:
@@ -183,9 +223,6 @@ class SpectralDecomposition:
 
     tuple: CommutingTuple
     components: tuple  # ((lambda_1..lambda_n), Subspace) pairs
-
-    def eigenvalues(self):
-        return [point for point, _ in self.components]
 
     def multiplicities(self):
         return [(point, space.dim) for point, space in self.components]
@@ -209,6 +246,24 @@ def _power_at_least(m: Matrix, k: int) -> Matrix:
     return m
 
 
+def _kernel_chain(ops, bound: int, tol: TolerancePolicy | None = None) -> Matrix:
+    """Basis of the joint generalized kernel of commuting operators, with no
+    power of any of them: start from the joint kernel, and pull the space
+    back through every operator, {v : N v in the space for each N}, until
+    its dimension reaches `bound` or stops growing."""
+    space = linalg.kernel_basis(Matrix.vstack(ops), tol).basis
+    while 0 < space.cols < bound:
+        zero = Matrix.zeros(space.rows, space.cols, space.backend)
+        pull = Matrix.block([[op] + [-space if j == i else zero for j in range(len(ops))]
+                             for i, op in enumerate(ops)])
+        top = linalg.kernel_basis(pull, tol).basis.take_rows(range(space.rows))
+        grown = linalg.image_basis(top, tol).basis
+        if grown.cols == space.cols:
+            break
+        space = grown
+    return space
+
+
 def _decomposition_exact(t: CommutingTuple) -> SpectralDecomposition:
     """Split the space by one operator at a time. Each piece carries its
     basis and the operators not yet used, restricted to it. An operator
@@ -221,13 +276,12 @@ def _decomposition_exact(t: CommutingTuple) -> SpectralDecomposition:
         for point, basis, (rep, *rest) in pieces:
             k = rep.rows
             ident = Matrix.identity(k, EXACT)
-            lam = _trace(rep) / QQi(k)
+            lam = sum((rep[i, i] for i in range(k)), QQi(0)) / QQi(k)
             if _power_at_least(rep - ident.scale(lam), k).is_zero():
                 refined.append((point + (lam,), basis, rest))
                 continue
             for mu, mult in exact_eigenvalues(rep):
-                kernel = linalg.kernel_basis(
-                    _power_at_least(rep - ident.scale(mu), mult)).basis
+                kernel = _kernel_chain([rep - ident.scale(mu)], mult)
                 if kernel.cols != mult:
                     raise AssertionError("generalized eigenspace dimension "
                                          "differs from the multiplicity")
@@ -313,13 +367,12 @@ def _verify_decomposition(dec: SpectralDecomposition):
 class JointSpectrumReport:
     """Equivalence data for one candidate point: membership in the Taylor
     spectrum, in the eigenvalue support, and nontriviality of the top
-    homology, plus the full joint-eigenvalue table."""
+    homology."""
 
     point: tuple
     in_taylor_spectrum: bool
     in_eigenvalue_support: bool
     top_homology_nonzero: bool
-    eigenvalues: tuple  # (point, multiplicity) pairs
 
     @property
     def agree(self) -> bool:
@@ -329,10 +382,9 @@ class JointSpectrumReport:
 
 def generalized_eigenspace(t: CommutingTuple, point,
                            tol: TolerancePolicy | None = None) -> Subspace:
-    """V(point) = the joint kernel of the d-th powers of the shifted tuple."""
-    shifted = t.shift(point)
-    powers = [op.power(t.dim) for op in shifted.operators]
-    return linalg.kernel_basis(Matrix.vstack(powers), tol)
+    """V(point) = the joint generalized kernel of the shifted tuple."""
+    return Subspace(t.dim, _kernel_chain(t.shift(point).operators, t.dim, tol),
+                    check=False)
 
 
 def joint_spectrum_equivalences(t: CommutingTuple, point,
@@ -345,13 +397,11 @@ def joint_spectrum_equivalences(t: CommutingTuple, point,
     profile = koszul.homology(koszul.build_complex(shifted), tol)
     vlam = generalized_eigenspace(t, point, tol)
     top = linalg.kernel_basis(Matrix.vstack(shifted.operators), tol)
-    decomposition = spectral_decomposition(t, tol)
     return JointSpectrumReport(
         point=point,
         in_taylor_spectrum=any(profile.dims),
         in_eigenvalue_support=vlam.dim > 0,
         top_homology_nonzero=top.dim > 0,
-        eigenvalues=tuple(decomposition.multiplicities()),
     )
 
 

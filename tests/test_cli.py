@@ -294,23 +294,24 @@ def test_error_reports_name_the_backend_a_success_would(tmp_path):
     assert [r["backend"] for r in reports] == ["exact", "float"]
 
 
-_EXACT_RUN_WITHOUT_NUMPY = """
+_RUN_GROUPS = """
 import io, json, sys
 from koszul_index import cli
 defaults = cli.Scenario("defaults", "IDENTITIES", {}, "exact", None, 7)
-doc = json.loads(sys.argv[1])
-reports = [cli.run_scenario(s) for s in cli.scenarios_from_document(doc, defaults)]
-cli.emit_reports(reports, io.StringIO())
-print(all(r["pass"] for r in reports), "numpy" in sys.modules)
-doc["scenarios"] = [dict(doc["scenarios"][0], backend="float")]
-reports = [cli.run_scenario(s) for s in cli.scenarios_from_document(doc, defaults)]
-print(reports[0]["pass"], reports[0]["backend"], "numpy" in sys.modules)
+for scenarios in json.loads(sys.argv[1]):
+    doc = {"schema": 1, "scenarios": scenarios}
+    reports = [cli.run_scenario(s) for s in cli.scenarios_from_document(doc, defaults)]
+    cli.emit_reports(reports, io.StringIO())
+    print(all(r["pass"] for r in reports), *sorted({r["backend"] for r in reports}),
+          "numpy" in sys.modules)
 """
 
 
 def test_exact_scenarios_never_import_numpy():
     jordan = [["0", "1"], ["0", "0"]]
-    doc = {"schema": 1, "scenarios": [
+    disc = {"kind": "polydisc", "center": ["0"], "radii": ["1"]}
+    wide = {"kind": "polydisc", "center": ["0"], "radii": ["2"]}
+    exact = [
         {"id": "h", "kind": "HOMOLOGY",
          "payload": {"operators": [jordan, [["1/2", "0"], ["0", "1/2"]]],
                      "cone_with": [["i", "3"], ["0", "i"]],
@@ -319,15 +320,48 @@ def test_exact_scenarios_never_import_numpy():
          "payload": {"operators_a": [jordan],
                      "operators_b": [[["0", "0"], ["0", "0"]]], "r_max": 3}},
         {"id": "ident", "kind": "IDENTITIES", "payload": {"n": 2, "m": 3}},
-    ]}
+        # rational zeros, each split through a degree-2 square-free factor
+        {"id": "m-local", "kind": "MULTIPLICITY",
+         "payload": {"system": "z1^2 - 1/4; z2^2 - z2", "at": ["1/2", "0"],
+                     "expect": {"multiplicity": 1}}},
+        {"id": "m-global", "kind": "MULTIPLICITY",
+         "payload": {"system": "(z1^2 - 1/4)^2; z2^2 - z2"}},
+        {"id": "index", "kind": "INDEX",
+         "payload": {"domain": disc, "system": "z1^2 - 1/4",
+                     "expect": {"global_index": -2}}},
+        {"id": "recip", "kind": "RECIPROCITY",
+         "payload": {"domain_a": wide, "domain_b": disc, "system": "z1^2 - 1/4"}},
+        {"id": "spec", "kind": "SPECTRUM",
+         "payload": {"operators": [[["1", "0"], ["0", "2"]], [["3", "0"], ["0", "4"]]],
+                     "at": ["1", "3"]}},
+    ]
+    float_fallback = [{"id": "index-float", "kind": "INDEX",
+                       "payload": {"domain": wide, "system": "z1^2 - 2"}}]
+    float_homology = [dict(exact[0], backend="float")]
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
-        [sys.executable, "-c", _EXACT_RUN_WITHOUT_NUMPY, json.dumps(doc)],
+        [sys.executable, "-c", _RUN_GROUPS,
+         json.dumps([exact, float_fallback, float_homology])],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["True False", "True float True"]
+    assert proc.stdout.splitlines() == ["True exact False", "True float True",
+                                        "True float True"]
+
+
+def test_spectrum_at_decomposes_once(monkeypatch, tmp_path):
+    from koszul_index import spectrum
+
+    calls = []
+    original = spectrum.spectral_decomposition
+    monkeypatch.setattr(spectrum, "spectral_decomposition",
+                        lambda *args: calls.append(1) or original(*args))
+    code, reports, _ = run_main(
+        ["spectrum", "--operators",
+         '[[["1","0"],["0","2"]], [["3","0"],["0","4"]]]', "--at", "1,3"], tmp_path)
+    assert code == 0 and reports[0]["pass"]
+    assert len(calls) == 1
 
 
 def test_verify_all_float_variant_passes(tmp_path):

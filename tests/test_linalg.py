@@ -125,11 +125,13 @@ def test_induced_on_subquotient_jordan():
     jordan = exact([[0, 1], [0, 0]])
     cycles = linalg.kernel_basis(jordan)
     boundaries = linalg.image_basis(jordan)
-    mat, reps = linalg.induced_on_subquotient(jordan, cycles, boundaries)
+    [mat], reps = linalg.induced_on_subquotient([jordan], cycles, boundaries)
     assert mat.shape == (0, 0)
     full = Subspace.full(2)
-    mat2, _ = linalg.induced_on_subquotient(jordan, full, Subspace.trivial(2))
-    assert mat2 == jordan
+    ident = Matrix.identity(2)
+    mats, _ = linalg.induced_on_subquotient([jordan, ident], full,
+                                            Subspace.trivial(2))
+    assert mats == [jordan, ident]
 
 
 def test_sparse_echelon_rank():

@@ -1,0 +1,124 @@
+"""Differential tests of the exact spectral route against sympy: the
+characteristic polynomial against sympy's, and certified eigenvalues
+against spectra known by construction, S J S^-1 with J in Jordan form."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from koszul_index.errors import IrrationalSpectrum  # noqa: E402
+from koszul_index.linalg import Matrix  # noqa: E402
+from koszul_index.scalars import QQi  # noqa: E402
+from koszul_index.spectrum import charpoly, exact_eigenvalues  # noqa: E402
+
+
+def _rational(rng, den):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, den))
+
+
+def _gaussian(rng, zero_share=0.0):
+    if rng.random() < zero_share:
+        return QQi(0)
+    im = _rational(rng, 3) if rng.random() < 0.5 else 0
+    return QQi(_rational(rng, 6), im)
+
+
+def _to_sympy(x: QQi):
+    return (sympy.Rational(x.re.numerator, x.re.denominator)
+            + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator))
+
+
+def _from_sympy(x) -> QQi:
+    re, im = sympy.re(x), sympy.im(x)
+    return QQi(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+def _sympy_matrix(m: Matrix):
+    return sympy.Matrix([[_to_sympy(x) for x in row] for row in m.entries])
+
+
+def _random_matrix(rng):
+    d = rng.randint(1, 8)
+    zero_share = rng.choice([0.0, 0.3, 0.6, 0.9])
+    rows = [[_gaussian(rng, zero_share) for _ in range(d)] for _ in range(d)]
+    if d > 2 and rng.random() < 0.3:
+        # a zero block under column k - 1, so the reduction skips it
+        k = rng.randint(1, d - 2)
+        for i in range(k, d):
+            for j in range(k):
+                rows[i][j] = QQi(0)
+    return Matrix(rows)
+
+
+def test_charpoly_matches_sympy():
+    rng = random.Random(2024)
+    x = sympy.Symbol("x")
+    for trial in range(200):
+        m = _random_matrix(rng)
+        expected = [_from_sympy(c) for c in
+                    reversed(_sympy_matrix(m).charpoly(x).all_coeffs())]
+        assert charpoly(m) == expected, trial
+
+
+def _conjugated_jordan(rng, blocks):
+    """S J S^-1 for a random invertible Gaussian-rational S, where J holds
+    one Jordan block of each (eigenvalue, size)."""
+    d = sum(size for _, size in blocks)
+    j = sympy.zeros(d, d)
+    pos = 0
+    for lam, size in blocks:
+        for i in range(size):
+            j[pos + i, pos + i] = _to_sympy(lam)
+            if i:
+                j[pos + i - 1, pos + i] = 1
+        pos += size
+    while True:
+        s = sympy.Matrix([[_to_sympy(_gaussian(rng, 0.3)) for _ in range(d)]
+                          for _ in range(d)])
+        if s.det() != 0:
+            break
+    m = sympy.expand(s * j * s.inv())
+    return Matrix([[_from_sympy(m[r, c]) for c in range(d)] for r in range(d)])
+
+
+def _expected(blocks):
+    out = {}
+    for lam, size in blocks:
+        out[lam] = out.get(lam, 0) + size
+    return sorted(out.items(), key=lambda kv: kv[0].sort_key())
+
+
+def _jordan_blocks(rng):
+    values = [QQi(_rational(rng, 4)) for _ in range(rng.randint(1, 3))]
+    return [(rng.choice(values), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+
+
+def _gaussian_blocks(rng):
+    return [(QQi(_rational(rng, 4), _rational(rng, 3) or 1), rng.randint(1, 2))
+            for _ in range(rng.randint(2, 4))]
+
+
+def _close_blocks(rng):
+    out = []
+    for _ in range(rng.randint(1, 2)):
+        lam = QQi(_rational(rng, 6))
+        out += [(lam, rng.randint(1, 2)), (lam + QQi(Fraction(1, 1000)), rng.randint(1, 2))]
+    return out
+
+
+@pytest.mark.parametrize("family", [_jordan_blocks, _gaussian_blocks, _close_blocks])
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_eigenvalues_of_known_spectra(family, seed):
+    rng = random.Random(seed)
+    blocks = family(rng)
+    m = _conjugated_jordan(rng, blocks)
+    assert exact_eigenvalues(m) == _expected(blocks)
+
+
+def test_companion_of_irrational_polynomial_raises():
+    companion = Matrix([[0, 2], [1, 0]])  # z^2 - 2
+    with pytest.raises(IrrationalSpectrum):
+        exact_eigenvalues(companion)

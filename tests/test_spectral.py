@@ -94,6 +94,19 @@ def test_spectral_scenario_builds_joined_complex_once(monkeypatch):
     assert calls == {"build": 1, "homology": 1, "page_two_entries": 6}
 
 
+def test_induced_action_builds_one_frame_per_subquotient(monkeypatch):
+    from koszul_index import linalg
+
+    bc = build_bicomplex(*random_bicomplex_pair(random.Random(1), 2, 1, 3))
+    calls = []
+    extend = linalg.extend_basis
+    monkeypatch.setattr(linalg, "extend_basis",
+                        lambda *args: calls.append(1) or extend(*args))
+    e2_dims_independent(bc)
+    # one per homology degree of the second tuple, not one per operator
+    assert len(calls) == 2
+
+
 def test_jordan_example_pipelines_agree():
     bc = build_bicomplex(CommutingTuple([JORDAN]), CommutingTuple([Matrix.zeros(2, 2)]))
     page = e2_page(bc)  # raises when the two pipelines disagree

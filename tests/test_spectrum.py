@@ -96,7 +96,7 @@ def test_equivalences_examples():
     jordan = CommutingTuple([Matrix([[0, 1], [0, 0]]), Matrix.zeros(2, 2)])
     at_zero = joint_spectrum_equivalences(jordan, (QQi(0), QQi(0)))
     assert at_zero.agree and at_zero.in_taylor_spectrum
-    assert sum(m for _, m in at_zero.eigenvalues) == 2
+    assert sum(m for _, m in spectral_decomposition(jordan).multiplicities()) == 2
 
 
 def test_apply_polynomial_map_examples():
@@ -128,6 +128,22 @@ def test_generalized_eigenspace_dimensions():
     t = mult_tuple("z1^2 - z2; z2^2", 2)
     assert generalized_eigenspace(t, (QQi(0), QQi(0))).dim == 4
     assert generalized_eigenspace(t, (QQi(1), QQi(0))).dim == 0
+
+
+def test_eigenspaces_take_no_matrix_power(monkeypatch):
+    def no_power(self, k):
+        raise AssertionError("Matrix.power called")
+
+    monkeypatch.setattr(Matrix, "power", no_power)
+    t = mult_tuple("(z1-1)^2*z1; z2^2", 2)
+    assert generalized_eigenspace(t, (QQi(1), QQi(0))).dim == 4
+    assert generalized_eigenspace(t, (QQi(0), QQi(0))).dim == 2
+    assert generalized_eigenspace(t, (QQi(1), QQi(1))).dim == 0
+    polys = parse_system("z1^2 - z1; z2", 2)
+    assert localized_homology(t, polys, (QQi(1), QQi(0))) == [1, 2, 1]
+    assert localized_homology(t, polys, (QQi(0), QQi(0))) == [1, 2, 1]
+    report = joint_spectrum_equivalences(t, (QQi(1), QQi(0)))
+    assert report.agree and report.in_eigenvalue_support
 
 
 def test_localized_homology_examples():
