@@ -1,9 +1,11 @@
 """Dense linear algebra over the two scalar backends: rank, kernel, image,
 solving and subspace calculus.
 
-Exact ranks and kernels run fraction-free (Bareiss) over Gaussian integers
-after clearing row denominators; float ranks use singular values with the
-relative cutoff carried by an explicit TolerancePolicy, never a global.
+Exact elimination runs on Python ints from input to answer: rows are scaled
+to Gaussian integers, eliminated fraction-free (Bareiss), and kernels and
+solves back-substitute over the last pivot, so each QQi of an answer is
+built once. Float ranks use singular values with the relative cutoff carried
+by an explicit TolerancePolicy, never a global.
 numpy is imported only inside the float branches, so exact work never
 loads it.
 """
@@ -15,7 +17,8 @@ import numbers
 from fractions import Fraction
 
 from .errors import BackendMismatch, InconsistentSystem, NotContained
-from .scalars import DEFAULT_TOL, EXACT, FLOAT, QQi, TolerancePolicy, as_scalar
+from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ONE, ZERO, QQi, TolerancePolicy,
+                      as_scalar)
 
 
 class Matrix:
@@ -265,14 +268,12 @@ def _row_scale(r) -> int:
                     *[a.im.denominator for a in r])
 
 
-def _clear_denominators(m: Matrix):
-    """Scale each row to Gaussian-integer pairs; preserves rank, kernel and
-    pivot-column structure."""
-    out = []
-    for r in m.entries:
-        lcm = _row_scale(r)
-        out.append([(int(a.re * lcm), int(a.im * lcm)) for a in r])
-    return out
+def _clear_denominators(r):
+    """An exact row scaled by its least common denominator to Gaussian-integer
+    pairs; preserves rank, kernel and pivot-column structure."""
+    lcm = _row_scale(r)
+    return [(a.re.numerator * (lcm // a.re.denominator),
+             a.im.numerator * (lcm // a.im.denominator)) for a in r]
 
 
 def _is_real(rows) -> bool:
@@ -371,9 +372,42 @@ def _bareiss_gauss(rows, ncols, limit):
 
 
 def _echelon(m: Matrix, pivot_limit=None):
-    rows = _clear_denominators(m)
+    rows = [_clear_denominators(r) for r in m.entries]
     rank, pivots, sign, last = _bareiss(rows, m.cols, pivot_limit)
     return rank, pivots, rows, sign, last
+
+
+def _back_substitute(rows, pivots, ncols, col):
+    """The solution x, zero on free columns, of the Bareiss staircase `rows`
+    against its column `col`: a solve when col >= ncols, else the kernel
+    vector of the free column col, with x[col] = 1. By Cramer's rule D * x
+    is Gaussian-integral for the last pivot D, the determinant of the pivot
+    block, so each row divides exactly and each QQi is built once."""
+    r = len(pivots)
+    sign = -1 if col < ncols else 1
+    da, db = rows[r - 1][pivots[r - 1]] if r else (1, 0)
+    y = [None] * r
+    for i in range(r - 1, -1, -1):
+        row = rows[i]
+        ta, tb = row[col]
+        na, nb = sign * (ta * da - tb * db), sign * (ta * db + tb * da)
+        for j in range(i + 1, r):
+            ea, eb = row[pivots[j]]
+            if ea or eb:
+                ya, yb = y[j]
+                na -= ea * ya - eb * yb
+                nb -= ea * yb + eb * ya
+        pa, pb = row[pivots[i]]
+        q = pa * pa + pb * pb
+        y[i] = ((na * pa + nb * pb) // q, (nb * pa - na * pb) // q)
+    q = da * da + db * db
+    x = [ZERO] * ncols
+    if col < ncols:
+        x[col] = ONE
+    for pc, (ya, yb) in zip(pivots, y):
+        if ya or yb:
+            x[pc] = QQi(Fraction(ya * da + yb * db, q), Fraction(yb * da - ya * db, q))
+    return x
 
 
 def _float_svd(m: Matrix):
@@ -435,25 +469,11 @@ def kernel_basis(m: Matrix, tol: TolerancePolicy | None = None) -> "Subspace":
         return Subspace(m.cols, basis, check=False)
     rank_, pivots, rows, _, _ = _echelon(m)
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis_cols = []
-    for f in free:
-        v = [QQi(0)] * m.cols
-        v[f] = QQi(1)
-        for i in range(rank_ - 1, -1, -1):
-            pc = pivots[i]
-            acc = QQi(0)
-            row = rows[i]
-            for c in range(pc + 1, m.cols):
-                if v[c] and row[c] != (0, 0):
-                    acc = acc + QQi(row[c][0], row[c][1]) * v[c]
-            pv = QQi(rows[i][pc][0], rows[i][pc][1])
-            v[pc] = -acc / pv
-        basis_cols.append(v)
+    basis_cols = [_back_substitute(rows, pivots, m.cols, f)
+                  for f in range(m.cols) if f not in pivot_set]
     if not basis_cols:
         return Subspace(m.cols, Matrix.zeros(m.cols, 0, EXACT), check=False)
-    basis = Matrix([[basis_cols[j][i] for j in range(len(basis_cols))]
-                    for i in range(m.cols)], EXACT)
+    basis = Matrix(list(zip(*basis_cols)), EXACT, shape=(m.cols, len(basis_cols)))
     return Subspace(m.cols, basis, check=False)
 
 
@@ -499,18 +519,7 @@ def solve(m: Matrix, rhs: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
     for i in range(rank_, m.rows):
         if any(rows[i][c] != (0, 0) for c in range(m.cols, aug.cols)):
             raise InconsistentSystem("right-hand side outside the column space")
-    sols = []
-    for k in range(rhs.cols):
-        v = [QQi(0)] * m.cols
-        for i in range(rank_ - 1, -1, -1):
-            pc = pivots[i]
-            row = rows[i]
-            acc = QQi(row[m.cols + k][0], row[m.cols + k][1])
-            for c in range(pc + 1, m.cols):
-                if v[c] and row[c] != (0, 0):
-                    acc = acc - QQi(row[c][0], row[c][1]) * v[c]
-            v[pc] = acc / QQi(row[pc][0], row[pc][1])
-        sols.append(v)
+    sols = [_back_substitute(rows, pivots, m.cols, k) for k in range(m.cols, aug.cols)]
     return Matrix([[sols[k][i] for k in range(rhs.cols)] for i in range(m.cols)], EXACT,
                   shape=(m.cols, rhs.cols))
 
@@ -609,7 +618,9 @@ class SparseEchelon:
     """Incremental exact row reduction for sparse vectors (dict col -> QQi).
 
     Used for large structured rank queries where dense elimination would be
-    wasteful; only the rank is exposed.
+    wasteful; only the rank is exposed. Rows are kept as primitive
+    Gaussian-integer pairs (integer content divided out) and reduced by
+    cross-multiplication, so no fraction is formed.
     """
 
     def __init__(self):
@@ -619,27 +630,30 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def reduce(self, vec: dict) -> dict:
-        vec = {c: v for c, v in vec.items() if v}
+    def _reduce(self, vec: dict) -> dict:
+        vec = {c: v for c, v in zip(vec, _clear_denominators(vec.values())) if v != (0, 0)}
         while vec:
+            g = math.gcd(*[a for pair in vec.values() for a in pair])
+            if g > 1:
+                vec = {c: (a // g, b // g) for c, (a, b) in vec.items()}
             lead = min(vec)
             row = self._rows.get(lead)
             if row is None:
-                return vec
-            factor = vec[lead]
-            for c, v in row.items():
-                newv = vec.get(c, QQi(0)) - factor * v
-                if newv:
-                    vec[c] = newv
+                break
+            # vec * p - row * x, where p and x are their entries at lead
+            (pa, pb), (xa, xb) = row[lead], vec[lead]
+            vec = {c: (ea * pa - eb * pb, ea * pb + eb * pa) for c, (ea, eb) in vec.items()}
+            for c, (fa, fb) in row.items():
+                ea, eb = vec.get(c, (0, 0))
+                na, nb = ea - xa * fa + xb * fb, eb - xa * fb - xb * fa
+                if na or nb:
+                    vec[c] = (na, nb)
                 else:
                     vec.pop(c, None)
         return vec
 
     def add(self, vec: dict) -> bool:
-        residue = self.reduce(vec)
-        if not residue:
-            return False
-        lead = min(residue)
-        inv = QQi(1) / residue[lead]
-        self._rows[lead] = {c: inv * v for c, v in residue.items()}
-        return True
+        residue = self._reduce(vec)
+        if residue:
+            self._rows[min(residue)] = residue
+        return bool(residue)

@@ -389,19 +389,21 @@ def generalized_eigenspace(t: CommutingTuple, point,
 
 def joint_spectrum_equivalences(t: CommutingTuple, point,
                                 tol: TolerancePolicy | None = None) -> JointSpectrumReport:
-    """Evaluate the three equivalent membership predicates at a point."""
+    """Evaluate the three equivalent membership predicates at a point.
+
+    The top homology and the eigenvalue support share one kernel, that of
+    the stacked shifted operators: `koszul.homology` checks the top degree
+    against it, and the generalized eigenspace's chain starts from it. Only
+    `in_taylor_spectrum` is computed independently."""
     point = tuple(point)
     if len(point) != t.n:
         raise ArityMismatch("point dimension differs from tuple length")
-    shifted = t.shift(point)
-    profile = koszul.homology(koszul.build_complex(shifted), tol)
-    vlam = generalized_eigenspace(t, point, tol)
-    top = linalg.kernel_basis(Matrix.vstack(shifted.operators), tol)
+    profile = koszul.homology(koszul.build_complex(t.shift(point)), tol)
     return JointSpectrumReport(
         point=point,
         in_taylor_spectrum=any(profile.dims),
-        in_eigenvalue_support=vlam.dim > 0,
-        top_homology_nonzero=top.dim > 0,
+        in_eigenvalue_support=generalized_eigenspace(t, point, tol).dim > 0,
+        top_homology_nonzero=profile.dims[-1] > 0,
     )
 
 

@@ -7,6 +7,7 @@ capture, so they appear in plain runs too).
 
 import contextlib
 import filecmp
+import hashlib
 import random
 import sys
 import time
@@ -222,3 +223,6 @@ def test_criterion_9_determinism(tmp_path):
                          "--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
         assert filecmp.cmp(first, second, shallow=False)
+        # the pinned bytes: a change that alters them changes behaviour
+        assert hashlib.sha256(first.read_bytes()).hexdigest() == \
+            "49ba6f546f5c494714340dbe36b06a75b576e924aef3769e207d54f0832f547b"

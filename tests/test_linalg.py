@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,7 +94,6 @@ def test_det_values():
     assert linalg.det(exact([[1, 2], [3, 4]])) == QQi(-2)
     assert linalg.det(exact([[QQi(0, 1), QQi(0)], [QQi(0), QQi(0, 1)]])) == QQi(-1)
     assert linalg.det(exact([[1, 2], [2, 4]])) == QQi(0)
-    from fractions import Fraction
     assert linalg.det(exact([[QQi(Fraction(1, 2))]])) == QQi(Fraction(1, 2))
 
 
@@ -140,6 +140,51 @@ def test_sparse_echelon_rank():
     assert acc.add({1: QQi(1)})
     assert not acc.add({0: QQi(2), 1: QQi(3), 2: QQi(4)})  # 2*first + 3*second
     assert acc.rank == 2
+
+
+def _gaussian(rng):
+    return QQi(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+               Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5 else 0)
+
+
+def test_sparse_echelon_rank_matches_dense():
+    rng = random.Random(8)
+    deficient = 0
+    for trial in range(200):
+        ncols = rng.randint(1, 12)
+        vecs = []
+        for _ in range(rng.randint(1, 8)):
+            if len(vecs) >= 2 and rng.random() < 0.4:
+                # a planted dependency with Gaussian coefficients
+                (a, b), ca, cb = rng.sample(vecs, 2), _gaussian(rng), _gaussian(rng)
+                vecs.append({c: ca * a.get(c, 0) + cb * b.get(c, 0) for c in a.keys() | b.keys()})
+            else:
+                cols = rng.sample(range(ncols), rng.randint(0, min(4, ncols)))
+                vecs.append({c: _gaussian(rng) for c in cols})
+        acc = linalg.SparseEchelon()
+        added = [acc.add(v) for v in vecs]
+        dense = linalg.rank(exact([[v.get(c, QQi(0)) for c in range(ncols)] for v in vecs]))
+        assert acc.rank == dense == sum(added), trial
+        deficient += dense < len(vecs)
+    assert deficient > 50
+
+
+def test_back_substitution_forms_no_qqi_products(monkeypatch):
+    rng = random.Random(5)
+    m = exact([[_gaussian(rng) for _ in range(3)] for _ in range(5)]) \
+        @ exact([[_gaussian(rng) for _ in range(7)] for _ in range(3)])
+    assert linalg.rank(m) == 3
+    rhs = m @ exact([[_gaussian(rng)] for _ in range(7)])
+    calls = []
+    for name in ("__mul__", "__truediv__"):
+        original = getattr(QQi, name)
+        monkeypatch.setattr(QQi, name, lambda a, b, name=name, original=original:
+                            calls.append(name) or original(a, b))
+    ker = linalg.kernel_basis(m)
+    x = linalg.solve(m, rhs)
+    assert calls == []
+    monkeypatch.undo()
+    assert ker.dim == 4 and (m @ ker.basis).is_zero() and m @ x == rhs
 
 
 def test_float_rank_uses_policy():

@@ -1,6 +1,7 @@
-"""Differential tests of the exact spectral route against sympy: the
-characteristic polynomial against sympy's, and certified eigenvalues
-against spectra known by construction, S J S^-1 with J in Jordan form."""
+"""Differential tests of the exact routes against sympy: rank, kernel and
+solve against sympy's elimination, the characteristic polynomial against
+sympy's, and certified eigenvalues against spectra known by construction,
+S J S^-1 with J in Jordan form."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from koszul_index.errors import IrrationalSpectrum  # noqa: E402
+from koszul_index import linalg  # noqa: E402
+from koszul_index.errors import InconsistentSystem, IrrationalSpectrum  # noqa: E402
 from koszul_index.linalg import Matrix  # noqa: E402
 from koszul_index.scalars import QQi  # noqa: E402
 from koszul_index.spectrum import charpoly, exact_eigenvalues  # noqa: E402
@@ -51,6 +53,58 @@ def _random_matrix(rng):
             for j in range(k):
                 rows[i][j] = QQi(0)
     return Matrix(rows)
+
+
+def _random_system(rng, stats):
+    """A seeded Gaussian-rational matrix up to 8x8, with some rows planted
+    as Gaussian combinations of earlier ones and sometimes a zero column,
+    and a right-hand side that is consistent about half the time."""
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+    zero_share = rng.choice([0.0, 0.3, 0.6])
+    rows = [[_gaussian(rng, zero_share) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.4:
+        k = rng.randint(1, nrows - 1)
+        for i in range(k, nrows):
+            a, b = _gaussian(rng), _gaussian(rng)
+            rows[i] = [a * x + b * y for x, y in
+                       zip(rows[rng.randrange(k)], rows[rng.randrange(k)])]
+    if rng.random() < 0.3:
+        stats["zero column"] += 1
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = QQi(0)
+    m = Matrix(rows)
+    k = rng.randint(1, 2)
+    if rng.random() < 0.5:
+        rhs = m @ Matrix([[_gaussian(rng) for _ in range(k)] for _ in range(ncols)])
+    else:
+        rhs = Matrix([[_gaussian(rng) for _ in range(k)] for _ in range(nrows)])
+    return m, rhs
+
+
+def test_rank_kernel_and_solve_match_sympy():
+    rng = random.Random(77)
+    stats = {"zero column": 0, "rank-deficient": 0, "inconsistent": 0}
+    for trial in range(60):
+        m, rhs = _random_system(rng, stats)
+        sm = _sympy_matrix(m)
+        rank = linalg.rank(m)
+        assert rank == sm.rank(), trial
+        stats["rank-deficient"] += rank < min(m.shape)
+        ker = linalg.kernel_basis(m).basis
+        expected = [[_from_sympy(x) for x in v] for v in sm.nullspace()]
+        assert [list(col) for col in zip(*ker.entries)] == expected, trial
+        try:
+            sol, params = sm.gauss_jordan_solve(_sympy_matrix(rhs))
+        except ValueError:
+            stats["inconsistent"] += 1
+            with pytest.raises(InconsistentSystem):
+                linalg.solve(m, rhs)
+            continue
+        sol = sol.subs({p: 0 for p in params})
+        assert linalg.solve(m, rhs) == Matrix(
+            [[_from_sympy(sol[i, j]) for j in range(rhs.cols)] for i in range(m.cols)]), trial
+    assert min(stats.values()) >= 10, stats
 
 
 def test_charpoly_matches_sympy():

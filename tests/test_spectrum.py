@@ -99,6 +99,20 @@ def test_equivalences_examples():
     assert sum(m for _, m in spectral_decomposition(jordan).multiplicities()) == 2
 
 
+def test_equivalences_share_the_joint_kernel(monkeypatch):
+    # the top homology is read from the homology profile, whose cross-check
+    # already computed the joint kernel; the kernel chain takes the other two
+    from koszul_index import linalg
+
+    calls = []
+    original = linalg.kernel_basis
+    monkeypatch.setattr(linalg, "kernel_basis",
+                        lambda *args: calls.append(1) or original(*args))
+    report = joint_spectrum_equivalences(DIAG, (QQi(1), QQi(3)))
+    assert report.agree and report.in_taylor_spectrum and report.top_homology_nonzero
+    assert len(calls) == 3
+
+
 def test_apply_polynomial_map_examples():
     ident = apply_polynomial_map(DIAG, parse_system("z1; z2", 2))
     assert ident.operators == DIAG.operators
