@@ -310,7 +310,7 @@ def _run_multiplicity(inputs, tol, outputs, checks):
         bool(match) and match[0] == cert.multiplicity,
         f"eigenspace {match} vs truncation {cert.multiplicity}"))
     if check_diagonal:
-        ok = mult_mod.verify_diagonal_degree(system, point)
+        ok = mult_mod.verify_diagonal_degree(system, cert)
         outputs["diagonal_degree_equal"] = ok
         checks.append(_check_dict("diagonal_degree_identity", ok))
     return EXACT

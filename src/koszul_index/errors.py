@@ -51,7 +51,12 @@ class NotAZero(KoszulIndexError):
 
 
 class NotIsolated(KoszulIndexError):
-    """Codimension failed to stabilize; the zero is likely not isolated."""
+    """Codimension failed to stabilize on an ideal that is not
+    zero-dimensional, so isolation of the zero was not proved."""
+
+
+class ResourceLimit(KoszulIndexError):
+    """A computation reached its declared bound before it could finish."""
 
 
 class ZeroOnBoundary(KoszulIndexError):

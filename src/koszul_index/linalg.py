@@ -615,11 +615,12 @@ def induced_on_subquotient(ops, cycles: Subspace, boundaries: Subspace,
 
 
 class SparseEchelon:
-    """Incremental exact row reduction for sparse vectors (dict col -> QQi).
+    """Incremental exact row reduction for sparse vectors, each a dict from
+    column to a nonzero Gaussian-integer pair (re, im).
 
     Used for large structured rank queries where dense elimination would be
-    wasteful; only the rank is exposed. Rows are kept as primitive
-    Gaussian-integer pairs (integer content divided out) and reduced by
+    wasteful; only ranks are exposed. Rows are kept primitive (integer
+    content divided out), each leading at its least column, and reduced by
     cross-multiplication, so no fraction is formed.
     """
 
@@ -630,8 +631,12 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self._rows)
 
+    def rank_below(self, column) -> int:
+        """Rank of the rows projected onto the columns before `column`: the
+        number of rows that lead there, since their leads are distinct."""
+        return sum(1 for lead in self._rows if lead < column)
+
     def _reduce(self, vec: dict) -> dict:
-        vec = {c: v for c, v in zip(vec, _clear_denominators(vec.values())) if v != (0, 0)}
         while vec:
             g = math.gcd(*[a for pair in vec.values() for a in pair])
             if g > 1:

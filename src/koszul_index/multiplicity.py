@@ -6,18 +6,24 @@ once.
 The codimension at truncation order N is exactly the dimension of the local
 ring modulo the ideal plus the N-th power of the maximal ideal; it is
 non-decreasing in N and one plateau step certifies stabilization.
+
+One echelon of the untruncated products m * g_i, columns by degree first,
+serves every order: its rows that lead in degrees < N project onto a basis of
+the order-N truncation span, and the rows that lead higher lie in degrees >= N.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from . import linalg, spectrum
-from .errors import ArityMismatch, NotAZero, NotIsolated, ZeroOnBoundary
+from .errors import (ArityMismatch, NotAZero, NotIsolated, ResourceLimit,
+                     ZeroOnBoundary)
 from .linalg import SparseEchelon
-from .poly import (DEGREVLEX, MonomialOrder, Polynomial, groebner,
-                   mono_degree, mono_mul, monomials_below, quotient_algebra)
+from .poly import (DEGREVLEX, MonomialOrder, Polynomial, groebner, mono_degree,
+                   mono_mul, monomials_of_degree, quotient_algebra)
 from .koszul import CommutingTuple
 from .scalars import EXACT, FLOAT, QQi, TolerancePolicy
 
@@ -47,55 +53,74 @@ def _require_square(system):
     return system, nvars
 
 
+class _Truncation:
+    """The products m * g_i of a system at the origin in one SparseEchelon
+    that grows with the truncation order: order N adds the products whose
+    least degree is N - 1, each generator's coefficients cleared to
+    Gaussian integers once. A column is a (degree, monomial) pair."""
+
+    def __init__(self, system_at_origin):
+        self.nvars = system_at_origin[0].nvars
+        self.gens = []  # (order of vanishing, [((degree, monomial), pair)])
+        for g in system_at_origin:
+            if not g.is_zero():
+                pairs = linalg._clear_denominators(g.terms.values())
+                columns = [(mono_degree(m), m) for m in g.terms]
+                self.gens.append((g.order_of_vanishing(), list(zip(columns, pairs))))
+        self.echelon = SparseEchelon()
+        self.order = 0
+
+    def codimension(self, order_bound):
+        """codim of span{trunc(m * g_i)} inside polynomials of degree <
+        order_bound; later orders add rows that lead in higher degrees
+        only, so any order already passed can still be read."""
+        while self.order < order_bound:
+            self.order += 1
+            for ord_g, terms in self.gens:
+                deg_m = self.order - 1 - ord_g
+                for mult in monomials_of_degree(self.nvars, deg_m) if deg_m >= 0 else ():
+                    self.echelon.add({(d + deg_m, mono_mul(mono, mult)): pair
+                                      for (d, mono), pair in terms})
+        below = math.comb(order_bound - 1 + self.nvars, self.nvars)
+        # (N,) sorts after every column of degree < N and before the rest
+        return below - self.echelon.rank_below((order_bound,))
+
+
 def truncated_codimension(system_at_origin, order_bound: int) -> int:
     """codim of span{trunc(m * g_i)} inside polynomials of degree < bound."""
-    nvars = system_at_origin[0].nvars
-    monomials = list(monomials_below(nvars, order_bound))
-    position = {m: i for i, m in enumerate(monomials)}
-    echelon = SparseEchelon()
-    for g in system_at_origin:
-        if g.is_zero():
-            continue
-        ord_g = g.order_of_vanishing()
-        for mult in monomials_below(nvars, max(order_bound - ord_g, 0)):
-            vec = {}
-            for mono, coeff in g.terms.items():
-                shifted = mono_mul(mono, mult)
-                if mono_degree(shifted) < order_bound:
-                    pos = position[shifted]
-                    acc = vec.get(pos, QQi(0)) + coeff
-                    if acc:
-                        vec[pos] = acc
-                    else:
-                        vec.pop(pos, None)
-            if vec:
-                echelon.add(vec)
-    return len(monomials) - echelon.rank
+    return _Truncation(system_at_origin).codimension(order_bound)
 
 
 def local_multiplicity(system, point, n_max: int = 30) -> MultiplicityCertificate:
     """dim of the local ring modulo the ideal at an isolated zero.
 
-    Raises NotAZero when the point is not a common zero and NotIsolated when
-    the codimension fails to stabilize by n_max.
+    Raises NotAZero when the point is not a common zero. When the
+    codimension still grows at order n_max, raises ResourceLimit if the
+    ideal is zero-dimensional (so every zero is isolated) and NotIsolated
+    otherwise.
     """
-    system, nvars = _require_square(system)
+    system, _ = _require_square(system)
     point = tuple(p if isinstance(p, QQi) else QQi(p) for p in point)
-    if len(point) != nvars:
-        raise ArityMismatch("point dimension differs from variable count")
-    for g in system:
-        if not g.evaluate(point).is_zero():
-            raise NotAZero(f"system does not vanish at ({', '.join(map(str, point))})")
     translated = [g.shift(point) for g in system]
-    prev = truncated_codimension(translated, 1)
+    # the constant term of g(z + point) is g(point)
+    if any(g.order_of_vanishing() == 0 for g in translated):
+        raise NotAZero(f"system does not vanish at ({', '.join(map(str, point))})")
+    engine = _Truncation(translated)
+    prev = engine.codimension(1)
     for order_bound in range(1, n_max):
-        nxt = truncated_codimension(translated, order_bound + 1)
+        nxt = engine.codimension(order_bound + 1)
         if nxt < prev:
             raise AssertionError("codimension decreased; truncation engine bug")
         if nxt == prev:
             return MultiplicityCertificate(point, prev, order_bound)
         prev = nxt
-    raise NotIsolated(f"codimension still growing at truncation order {n_max}")
+    if groebner(system).is_zero_dimensional():
+        raise ResourceLimit(
+            f"codimension still growing at truncation order {n_max}, although "
+            "the ideal is zero-dimensional and the zero is isolated")
+    raise NotIsolated(
+        f"codimension still growing at truncation order {n_max}, and the ideal "
+        "is not zero-dimensional: isolation was not proved")
 
 
 def jacobian_regular(system, point) -> bool:
@@ -122,10 +147,13 @@ def build_diagonal_system(system):
 
 def verify_diagonal_degree(system, point, n_max: int = 30) -> bool:
     """Check the degree identity between g at a zero and the diagonal system
-    at the doubled zero."""
-    base = local_multiplicity(system, point, n_max)
-    doubled = tuple(point) + tuple(point)
-    diag = local_multiplicity(build_diagonal_system(system), doubled, n_max)
+    at the doubled zero. `point` may be g's certificate at the zero, whose
+    multiplicity is then not computed again."""
+    if isinstance(point, MultiplicityCertificate):
+        base = point
+    else:
+        base = local_multiplicity(system, point, n_max)
+    diag = local_multiplicity(build_diagonal_system(system), base.point * 2, n_max)
     return base.multiplicity == diag.multiplicity
 
 

@@ -9,6 +9,7 @@ rejected because basis computations are numerically unstable.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -269,20 +270,26 @@ class Polynomial:
         return acc
 
     def shift(self, point) -> "Polynomial":
-        """The translate p(z + point)."""
+        """The translate p(z + point), expanding each term by the binomial
+        theorem; p itself at the origin."""
         point = [p if isinstance(p, QQi) else QQi(p) for p in point]
         if len(point) != self.nvars:
             raise ArityMismatch("point dimension differs from variable count")
-        acc = Polynomial.zero(self.nvars)
+        if not any(point):
+            return self
+        terms = {}
         for mono, coeff in self.terms.items():
-            term = Polynomial.constant(self.nvars, coeff)
-            for i, e in enumerate(mono):
-                if e:
-                    factor = Polynomial.variable(self.nvars, i + 1) + Polynomial.constant(
-                        self.nvars, point[i])
-                    term = term * factor ** e
-            acc = acc + term
-        return acc
+            # (z_i + a_i)^e = sum over k of C(e, k) a_i^(e - k) z_i^k
+            expansions = [[(k, a ** (e - k) * QQi(math.comb(e, k)))
+                           for k in range(e + 1) if a or k == e]
+                          for a, e in zip(point, mono)]
+            for combo in itertools.product(*expansions):
+                c = coeff
+                for _, f in combo:
+                    c = c * f
+                key = tuple(k for k, _ in combo)
+                terms[key] = terms.get(key, QQi(0)) + c
+        return Polynomial(self.nvars, terms)
 
     def embed(self, nvars: int, var_map) -> "Polynomial":
         """Reindex variables: old variable i+1 becomes new variable
@@ -546,6 +553,19 @@ class GroebnerBasis:
     def leading_monomials(self):
         return [g.leading(self.order)[0] for g in self.polys]
 
+    def pure_power_bounds(self):
+        """For each variable z_i, the least e > 0 with z_i^e a leading
+        monomial, or None when there is none."""
+        leads = self.leading_monomials()
+        return [min((lm[i] for lm in leads if lm[i] > 0 and
+                     all(e == 0 for k, e in enumerate(lm) if k != i)), default=None)
+                for i in range(self.nvars)]
+
+    def is_zero_dimensional(self) -> bool:
+        """True when every variable has a pure-power leading monomial, so
+        the ideal has finitely many zeros, each of them isolated."""
+        return bool(self.polys) and None not in self.pure_power_bounds()
+
     def __iter__(self):
         return iter(self.polys)
 
@@ -638,14 +658,10 @@ def quotient_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
     if any(mono_degree(lm) == 0 for lm in leads):  # unit ideal
         mats = tuple(Matrix.zeros(0, 0, EXACT) for _ in range(nvars))
         return QuotientAlgebra(gb, (), mats, nvars)
-    bounds = []
-    for i in range(nvars):
-        pure = [lm[i] for lm in leads
-                if all(e == 0 for k, e in enumerate(lm) if k != i) and lm[i] > 0]
-        if not pure:
-            raise NotZeroDimensional(
-                f"no pure power of z{i + 1} among the leading terms")
-        bounds.append(min(pure))
+    bounds = gb.pure_power_bounds()
+    if None in bounds:
+        raise NotZeroDimensional(
+            f"no pure power of z{bounds.index(None) + 1} among the leading terms")
     standard = []
     for mono in itertools.product(*(range(b) for b in bounds)):
         if not any(mono_divides(lm, mono) for lm in leads):

@@ -29,6 +29,8 @@ DEFAULT_SEED = 0x5EED
 _DENOMINATOR_LADDER = (1, 100, 10**4, 10**6, 10**9)
 _ABERTH_TOL = 1e-15
 _ABERTH_SWEEPS = 200
+_NEWTON_STEPS = 6
+_NEWTON_GRID = Fraction(1, 2 ** 256)
 
 
 # -- exact univariate polynomial helpers (coefficients low to high) -----------
@@ -141,16 +143,34 @@ def _pad(a, b):
     return zip(a, b)
 
 
-def _reconstruct_root(z: complex, factor, radius: float) -> QQi | None:
-    """The first exact root of `factor` on the denominator ladder that lies
-    within `radius` of the numeric root z, so it is z's root and not a
-    neighbour's."""
+def _on_ladder(x: QQi, z: complex, factor, radius: float) -> QQi | None:
     for bound in _DENOMINATOR_LADDER:
-        cand = QQi(Fraction(z.real).limit_denominator(bound),
-                   Fraction(z.imag).limit_denominator(bound))
+        cand = QQi(x.re.limit_denominator(bound), x.im.limit_denominator(bound))
         if abs(complex(cand) - z) < radius and _eval(factor, cand).is_zero():
             return cand
     return None
+
+
+def _reconstruct_root(z: complex, factor, radius: float) -> QQi | None:
+    """The first exact root of `factor` on the denominator ladder that lies
+    within `radius` of the numeric root z, so it is z's root and not a
+    neighbour's. When z is too coarse for the ladder, as for roots close
+    relative to their size, the ladder runs once more on z refined by up to
+    _NEWTON_STEPS exact Newton steps on the square-free factor, each iterate
+    rounded to multiples of _NEWTON_GRID so its size stays bounded."""
+    x = QQi(Fraction(z.real), Fraction(z.imag))
+    cand = _on_ladder(x, z, factor, radius)
+    if cand is not None:
+        return cand
+    derivative = _deriv(factor)
+    for _ in range(_NEWTON_STEPS):
+        slope = _eval(derivative, x)
+        if not slope:
+            break
+        step = _eval(factor, x) / slope
+        x = QQi(round((x.re - step.re) / _NEWTON_GRID) * _NEWTON_GRID,
+                round((x.im - step.im) / _NEWTON_GRID) * _NEWTON_GRID)
+    return _on_ladder(x, z, factor, radius)
 
 
 def _numeric_roots(factor):

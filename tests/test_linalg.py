@@ -134,11 +134,17 @@ def test_induced_on_subquotient_jordan():
     assert mats == [jordan, ident]
 
 
+def _pairs(vec):
+    """A sparse exact row as the nonzero Gaussian-integer pairs SparseEchelon takes."""
+    return {c: p for c, p in zip(vec, linalg._clear_denominators(vec.values()))
+            if p != (0, 0)}
+
+
 def test_sparse_echelon_rank():
     acc = linalg.SparseEchelon()
-    assert acc.add({0: QQi(1), 2: QQi(2)})
-    assert acc.add({1: QQi(1)})
-    assert not acc.add({0: QQi(2), 1: QQi(3), 2: QQi(4)})  # 2*first + 3*second
+    assert acc.add(_pairs({0: QQi(1), 2: QQi(2)}))
+    assert acc.add(_pairs({1: QQi(1)}))
+    assert not acc.add(_pairs({0: QQi(2), 1: QQi(3), 2: QQi(4)}))  # 2*first + 3*second
     assert acc.rank == 2
 
 
@@ -162,7 +168,7 @@ def test_sparse_echelon_rank_matches_dense():
                 cols = rng.sample(range(ncols), rng.randint(0, min(4, ncols)))
                 vecs.append({c: _gaussian(rng) for c in cols})
         acc = linalg.SparseEchelon()
-        added = [acc.add(v) for v in vecs]
+        added = [acc.add(_pairs(v)) for v in vecs]
         dense = linalg.rank(exact([[v.get(c, QQi(0)) for c in range(ncols)] for v in vecs]))
         assert acc.rank == dense == sum(added), trial
         deficient += dense < len(vecs)

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -162,6 +165,25 @@ def test_shift_and_partial():
     assert shifted == poly("z1^2 + 2*z1 + 1 - z2", 2)
     assert p.partial(1) == poly("2*z1", 2)
     assert p.partial(2) == poly("-1", 2)
+
+
+def _gaussian(rng):
+    return QQi(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+               Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.5 else 0)
+
+
+def test_shift_properties_on_seeded_polynomials():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        p = Polynomial(n, {tuple(rng.randint(0, 3) for _ in range(n)): _gaussian(rng)
+                           for _ in range(rng.randint(0, 5))})
+        a = [_gaussian(rng) for _ in range(n)]
+        z = [_gaussian(rng) for _ in range(n)]
+        shifted = p.shift(a)
+        assert shifted.shift([-x for x in a]) == p
+        assert shifted.evaluate(z) == p.evaluate([x + y for x, y in zip(z, a)])
+        assert p.shift([QQi(0)] * n) is p
 
 
 def test_str_round_trips_through_parser():

@@ -5,6 +5,7 @@ import pytest
 from koszul_index.errors import ArityMismatch, IrrationalSpectrum
 from koszul_index.koszul import CommutingTuple
 from koszul_index.linalg import Matrix
+from koszul_index.multiplicity import global_multiplicity_table
 from koszul_index.poly import groebner, parse_system, quotient_algebra
 from koszul_index.scalars import EXACT, FLOAT, QQi
 from koszul_index.spectrum import (apply_polynomial_map, charpoly,
@@ -46,6 +47,22 @@ def test_exact_eigenvalues_close_rational_roots(a, b):
     # a coarse rational guess for one root may be the other root exactly
     m = Matrix([[QQi.parse(a), QQi(0)], [QQi(0), QQi.parse(b)]])
     assert exact_eigenvalues(m) == [(QQi.parse(a), 1), (QQi.parse(b), 1)]
+
+
+def test_exact_eigenvalues_close_relative_to_their_size():
+    # float guesses of the cubic are too coarse for a gap of 1/1000 at 1000
+    m = Matrix([[QQi(999), QQi(0), QQi(0)], [QQi(0), QQi(1000), QQi(0)],
+                [QQi(0), QQi(0), QQi(Fraction(1000001, 1000))]])
+    assert exact_eigenvalues(m) == [(QQi(999), 1), (QQi(1000), 1),
+                                    (QQi(Fraction(1000001, 1000)), 1)]
+    table = global_multiplicity_table(parse_system("(z1-999)*(z1-1000)*(z1-1000001/1000)", 1))
+    assert table.entries == (((QQi(999),), 1), ((QQi(1000),), 1),
+                             ((QQi(Fraction(1000001, 1000)),), 1))
+
+
+def test_exact_eigenvalues_of_an_irrational_companion_still_raise():
+    with pytest.raises(IrrationalSpectrum):
+        exact_eigenvalues(Matrix([[0, 2], [1, 0]]))  # x^2 - 2
 
 
 def test_decomposition_diagonal_pair():
