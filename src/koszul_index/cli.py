@@ -332,6 +332,9 @@ def _run_index(inputs, tol, outputs, checks):
     outputs["local_indices"] = [
         {"point": _point_strs(pt), "index": li}
         for pt, li in report.local_indices]
+    if report.skipped:
+        outputs["skipped_checks"] = [{"name": name, "reason": why}
+                                     for name, why in report.skipped]
     checks.extend(_check_dict(c.name, c.passed, c.detail)
                   for c in report.checks)
     return report.backend  # float when the zeros leave Q(i)

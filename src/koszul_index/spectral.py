@@ -33,7 +33,10 @@ class Bicomplex:
     ChainComplex asserts when the joined complex is built.
 
     Pages and the approximate-cycle subspaces they come from are computed
-    once per bicomplex and cached."""
+    once per bicomplex and cached. Products use only the target block's
+    rows of d (K_{p,q} for the boundaries of entry (p,q), K_{p-r,q+r-1}
+    for its page-r differential): picking rows commutes with the product,
+    so no other block's rows are computed."""
 
     def __init__(self, tuple_a: CommutingTuple, tuple_b: CommutingTuple):
         if tuple_a.backend != EXACT or tuple_b.backend != EXACT:
@@ -108,23 +111,16 @@ class Bicomplex:
         self._a_cache[key] = out
         return out
 
-    def _project(self, k: int, p: int, mat: Matrix) -> Matrix:
-        """The rows of a degree-k matrix that lie in K_{p,k-p}."""
-        return mat.take_rows(self._indices(k, lambda bp: bp == p))
-
     def entry(self, p: int, q: int, r: int) -> PageEntry:
         k = p + q
         a_now = self.approx_cycles(p, p - r, k)
-        cycles = linalg.image_basis(self._project(k, p, a_now))
-        if r == 0:
-            boundaries = Subspace.trivial(self.dims[p][q], EXACT)
-        else:
+        cycles = linalg.image_basis(a_now.take_rows(self.blocks[k][p]))
+        boundaries = Subspace.trivial(self.dims[p][q], EXACT)
+        if r:
             a_prev = self.approx_cycles(p + r - 1, p, k + 1)
-            if a_prev.cols and k + 1 <= self.complex.length:
-                img = self.complex.d(k + 1) @ a_prev
-                boundaries = linalg.image_basis(self._project(k, p, img))
-            else:
-                boundaries = Subspace.trivial(self.dims[p][q], EXACT)
+            if a_prev.cols:
+                rows = self.complex.d(k + 1).take_rows(self.blocks[k][p])
+                boundaries = linalg.image_basis(rows @ a_prev)
         reps = linalg.extend_basis(boundaries.basis, cycles.basis)
         return PageEntry(cycles, boundaries, reps)
 
@@ -145,24 +141,18 @@ class Bicomplex:
         return self._pages[r]
 
     def _differential(self, p, q, r, entry: PageEntry, target: PageEntry) -> Matrix:
+        """Lift every representative to an approximate cycle with one solve,
+        apply the rows of d that land in the target block, and read the
+        target coordinates off one frame solve."""
+        if target.dim == 0:
+            return Matrix.zeros(0, entry.dim, EXACT)
         k = p + q
         a_now = self.approx_cycles(p, p - r, k)
-        proj = self._project(k, p, a_now)
-        cols = []
-        for ci in range(entry.reps.cols):
-            rep = entry.reps.take_cols([ci])
-            coeff = linalg.solve(proj, rep)
-            lift = a_now @ coeff
-            image = self.complex.d(k) @ lift
-            wt = self._project(k - 1, p - r, image)
-            if target.dim == 0:
-                cols.append([])
-                continue
-            frame = Matrix.hstack([target.boundaries.basis, target.reps])
-            coords = linalg.solve(frame, wt)
-            cols.append([coords[target.boundaries.dim + i, 0] for i in range(target.dim)])
-        return Matrix([[cols[c][i] for c in range(len(cols))] for i in range(target.dim)],
-                      EXACT, shape=(target.dim, entry.reps.cols))
+        lift = a_now @ linalg.solve(a_now.take_rows(self.blocks[k][p]), entry.reps)
+        image = self.complex.d(k).take_rows(self.blocks[k - 1][p - r]) @ lift
+        frame = Matrix.hstack([target.boundaries.basis, target.reps])
+        coords = linalg.solve(frame, image)
+        return coords.take_rows(range(target.boundaries.dim, frame.cols))
 
 
 def build_bicomplex(a: CommutingTuple, b: CommutingTuple) -> Bicomplex:
@@ -261,14 +251,9 @@ def stabilization_page(pages) -> int:
 
 def _check_page_step(cur: SpectralPage, nxt: SpectralPage):
     r = cur.r
+    ranks = {spot: linalg.rank(mat) for spot, mat in cur.differentials.items()}
     for (p, q), entry in cur.entries.items():
-        out = cur.differentials.get((p, q))
-        rank_out = linalg.rank(out) if out is not None else 0
-        sp, sq = p + r, q - r + 1
-        into = cur.differentials.get((sp, sq))
-        rank_in = linalg.rank(into) if into is not None and (sp, sq) in cur.entries \
-            and cur.entries[(sp, sq)].dim else 0
-        expected = entry.dim - rank_out - rank_in
+        expected = entry.dim - ranks.get((p, q), 0) - ranks.get((p + r, q - r + 1), 0)
         if nxt.dim(p, q) != expected:
             raise AssertionError(
                 f"page {r + 1} entry ({p},{q}) is {nxt.dim(p, q)}, expected {expected}")

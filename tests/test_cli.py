@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -269,6 +270,27 @@ def test_index_reports_the_backend_that_ran(tmp_path):
     assert code == 0 and reports[0]["backend"] == "exact"
 
 
+def test_float_index_lists_the_check_it_skipped(tmp_path):
+    code, reports, _ = run_main(
+        ["index", "--domain", '{"kind":"polydisc","center":["0"],"radii":["2"]}',
+         "--system", "z1^2-2"], tmp_path)
+    assert code == 0 and reports[0]["pass"] and reports[0]["backend"] == "float"
+    skipped = reports[0]["outputs"]["skipped_checks"]
+    assert [s["name"] for s in skipped] == ["sum_of_local_indices"]
+    assert "exact-only" in skipped[0]["reason"]
+    # a skipped check is never listed as passed
+    assert "sum_of_local_indices" not in {c["name"] for c in reports[0]["checks"]}
+
+
+def test_exact_index_has_no_skipped_checks(tmp_path):
+    code, reports, _ = run_main(
+        ["index", "--domain", '{"kind":"polydisc","center":["0"],"radii":["2"]}',
+         "--system", "z1^2 - 1/4"], tmp_path)
+    assert code == 0 and reports[0]["backend"] == "exact"
+    assert "skipped_checks" not in reports[0]["outputs"]
+    assert "sum_of_local_indices" in {c["name"] for c in reports[0]["checks"]}
+
+
 def test_reciprocity_reports_the_backend_that_ran(tmp_path):
     args = ["reciprocity", "--domain-a",
             '{"kind":"polydisc","center":["0"],"radii":["2"]}', "--domain-b",
@@ -365,11 +387,14 @@ def test_spectrum_at_decomposes_once(monkeypatch, tmp_path):
 
 
 def test_verify_all_float_variant_passes(tmp_path):
-    code, reports, _ = run_main(["verify-all", "--backend", "float"], tmp_path)
+    code, reports, data = run_main(
+        ["verify-all", "--seed", "7", "--backend", "float"], tmp_path)
     assert code == 0
     assert all(r["pass"] for r in reports)
     backends = {r["backend"] for r in reports}
     assert backends == {"float", "exact"}  # exact-only engines stay exact
+    assert hashlib.sha256(data).hexdigest() == \
+        "9f669839cf003d1a4893e137c55faddd9684704285ec336e789de8a7972bd605"
 
 
 def test_builtin_scenarios_deterministic():
