@@ -16,7 +16,7 @@ diag = CommutingTuple([Matrix([[1, 0], [0, 2]]), Matrix([[3, 0], [0, 4]])])
 decomposition = spectral_decomposition(diag)
 print("joint eigenvalues of the diagonal pair:")
 for point, space in decomposition.components:
-    print("  ", tuple(str(x) for x in point), "with multiplicity", space.dim)
+    print("  ", tuple(str(x) for x in point), "with multiplicity", space.cols)
 
 for candidate in [(QQi(1), QQi(3)), (QQi(1), QQi(4))]:
     report = joint_spectrum_equivalences(diag, candidate)
@@ -30,7 +30,7 @@ algebra = quotient_algebra(groebner(parse_system("z1^2 - z2; z2^2", 2)))
 mult = CommutingTuple(list(algebra.mult_matrices))
 print("quotient dimension:", algebra.dim)
 print("multiplication spectrum:",
-      [(tuple(map(str, p)), s.dim)
+      [(tuple(map(str, p)), s.cols)
        for p, s in spectral_decomposition(mult).components])
 
 # Localized homology of a composed tuple at a zero: for the coordinate
@@ -43,4 +43,4 @@ print("local dims at 3:", localized_homology(tz, parse_system("z1", 1), (QQi(3),
 # Spectral mapping under the polynomial calculus.
 summed = apply_polynomial_map(diag, parse_system("z1 + z2", 2))
 print("spectrum of the sum:",
-      [(str(p[0]), s.dim) for p, s in spectral_decomposition(summed).components])
+      [(str(p[0]), s.cols) for p, s in spectral_decomposition(summed).components])

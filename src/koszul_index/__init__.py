@@ -4,8 +4,7 @@ arithmetic and polynomial model spaces at desk scale."""
 
 from . import errors
 from .scalars import EXACT, FLOAT, QQi, TolerancePolicy
-from .linalg import (Matrix, Subspace, det, image_basis, kernel_basis,
-                     quotient_dim, rank, solve)
+from .linalg import Matrix, det, image_basis, kernel_basis, rank, solve
 from .poly import (DEGREVLEX, LEX, GroebnerBasis, MonomialOrder, Polynomial,
                    QuotientAlgebra, groebner, normal_form, parse_polynomial,
                    parse_system, quotient_algebra)
@@ -33,8 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "errors", "EXACT", "FLOAT", "QQi", "TolerancePolicy",
-    "Matrix", "Subspace", "det", "image_basis", "kernel_basis",
-    "quotient_dim", "rank", "solve",
+    "Matrix", "det", "image_basis", "kernel_basis", "rank", "solve",
     "DEGREVLEX", "LEX", "GroebnerBasis", "MonomialOrder", "Polynomial",
     "QuotientAlgebra", "groebner", "normal_form", "parse_polynomial",
     "parse_system", "quotient_algebra",

@@ -256,7 +256,7 @@ def _run_spectrum(inputs, tol, outputs, checks):
     tup = CommutingTuple(ops, tol)
     decomposition = spectrum.spectral_decomposition(tup, tol)
     outputs["eigenvalues"] = [
-        {"point": _point_strs(pt), "multiplicity": space.dim}
+        {"point": _point_strs(pt), "multiplicity": space.cols}
         for pt, space in decomposition.components]
     total = decomposition.total_dim()
     checks.append(_check_dict("eigenspace_dimensions_sum",

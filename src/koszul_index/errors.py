@@ -9,10 +9,6 @@ class BackendMismatch(KoszulIndexError):
     """Exact and float values were mixed in a single container or operation."""
 
 
-class NotContained(KoszulIndexError):
-    """A subspace claimed to be contained in another is not."""
-
-
 class InconsistentSystem(KoszulIndexError):
     """A linear system has no solution."""
 

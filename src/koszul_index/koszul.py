@@ -14,7 +14,7 @@ from itertools import combinations
 
 from . import linalg
 from .errors import CommutatorError
-from .linalg import Matrix, Subspace
+from .linalg import Matrix
 from .scalars import EXACT, QQi, TolerancePolicy
 
 
@@ -104,20 +104,19 @@ class ChainComplex:
     """A finite chain complex with spaces indexed 0..length and
     differentials d_k: C_k -> C_(k-1)."""
 
-    def __init__(self, dims, diffs, tol: TolerancePolicy | None = None, check=True):
+    def __init__(self, dims, diffs, tol: TolerancePolicy | None = None):
         self.dims = list(dims)
         self.length = len(self.dims) - 1
         self.diffs = dict(diffs)  # k -> Matrix for 1 <= k <= length
         self.backend = next(iter(self.diffs.values())).backend if self.diffs else EXACT
-        if check:
-            for k in range(1, self.length + 1):
-                dk = self.d(k)
-                if dk.shape != (self.dims[k - 1], self.dims[k]):
-                    raise ValueError(f"differential {k} has the wrong shape")
-            for k in range(1, self.length):
-                prod = self.d(k) @ self.d(k + 1)
-                if not prod.is_zero(tol):
-                    raise AssertionError(f"d_{k} after d_{k + 1} is nonzero")
+        for k in range(1, self.length + 1):
+            dk = self.d(k)
+            if dk.shape != (self.dims[k - 1], self.dims[k]):
+                raise ValueError(f"differential {k} has the wrong shape")
+        for k in range(1, self.length):
+            prod = self.d(k) @ self.d(k + 1)
+            if not prod.is_zero(tol):
+                raise AssertionError(f"d_{k} after d_{k + 1} is nonzero")
 
     def d(self, k: int) -> Matrix:
         if k in self.diffs:
@@ -126,14 +125,16 @@ class ChainComplex:
         cols = self.dims[k] if 0 <= k <= self.length else 0
         return Matrix.zeros(rows, cols, self.backend)
 
-    def cycles(self, k: int, tol=None) -> Subspace:
+    def cycles(self, k: int, tol=None) -> Matrix:
+        """Column basis of the cycles in degree k."""
         if k == 0:
-            return Subspace.full(self.dims[0], self.backend)
+            return Matrix.identity(self.dims[0], self.backend)
         return linalg.kernel_basis(self.d(k), tol)
 
-    def boundaries(self, k: int, tol=None) -> Subspace:
+    def boundaries(self, k: int, tol=None) -> Matrix:
+        """Column basis of the boundaries in degree k."""
         if k >= self.length:
-            return Subspace.trivial(self.dims[k], self.backend)
+            return Matrix.zeros(self.dims[k], 0, self.backend)
         return linalg.image_basis(self.d(k + 1), tol)
 
     def homology_dims(self, tol=None):
@@ -206,7 +207,7 @@ def homology(c: ChainComplex, tol: TolerancePolicy | None = None) -> HomologyPro
     profile = HomologyProfile.from_dims(dims)
     if isinstance(c, KoszulComplex):
         ops = c.tuple.operators
-        top = linalg.kernel_basis(Matrix.vstack(ops), tol).dim
+        top = linalg.kernel_basis(Matrix.vstack(ops), tol).cols
         bottom = c.space_dim - linalg.rank(Matrix.hstack(ops), tol)
         if top != dims[-1] or bottom != dims[0]:
             raise AssertionError("homology cross-check failed at the ends")
@@ -270,42 +271,33 @@ def verify_cone_isomorphism(t: CommutingTuple, b: Matrix,
 
     The map sends the K_k summand to the matching subsets of {1..n} and the
     K_(k-1) summand to the subsets extended by n+1, with the sign of moving
-    the new generator into last position.
+    the new generator into last position. So in each degree it is a signed
+    permutation, kept as the full-complex row and the sign of each cone
+    column: it is bijective when those rows are a permutation, and a chain
+    map when full.d(k), with its rows and columns so permuted and signed,
+    equals cone.d(k).
     """
     extended = t.extend(b)  # checks that b commutes with the tuple
     cone = _cone(build_complex(t, tol), b, tol)
     full = build_complex(extended, tol)
     n, d = t.n, t.dim
-    backend = t.backend
-    zero = QQi(0) if backend == EXACT else 0.0 + 0j
-    one = QQi(1) if backend == EXACT else 1.0 + 0j
-    alphas = {}
+    alphas = []  # (row, sign) of each cone column, per degree
     for k in range(n + 2):
-        target = subsets(n + 1, k)
-        target_pos = {s: i for i, s in enumerate(target)}
-        rows = [[zero] * cone.dims[k] for _ in range(full.dims[k])]
-        col = 0
-        if k <= n:
-            for subset in subsets(n, k):
-                ri = target_pos[subset]
-                for v in range(d):
-                    rows[ri * d + v][col] = one
-                    col += 1
+        target_pos = {s: i for i, s in enumerate(subsets(n + 1, k))}
+        images = [(target_pos[subset], 1) for subset in subsets(n, k)]
         if k >= 1:
-            sign = one if (k - 1) % 2 == 0 else -one
-            for subset in subsets(n, k - 1):
-                ri = target_pos[subset + (n + 1,)]
-                for v in range(d):
-                    rows[ri * d + v][col] = sign
-                    col += 1
-        alphas[k] = Matrix(rows, backend, shape=(full.dims[k], cone.dims[k]))
-        if full.dims[k] != cone.dims[k]:
+            sign = 1 if (k - 1) % 2 == 0 else -1
+            images += [(target_pos[subset + (n + 1,)], sign)
+                       for subset in subsets(n, k - 1)]
+        alpha = [(ri * d + v, s) for ri, s in images for v in range(d)]
+        if sorted(row for row, _ in alpha) != list(range(full.dims[k])):
             return False
-        if linalg.rank(alphas[k], tol) != full.dims[k]:
-            return False
+        alphas.append(alpha)
     for k in range(1, n + 2):
-        lhs = full.d(k) @ alphas[k]
-        rhs = alphas[k - 1] @ cone.d(k)
-        if not (lhs - rhs).is_zero(tol):
+        entries = full.d(k).entries
+        pulled = Matrix([[entries[r][c] if rs == cs else -entries[r][c]
+                          for c, cs in alphas[k]] for r, rs in alphas[k - 1]],
+                        t.backend, shape=cone.d(k).shape)
+        if not (pulled - cone.d(k)).is_zero(tol):
             return False
     return True

@@ -1,6 +1,10 @@
 """Dense linear algebra over the two scalar backends: rank, kernel, image,
 solving and subspace calculus.
 
+A subspace is a Matrix whose columns are an independent basis of it: its
+ambient dimension is `rows`, its dimension is `cols`. Kernels, images,
+cycles, boundaries and eigenspaces all take this one form.
+
 Exact elimination runs on Python ints from input to answer: rows are scaled
 to Gaussian integers, eliminated fraction-free (Bareiss), and kernels and
 solves back-substitute over the last pivot, so each QQi of an answer is
@@ -16,7 +20,7 @@ import math
 import numbers
 from fractions import Fraction
 
-from .errors import BackendMismatch, InconsistentSystem, NotContained
+from .errors import BackendMismatch, InconsistentSystem
 from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ONE, ZERO, QQi, TolerancePolicy,
                       as_scalar)
 
@@ -168,19 +172,6 @@ class Matrix:
                 out_row.append(acc)
             data.append(out_row)
         return Matrix(data, self.backend, shape=(self.rows, other.cols))
-
-    def power(self, k: int) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        result = Matrix.identity(self.rows, self.backend)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return result
 
     def kron(self, other: "Matrix") -> "Matrix":
         _same_backend(self, other)
@@ -449,12 +440,10 @@ def det(m: Matrix) -> QQi:
     return QQi(Fraction(la * sign), Fraction(lb * sign)) / QQi(scale)
 
 
-def kernel_basis(m: Matrix, tol: TolerancePolicy | None = None) -> "Subspace":
-    """Basis of ker(m) as a subspace of the column-index space."""
-    if m.cols == 0:
-        return Subspace(0, Matrix.zeros(0, 0, m.backend), check=False)
-    if m.rows == 0:
-        return Subspace(m.cols, Matrix.identity(m.cols, m.backend), check=False)
+def kernel_basis(m: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
+    """Column basis of ker(m), in the column-index space of m."""
+    if 0 in m.shape:
+        return Matrix.identity(m.cols, m.backend)
     if m.backend == FLOAT:
         import numpy as np
 
@@ -464,23 +453,21 @@ def kernel_basis(m: Matrix, tol: TolerancePolicy | None = None) -> "Subspace":
         null_rows = [vh[i].conjugate() for i in range(len(s)) if s[i] <= cut]
         null_rows += [vh[i].conjugate() for i in range(len(s), m.cols)]
         if not null_rows:
-            return Subspace(m.cols, Matrix.zeros(m.cols, 0, FLOAT), check=False)
-        basis = Matrix.from_numpy(np.stack(null_rows, axis=1))
-        return Subspace(m.cols, basis, check=False)
+            return Matrix.zeros(m.cols, 0, FLOAT)
+        return Matrix.from_numpy(np.stack(null_rows, axis=1))
     rank_, pivots, rows, _, _ = _echelon(m)
     pivot_set = set(pivots)
     basis_cols = [_back_substitute(rows, pivots, m.cols, f)
                   for f in range(m.cols) if f not in pivot_set]
     if not basis_cols:
-        return Subspace(m.cols, Matrix.zeros(m.cols, 0, EXACT), check=False)
-    basis = Matrix(list(zip(*basis_cols)), EXACT, shape=(m.cols, len(basis_cols)))
-    return Subspace(m.cols, basis, check=False)
+        return Matrix.zeros(m.cols, 0, EXACT)
+    return Matrix(list(zip(*basis_cols)), EXACT, shape=(m.cols, len(basis_cols)))
 
 
-def image_basis(m: Matrix, tol: TolerancePolicy | None = None) -> "Subspace":
-    """Basis of the column space."""
+def image_basis(m: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
+    """Column basis of the column space of m."""
     if 0 in m.shape:
-        return Subspace(m.rows, Matrix.zeros(m.rows, 0, m.backend), check=False)
+        return Matrix.zeros(m.rows, 0, m.backend)
     if m.backend == FLOAT:
         import numpy as np
 
@@ -489,10 +476,10 @@ def image_basis(m: Matrix, tol: TolerancePolicy | None = None) -> "Subspace":
         cut = tol.rel * (s[0] if s.size and s[0] > 0 else 1.0)
         r = int(np.sum(s > cut))
         if r == 0:
-            return Subspace(m.rows, Matrix.zeros(m.rows, 0, FLOAT), check=False)
-        return Subspace(m.rows, Matrix.from_numpy(u[:, :r]), check=False)
+            return Matrix.zeros(m.rows, 0, FLOAT)
+        return Matrix.from_numpy(u[:, :r])
     rank_, pivots, _, _, _ = _echelon(m)
-    return Subspace(m.rows, m.take_cols(pivots), check=False)
+    return m.take_cols(pivots)
 
 
 def solve(m: Matrix, rhs: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
@@ -524,56 +511,6 @@ def solve(m: Matrix, rhs: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
                   shape=(m.cols, rhs.cols))
 
 
-class Subspace:
-    """A subspace of an ambient coordinate space, held as an independent
-    column basis."""
-
-    __slots__ = ("ambient", "basis", "backend")
-
-    def __init__(self, ambient: int, basis: Matrix, tol: TolerancePolicy | None = None,
-                 check: bool = True):
-        if basis.rows != ambient:
-            raise ValueError("basis rows must equal ambient dimension")
-        if check and basis.cols and rank(basis, tol) != basis.cols:
-            raise ValueError("basis columns are linearly dependent")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "backend", basis.backend)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace values are immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.basis.cols
-
-    @staticmethod
-    def full(n: int, backend: str = EXACT) -> "Subspace":
-        return Subspace(n, Matrix.identity(n, backend), check=False)
-
-    @staticmethod
-    def trivial(n: int, backend: str = EXACT) -> "Subspace":
-        return Subspace(n, Matrix.zeros(n, 0, backend), check=False)
-
-    def contains(self, other: "Subspace", tol: TolerancePolicy | None = None) -> bool:
-        if other.ambient != self.ambient:
-            raise ValueError("ambient dimensions differ")
-        if other.dim == 0:
-            return True
-        joint = Matrix.hstack([self.basis, other.basis])
-        return rank(joint, tol) == self.dim
-
-    def __repr__(self):
-        return f"Subspace(dim {self.dim} of {self.ambient})"
-
-
-def quotient_dim(big: Subspace, small: Subspace, tol: TolerancePolicy | None = None) -> int:
-    """dim(big / small); verifies small is contained in big."""
-    if not big.contains(small, tol):
-        raise NotContained("claimed subspace is not contained")
-    return big.dim - small.dim
-
-
 def extend_basis(inner: Matrix, spanning: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
     """Columns of `spanning` completing the columns of `inner` to a basis of
     span(inner) + span(spanning)."""
@@ -597,20 +534,21 @@ def extend_basis(inner: Matrix, spanning: Matrix, tol: TolerancePolicy | None = 
     return spanning.take_cols(picked)
 
 
-def induced_on_subquotient(ops, cycles: Subspace, boundaries: Subspace,
+def induced_on_subquotient(ops, cycles: Matrix, boundaries: Matrix,
                            tol: TolerancePolicy | None = None):
     """Matrices, in one basis of cycles/boundaries, of the maps induced by `ops`.
 
-    Requires op(cycles) inside cycles and op(boundaries) inside boundaries.
+    `cycles` and `boundaries` are column bases. Requires op(cycles) inside
+    cycles and op(boundaries) inside boundaries.
     Returns (list of matrices on the quotient, representative columns).
     """
-    comp = extend_basis(boundaries.basis, cycles.basis, tol)
+    comp = extend_basis(boundaries, cycles, tol)
     q = comp.cols
     if q == 0:
         return [Matrix.zeros(0, 0, comp.backend) for _ in ops], comp
-    frame = Matrix.hstack([boundaries.basis, comp])
+    frame = Matrix.hstack([boundaries, comp])
     coords = solve(frame, Matrix.hstack([op @ comp for op in ops]), tol)
-    tail = coords.take_rows(range(boundaries.dim, boundaries.dim + q))
+    tail = coords.take_rows(range(boundaries.cols, boundaries.cols + q))
     return [tail.take_cols(range(j * q, (j + 1) * q)) for j in range(len(ops))], comp
 
 

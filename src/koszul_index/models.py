@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from . import koszul, linalg
+from . import koszul, linalg, spectrum
 from .errors import (ArityMismatch, IrrationalSpectrum, NotAZero, NotNilpotent,
                      ZeroOnBoundary)
 from .koszul import CommutingTuple
@@ -380,7 +380,7 @@ def tensor_index_identity(base: CommutingTuple, nilpotent: CommutingTuple,
         raise ArityMismatch("tuple lengths differ")
     nil_dim = nilpotent.dim
     for op in nilpotent.operators:
-        if not op.power(nil_dim).is_zero(tol):
+        if not spectrum._power_at_least(op, nil_dim).is_zero(tol):
             raise NotNilpotent("auxiliary tuple is not nilpotent")
     ident_base = Matrix.identity(base.dim, base.backend)
     ident_nil = Matrix.identity(nil_dim, nilpotent.backend)

@@ -190,7 +190,7 @@ def global_multiplicity_table(system, order: MonomialOrder = DEGREVLEX,
     # quotient_algebra has proved that the multiplication matrices commute
     mult_tuple = CommutingTuple.proven(mats)
     decomposition = spectrum.spectral_decomposition(mult_tuple, tol)
-    entries = tuple((point, space.dim) for point, space in decomposition.components)
+    entries = tuple((point, space.cols) for point, space in decomposition.components)
     table = GlobalMultiplicityTable(entries, algebra.dim, backend)
     if table.total() != algebra.dim:
         raise AssertionError("eigenspace dimensions do not add up to the quotient")

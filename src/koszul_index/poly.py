@@ -353,6 +353,9 @@ class Polynomial:
 
 
 _TOKEN_RE = re.compile(r"z\d+|\d+|[i+\-*^()/;]|\s+|.", re.DOTALL)
+# Each open parenthesis costs four Python frames of the recursive descent,
+# so this bound keeps the parser far below the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
@@ -375,6 +378,7 @@ class _Parser:
         self.tokens = list(_tokenize(text))
         self.pos = 0
         self.nvars = nvars
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -443,8 +447,12 @@ class _Parser:
         if tok is None:
             self.fail("unexpected end of input")
         if tok == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}")
             self.advance()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
             return inner
         if tok == "i":

@@ -18,7 +18,7 @@ from functools import cached_property
 from . import koszul, linalg
 from .errors import BackendMismatch
 from .koszul import CommutingTuple, subsets
-from .linalg import Matrix, Subspace
+from .linalg import Matrix
 from .scalars import EXACT, QQi
 
 
@@ -101,13 +101,13 @@ class Bicomplex:
         restricted = d.take_cols(cols).take_rows(kill_rows) if kill_rows else \
             Matrix.zeros(0, len(cols), EXACT)
         ker = linalg.kernel_basis(restricted)
-        rows = [[QQi(0)] * ker.dim for _ in range(total_dim)]
-        for ci in range(ker.dim):
+        rows = [[QQi(0)] * ker.cols for _ in range(total_dim)]
+        for ci in range(ker.cols):
             for local, col in enumerate(cols):
-                val = ker.basis[local, ci]
+                val = ker[local, ci]
                 if val:
                     rows[col][ci] = val
-        out = Matrix(rows, EXACT, shape=(total_dim, ker.dim))
+        out = Matrix(rows, EXACT, shape=(total_dim, ker.cols))
         self._a_cache[key] = out
         return out
 
@@ -115,14 +115,14 @@ class Bicomplex:
         k = p + q
         a_now = self.approx_cycles(p, p - r, k)
         cycles = linalg.image_basis(a_now.take_rows(self.blocks[k][p]))
-        boundaries = Subspace.trivial(self.dims[p][q], EXACT)
+        boundaries = Matrix.zeros(self.dims[p][q], 0, EXACT)
         if r:
             a_prev = self.approx_cycles(p + r - 1, p, k + 1)
             if a_prev.cols:
                 rows = self.complex.d(k + 1).take_rows(self.blocks[k][p])
                 boundaries = linalg.image_basis(rows @ a_prev)
-        reps = linalg.extend_basis(boundaries.basis, cycles.basis)
-        return PageEntry(cycles, boundaries, reps)
+        reps = linalg.extend_basis(boundaries, cycles)
+        return PageEntry(boundaries, reps)
 
     def page(self, r: int) -> SpectralPage:
         if r in self._pages:
@@ -150,9 +150,9 @@ class Bicomplex:
         a_now = self.approx_cycles(p, p - r, k)
         lift = a_now @ linalg.solve(a_now.take_rows(self.blocks[k][p]), entry.reps)
         image = self.complex.d(k).take_rows(self.blocks[k - 1][p - r]) @ lift
-        frame = Matrix.hstack([target.boundaries.basis, target.reps])
+        frame = Matrix.hstack([target.boundaries, target.reps])
         coords = linalg.solve(frame, image)
-        return coords.take_rows(range(target.boundaries.dim, frame.cols))
+        return coords.take_rows(range(target.boundaries.cols, frame.cols))
 
 
 def build_bicomplex(a: CommutingTuple, b: CommutingTuple) -> Bicomplex:
@@ -162,11 +162,11 @@ def build_bicomplex(a: CommutingTuple, b: CommutingTuple) -> Bicomplex:
 
 @dataclass(frozen=True)
 class PageEntry:
-    """One (p,q) spot of a page: a subquotient of K_{p,q} given by nested
-    subspaces, plus chosen quotient representatives."""
+    """One (p,q) spot of a page: a subquotient of K_{p,q}, held as a column
+    basis of its boundaries and the chosen representatives that complete
+    it to a basis of its cycles."""
 
-    cycles: Subspace
-    boundaries: Subspace
+    boundaries: Matrix
     reps: Matrix
 
     @property

@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import koszul, linalg
 from .errors import ArityMismatch, ClusteringAmbiguity, IrrationalSpectrum
 from .koszul import CommutingTuple
-from .linalg import Matrix, Subspace
+from .linalg import Matrix
 from .scalars import EXACT, FLOAT, QQi, TolerancePolicy, DEFAULT_TOL
 
 DEFAULT_SEED = 0x5EED
@@ -242,13 +242,13 @@ class SpectralDecomposition:
     """
 
     tuple: CommutingTuple
-    components: tuple  # ((lambda_1..lambda_n), Subspace) pairs
+    components: tuple  # ((lambda_1..lambda_n), column basis Matrix) pairs
 
     def multiplicities(self):
-        return [(point, space.dim) for point, space in self.components]
+        return [(point, space.cols) for point, space in self.components]
 
     def total_dim(self) -> int:
-        return sum(space.dim for _, space in self.components)
+        return sum(space.cols for _, space in self.components)
 
 
 def _restriction(op: Matrix, basis: Matrix) -> Matrix:
@@ -271,13 +271,13 @@ def _kernel_chain(ops, bound: int, tol: TolerancePolicy | None = None) -> Matrix
     power of any of them: start from the joint kernel, and pull the space
     back through every operator, {v : N v in the space for each N}, until
     its dimension reaches `bound` or stops growing."""
-    space = linalg.kernel_basis(Matrix.vstack(ops), tol).basis
+    space = linalg.kernel_basis(Matrix.vstack(ops), tol)
     while 0 < space.cols < bound:
         zero = Matrix.zeros(space.rows, space.cols, space.backend)
         pull = Matrix.block([[op] + [-space if j == i else zero for j in range(len(ops))]
                              for i, op in enumerate(ops)])
-        top = linalg.kernel_basis(pull, tol).basis.take_rows(range(space.rows))
-        grown = linalg.image_basis(top, tol).basis
+        top = linalg.kernel_basis(pull, tol).take_rows(range(space.rows))
+        grown = linalg.image_basis(top, tol)
         if grown.cols == space.cols:
             break
         space = grown
@@ -308,8 +308,7 @@ def _decomposition_exact(t: CommutingTuple) -> SpectralDecomposition:
                 refined.append((point + (mu,), basis @ kernel,
                                 [_restriction(op, kernel) for op in rest]))
         pieces = refined
-    components = sorted(((point, Subspace(t.dim, basis, check=False))
-                         for point, basis, _ in pieces),
+    components = sorted(((point, basis) for point, basis, _ in pieces),
                         key=lambda cs: tuple(x.sort_key() for x in cs[0]))
     return SpectralDecomposition(t, tuple(components))
 
@@ -321,15 +320,19 @@ def _decomposition_float(t: CommutingTuple, tol: TolerancePolicy):
     ops = [op.to_numpy() for op in t.operators]
     rng = np.random.default_rng(DEFAULT_SEED)
     comb = sum(float(c) * op for c, op in zip(rng.uniform(0.5, 1.5, len(ops)), ops))
-    values = sorted(np.linalg.eigvals(comb), key=lambda z: (z.real, z.imag))
+
+    def order(z):
+        return (z.real, z.imag)
+
+    # single linkage: a cluster is a connected component of the graph that
+    # joins eigenvalues within tol.cluster, whatever their sort order
     clusters = []
-    for z in values:
-        if clusters and abs(z - clusters[-1][-1]) <= tol.cluster:
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
+    for z in sorted(np.linalg.eigvals(comb), key=order):
+        near = [c for c in clusters if any(abs(z - w) <= tol.cluster for w in c)]
+        clusters = [c for c in clusters if c not in near]
+        clusters.append(sorted(sum(near, []) + [z], key=order))
     for cluster in clusters:
-        if abs(cluster[-1] - cluster[0]) > 2 * tol.cluster:
+        if max(abs(a - b) for a in cluster for b in cluster) > 2 * tol.cluster:
             raise ClusteringAmbiguity("eigenvalue clusters overlap within tolerance")
     components = []
     for cluster in clusters:
@@ -355,8 +358,7 @@ def _decomposition_float(t: CommutingTuple, tol: TolerancePolicy):
                 raise ClusteringAmbiguity("shifted operator is not nilpotent "
                                           "on the cluster space")
             point.append(lam)
-        components.append((tuple(point),
-                           Subspace(d, Matrix.from_numpy(null), check=False)))
+        components.append((tuple(point), Matrix.from_numpy(null)))
     components.sort(key=lambda cs: tuple((z.real, z.imag) for z in cs[0]))
     return SpectralDecomposition(t, tuple(components))
 
@@ -378,7 +380,7 @@ def _verify_decomposition(dec: SpectralDecomposition):
     if dec.total_dim() != t.dim:
         raise AssertionError("eigenspace dimensions do not add up")
     if dec.components:
-        joint = Matrix.hstack([space.basis for _, space in dec.components])
+        joint = Matrix.hstack([space for _, space in dec.components])
         if linalg.rank(joint) != t.dim:
             raise AssertionError("eigenspaces do not span the whole space")
 
@@ -401,10 +403,10 @@ class JointSpectrumReport:
 
 
 def generalized_eigenspace(t: CommutingTuple, point,
-                           tol: TolerancePolicy | None = None) -> Subspace:
-    """V(point) = the joint generalized kernel of the shifted tuple."""
-    return Subspace(t.dim, _kernel_chain(t.shift(point).operators, t.dim, tol),
-                    check=False)
+                           tol: TolerancePolicy | None = None) -> Matrix:
+    """Column basis of V(point), the joint generalized kernel of the
+    shifted tuple."""
+    return _kernel_chain(t.shift(point).operators, t.dim, tol)
 
 
 def joint_spectrum_equivalences(t: CommutingTuple, point,
@@ -422,7 +424,7 @@ def joint_spectrum_equivalences(t: CommutingTuple, point,
     return JointSpectrumReport(
         point=point,
         in_taylor_spectrum=any(profile.dims),
-        in_eigenvalue_support=generalized_eigenspace(t, point, tol).dim > 0,
+        in_eigenvalue_support=generalized_eigenspace(t, point, tol).cols > 0,
         top_homology_nonzero=profile.dims[-1] > 0,
     )
 
@@ -458,5 +460,5 @@ def localized_homology(t: CommutingTuple, polys, point,
     complex_ = koszul.build_complex(mapped, tol)
     # the induced matrices commute because the operators of t do
     return [generalized_eigenspace(CommutingTuple.proven(
-                koszul.homology_action(complex_, k, t.operators, tol)), point, tol).dim
+                koszul.homology_action(complex_, k, t.operators, tol)), point, tol).cols
             for k in range(mapped.n + 1)]

@@ -67,7 +67,7 @@ def test_criterion_1_euler_anchor():
                                        rng.randint(1, 8))
             profile = homology(build_complex(t))
             assert profile.index == 0
-            top = linalg.kernel_basis(Matrix.vstack(t.operators)).dim
+            top = linalg.kernel_basis(Matrix.vstack(t.operators)).cols
             bottom = t.dim - linalg.rank(Matrix.hstack(t.operators))
             assert profile.dims[-1] == top
             assert profile.dims[0] == bottom

@@ -93,6 +93,9 @@ def test_exit_code_one_on_computational_error(tmp_path):
     ("MULTIPLICITY", {"system": "z1", "at": ["2+1/0i"]}),
     ("INDEX", {"system": "z1", "domain": {"kind": "polydisc", "center": ["1/0"],
                                           "radii": ["1"]}}),
+    # parentheses nested far past the parser's bound, and past Python's
+    # recursion limit for a recursive descent
+    ("MULTIPLICITY", {"system": "(" * 3000 + "z1" + ")" * 3000, "at": ["0"]}),
 ]])
 def test_exit_code_two_on_schema_violation(tmp_path, capsys, doc):
     code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path)
@@ -280,6 +283,21 @@ def test_float_index_lists_the_check_it_skipped(tmp_path):
     assert "exact-only" in skipped[0]["reason"]
     # a skipped check is never listed as passed
     assert "sum_of_local_indices" not in {c["name"] for c in reports[0]["checks"]}
+
+
+def test_float_zero_table_clusters_interleaved_double_zeros(tmp_path):
+    # the double zeros +-i*sqrt(2) split into eigenvalues whose real parts
+    # interleave the two pairs in sorted order; single linkage still pairs them
+    code, reports, _ = run_main(
+        ["index", "--domain", '{"kind":"polydisc","center":["0"],"radii":["2"]}',
+         "--system", "z1*(z1^2+2)^2"], tmp_path)
+    assert code == 0 and reports[0]["backend"] == "float"
+    outputs = reports[0]["outputs"]
+    assert outputs["global_index"] == -5
+    zeros = sorted((complex(z["point"][0]).imag, z["multiplicity"])
+                   for z in outputs["zeros"])
+    assert [m for _, m in zeros] == [2, 1, 2]
+    assert [y for y, _ in zeros] == pytest.approx([-2 ** 0.5, 0, 2 ** 0.5], abs=1e-6)
 
 
 def test_exact_index_has_no_skipped_checks(tmp_path):

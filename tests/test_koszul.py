@@ -7,7 +7,7 @@ from koszul_index.errors import CommutatorError
 from koszul_index.koszul import (CommutingTuple, HomologyProfile, build_complex,
                                  homology, mapping_cone, verify_cone_isomorphism)
 from koszul_index.linalg import Matrix
-from koszul_index.scalars import EXACT, QQi
+from koszul_index.scalars import EXACT, FLOAT, QQi
 from koszul_index.suites import random_commuting_tuple, random_cone_instance
 
 
@@ -145,6 +145,20 @@ def test_verify_cone_isomorphism_random():
         assert verify_cone_isomorphism(t, b)
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_verify_cone_isomorphism_rejects_a_wrong_cone(monkeypatch, backend):
+    from koszul_index import koszul
+
+    t = CommutingTuple([Matrix([[0, 1], [0, 0]], backend)])
+    b = Matrix.identity(2, backend)
+    assert verify_cone_isomorphism(t, b)
+    # the cone over -b differs in its off-diagonal block, so the signed
+    # permutation is no chain map onto the complex of the extended tuple
+    cone = koszul._cone
+    monkeypatch.setattr(koszul, "_cone", lambda c, b, tol: cone(c, -b, tol))
+    assert not verify_cone_isomorphism(t, b)
+
+
 def test_cone_rejects_non_commuting():
     t = CommutingTuple([JORDAN])
     with pytest.raises(CommutatorError):
@@ -168,6 +182,6 @@ def test_end_groups_match_kernel_and_cokernel():
     for _ in range(10):
         t = random_commuting_tuple(rng, 2, 5)
         dims = homology(build_complex(t)).dims  # raises internally on mismatch
-        top = linalg.kernel_basis(Matrix.vstack(t.operators)).dim
+        top = linalg.kernel_basis(Matrix.vstack(t.operators)).cols
         bottom = t.dim - linalg.rank(Matrix.hstack(t.operators))
         assert dims[-1] == top and dims[0] == bottom

@@ -91,7 +91,7 @@ def test_rank_kernel_and_solve_match_sympy():
         rank = linalg.rank(m)
         assert rank == sm.rank(), trial
         stats["rank-deficient"] += rank < min(m.shape)
-        ker = linalg.kernel_basis(m).basis
+        ker = linalg.kernel_basis(m)
         expected = [[_from_sympy(x) for x in v] for v in sm.nullspace()]
         assert [list(col) for col in zip(*ker.entries)] == expected, trial
         try:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszul_index.errors import NotZeroDimensional, ParseError, UnknownVariable
-from koszul_index.poly import (DEGREVLEX, LEX, Polynomial, groebner,
-                               mono_degree, normal_form, parse_polynomial,
-                               parse_system, quotient_algebra)
+from koszul_index.poly import (DEGREVLEX, LEX, MAX_NESTING, Polynomial,
+                               groebner, mono_degree, normal_form,
+                               parse_polynomial, parse_system, quotient_algebra)
 from koszul_index.scalars import QQi
 
 
@@ -38,6 +38,11 @@ def test_parse_errors_carry_position():
         parse_system("(z1", 1)
     with pytest.raises(ParseError):
         parse_system("z1 ^ z1", 1)
+    deep = "(" * (MAX_NESTING + 1) + "z1" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(ParseError) as err:
+        parse_system(deep, 1)
+    assert err.value.column == MAX_NESTING + 1
+    assert parse_system(deep[1:-1], 1) == parse_system("z1", 1)
 
 
 def test_unary_minus_and_powers():
