@@ -34,4 +34,4 @@ cone = mapping_cone(complex_, jordan)
 extended = build_complex(pair.extend(jordan))
 print("cone homology:    ", cone.homology_dims())
 print("extended homology:", extended.homology_dims())
-print("cone map is a bijective chain map:", verify_cone_isomorphism(pair, jordan))
+print("cone map is a bijective chain map:", verify_cone_isomorphism(complex_, jordan))

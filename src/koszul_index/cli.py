@@ -231,17 +231,17 @@ def _parse_homology(payload, backend):
 
 def _run_homology(inputs, tol, outputs, checks):
     ops, cone = inputs
-    tup = CommutingTuple(ops, tol)
-    profile = koszul.homology(koszul.build_complex(tup, tol), tol)
+    complex_ = koszul.build_complex(CommutingTuple(ops, tol), tol)
+    profile = koszul.homology(complex_, tol)
     outputs.update(dims=list(profile.dims), euler=profile.euler,
                    index=profile.index)
     checks.append(_check_dict("euler_characteristic_zero",
                               profile.index == 0, f"index {profile.index}"))
     if cone is not None:
-        ok = koszul.verify_cone_isomorphism(tup, cone, tol)
+        ok = koszul.verify_cone_isomorphism(complex_, cone, tol)
         outputs["cone_isomorphism"] = ok
         checks.append(_check_dict("cone_isomorphism", ok))
-    return tup.backend
+    return complex_.backend
 
 
 def _parse_spectrum(payload, backend):

@@ -150,7 +150,6 @@ class KoszulComplex(ChainComplex):
         super().__init__(dims, diffs, tol)
         self.tuple = tuple_
         self.n = tuple_.n
-        self.space_dim = tuple_.dim
 
 
 @dataclass(frozen=True)
@@ -198,20 +197,16 @@ def build_complex(t: CommutingTuple, tol: TolerancePolicy | None = None) -> Kosz
 
 
 def homology(c: ChainComplex, tol: TolerancePolicy | None = None) -> HomologyProfile:
-    """Homology dimensions of a complex.
+    """Homology dimensions of a complex, from one rank per differential.
 
-    For Koszul complexes the top and bottom groups are cross-checked against
-    the joint kernel and the cokernel of the combined image.
+    The end groups of a Koszul complex need no second ranking: d_1 is the
+    row of operators A_1 ... A_n (every removal sign at position 1 is +1)
+    and d_n stacks the signed operators, so H_0 is the cokernel of
+    hstack(A) and H_n the joint kernel by construction. The comparison
+    with an independent kernel and rank lives in the tests
+    (`test_end_groups_match_kernel_and_cokernel`, acceptance criterion 1).
     """
-    dims = c.homology_dims(tol)
-    profile = HomologyProfile.from_dims(dims)
-    if isinstance(c, KoszulComplex):
-        ops = c.tuple.operators
-        top = linalg.kernel_basis(Matrix.vstack(ops), tol).cols
-        bottom = c.space_dim - linalg.rank(Matrix.hstack(ops), tol)
-        if top != dims[-1] or bottom != dims[0]:
-            raise AssertionError("homology cross-check failed at the ends")
-    return profile
+    return HomologyProfile.from_dims(c.homology_dims(tol))
 
 
 def homology_action(c: KoszulComplex, k: int, operators,
@@ -234,25 +229,22 @@ def mapping_cone(c: KoszulComplex, b: Matrix, tol: TolerancePolicy | None = None
     for op in c.tuple.operators:
         if not linalg.commutes(op, b, tol):
             raise CommutatorError("cone operator does not commute with the tuple")
-    return _cone(c, b, tol)
+    cone_dims = [hi + lo for hi, lo in zip(c.dims + [0], [0] + c.dims)]
+    return ChainComplex(cone_dims, _cone(c, b), tol)
 
 
-def _cone(c: KoszulComplex, b: Matrix, tol: TolerancePolicy | None) -> ChainComplex:
-    """`mapping_cone` for a b already known to commute with the tuple."""
-    n = c.n
-    dims = [c.dims[k] if k <= n else 0 for k in range(n + 1)]
-    cone_dims = [(dims[k] if k <= n else 0) + (dims[k - 1] if k >= 1 else 0)
-                 for k in range(n + 2)]
+def _cone(c: KoszulComplex, b: Matrix) -> dict:
+    """The differentials {k: matrix} of the cone of b over c, for a b already
+    known to commute with the tuple."""
+    n, dims = c.n, c.dims
     diffs = {}
     for k in range(1, n + 2):
         blocks = []
-        top_rows = dims[k - 1] if k - 1 <= n else 0
-        if top_rows:
+        if dims[k - 1]:
             row = []
             if k <= n:
                 row.append(c.d(k))
-            bmap = Matrix.identity(len(subsets(n, k - 1)), c.backend).kron(b)
-            row.append(bmap)
+            row.append(Matrix.identity(len(subsets(n, k - 1)), c.backend).kron(b))
             blocks.append(row)
         if k >= 2 and dims[k - 2]:
             row = []
@@ -261,13 +253,13 @@ def _cone(c: KoszulComplex, b: Matrix, tol: TolerancePolicy | None) -> ChainComp
             row.append(-c.d(k - 1))
             blocks.append(row)
         diffs[k] = Matrix.block(blocks)
-    return ChainComplex(cone_dims, diffs, tol)
+    return diffs
 
 
-def verify_cone_isomorphism(t: CommutingTuple, b: Matrix,
+def verify_cone_isomorphism(c: KoszulComplex, b: Matrix,
                             tol: TolerancePolicy | None = None) -> bool:
-    """Check that the explicit degreewise map from the cone of b over K(A,V)
-    onto K(A + b, V) is a bijective chain map.
+    """Check that the explicit degreewise map from the cone of b over the
+    Koszul complex c of A onto K(A + b, V) is a bijective chain map.
 
     The map sends the K_k summand to the matching subsets of {1..n} and the
     K_(k-1) summand to the subsets extended by n+1, with the sign of moving
@@ -275,11 +267,13 @@ def verify_cone_isomorphism(t: CommutingTuple, b: Matrix,
     permutation, kept as the full-complex row and the sign of each cone
     column: it is bijective when those rows are a permutation, and a chain
     map when full.d(k), with its rows and columns so permuted and signed,
-    equals cone.d(k).
+    equals the cone's d_k. The cone's own d*d = 0 then needs no product:
+    it is the conjugate of full.d*full.d, which `ChainComplex` checks when
+    the complex of the extended tuple is built.
     """
-    extended = t.extend(b)  # checks that b commutes with the tuple
-    cone = _cone(build_complex(t, tol), b, tol)
-    full = build_complex(extended, tol)
+    t = c.tuple
+    full = build_complex(t.extend(b), tol)  # extend checks b against the tuple
+    cone = _cone(c, b)
     n, d = t.n, t.dim
     alphas = []  # (row, sign) of each cone column, per degree
     for k in range(n + 2):
@@ -295,9 +289,9 @@ def verify_cone_isomorphism(t: CommutingTuple, b: Matrix,
         alphas.append(alpha)
     for k in range(1, n + 2):
         entries = full.d(k).entries
-        pulled = Matrix([[entries[r][c] if rs == cs else -entries[r][c]
-                          for c, cs in alphas[k]] for r, rs in alphas[k - 1]],
-                        t.backend, shape=cone.d(k).shape)
-        if not (pulled - cone.d(k)).is_zero(tol):
+        pulled = Matrix([[entries[r][col] if rs == cs else -entries[r][col]
+                          for col, cs in alphas[k]] for r, rs in alphas[k - 1]],
+                        t.backend, shape=cone[k].shape)
+        if not (pulled - cone[k]).is_zero(tol):
             return False
     return True

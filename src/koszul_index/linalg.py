@@ -110,9 +110,6 @@ class Matrix:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int):
-        return self.entries[i]
-
     def take_rows(self, indices) -> "Matrix":
         idx = list(indices)
         return Matrix([list(self.entries[i]) for i in idx], self.backend,

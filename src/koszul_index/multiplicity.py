@@ -30,13 +30,11 @@ from .scalars import EXACT, FLOAT, QQi, TolerancePolicy
 
 @dataclass(frozen=True)
 class MultiplicityCertificate:
-    """An isolated-zero multiplicity with its stabilization order and the
-    tags of the oracles that produced or confirmed it."""
+    """An isolated-zero multiplicity with its stabilization order."""
 
     point: tuple
     multiplicity: int
     stabilization_order: int
-    methods: tuple = ("macaulay",)
 
 
 def _require_square(system):

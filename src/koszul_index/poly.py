@@ -51,12 +51,6 @@ def monomials_of_degree(nvars: int, degree: int):
             yield (first,) + rest
 
 
-def monomials_below(nvars: int, bound: int):
-    """All exponent tuples of total degree < bound, by degree then lex."""
-    for d in range(bound):
-        yield from monomials_of_degree(nvars, d)
-
-
 class MonomialOrder:
     """A multiplicative well-order on monomials, usable as a sort key."""
 
@@ -552,7 +546,6 @@ class GroebnerBasis:
 
     polys: tuple
     order: MonomialOrder
-    reduced: bool = True
 
     @property
     def nvars(self) -> int:

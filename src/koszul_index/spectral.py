@@ -83,8 +83,10 @@ class Bicomplex:
 
     def approx_cycles(self, level: int, floor: int, k: int) -> Matrix:
         """Basis (in total degree-k coordinates) of the space of chains
-        supported in filtration <= level whose boundary drops to <= floor."""
-        level = min(level, self.n)
+        supported in filtration <= level whose boundary drops to <= floor.
+        Levels above n and floors below -1 change nothing, so they are
+        clamped and share one cached kernel."""
+        level, floor = min(level, self.n), max(floor, -1)
         if k < 0:
             return Matrix.zeros(0, 0, EXACT)
         key = (level, floor, k)
@@ -282,8 +284,10 @@ def e2_dims_independent(bc: Bicomplex):
         induced = koszul.homology_action(complex_b, q, bc.a.operators)
         if not induced[0].rows:
             continue
-        tup = CommutingTuple(induced)
-        dims = koszul.build_complex(tup).homology_dims()
+        # the induced maps commute because A's operators do (checked when
+        # bc.a was built) and inducing respects products; the same fact
+        # backs spectrum.localized_homology
+        dims = koszul.build_complex(CommutingTuple.proven(induced)).homology_dims()
         for p in range(bc.n + 1):
             out[p][q] = dims[p]
     return out

@@ -414,9 +414,10 @@ def joint_spectrum_equivalences(t: CommutingTuple, point,
     """Evaluate the three equivalent membership predicates at a point.
 
     The top homology and the eigenvalue support share one kernel, that of
-    the stacked shifted operators: `koszul.homology` checks the top degree
-    against it, and the generalized eigenspace's chain starts from it. Only
-    `in_taylor_spectrum` is computed independently."""
+    the stacked shifted operators: the top Koszul differential stacks them,
+    so H_n is that kernel by construction, and the generalized eigenspace's
+    chain starts from it. Only `in_taylor_spectrum` is computed
+    independently."""
     point = tuple(point)
     if len(point) != t.n:
         raise ArityMismatch("point dimension differs from tuple length")

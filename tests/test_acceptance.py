@@ -80,7 +80,7 @@ def test_criterion_2_mapping_cone_isomorphism():
         for _ in range(50):
             t, b = random_cone_instance(rng, rng.choice([1, 2]),
                                         rng.randint(1, 6))
-            assert koszul.verify_cone_isomorphism(t, b)
+            assert koszul.verify_cone_isomorphism(build_complex(t), b)
 
 
 def test_criterion_3_spectral_sequence():

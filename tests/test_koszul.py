@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from koszul_index import linalg
+from koszul_index import cli, koszul, linalg
 from koszul_index.errors import CommutatorError
 from koszul_index.koszul import (CommutingTuple, HomologyProfile, build_complex,
                                  homology, mapping_cone, verify_cone_isomorphism)
@@ -61,6 +61,32 @@ def test_differential_block_layout():
     c = build_complex(CommutingTuple([JORDAN, ZERO2]))
     assert c.d(1) == Matrix.hstack([JORDAN, ZERO2])
     assert c.d(2) == Matrix.vstack([-ZERO2, JORDAN])
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_end_differentials_are_the_operator_blocks(backend):
+    # d_1 is the row of operators and d_n the signed operators stacked in
+    # reverse order, which is why `homology` ranks no end group a second time
+    rng = random.Random(43)
+    for _ in range(12):
+        exact_tuple = random_commuting_tuple(rng, rng.randint(1, 4), rng.randint(1, 3))
+        ops = [Matrix(op.entries, backend) for op in exact_tuple.operators]
+        n = len(ops)
+        c = build_complex(CommutingTuple(ops))
+        assert c.d(1) == Matrix.hstack(ops)
+        assert c.d(n) == Matrix.vstack([ops[i] if i % 2 == 0 else -ops[i]
+                                        for i in reversed(range(n))])
+
+
+def test_homology_ranks_each_differential_once(monkeypatch):
+    c = build_complex(random_commuting_tuple(random.Random(7), 3, 3))
+    calls = []
+    for name in ("rank", "kernel_basis"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda m, tol=None, name=name, real=real:
+                            calls.append(name) or real(m, tol))
+    homology(c)
+    assert calls == ["rank"] * 3
 
 
 def test_homology_examples():
@@ -142,46 +168,69 @@ def test_verify_cone_isomorphism_random():
     rng = random.Random(31)
     for _ in range(15):
         t, b = random_cone_instance(rng, rng.choice([1, 2]), rng.randint(1, 5))
-        assert verify_cone_isomorphism(t, b)
+        assert verify_cone_isomorphism(build_complex(t), b)
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
 def test_verify_cone_isomorphism_rejects_a_wrong_cone(monkeypatch, backend):
-    from koszul_index import koszul
-
-    t = CommutingTuple([Matrix([[0, 1], [0, 0]], backend)])
+    c = build_complex(CommutingTuple([Matrix([[0, 1], [0, 0]], backend)]))
     b = Matrix.identity(2, backend)
-    assert verify_cone_isomorphism(t, b)
+    assert verify_cone_isomorphism(c, b)
     # the cone over -b differs in its off-diagonal block, so the signed
     # permutation is no chain map onto the complex of the extended tuple
     cone = koszul._cone
-    monkeypatch.setattr(koszul, "_cone", lambda c, b, tol: cone(c, -b, tol))
-    assert not verify_cone_isomorphism(t, b)
+    monkeypatch.setattr(koszul, "_cone", lambda c, b: cone(c, -b))
+    assert not verify_cone_isomorphism(c, b)
 
 
 def test_cone_rejects_non_commuting():
     t = CommutingTuple([JORDAN])
     with pytest.raises(CommutatorError):
-        verify_cone_isomorphism(t, exact([[1, 0], [1, 1]]))
+        verify_cone_isomorphism(build_complex(t), exact([[1, 0], [1, 1]]))
     with pytest.raises(CommutatorError):
         mapping_cone(build_complex(t), exact([[1, 0], [1, 1]]))
 
 
 def test_cone_isomorphism_checks_each_pair_once(monkeypatch):
-    t = CommutingTuple([JORDAN, ZERO2])
+    c = build_complex(CommutingTuple([JORDAN, ZERO2]))
     calls = []
     real = linalg.commutes
     monkeypatch.setattr(linalg, "commutes",
                         lambda a, b, tol=None: calls.append(1) or real(a, b, tol))
-    assert verify_cone_isomorphism(t, exact([[2, 1], [0, 2]]))
+    assert verify_cone_isomorphism(c, exact([[2, 1], [0, 2]]))
     assert len(calls) == 2  # the cone operator against each of the two
+
+
+def test_cone_scenario_builds_each_complex_once(monkeypatch):
+    # K(A) serves both the homology and the cone; K(A, b) is the only other
+    # complex, and the cone itself is compared as blocks, not built
+    counts = {"build_complex": 0, "ChainComplex": 0}
+    real_build = koszul.build_complex
+    real_init = koszul.ChainComplex.__init__
+
+    def build(*args, **kwargs):
+        counts["build_complex"] += 1
+        return real_build(*args, **kwargs)
+
+    def init(self, *args, **kwargs):
+        counts["ChainComplex"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(koszul, "build_complex", build)
+    monkeypatch.setattr(koszul.ChainComplex, "__init__", init)
+    scenario = cli.Scenario("cone", "HOMOLOGY", {
+        "operators": [[["0", "1"], ["0", "0"]], [["1/2", "0"], ["0", "1/2"]]],
+        "cone_with": [["i", "3"], ["0", "i"]]})
+    report = cli.run_scenario(scenario)
+    assert report["outputs"]["cone_isomorphism"] is True
+    assert counts == {"build_complex": 2, "ChainComplex": 2}
 
 
 def test_end_groups_match_kernel_and_cokernel():
     rng = random.Random(41)
     for _ in range(10):
         t = random_commuting_tuple(rng, 2, 5)
-        dims = homology(build_complex(t)).dims  # raises internally on mismatch
+        dims = homology(build_complex(t)).dims
         top = linalg.kernel_basis(Matrix.vstack(t.operators)).cols
         bottom = t.dim - linalg.rank(Matrix.hstack(t.operators))
         assert dims[-1] == top and dims[0] == bottom

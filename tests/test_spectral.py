@@ -317,3 +317,20 @@ def test_differentials_make_two_solves_and_no_full_products(monkeypatch):
     assert seen[-1][1:] == (0, 0)
     # every product takes only the target block's rows of a differential
     assert full_products == []
+
+
+def test_pages_past_the_limit_reuse_cached_kernels(monkeypatch):
+    # every floor below -1 kills all rows, so page n + 2 needs no kernel
+    # that page n + 1 did not already compute
+    rng = random.Random(17)
+    bicomplexes = [build_bicomplex(*random_bicomplex_pair(rng, 2, rng.choice([1, 2]), 3))
+                   for _ in range(4)] + [_engineered_d2_bicomplex()]
+    kernels = []
+    kernel_basis = linalg.kernel_basis
+    monkeypatch.setattr(linalg, "kernel_basis",
+                        lambda *args: kernels.append(1) or kernel_basis(*args))
+    for bc in bicomplexes:
+        limit = page_sequence(bc, bc.n + 1)[-1]
+        kernels.clear()
+        assert bc.page(bc.n + 2).dims_grid() == limit.dims_grid()
+        assert kernels == []

@@ -14,11 +14,17 @@ from koszul_index.multiplicity import (build_diagonal_system,
                                        global_multiplicity_table,
                                        local_multiplicity)
 from koszul_index.poly import (Polynomial, mono_degree, mono_mul,
-                               monomials_below, parse_system)
+                               monomials_of_degree, parse_system)
 from koszul_index.scalars import EXACT, QQi
 from koszul_index.suites import compose
 
 DEFAULTS = cli.Scenario("defaults", "IDENTITIES", {}, "exact", None, 7)
+
+
+def monomials_below(nvars, bound):
+    """All exponent tuples of total degree < bound, by degree then lex."""
+    for d in range(bound):
+        yield from monomials_of_degree(nvars, d)
 
 
 def _dense_codimension(system_at_origin, bound):
