@@ -6,10 +6,11 @@ ambient dimension is `rows`, its dimension is `cols`. Kernels, images,
 cycles, boundaries and eigenspaces all take this one form.
 
 Exact elimination runs on Python ints from input to answer: rows are scaled
-to Gaussian integers, eliminated fraction-free (Bareiss), and kernels and
-solves back-substitute over the last pivot, so each QQi of an answer is
-built once. Float ranks use singular values with the relative cutoff carried
-by an explicit TolerancePolicy, never a global.
+to Gaussian integers and eliminated by one fraction-free (Bareiss) loop,
+real or not, and kernels and solves back-substitute over the last pivot, so
+each QQi of an answer is built once. Float rank, kernel and image read one
+SVD split, with the relative cutoff carried by an explicit TolerancePolicy,
+never a global.
 numpy is imported only inside the float branches, so exact work never
 loads it.
 """
@@ -235,12 +236,8 @@ def _same_shape(a: Matrix, b: Matrix):
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
 
 
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b - b @ a
-
-
 def commutes(a: Matrix, b: Matrix, tol: TolerancePolicy | None = None) -> bool:
-    c = commutator(a, b)
+    c = a @ b - b @ a
     if a.backend == EXACT:
         return c.is_zero()
     tol = tol or DEFAULT_TOL
@@ -264,65 +261,18 @@ def _clear_denominators(r):
              a.im.numerator * (lcm // a.im.denominator)) for a in r]
 
 
-def _is_real(rows) -> bool:
-    return all(b == 0 for r in rows for (_, b) in r)
-
-
 def _bareiss(rows, ncols, pivot_limit=None):
-    """One-step Bareiss elimination in place.
+    """One-step Bareiss elimination in place on Gaussian-integer pairs.
 
-    Returns (rank, pivot_cols, swap_sign, last_pivot). Rows are Gaussian
-    integer pairs; entries after return form a staircase whose row space
-    equals the input row space. Pivot search is restricted to columns
-    < pivot_limit (for augmented solves).
+    Returns (rank, pivot_cols, swap_sign, last_pivot). Entries after return
+    form a staircase whose row space equals the input row space. Pivot
+    search is restricted to columns < pivot_limit (for augmented solves).
+    A row with a zero in the pivot column is only rescaled by p / prev, at
+    its nonzero entries, and not at all when p == prev: Koszul differentials
+    are sparse, so most of their rows meet a pivot column in a zero.
     """
     nrows = len(rows)
     limit = ncols if pivot_limit is None else pivot_limit
-    if _is_real(rows):
-        int_rows = [[a for (a, _) in r] for r in rows]
-        rank, pivots, sign, last = _bareiss_real(int_rows, ncols, limit)
-        for i in range(nrows):
-            rows[i] = [(a, 0) for a in int_rows[i]]
-        return rank, pivots, sign, (last, 0)
-    return _bareiss_gauss(rows, ncols, limit)
-
-
-def _bareiss_real(rows, ncols, limit):
-    nrows = len(rows)
-    rank = 0
-    prev = 1
-    sign = 1
-    pivots = []
-    for col in range(limit):
-        piv = -1
-        for r in range(rank, nrows):
-            if rows[r][col]:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            sign = -sign
-        p = rows[rank][col]
-        for r in range(rank + 1, nrows):
-            rowr = rows[r]
-            x = rowr[col]
-            rowp = rows[rank]
-            if x:
-                for c in range(col, ncols):
-                    rowr[c] = (rowr[c] * p - x * rowp[c]) // prev
-            elif prev != 1 or p != 1:
-                for c in range(col, ncols):
-                    rowr[c] = rowr[c] * p // prev
-        prev = p
-        pivots.append(col)
-        rank += 1
-    return rank, pivots, sign, prev
-
-
-def _bareiss_gauss(rows, ncols, limit):
-    nrows = len(rows)
     rank = 0
     prev = (1, 0)
     sign = 1
@@ -338,21 +288,28 @@ def _bareiss_gauss(rows, ncols, limit):
         if piv != rank:
             rows[rank], rows[piv] = rows[piv], rows[rank]
             sign = -sign
-        p = rows[rank][col]
+        rowp = rows[rank]
+        p = rowp[col]
         pa, pb = p
         qa, qb = prev
         nq = qa * qa + qb * qb
         for r in range(rank + 1, nrows):
             rowr = rows[r]
             xa, xb = rowr[col]
-            rowp = rows[rank]
-            for c in range(col, ncols):
-                ea, eb = rowr[c]
-                fa, fb = rowp[c]
-                # (e*p - x*f) / prev, exact Gaussian-integer division
-                na = ea * pa - eb * pb - (xa * fa - xb * fb)
-                nb = ea * pb + eb * pa - (xa * fb + xb * fa)
-                rowr[c] = ((na * qa + nb * qb) // nq, (nb * qa - na * qb) // nq)
+            if xa or xb:
+                for c in range(col, ncols):
+                    ea, eb = rowr[c]
+                    fa, fb = rowp[c]
+                    # (e*p - x*f) / prev, exact Gaussian-integer division
+                    na = ea * pa - eb * pb - (xa * fa - xb * fb)
+                    nb = ea * pb + eb * pa - (xa * fb + xb * fa)
+                    rowr[c] = ((na * qa + nb * qb) // nq, (nb * qa - na * qb) // nq)
+            elif p != prev:
+                for c in range(col + 1, ncols):
+                    ea, eb = rowr[c]
+                    if ea or eb:
+                        na, nb = ea * pa - eb * pb, ea * pb + eb * pa
+                        rowr[c] = ((na * qa + nb * qb) // nq, (nb * qa - na * qb) // nq)
         prev = p
         pivots.append(col)
         rank += 1
@@ -398,10 +355,17 @@ def _back_substitute(rows, pivots, ncols, col):
     return x
 
 
-def _float_svd(m: Matrix):
+def _float_split(m: Matrix, tol: TolerancePolicy | None = None):
+    """One full SVD of a nonempty float matrix: (u, vh, r), where r counts
+    the singular values above rel * sigma_max (above rel when sigma_max is
+    0). Columns u[:, :r] span the image; rows vh[r:] conjugated span the
+    kernel."""
     import numpy as np
 
-    return np.linalg.svd(m.to_numpy(), full_matrices=True)
+    tol = tol or DEFAULT_TOL
+    u, s, vh = np.linalg.svd(m.to_numpy(), full_matrices=True)
+    cut = tol.rel * (s[0] if s[0] > 0 else 1.0)
+    return u, vh, int(np.sum(s > cut))
 
 
 def rank(m: Matrix, tol: TolerancePolicy | None = None) -> int:
@@ -411,13 +375,7 @@ def rank(m: Matrix, tol: TolerancePolicy | None = None) -> int:
         return 0
     if m.backend == EXACT:
         return _echelon(m)[0]
-    import numpy as np
-
-    tol = tol or DEFAULT_TOL
-    s = np.linalg.svd(m.to_numpy(), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rel * s[0]))
+    return _float_split(m, tol)[2]
 
 
 def det(m: Matrix) -> QQi:
@@ -442,16 +400,10 @@ def kernel_basis(m: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
     if 0 in m.shape:
         return Matrix.identity(m.cols, m.backend)
     if m.backend == FLOAT:
-        import numpy as np
-
-        tol = tol or DEFAULT_TOL
-        u, s, vh = _float_svd(m)
-        cut = tol.rel * (s[0] if s.size and s[0] > 0 else 1.0)
-        null_rows = [vh[i].conjugate() for i in range(len(s)) if s[i] <= cut]
-        null_rows += [vh[i].conjugate() for i in range(len(s), m.cols)]
-        if not null_rows:
+        _, vh, r = _float_split(m, tol)
+        if r == m.cols:
             return Matrix.zeros(m.cols, 0, FLOAT)
-        return Matrix.from_numpy(np.stack(null_rows, axis=1))
+        return Matrix.from_numpy(vh[r:].conj().T)
     rank_, pivots, rows, _, _ = _echelon(m)
     pivot_set = set(pivots)
     basis_cols = [_back_substitute(rows, pivots, m.cols, f)
@@ -466,12 +418,7 @@ def image_basis(m: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
     if 0 in m.shape:
         return Matrix.zeros(m.rows, 0, m.backend)
     if m.backend == FLOAT:
-        import numpy as np
-
-        tol = tol or DEFAULT_TOL
-        u, s, vh = _float_svd(m)
-        cut = tol.rel * (s[0] if s.size and s[0] > 0 else 1.0)
-        r = int(np.sum(s > cut))
+        u, _, r = _float_split(m, tol)
         if r == 0:
             return Matrix.zeros(m.rows, 0, FLOAT)
         return Matrix.from_numpy(u[:, :r])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityMismatch, NotZeroDimensional, ParseError, UnknownVariable
-from .linalg import Matrix
+from .linalg import Matrix, commutes
 from .scalars import EXACT, QQi
 
 Monomial = tuple  # exponent vectors, fixed length = number of variables
@@ -685,6 +685,6 @@ def quotient_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
                            EXACT, shape=(dim, dim)))
     for a in range(nvars):
         for b in range(a + 1, nvars):
-            if not (mats[a] @ mats[b] - mats[b] @ mats[a]).is_zero():
+            if not commutes(mats[a], mats[b]):
                 raise AssertionError("multiplication matrices fail to commute")
     return QuotientAlgebra(gb, tuple(standard), tuple(mats), nvars)

@@ -19,7 +19,7 @@ from . import koszul, linalg
 from .errors import BackendMismatch
 from .koszul import CommutingTuple, subsets
 from .linalg import Matrix
-from .scalars import EXACT, QQi
+from .scalars import EXACT
 
 
 class Bicomplex:
@@ -35,8 +35,9 @@ class Bicomplex:
     Pages and the approximate-cycle subspaces they come from are computed
     once per bicomplex and cached. Products use only the target block's
     rows of d (K_{p,q} for the boundaries of entry (p,q), K_{p-r,q+r-1}
-    for its page-r differential): picking rows commutes with the product,
-    so no other block's rows are computed."""
+    for its page-r differential) and only the columns the cycles are
+    supported on: picking rows commutes with the product, and the other
+    columns meet zero coefficients, so no other entry is computed."""
 
     def __init__(self, tuple_a: CommutingTuple, tuple_b: CommutingTuple):
         if tuple_a.backend != EXACT or tuple_b.backend != EXACT:
@@ -74,55 +75,34 @@ class Bicomplex:
             return []
         return [i for p, block in enumerate(self.blocks[k]) if keep(p) for i in block]
 
-    def _block_cols(self, k: int, level: int):
-        return self._indices(k, lambda p: p <= level)
-
-    def _rows_above(self, k: int, floor: int):
-        """Row indices of total degree k whose filtration level exceeds floor."""
-        return self._indices(k, lambda p: p > floor)
-
-    def approx_cycles(self, level: int, floor: int, k: int) -> Matrix:
-        """Basis (in total degree-k coordinates) of the space of chains
-        supported in filtration <= level whose boundary drops to <= floor.
-        Levels above n and floors below -1 change nothing, so they are
-        clamped and share one cached kernel."""
+    def approx_cycles(self, level: int, floor: int, k: int):
+        """(cols, basis) for the chains of total degree k supported in
+        filtration <= level whose boundary drops to <= floor. `cols` lists
+        the degree-k indices of the blocks with p <= level, p ascending, so
+        block `level` is its tail; `basis` is a column basis of those chains
+        in the coordinates of `cols` only. Levels above n and floors below
+        -1 change nothing, so they are clamped and share one cached kernel."""
         level, floor = min(level, self.n), max(floor, -1)
-        if k < 0:
-            return Matrix.zeros(0, 0, EXACT)
         key = (level, floor, k)
-        if key in self._a_cache:
-            return self._a_cache[key]
-        total_dim = self.complex.dims[k] if k <= self.complex.length else 0
-        cols = self._block_cols(k, level)
-        if not cols:
-            out = Matrix.zeros(total_dim, 0, EXACT)
-            self._a_cache[key] = out
-            return out
-        d = self.complex.d(k)
-        kill_rows = self._rows_above(k - 1, floor) if k >= 1 else []
-        restricted = d.take_cols(cols).take_rows(kill_rows) if kill_rows else \
-            Matrix.zeros(0, len(cols), EXACT)
-        ker = linalg.kernel_basis(restricted)
-        rows = [[QQi(0)] * ker.cols for _ in range(total_dim)]
-        for ci in range(ker.cols):
-            for local, col in enumerate(cols):
-                val = ker[local, ci]
-                if val:
-                    rows[col][ci] = val
-        out = Matrix(rows, EXACT, shape=(total_dim, ker.cols))
-        self._a_cache[key] = out
-        return out
+        if key not in self._a_cache:
+            cols = self._indices(k, lambda p: p <= level)
+            # past the top degree d(k) is 0 x 0 and cols is empty
+            kill = self._indices(k - 1, lambda p: p > floor) if cols else []
+            d = self.complex.d(k).take_cols(cols).take_rows(kill)
+            self._a_cache[key] = cols, linalg.kernel_basis(d)
+        return self._a_cache[key]
 
     def entry(self, p: int, q: int, r: int) -> PageEntry:
         k = p + q
-        a_now = self.approx_cycles(p, p - r, k)
-        cycles = linalg.image_basis(a_now.take_rows(self.blocks[k][p]))
+        cols, basis = self.approx_cycles(p, p - r, k)
+        tail = range(len(cols) - self.dims[p][q], len(cols))  # block p
+        cycles = linalg.image_basis(basis.take_rows(tail))
         boundaries = Matrix.zeros(self.dims[p][q], 0, EXACT)
         if r:
-            a_prev = self.approx_cycles(p + r - 1, p, k + 1)
-            if a_prev.cols:
-                rows = self.complex.d(k + 1).take_rows(self.blocks[k][p])
-                boundaries = linalg.image_basis(rows @ a_prev)
+            cols_prev, prev = self.approx_cycles(p + r - 1, p, k + 1)
+            if prev.cols:
+                d = self.complex.d(k + 1).take_rows(self.blocks[k][p]).take_cols(cols_prev)
+                boundaries = linalg.image_basis(d @ prev)
         reps = linalg.extend_basis(boundaries, cycles)
         return PageEntry(boundaries, reps)
 
@@ -149,9 +129,11 @@ class Bicomplex:
         if target.dim == 0:
             return Matrix.zeros(0, entry.dim, EXACT)
         k = p + q
-        a_now = self.approx_cycles(p, p - r, k)
-        lift = a_now @ linalg.solve(a_now.take_rows(self.blocks[k][p]), entry.reps)
-        image = self.complex.d(k).take_rows(self.blocks[k - 1][p - r]) @ lift
+        cols, basis = self.approx_cycles(p, p - r, k)
+        tail = range(len(cols) - self.dims[p][q], len(cols))  # block p
+        lift = basis @ linalg.solve(basis.take_rows(tail), entry.reps)
+        d = self.complex.d(k).take_rows(self.blocks[k - 1][p - r]).take_cols(cols)
+        image = d @ lift
         frame = Matrix.hstack([target.boundaries, target.reps])
         coords = linalg.solve(frame, image)
         return coords.take_rows(range(target.boundaries.cols, frame.cols))

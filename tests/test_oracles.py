@@ -1,5 +1,5 @@
 """Differential tests of the exact routes against sympy: rank, kernel and
-solve against sympy's elimination, the characteristic polynomial against
+solve against sympy's elimination, on Gaussian and on real systems, the characteristic polynomial against
 sympy's, and certified eigenvalues against spectra known by construction,
 S J S^-1 with J in Jordan form."""
 
@@ -26,6 +26,13 @@ def _gaussian(rng, zero_share=0.0):
         return QQi(0)
     im = _rational(rng, 3) if rng.random() < 0.5 else 0
     return QQi(_rational(rng, 6), im)
+
+
+def _real(rng, zero_share=0.0):
+    """An integer or rational entry with no imaginary part."""
+    if rng.random() < zero_share:
+        return QQi(0)
+    return QQi(rng.randint(-9, 9)) if rng.random() < 0.5 else QQi(_rational(rng, 6))
 
 
 def _to_sympy(x: QQi):
@@ -55,17 +62,17 @@ def _random_matrix(rng):
     return Matrix(rows)
 
 
-def _random_system(rng, stats):
-    """A seeded Gaussian-rational matrix up to 8x8, with some rows planted
-    as Gaussian combinations of earlier ones and sometimes a zero column,
-    and a right-hand side that is consistent about half the time."""
+def _random_system(rng, stats, entry=_gaussian):
+    """A seeded matrix up to 8x8 with entries drawn by `entry`, with some
+    rows planted as combinations of earlier ones and sometimes a zero
+    column, and a right-hand side that is consistent about half the time."""
     nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
     zero_share = rng.choice([0.0, 0.3, 0.6])
-    rows = [[_gaussian(rng, zero_share) for _ in range(ncols)] for _ in range(nrows)]
+    rows = [[entry(rng, zero_share) for _ in range(ncols)] for _ in range(nrows)]
     if nrows > 1 and rng.random() < 0.4:
         k = rng.randint(1, nrows - 1)
         for i in range(k, nrows):
-            a, b = _gaussian(rng), _gaussian(rng)
+            a, b = entry(rng), entry(rng)
             rows[i] = [a * x + b * y for x, y in
                        zip(rows[rng.randrange(k)], rows[rng.randrange(k)])]
     if rng.random() < 0.3:
@@ -76,17 +83,18 @@ def _random_system(rng, stats):
     m = Matrix(rows)
     k = rng.randint(1, 2)
     if rng.random() < 0.5:
-        rhs = m @ Matrix([[_gaussian(rng) for _ in range(k)] for _ in range(ncols)])
+        rhs = m @ Matrix([[entry(rng) for _ in range(k)] for _ in range(ncols)])
     else:
-        rhs = Matrix([[_gaussian(rng) for _ in range(k)] for _ in range(nrows)])
+        rhs = Matrix([[entry(rng) for _ in range(k)] for _ in range(nrows)])
     return m, rhs
 
 
-def test_rank_kernel_and_solve_match_sympy():
-    rng = random.Random(77)
+def _match_sympy(rng, trials, entry):
+    """Rank, kernel and solve of `trials` seeded systems against sympy;
+    returns how often each hard case came up."""
     stats = {"zero column": 0, "rank-deficient": 0, "inconsistent": 0}
-    for trial in range(60):
-        m, rhs = _random_system(rng, stats)
+    for trial in range(trials):
+        m, rhs = _random_system(rng, stats, entry)
         sm = _sympy_matrix(m)
         rank = linalg.rank(m)
         assert rank == sm.rank(), trial
@@ -104,7 +112,19 @@ def test_rank_kernel_and_solve_match_sympy():
         sol = sol.subs({p: 0 for p in params})
         assert linalg.solve(m, rhs) == Matrix(
             [[_from_sympy(sol[i, j]) for j in range(rhs.cols)] for i in range(m.cols)]), trial
+    return stats
+
+
+def test_rank_kernel_and_solve_match_sympy():
+    stats = _match_sympy(random.Random(77), 60, _gaussian)
     assert min(stats.values()) >= 10, stats
+
+
+def test_real_rank_kernel_and_solve_match_sympy():
+    # real rows are what every Koszul differential and zero table feeds the
+    # elimination, so they get an oracle of their own
+    stats = _match_sympy(random.Random(78), 30, _real)
+    assert min(stats.values()) >= 5, stats
 
 
 def test_charpoly_matches_sympy():

@@ -8,7 +8,7 @@ from koszul_index.cli import Scenario, _matrix_json, run_scenario
 from koszul_index.errors import BackendMismatch, CommutatorError
 from koszul_index.koszul import CommutingTuple, build_complex, homology
 from koszul_index.linalg import Matrix
-from koszul_index.scalars import FLOAT
+from koszul_index.scalars import FLOAT, QQi
 from koszul_index.spectral import (Bicomplex, PageEntry, _check_page_step,
                                    build_bicomplex, e2_dims_independent,
                                    e2_page, euler_via_e2, page_sequence)
@@ -203,15 +203,26 @@ def test_union_must_commute():
 # -- the page engine against its per-representative reference ------------------
 
 
+def _padded_cycles(bc, level, floor, k):
+    """The engine's approximate cycles padded out to total degree-k
+    coordinates, zero off the columns they are supported on."""
+    cols, basis = bc.approx_cycles(level, floor, k)
+    total = bc.complex.dims[k] if 0 <= k <= bc.complex.length else 0
+    rows = [[QQi(0)] * basis.cols for _ in range(total)]
+    for local, col in enumerate(cols):
+        rows[col] = list(basis.entries[local])
+    return Matrix(rows, shape=(total, basis.cols))
+
+
 def _reference_entry(bc, p, q, r):
     """A page entry with boundaries from the full product d(k+1) @ a_prev,
     projected onto K_{p,q} afterwards."""
     k = p + q
-    a_now = bc.approx_cycles(p, p - r, k)
+    a_now = _padded_cycles(bc, p, p - r, k)
     cycles = linalg.image_basis(a_now.take_rows(bc.blocks[k][p]))
     boundaries = Matrix.zeros(bc.dims[p][q], 0)
     if r:
-        a_prev = bc.approx_cycles(p + r - 1, p, k + 1)
+        a_prev = _padded_cycles(bc, p + r - 1, p, k + 1)
         if a_prev.cols and k + 1 <= bc.complex.length:
             img = bc.complex.d(k + 1) @ a_prev
             boundaries = linalg.image_basis(img.take_rows(bc.blocks[k][p]))
@@ -223,7 +234,7 @@ def _reference_differential(bc, p, q, r, entry, target):
     """The page-r differential one representative at a time: solve, lift,
     apply the full d(k), project, and solve against the target frame."""
     k = p + q
-    a_now = bc.approx_cycles(p, p - r, k)
+    a_now = _padded_cycles(bc, p, p - r, k)
     proj = a_now.take_rows(bc.blocks[k][p])
     cols = []
     for ci in range(entry.reps.cols):
@@ -237,6 +248,26 @@ def _reference_differential(bc, p, q, r, entry, target):
         cols.append([coords[target.boundaries.cols + i, 0] for i in range(target.dim)])
     return Matrix([[col[i] for col in cols] for i in range(target.dim)],
                   shape=(target.dim, entry.reps.cols))
+
+
+def test_approx_cycles_live_in_their_own_blocks_columns():
+    rng = random.Random(29)
+    bicomplexes = [build_bicomplex(*random_bicomplex_pair(rng, n, m, rng.randint(1, 3)))
+                   for n, m in [(1, 1), (1, 2), (2, 1), (2, 2)]]
+    for bc in bicomplexes + [_engineered_d2_bicomplex()]:
+        top = bc.n + bc.m
+        for k in range(-1, top + 2):
+            for level in range(-1, bc.n + 2):
+                for floor in range(-2, bc.n + 1):
+                    cols, basis = bc.approx_cycles(level, floor, k)
+                    blocks = bc.blocks[k][:min(level, bc.n) + 1] if 0 <= k <= top else []
+                    assert cols == [i for block in blocks for i in block]
+                    assert basis.rows == len(cols)
+                    # the boundary of every basis chain drops to <= floor
+                    kill = [i for block in bc.blocks[k - 1][max(floor + 1, 0):]
+                            for i in block] if 1 <= k <= top else []
+                    image = bc.complex.d(k) @ _padded_cycles(bc, level, floor, k)
+                    assert image.take_rows(kill).is_zero()
 
 
 def _reference_bicomplexes():

@@ -7,7 +7,7 @@ from koszul_index.koszul import CommutingTuple
 from koszul_index.linalg import Matrix
 from koszul_index.multiplicity import global_multiplicity_table
 from koszul_index.poly import groebner, parse_system, quotient_algebra
-from koszul_index.scalars import EXACT, FLOAT, QQi
+from koszul_index.scalars import QQi
 from koszul_index.spectrum import (_power_at_least, apply_polynomial_map,
                                    charpoly, exact_eigenvalues,
                                    generalized_eigenspace,
