@@ -114,8 +114,8 @@ class ChainComplex:
             if dk.shape != (self.dims[k - 1], self.dims[k]):
                 raise ValueError(f"differential {k} has the wrong shape")
         for k in range(1, self.length):
-            prod = self.d(k) @ self.d(k + 1)
-            if not prod.is_zero(tol):
+            dk, dk1 = self.d(k), self.d(k + 1)
+            if not linalg.product_vanishes(dk @ dk1, dk, dk1, tol):
                 raise AssertionError(f"d_{k} after d_{k + 1} is nonzero")
 
     def d(self, k: int) -> Matrix:

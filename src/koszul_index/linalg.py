@@ -236,12 +236,19 @@ def _same_shape(a: Matrix, b: Matrix):
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
 
 
-def commutes(a: Matrix, b: Matrix, tol: TolerancePolicy | None = None) -> bool:
-    c = a @ b - b @ a
-    if a.backend == EXACT:
-        return c.is_zero()
+def product_vanishes(p: Matrix, a: Matrix, b: Matrix,
+                     tol: TolerancePolicy | None = None) -> bool:
+    """Whether p, built from products of a and b, is zero: exactly, or in
+    float below rel * max(|a|, 1) * max(|b|, 1), the rounding scale of
+    those products."""
+    if p.backend == EXACT:
+        return p.is_zero()
     tol = tol or DEFAULT_TOL
-    return c.norm() <= tol.rel * max(a.norm(), 1.0) * max(b.norm(), 1.0)
+    return p.norm() <= tol.rel * max(a.norm(), 1.0) * max(b.norm(), 1.0)
+
+
+def commutes(a: Matrix, b: Matrix, tol: TolerancePolicy | None = None) -> bool:
+    return product_vanishes(a @ b - b @ a, a, b, tol)
 
 
 # -- fraction-free elimination over Gaussian integers ------------------------
@@ -357,20 +364,19 @@ def _back_substitute(rows, pivots, ncols, col):
 
 def _float_split(m: Matrix, tol: TolerancePolicy | None = None):
     """One full SVD of a nonempty float matrix: (u, vh, r), where r counts
-    the singular values above rel * sigma_max (above rel when sigma_max is
-    0). Columns u[:, :r] span the image; rows vh[r:] conjugated span the
-    kernel."""
+    the singular values above rel * max(sigma_max, 1), so a matrix of
+    rounding noise has rank 0. Columns u[:, :r] span the image; rows vh[r:]
+    conjugated span the kernel. This is the one float kernel cut."""
     import numpy as np
 
     tol = tol or DEFAULT_TOL
     u, s, vh = np.linalg.svd(m.to_numpy(), full_matrices=True)
-    cut = tol.rel * (s[0] if s[0] > 0 else 1.0)
-    return u, vh, int(np.sum(s > cut))
+    return u, vh, int(np.sum(s > tol.rel * max(s[0], 1.0)))
 
 
 def rank(m: Matrix, tol: TolerancePolicy | None = None) -> int:
     """Rank: exact via fraction-free elimination, float via singular values
-    above rel * sigma_max."""
+    above rel * max(sigma_max, 1)."""
     if 0 in m.shape:
         return 0
     if m.backend == EXACT:

@@ -73,31 +73,17 @@ class DomainDescriptor:
         if len(point) != self.dimension:
             raise ArityMismatch("point dimension differs from the domain")
         exact = all(isinstance(p, QQi) for p in point)
-        if exact:
-            if self.kind == "polydisc":
-                dists = [(p - c).abs2() for p, c in zip(point, self.center)]
-                bounds = [r * r for r in self.radii]
-            else:
-                dists = [sum(((p - c).abs2() for p, c in zip(point, self.center)),
-                             Fraction(0))]
-                bounds = [self.radii[0] * self.radii[0]]
-            if any(d > b for d, b in zip(dists, bounds)):
-                return EXTERIOR
-            if all(d < b for d, b in zip(dists, bounds)):
-                return INTERIOR
-            return BOUNDARY
-        tol = tol or DEFAULT_TOL
-        pts = [complex(p) for p in point]
-        if self.kind == "polydisc":
-            dists = [abs(p - complex(c)) for p, c in zip(pts, self.center)]
-            bounds = [float(r) for r in self.radii]
+        if exact:  # squared distances against squared radii, with no margin
+            dists = [(p - c).abs2() for p, c in zip(point, self.center)]
+            bounds, margin = [r * r for r in self.radii], 0
         else:
-            dists = [sum(abs(p - complex(c)) ** 2
-                         for p, c in zip(pts, self.center)) ** 0.5]
-            bounds = [float(self.radii[0])]
-        if any(d > b + tol.margin for d, b in zip(dists, bounds)):
+            dists = [abs(complex(p) - complex(c)) for p, c in zip(point, self.center)]
+            bounds, margin = [float(r) for r in self.radii], (tol or DEFAULT_TOL).margin
+        if self.kind == "ball":
+            dists = [sum(dists)] if exact else [sum(x ** 2 for x in dists) ** 0.5]
+        if any(d > b + margin for d, b in zip(dists, bounds)):
             return EXTERIOR
-        if all(d < b - tol.margin for d, b in zip(dists, bounds)):
+        if all(d < b - margin for d, b in zip(dists, bounds)):
             return INTERIOR
         return BOUNDARY
 

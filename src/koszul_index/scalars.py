@@ -21,9 +21,13 @@ FLOAT = "float"
 class TolerancePolicy:
     """Numeric policy for the float backend; exact code paths ignore it.
 
-    rel      -- relative cutoff: singular values below rel * sigma_max count
-                as zero; commutators below rel * |A| * |B| count as zero.
-    cluster  -- absolute radius used to cluster float joint eigenvalues.
+    rel      -- the one kernel cut: singular values up to rel * max(sigma_max,
+                1) count as zero; so does a product of A and B (commutator,
+                d after d) up to rel * max(|A|, 1) * max(|B|, 1).
+    cluster  -- both radii that link float eigenvalues: cluster, and
+                sqrt(cluster) for eigenvectors parallel to within
+                sqrt(cluster); also the floor on the smallest singular value
+                of the joint eigenspace basis.
     margin   -- absolute margin around a domain boundary inside which a
                 float zero is refused as on-boundary.
     """

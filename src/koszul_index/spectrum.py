@@ -1,15 +1,15 @@
 """Joint spectra of commuting tuples, simultaneous generalized-eigenspace
 decompositions, polynomial functional calculus, and localized homology.
 
-The exact decomposition is deterministic pure Python. It splits the space
-by one operator at a time. On each piece an operator either has one
-eigenvalue, which a nilpotency test proves, or its Hessenberg
-characteristic polynomial is split over the Gaussian rationals (Yun
+Both backends decompose by one route: split the space by one operator at a
+time into generalized eigenspaces, each a kernel chain that forms no matrix
+power. Only the eigenvalue step differs. Exact eigenvalues split the
+Hessenberg characteristic polynomial over the Gaussian rationals (Yun
 factors, Aberth-Ehrlich root guesses, rational reconstruction, exact
-verification) and the piece is cut into generalized eigenspaces, each a
-kernel chain that forms no matrix power. When an eigenvalue leaves the
-Gaussian rationals, IrrationalSpectrum is raised and the caller may retry
-with the float backend; only the float decomposition imports numpy.
+verification); when one leaves them, IrrationalSpectrum is raised and the
+caller may retry with the float backend. Float eigenvalues are clusters of
+numpy ones; numpy is imported only there and by the float independence
+check.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from . import koszul, linalg
 from .errors import ArityMismatch, ClusteringAmbiguity, IrrationalSpectrum
 from .koszul import CommutingTuple
 from .linalg import Matrix
-from .scalars import EXACT, FLOAT, QQi, TolerancePolicy, DEFAULT_TOL
+from .scalars import EXACT, QQi, TolerancePolicy, DEFAULT_TOL
 
-DEFAULT_SEED = 0x5EED
 _DENOMINATOR_LADDER = (1, 100, 10**4, 10**6, 10**9)
 _ABERTH_TOL = 1e-15
 _ABERTH_SWEEPS = 200
@@ -251,11 +250,6 @@ class SpectralDecomposition:
         return sum(space.cols for _, space in self.components)
 
 
-def _restriction(op: Matrix, basis: Matrix) -> Matrix:
-    """Matrix of op on span(basis), solving basis @ X = op @ basis."""
-    return linalg.solve(basis, op @ basis)
-
-
 def _power_at_least(m: Matrix, k: int) -> Matrix:
     """m^e for the least power of two e >= k by repeated squaring, stopping
     early at zero. When k bounds the size of m's Jordan blocks at 0, this
@@ -284,82 +278,82 @@ def _kernel_chain(ops, bound: int, tol: TolerancePolicy | None = None) -> Matrix
     return space
 
 
-def _decomposition_exact(t: CommutingTuple) -> SpectralDecomposition:
+def _float_eigenvalues(m: Matrix, tol: TolerancePolicy):
+    """Eigenvalues of a float matrix as (cluster mean, size) pairs, by single
+    linkage: two eigenvalues share a cluster when they lie within
+    tol.cluster, or within sqrt(tol.cluster) with unit eigenvectors parallel
+    to within sqrt(tol.cluster). The second link is how a Jordan block looks
+    after rounding: a block of size j splits by about eps^(1/j) into
+    eigenvalues with one eigenvector (Moro-Burke-Overton, SIAM J. Matrix
+    Anal. Appl. 18(4), 1997). A cluster wider than twice its link radius
+    raises ClusteringAmbiguity."""
+    import numpy as np
+
+    values, vectors = np.linalg.eig(m.to_numpy())
+    near = math.sqrt(tol.cluster)
+
+    def link(i, j):  # the radius of the link from i to j, 0 for none
+        gap = abs(values[i] - values[j])
+        if gap <= tol.cluster:
+            return tol.cluster
+        if gap > near:
+            return 0.0
+        sine2 = 1 - abs(np.vdot(vectors[:, i], vectors[:, j])) ** 2
+        return near if sine2 <= tol.cluster else 0.0
+
+    clusters = []  # (members, link radius)
+    for i in sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag)):
+        members, radius, apart = [], tol.cluster, []
+        for cluster, r in clusters:
+            radii = [link(i, j) for j in cluster]
+            if any(radii):
+                members, radius = members + cluster, max(radius, r, *radii)
+            else:
+                apart.append((cluster, r))
+        clusters = apart + [(members + [i], radius)]
+    out = []
+    for cluster, radius in clusters:
+        zs = sorted(values[cluster], key=lambda z: (z.real, z.imag))
+        if max(abs(a - b) for a in zs for b in zs) > 2 * radius:
+            raise ClusteringAmbiguity("eigenvalue clusters overlap within tolerance")
+        out.append((complex(np.mean(zs)), len(zs)))
+    return out
+
+
+def _decomposition(t: CommutingTuple, tol: TolerancePolicy) -> SpectralDecomposition:
     """Split the space by one operator at a time. Each piece carries its
-    basis and the operators not yet used, restricted to it. An operator
-    with one eigenvalue on a piece keeps it whole; otherwise the piece is
-    cut into the generalized eigenspaces of that operator. A piece on which
-    every operator has one eigenvalue is a component."""
-    pieces = [((), Matrix.identity(t.dim, EXACT), t.operators)]
+    basis and the operators not yet used, restricted to it, and is cut into
+    the generalized eigenspaces of the next one. An exact operator proved to
+    have one eigenvalue on a piece keeps it whole. A piece on which every
+    operator has been used is a component."""
+    backend = t.backend
+    pieces = [((), Matrix.identity(t.dim, backend), t.operators)]
     for _ in range(t.n):
         refined = []
         for point, basis, (rep, *rest) in pieces:
             k = rep.rows
-            ident = Matrix.identity(k, EXACT)
-            lam = sum((rep[i, i] for i in range(k)), QQi(0)) / QQi(k)
-            if _power_at_least(rep - ident.scale(lam), k).is_zero():
-                refined.append((point + (lam,), basis, rest))
-                continue
-            for mu, mult in exact_eigenvalues(rep):
-                kernel = _kernel_chain([rep - ident.scale(mu)], mult)
+            ident = Matrix.identity(k, backend)
+            if backend == EXACT:
+                lam = sum((rep[i, i] for i in range(k)), QQi(0)) / QQi(k)
+                if _power_at_least(rep - ident.scale(lam), k).is_zero():
+                    refined.append((point + (lam,), basis, rest))
+                    continue
+                eigenvalues = exact_eigenvalues(rep)
+            else:
+                eigenvalues = _float_eigenvalues(rep, tol)
+            for mu, mult in eigenvalues:
+                kernel = _kernel_chain([rep - ident.scale(mu)], mult, tol)
                 if kernel.cols != mult:
-                    raise AssertionError("generalized eigenspace dimension "
-                                         "differs from the multiplicity")
+                    error = AssertionError if backend == EXACT else ClusteringAmbiguity
+                    raise error("generalized eigenspace dimension differs from "
+                                "the multiplicity")
+                # each remaining operator on span(kernel): kernel @ X = op @ kernel
                 refined.append((point + (mu,), basis @ kernel,
-                                [_restriction(op, kernel) for op in rest]))
+                                [linalg.solve(kernel, op @ kernel, tol) for op in rest]))
         pieces = refined
     components = sorted(((point, basis) for point, basis, _ in pieces),
-                        key=lambda cs: tuple(x.sort_key() for x in cs[0]))
-    return SpectralDecomposition(t, tuple(components))
-
-
-def _decomposition_float(t: CommutingTuple, tol: TolerancePolicy):
-    import numpy as np
-
-    d = t.dim
-    ops = [op.to_numpy() for op in t.operators]
-    rng = np.random.default_rng(DEFAULT_SEED)
-    comb = sum(float(c) * op for c, op in zip(rng.uniform(0.5, 1.5, len(ops)), ops))
-
-    def order(z):
-        return (z.real, z.imag)
-
-    # single linkage: a cluster is a connected component of the graph that
-    # joins eigenvalues within tol.cluster, whatever their sort order
-    clusters = []
-    for z in sorted(np.linalg.eigvals(comb), key=order):
-        near = [c for c in clusters if any(abs(z - w) <= tol.cluster for w in c)]
-        clusters = [c for c in clusters if c not in near]
-        clusters.append(sorted(sum(near, []) + [z], key=order))
-    for cluster in clusters:
-        if max(abs(a - b) for a in cluster for b in cluster) > 2 * tol.cluster:
-            raise ClusteringAmbiguity("eigenvalue clusters overlap within tolerance")
-    components = []
-    for cluster in clusters:
-        mult = len(cluster)
-        mu = complex(np.mean(cluster))
-        power = np.linalg.matrix_power(comb - mu * np.eye(d), min(mult, d))
-        u, s, vh = np.linalg.svd(power)
-        cut = tol.rel * max(s[0], 1.0)
-        null = vh[[i for i in range(len(s)) if s[i] <= cut]].conjugate().T
-        if null.shape[1] != mult:
-            raise ClusteringAmbiguity(
-                "generalized eigenspace dimension does not match the cluster")
-        point = []
-        for op in ops:
-            if np.linalg.norm(op @ null - null @ (null.conj().T @ op @ null)) > \
-                    np.sqrt(tol.cluster) * max(1.0, np.linalg.norm(op)):
-                raise ClusteringAmbiguity("cluster space is not invariant")
-            rep = null.conj().T @ op @ null
-            lam = complex(np.trace(rep)) / mult
-            nil = np.linalg.matrix_power(rep - lam * np.eye(mult), mult)
-            if np.linalg.norm(nil) > np.sqrt(tol.cluster) * max(
-                    1.0, np.linalg.norm(rep)) ** mult:
-                raise ClusteringAmbiguity("shifted operator is not nilpotent "
-                                          "on the cluster space")
-            point.append(lam)
-        components.append((tuple(point), Matrix.from_numpy(null)))
-    components.sort(key=lambda cs: tuple((z.real, z.imag) for z in cs[0]))
+                        key=lambda cs: tuple(x.sort_key() if backend == EXACT
+                                             else (x.real, x.imag) for x in cs[0]))
     return SpectralDecomposition(t, tuple(components))
 
 
@@ -368,21 +362,28 @@ def spectral_decomposition(t: CommutingTuple,
     """Decompose the space into joint generalized eigenspaces."""
     if t.dim == 0:
         return SpectralDecomposition(t, ())
-    if t.backend == FLOAT:
-        return _decomposition_float(t, tol or DEFAULT_TOL)
-    result = _decomposition_exact(t)
-    _verify_decomposition(result)
+    tol = tol or DEFAULT_TOL
+    result = _decomposition(t, tol)
+    _verify_decomposition(result, tol)
     return result
 
 
-def _verify_decomposition(dec: SpectralDecomposition):
+def _verify_decomposition(dec: SpectralDecomposition, tol: TolerancePolicy):
+    """The eigenspaces add up to the space and are independent: exactly by
+    rank, or in float by the smallest singular value of the joint basis,
+    each eigenspace's columns orthonormalized, against tol.cluster."""
     t = dec.tuple
     if dec.total_dim() != t.dim:
         raise AssertionError("eigenspace dimensions do not add up")
-    if dec.components:
-        joint = Matrix.hstack([space for _, space in dec.components])
-        if linalg.rank(joint) != t.dim:
+    if t.backend == EXACT:
+        if linalg.rank(Matrix.hstack([space for _, space in dec.components])) != t.dim:
             raise AssertionError("eigenspaces do not span the whole space")
+        return
+    import numpy as np
+
+    joint = np.hstack([np.linalg.qr(space.to_numpy())[0] for _, space in dec.components])
+    if np.linalg.svd(joint, compute_uv=False)[-1] < tol.cluster:
+        raise ClusteringAmbiguity("eigenspaces are not independent within tolerance")
 
 
 @dataclass(frozen=True)
@@ -431,19 +432,15 @@ def joint_spectrum_equivalences(t: CommutingTuple, point,
 
 
 def apply_polynomial_map(t: CommutingTuple, polys) -> CommutingTuple:
-    """The tuple (g_1(A), ..., g_m(A)) by exact substitution; the result is
-    checked to commute with the source tuple."""
+    """The tuple (g_1(A), ..., g_m(A)) by exact substitution. Polynomials in
+    commuting matrices commute, and a CommutingTuple's operators commute by
+    construction (checked when it was built, or proved where `proven` was
+    called), so no pair is re-checked."""
     polys = list(polys)
     for g in polys:
         if g.nvars != t.n:
             raise ArityMismatch("polynomial arity differs from tuple length")
-    ops = [g.eval_matrices(t.operators) for g in polys]
-    result = CommutingTuple(ops)
-    for new in ops:
-        for old in t.operators:
-            if not linalg.commutes(new, old):
-                raise AssertionError("polynomial image fails to commute with source")
-    return result
+    return CommutingTuple.proven([g.eval_matrices(t.operators) for g in polys])
 
 
 def localized_homology(t: CommutingTuple, polys, point,

@@ -261,6 +261,18 @@ def test_one_off_options_are_passed_through(tmp_path, capsys):
     assert "'variables' must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_homology_of_large_commuting_float_pair(tmp_path, backend):
+    # B = A^2; d_1 d_2 is the commutator, so both are judged relative to
+    # the sizes of their factors, not by an absolute bound
+    a = '[["1000/3","1000/7"],["1000/7","200"]]'
+    b = '[["58000000/441","1600000/21"],["1600000/21","2960000/49"]]'
+    code, reports, _ = run_main(["homology", "--operators", f"[{a}, {b}]",
+                                 "--backend", backend], tmp_path)
+    assert code == 0 and reports[0]["pass"]
+    assert reports[0]["outputs"]["dims"] == [0, 0, 0]
+
+
 def test_index_reports_the_backend_that_ran(tmp_path):
     domain = '{"kind":"polydisc","center":["0"],"radii":["2"]}'
     code, reports, _ = run_main(

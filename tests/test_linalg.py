@@ -187,3 +187,11 @@ def test_float_rank_uses_policy():
     nearly = Matrix([[1.0, 0.0], [0.0, 1e-12]], FLOAT)
     assert linalg.rank(nearly) == 1
     assert linalg.rank(nearly, TolerancePolicy(rel=1e-15)) == 2
+
+
+def test_float_kernel_of_rounding_noise_is_the_whole_space():
+    # the cut is rel * max(sigma_max, 1), so noise far below 1 is zero
+    noise = Matrix([[3e-17, -1e-17, 0.0], [2e-17, 5e-17, 1e-17], [0.0, 4e-17, -2e-17]],
+                   FLOAT)
+    assert linalg.kernel_basis(noise).cols == 3
+    assert linalg.rank(noise) == 0 and linalg.image_basis(noise).cols == 0

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from koszul_index.errors import ArityMismatch, IrrationalSpectrum
+from koszul_index import linalg, suites
+from koszul_index.errors import ArityMismatch, ClusteringAmbiguity, IrrationalSpectrum
 from koszul_index.koszul import CommutingTuple
 from koszul_index.linalg import Matrix
 from koszul_index.multiplicity import global_multiplicity_table
@@ -104,6 +106,72 @@ def test_irrational_spectrum_raises_exact_passes_float():
     values = sorted(pt[0].real for pt, _ in dec.components)
     assert values[0] == pytest.approx(-2 ** 0.5, abs=1e-6)
     assert values[1] == pytest.approx(2 ** 0.5, abs=1e-6)
+
+
+def _conjugated_jordan(rng, blocks, steps):
+    """S J S^-1 for a unimodular S of `steps` row operations, where J holds
+    one Jordan block of each (eigenvalue, size)."""
+    d = sum(size for _, size in blocks)
+    rows = [[QQi(0)] * d for _ in range(d)]
+    pos = 0
+    for lam, size in blocks:
+        for i in range(size):
+            rows[pos + i][pos + i] = lam
+            if i:
+                rows[pos + i - 1][pos + i] = QQi(1)
+        pos += size
+    s = suites._unimodular(rng, d, steps)
+    return s @ Matrix(rows) @ linalg.solve(s, Matrix.identity(d))
+
+
+def _float_copy(m):
+    return CommutingTuple([Matrix.from_numpy(m.to_numpy())])
+
+
+@pytest.mark.parametrize("seed", [0, 10, 25, 32])
+def test_float_jordan_block_is_one_component(seed):
+    # rounding splits J_2(1+5i) by about sqrt(eps) times the conditioning of
+    # S, often beyond tol.cluster; its two eigenvectors stay parallel
+    m = _conjugated_jordan(random.Random(seed),
+                           [(QQi(1, 5), 2), (QQi(2), 1)], 12)
+    dec = spectral_decomposition(_float_copy(m))
+    assert [n for _, n in dec.multiplicities()] == [2, 1]
+    points = [pt[0] for pt, _ in dec.multiplicities()]
+    assert points == [pytest.approx(1 + 5j, abs=1e-6), pytest.approx(2, abs=1e-6)]
+
+
+def _rational(rng, den):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, den))
+
+
+def _jordan_blocks(rng):
+    values = [QQi(_rational(rng, 4)) for _ in range(rng.randint(1, 3))]
+    return [(rng.choice(values), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+
+
+def _gaussian_blocks(rng):
+    return [(QQi(_rational(rng, 4), _rational(rng, 3) or 1), rng.randint(1, 2))
+            for _ in range(rng.randint(2, 4))]
+
+
+def test_float_tables_match_exact_or_refuse():
+    # float copies of conjugated Jordan forms against the certified exact
+    # table: a float table is right or refused, never wrong
+    rng = random.Random(77)
+    right = 0
+    for trial in range(100):
+        family = _jordan_blocks if trial % 2 == 0 else _gaussian_blocks
+        m = _conjugated_jordan(rng, family(rng), 20)
+        exact = spectral_decomposition(CommutingTuple([m])).multiplicities()
+        try:
+            got = spectral_decomposition(_float_copy(m)).multiplicities()
+        except ClusteringAmbiguity:
+            continue
+        assert len(got) == len(exact), trial
+        for point, mult in exact:
+            assert [n for q, n in got if abs(q[0] - complex(point[0])) < 1e-6] == [mult], trial
+        right += 1
+    assert right >= 80
 
 
 def test_equivalences_examples():
