@@ -8,11 +8,11 @@ cycles, boundaries and eigenspaces all take this one form.
 Exact elimination runs on Python ints from input to answer: rows are scaled
 to Gaussian integers and eliminated by one fraction-free (Bareiss) loop,
 real or not, and kernels and solves back-substitute over the last pivot, so
-each QQi of an answer is built once. Float rank, kernel and image read one
-SVD split, with the relative cutoff carried by an explicit TolerancePolicy,
-never a global.
-numpy is imported only inside the float branches, so exact work never
-loads it.
+each QQi of an answer is built once. Exact `commutes` also runs on
+Gaussian-integer numerators and builds no QQi. Float rank, kernel and image
+read one SVD split, with the relative cutoff carried by an explicit
+TolerancePolicy, never a global. numpy is imported only inside the float
+branches, so exact work never loads it.
 """
 
 from __future__ import annotations
@@ -248,24 +248,40 @@ def product_vanishes(p: Matrix, a: Matrix, b: Matrix,
 
 
 def commutes(a: Matrix, b: Matrix, tol: TolerancePolicy | None = None) -> bool:
-    return product_vanishes(a @ b - b @ a, a, b, tol)
+    """Whether ab = ba. Each exact matrix is scaled once by its own least
+    common denominator, so both products carry den(a) * den(b), and their
+    rows are compared on Gaussian-integer numerators until one differs."""
+    if FLOAT in (a.backend, b.backend):
+        return product_vanishes(a @ b - b @ a, a, b, tol)
+    n = a.rows
+    if not a.cols == b.rows == b.cols == n:
+        raise ValueError(f"commutes: {a.shape} and {b.shape}")
+    # each row as its nonzero (column, re, im) triples
+    sa, sb = ([[(j, x, y) for j, (x, y) in enumerate(pairs[i * n:(i + 1) * n]) if x or y]
+               for i in range(n)] for _, pairs in
+              (_clear_denominators([x for r in m.entries for x in r]) for m in (a, b)))
+
+    def row(left, right, i):  # row i of left @ right, over pairs nonzero on both sides
+        re, im = [0] * n, [0] * n
+        for k, xa, xb in left[i]:
+            for j, ya, yb in right[k]:
+                re[j] += xa * ya - xb * yb
+                im[j] += xa * yb + xb * ya
+        return re, im
+    return all(row(sa, sb, i) == row(sb, sa, i) for i in range(n))
 
 
 # -- fraction-free elimination over Gaussian integers ------------------------
 
 
-def _row_scale(r) -> int:
-    """The least common denominator of the entries of an exact row."""
-    return math.lcm(*[a.re.denominator for a in r],
-                    *[a.im.denominator for a in r])
-
-
-def _clear_denominators(r):
-    """An exact row scaled by its least common denominator to Gaussian-integer
-    pairs; preserves rank, kernel and pivot-column structure."""
-    lcm = _row_scale(r)
-    return [(a.re.numerator * (lcm // a.re.denominator),
-             a.im.numerator * (lcm // a.im.denominator)) for a in r]
+def _clear_denominators(entries):
+    """(lcm, pairs): the least common denominator of a collection of exact
+    entries, and the entries scaled by it to Gaussian-integer pairs; scaling
+    a row preserves rank, kernel and pivot-column structure."""
+    lcm = math.lcm(*[a.re.denominator for a in entries],
+                   *[a.im.denominator for a in entries])
+    return lcm, [(a.re.numerator * (lcm // a.re.denominator),
+                  a.im.numerator * (lcm // a.im.denominator)) for a in entries]
 
 
 def _bareiss(rows, ncols, pivot_limit=None):
@@ -324,7 +340,7 @@ def _bareiss(rows, ncols, pivot_limit=None):
 
 
 def _echelon(m: Matrix, pivot_limit=None):
-    rows = [_clear_denominators(r) for r in m.entries]
+    rows = [_clear_denominators(r)[1] for r in m.entries]
     rank, pivots, sign, last = _bareiss(rows, m.cols, pivot_limit)
     return rank, pivots, rows, sign, last
 
@@ -392,13 +408,12 @@ def det(m: Matrix) -> QQi:
         raise ValueError("det of a non-square matrix")
     if m.rows == 0:
         return QQi(1)
-    # Track the row scalings introduced by denominator clearing.
-    scale = math.prod(_row_scale(r) for r in m.entries)
-    rank_, pivots, rows, sign, last = _echelon(m)
+    # clearing a row's denominators scales the determinant by it
+    scales, rows = zip(*map(_clear_denominators, m.entries))
+    rank_, _, sign, (la, lb) = _bareiss(list(rows), m.cols)
     if rank_ < m.rows:
         return QQi(0)
-    la, lb = last
-    return QQi(Fraction(la * sign), Fraction(lb * sign)) / QQi(scale)
+    return QQi(Fraction(la * sign), Fraction(lb * sign)) / QQi(math.prod(scales))
 
 
 def kernel_basis(m: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
@@ -440,13 +455,12 @@ def solve(m: Matrix, rhs: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
     if m.backend == FLOAT:
         import numpy as np
 
-        tol = tol or DEFAULT_TOL
-        a = m.to_numpy()
-        b = rhs.to_numpy()
+        a, b = m.to_numpy(), rhs.to_numpy()
         x, *_ = np.linalg.lstsq(a, b, rcond=None)
-        if not np.allclose(a @ x, b, atol=max(tol.rel * max(m.norm(), 1.0), tol.rel)):
+        sol = Matrix.from_numpy(x)
+        if not product_vanishes(Matrix.from_numpy(a @ x - b), m, sol, tol):
             raise InconsistentSystem("no float solution within tolerance")
-        return Matrix.from_numpy(x)
+        return sol
     if m.cols == 0:
         if rhs.is_zero():
             return Matrix.zeros(0, rhs.cols, EXACT)

@@ -366,7 +366,7 @@ def tensor_index_identity(base: CommutingTuple, nilpotent: CommutingTuple,
         raise ArityMismatch("tuple lengths differ")
     nil_dim = nilpotent.dim
     for op in nilpotent.operators:
-        if not spectrum._power_at_least(op, nil_dim).is_zero(tol):
+        if not linalg.product_vanishes(spectrum._power_at_least(op, nil_dim), op, op, tol):
             raise NotNilpotent("auxiliary tuple is not nilpotent")
     ident_base = Matrix.identity(base.dim, base.backend)
     ident_nil = Matrix.identity(nil_dim, nilpotent.backend)

@@ -62,7 +62,7 @@ class _Truncation:
         self.gens = []  # (order of vanishing, [((degree, monomial), pair)])
         for g in system_at_origin:
             if not g.is_zero():
-                pairs = linalg._clear_denominators(g.terms.values())
+                _, pairs = linalg._clear_denominators(g.terms.values())
                 columns = [(mono_degree(m), m) for m in g.terms]
                 self.gens.append((g.order_of_vanishing(), list(zip(columns, pairs))))
         self.echelon = SparseEchelon()

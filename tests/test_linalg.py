@@ -124,7 +124,7 @@ def test_induced_on_subquotient_jordan():
 
 def _pairs(vec):
     """A sparse exact row as the nonzero Gaussian-integer pairs SparseEchelon takes."""
-    return {c: p for c, p in zip(vec, linalg._clear_denominators(vec.values()))
+    return {c: p for c, p in zip(vec, linalg._clear_denominators(vec.values())[1])
             if p != (0, 0)}
 
 
@@ -179,6 +179,66 @@ def test_back_substitution_forms_no_qqi_products(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert ker.cols == 4 and (m @ ker).is_zero() and m @ x == rhs
+
+
+def test_commutes_forms_no_qqi_products(monkeypatch):
+    rng = random.Random(6)
+    m = exact([[_gaussian(rng) for _ in range(6)] for _ in range(6)])
+    p, q = m @ m + m.scale(_gaussian(rng)), m.scale(_gaussian(rng))
+    calls = []
+    for cls, names in ((QQi, ("__mul__", "__truediv__")), (Matrix, ("__matmul__",))):
+        for name in names:
+            original = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda a, b, name=name, original=original:
+                                calls.append(name) or original(a, b))
+    moved = m.take_rows([1, 0, 2, 3, 4, 5])
+    results = linalg.commutes(p, q), linalg.commutes(p, moved)
+    assert calls == []
+    monkeypatch.undo()
+    assert results == (True, False) and not (p @ moved - moved @ p).is_zero()
+
+
+def test_commutes_keeps_its_error_types():
+    with pytest.raises(BackendMismatch):
+        linalg.commutes(Matrix.identity(2), Matrix.identity(2, FLOAT))
+    for a, b in ((exact([[1, 2]]), exact([[1], [2]])), (exact([[1, 2]]), exact([[1, 2]])),
+                 (Matrix.identity(2), Matrix.identity(3))):
+        with pytest.raises(ValueError):
+            linalg.commutes(a, b)
+
+
+def test_commutes_matches_the_product_oracle():
+    """Exact `commutes` against (ab - ba).is_zero() on commuting pairs p(M),
+    q(M) with Gaussian-rational entries, and on near-misses: q(M) with one
+    entry moved by 1/k or i/k. Every other M is lower triangular, so a move
+    in its last row changes only the last row of ab - ba. Dims 1-9 come
+    once each, then 1-4, to keep the QQi products of the oracle cheap."""
+    rng = random.Random(15)
+    verdicts = []
+    for trial in range(100):
+        d = trial + 1 if trial < 9 else trial % 4 + 1
+        m = exact([[_gaussian(rng) if j <= i or trial % 2 else QQi(0) for j in range(d)]
+                   for i in range(d)])
+        m2 = m @ m
+        p, q = (Matrix.identity(d).scale(_gaussian(rng)) + m.scale(_gaussian(rng))
+                + m2.scale(_gaussian(rng)) for _ in range(2))
+        i = d - 1 if trial % 3 == 0 else rng.randrange(d)
+        j = d - 1 if trial % 3 == 1 else rng.randrange(d)
+        rows = [list(r) for r in q.entries]
+        step = Fraction(1, rng.randint(1, 5))
+        rows[i][j] += QQi(*rng.choice([(step, 0), (0, step)]))
+        for a, b in ((p, q), (p, exact(rows))):
+            verdicts.append(linalg.commutes(a, b))
+            assert verdicts[-1] == (a @ b - b @ a).is_zero(), (trial, i, j)
+    assert verdicts.count(False) > 70
+
+
+def test_float_solve_residual_is_relative():
+    ones = Matrix([[1.0], [1.0]], FLOAT)
+    with pytest.raises(InconsistentSystem):
+        linalg.solve(ones, Matrix([[1.0], [1.0 + 1e-6]], FLOAT))
+    x = linalg.solve(ones.scale(1e6), Matrix([[1e6], [1e6 + 1e-6]], FLOAT))
+    assert abs(x[0, 0] - 1.0) < 1e-9
 
 
 def test_float_rank_uses_policy():

@@ -1,8 +1,10 @@
 """Differential tests of the exact routes against sympy: rank, kernel and
 solve against sympy's elimination, on Gaussian and on real systems, the characteristic polynomial against
-sympy's, and certified eigenvalues against spectra known by construction,
-S J S^-1 with J in Jordan form."""
+sympy's, certified eigenvalues against spectra known by construction,
+S J S^-1 with J in Jordan form, and reduced grevlex Groebner bases and
+quotient dimensions against sympy's `groebner`."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,9 +12,11 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from koszul_index import linalg  # noqa: E402
+from koszul_index import linalg, suites  # noqa: E402
 from koszul_index.errors import InconsistentSystem, IrrationalSpectrum  # noqa: E402
 from koszul_index.linalg import Matrix  # noqa: E402
+from koszul_index.poly import (Polynomial, groebner, monomials_of_degree,  # noqa: E402
+                               parse_system, quotient_algebra)
 from koszul_index.scalars import QQi  # noqa: E402
 from koszul_index.spectrum import charpoly, exact_eigenvalues  # noqa: E402
 
@@ -196,3 +200,45 @@ def test_companion_of_irrational_polynomial_raises():
     companion = Matrix([[0, 2], [1, 0]])  # z^2 - 2
     with pytest.raises(IrrationalSpectrum):
         exact_eigenvalues(companion)
+
+
+def _random_dense_system(rng, nvars):
+    """nvars polynomials of degree <= 2 with Gaussian-rational coefficients;
+    generic ones meet in finitely many points (Bezout)."""
+    monos = [m for deg in range(3) for m in monomials_of_degree(nvars, deg)]
+    return [Polynomial(nvars, {m: _gaussian(rng, 0.3) for m in monos}) for _ in range(nvars)]
+
+
+def _standard_monomial_count(leads, nvars):
+    """Monomials divisible by no leading monomial, in the box that the pure
+    powers among the leads bound."""
+    bounds = [min(lm[i] for lm in leads if sum(lm) == lm[i] > 0) for i in range(nvars)]
+    box = itertools.product(*(range(b) for b in bounds))
+    return sum(not any(all(x >= y for x, y in zip(m, lm)) for lm in leads) for m in box)
+
+
+def test_groebner_and_quotient_dimension_match_sympy():
+    rng = random.Random(606)
+    # regular systems have simple zeros, and z1^a - z2; z2^b one zero of
+    # multiplicity a*b, so both quotient dimensions are known
+    systems = [(system, len(zeros)) for system, zeros in
+               (suites.random_regular_system(rng, nvars) for nvars in (2,) * 6 + (3,) * 4)]
+    systems += [(parse_system(f"z1^{a} - z2; z2^{b}", 2), a * b)
+                for a, b in ((1, 3), (2, 2), (3, 2), (2, 5), (4, 3), (5, 2))]
+    systems += [(_random_dense_system(rng, nvars), None) for nvars in (2,) * 8 + (3,) * 2]
+    for trial, (system, known_dim) in enumerate(systems):
+        nvars = system[0].nvars
+        gens = sympy.symbols(f"z1:{nvars + 1}")
+        exprs = [sum(_to_sympy(c) * sympy.prod(g ** e for g, e in zip(gens, m))
+                     for m, c in p.terms.items()) for p in system]
+        expected = sympy.groebner(exprs, *gens, order="grevlex", domain=sympy.QQ_I)
+        gb = groebner(system)
+        assert len(gb.polys) == len(expected.polys) and {
+            frozenset(p.terms.items()) for p in gb} == {
+            frozenset((m, _from_sympy(c.as_expr())) for m, c in q.as_dict().items())
+            for q in expected.polys}, trial
+        assert expected.is_zero_dimensional and gb.is_zero_dimensional(), trial
+        leads = [q.monoms(order="grevlex")[0] for q in expected.polys]
+        dim = quotient_algebra(gb).dim
+        assert dim == _standard_monomial_count(leads, nvars), trial
+        assert known_dim is None or dim == known_dim, trial
