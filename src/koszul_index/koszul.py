@@ -82,14 +82,13 @@ class CommutingTuple:
         re-checked."""
         if len(point) != self.n:
             raise ValueError("point dimension differs from tuple length")
-        ident = Matrix.identity(self.dim, self.backend)
         return CommutingTuple.proven(
-            [op - ident.scale(lam) for op, lam in zip(self.operators, point)])
+            [op.shift(lam) for op, lam in zip(self.operators, point)])
 
-    def extend(self, extra: Matrix) -> "CommutingTuple":
+    def extend(self, extra: Matrix, tol: TolerancePolicy | None = None) -> "CommutingTuple":
         """The (n+1)-tuple with `extra` appended; `extra` is checked against
         every operator."""
-        return CommutingTuple._concat(self.operators, (extra,))
+        return CommutingTuple._concat(self.operators, (extra,), tol)
 
     def join(self, other: "CommutingTuple") -> "CommutingTuple":
         """Concatenation of two tuples on the same space; only the cross
@@ -272,7 +271,7 @@ def verify_cone_isomorphism(c: KoszulComplex, b: Matrix,
     the complex of the extended tuple is built.
     """
     t = c.tuple
-    full = build_complex(t.extend(b), tol)  # extend checks b against the tuple
+    full = build_complex(t.extend(b, tol), tol)  # extend checks b against the tuple
     cone = _cone(c, b)
     n, d = t.n, t.dim
     alphas = []  # (row, sign) of each cone column, per degree

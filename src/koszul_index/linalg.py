@@ -148,6 +148,14 @@ class Matrix:
         s = as_scalar(s, self.backend)
         return Matrix([[s * a for a in r] for r in self.entries], self.backend, shape=self.shape)
 
+    def shift(self, lam) -> "Matrix":
+        """self - lam * I, moving lam to the origin: only the diagonal changes."""
+        if self.rows != self.cols:
+            raise ValueError(f"shift of a non-square {self.shape} matrix")
+        lam = as_scalar(lam, self.backend)
+        return Matrix([r[:i] + (r[i] - lam,) + r[i + 1:] for i, r in enumerate(self.entries)],
+                      self.backend, shape=self.shape)
+
     def __matmul__(self, other: "Matrix") -> "Matrix":
         _same_backend(self, other)
         if self.cols != other.rows:

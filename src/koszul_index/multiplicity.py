@@ -183,11 +183,12 @@ def global_multiplicity_table(system, order: MonomialOrder = DEGREVLEX,
     if algebra.dim == 0:
         return GlobalMultiplicityTable((), 0, backend)
     mats = list(algebra.mult_matrices)
+    unit = linalg.Matrix([[1]] + [[0]] * (algebra.dim - 1), EXACT)  # 1 is basis[0]
     if backend == FLOAT:
-        mats = [linalg.Matrix.from_numpy(m.to_numpy()) for m in mats]
+        mats, unit = [linalg.Matrix.from_numpy(m.to_numpy()) for m in mats], None
     # quotient_algebra has proved that the multiplication matrices commute
     mult_tuple = CommutingTuple.proven(mats)
-    decomposition = spectrum.spectral_decomposition(mult_tuple, tol)
+    decomposition = spectrum.spectral_decomposition(mult_tuple, tol, unit=unit)
     entries = tuple((point, space.cols) for point, space in decomposition.components)
     table = GlobalMultiplicityTable(entries, algebra.dim, backend)
     if table.total() != algebra.dim:

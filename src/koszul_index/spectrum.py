@@ -3,9 +3,12 @@ decompositions, polynomial functional calculus, and localized homology.
 
 Both backends decompose by one route: split the space by one operator at a
 time into generalized eigenspaces, each a kernel chain that forms no matrix
-power. Only the eigenvalue step differs. Exact eigenvalues split the
-Hessenberg characteristic polynomial over the Gaussian rationals (Yun
-factors, Aberth-Ehrlich root guesses, rational reconstruction, exact
+power. Only the eigenvalue step differs. An exact operator keeps a piece
+whole when its shift by the mean eigenvalue is proved nilpotent there: by
+matrix-vector products from the unit's component in the piece when the
+tuple multiplies on C[z]/I, else by a matrix power. Exact eigenvalues
+split the Hessenberg characteristic polynomial over the Gaussian rationals
+(Yun factors, Aberth-Ehrlich root guesses, rational reconstruction, exact
 verification); when one leaves them, IrrationalSpectrum is raised and the
 caller may retry with the float backend. Float eigenvalues are clusters of
 numpy ones; numpy is imported only there and by the float independence
@@ -320,50 +323,68 @@ def _float_eigenvalues(m: Matrix, tol: TolerancePolicy):
     return out
 
 
-def _decomposition(t: CommutingTuple, tol: TolerancePolicy) -> SpectralDecomposition:
+def _decomposition(t: CommutingTuple, tol: TolerancePolicy,
+                   unit: Matrix | None) -> SpectralDecomposition:
     """Split the space by one operator at a time. Each piece carries its
-    basis and the operators not yet used, restricted to it, and is cut into
-    the generalized eigenspaces of the next one. An exact operator proved to
-    have one eigenvalue on a piece keeps it whole. A piece on which every
-    operator has been used is a component."""
+    basis, the operators not yet used, restricted to it, and its generator
+    or None, and is cut into the generalized eigenspaces of the next one.
+    An exact operator whose shift by its mean trace is proved nilpotent on a
+    piece (_nilpotent) has that one eigenvalue there and keeps it whole. A
+    piece on which every operator has been used is a component."""
     backend = t.backend
-    pieces = [((), Matrix.identity(t.dim, backend), t.operators)]
+    pieces = [((), Matrix.identity(t.dim, backend), t.operators, unit)]
     for _ in range(t.n):
         refined = []
-        for point, basis, (rep, *rest) in pieces:
+        for point, basis, (rep, *rest), gen in pieces:
             k = rep.rows
-            ident = Matrix.identity(k, backend)
             if backend == EXACT:
                 lam = sum((rep[i, i] for i in range(k)), QQi(0)) / QQi(k)
-                if _power_at_least(rep - ident.scale(lam), k).is_zero():
-                    refined.append((point + (lam,), basis, rest))
+                if _nilpotent(rep.shift(lam), gen):
+                    refined.append((point + (lam,), basis, rest, gen))
                     continue
                 eigenvalues = exact_eigenvalues(rep)
             else:
                 eigenvalues = _float_eigenvalues(rep, tol)
-            for mu, mult in eigenvalues:
-                kernel = _kernel_chain([rep - ident.scale(mu)], mult, tol)
-                if kernel.cols != mult:
-                    error = AssertionError if backend == EXACT else ClusteringAmbiguity
-                    raise error("generalized eigenspace dimension differs from "
-                                "the multiplicity")
+            kernels = [_kernel_chain([rep.shift(mu)], mult, tol) for mu, mult in eigenvalues]
+            if [kernel.cols for kernel in kernels] != [mult for _, mult in eigenvalues]:
+                error = AssertionError if backend == EXACT else ClusteringAmbiguity
+                raise error("generalized eigenspace dimension differs from the multiplicity")
+            # the generator in the eigenspaces' joint basis, cut by eigenspace
+            coords = gen and linalg.solve(Matrix.hstack(kernels), gen)
+            start = 0
+            for (mu, mult), kernel in zip(eigenvalues, kernels):
                 # each remaining operator on span(kernel): kernel @ X = op @ kernel
                 refined.append((point + (mu,), basis @ kernel,
-                                [linalg.solve(kernel, op @ kernel, tol) for op in rest]))
+                                [linalg.solve(kernel, op @ kernel, tol) for op in rest],
+                                coords and coords.take_rows(range(start, start + mult))))
+                start += mult
         pieces = refined
-    components = sorted(((point, basis) for point, basis, _ in pieces),
+    components = sorted(((point, basis) for point, basis, _, _ in pieces),
                         key=lambda cs: tuple(x.sort_key() if backend == EXACT
                                              else (x.real, x.imag) for x in cs[0]))
     return SpectralDecomposition(t, tuple(components))
 
 
-def spectral_decomposition(t: CommutingTuple,
-                           tol: TolerancePolicy | None = None) -> SpectralDecomposition:
-    """Decompose the space into joint generalized eigenspaces."""
+def _nilpotent(m: Matrix, gen: Matrix | None) -> bool:
+    """Whether m^k = 0 for the exact k x k matrix m, an operator shifted on a
+    piece. A generator g of the piece, the unit's component in it, stands
+    for an idempotent e of the commutative algebra A the tuple multiplies
+    on, with piece A*e; as m^k (a e) = a m^k e, m^k = 0 exactly when
+    m^k g = 0, at most k matrix-vector products. Else, a matrix power."""
+    if gen is None:
+        return _power_at_least(m, m.rows).is_zero()
+    return any((gen := m @ gen).is_zero() for _ in range(m.rows))
+
+
+def spectral_decomposition(t: CommutingTuple, tol: TolerancePolicy | None = None, *,
+                           unit: Matrix | None = None) -> SpectralDecomposition:
+    """Decompose the space into joint generalized eigenspaces. `unit` is the
+    column of coordinates of the unit when the exact tuple multiplies on a
+    commutative algebra, as on C[z]/I; it speeds the decomposition only."""
     if t.dim == 0:
         return SpectralDecomposition(t, ())
     tol = tol or DEFAULT_TOL
-    result = _decomposition(t, tol)
+    result = _decomposition(t, tol, unit)
     _verify_decomposition(result, tol)
     return result
 

@@ -454,3 +454,18 @@ def test_console_entry_point_installed():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout.splitlines()[0])["pass"]
+
+
+def test_multiplicity_of_z1_15_z2_15_takes_no_matrix_power(tmp_path, monkeypatch):
+    from koszul_index import spectrum
+
+    def refuse(*args):
+        raise AssertionError("matrix power or characteristic polynomial used")
+
+    monkeypatch.setattr(spectrum, "_power_at_least", refuse)
+    monkeypatch.setattr(spectrum, "exact_eigenvalues", refuse)
+    code, reports, data = run_main(
+        ["multiplicity", "--system", "z1^15 ; z2^15", "--at", "0,0"], tmp_path)
+    assert code == 0 and reports[0]["outputs"]["multiplicity"] == 225
+    assert hashlib.sha256(data).hexdigest() == \
+        "881c379ab506b4e0f6081d4fdc5898a1779227f587f163473f979097bd5a9cbf"

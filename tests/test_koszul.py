@@ -7,7 +7,7 @@ from koszul_index.errors import CommutatorError
 from koszul_index.koszul import (CommutingTuple, HomologyProfile, build_complex,
                                  homology, mapping_cone, verify_cone_isomorphism)
 from koszul_index.linalg import Matrix
-from koszul_index.scalars import EXACT, FLOAT, QQi
+from koszul_index.scalars import EXACT, FLOAT, QQi, TolerancePolicy
 from koszul_index.suites import random_commuting_tuple, random_cone_instance
 
 
@@ -234,3 +234,16 @@ def test_end_groups_match_kernel_and_cokernel():
         top = linalg.kernel_basis(Matrix.vstack(t.operators)).cols
         bottom = t.dim - linalg.rank(Matrix.hstack(t.operators))
         assert dims[-1] == top and dims[0] == bottom
+
+
+def test_cone_checks_use_the_callers_tolerance():
+    # b misses commuting with A by 1e-7: inside rel = 1e-6, outside the default
+    tol = TolerancePolicy(rel=1e-6)
+    c = build_complex(CommutingTuple([Matrix([[1.0, 0.0], [0.0, 2.0]])]), tol)
+    b = Matrix([[3.0, 1e-7], [0.0, 5.0]])
+    assert mapping_cone(c, b, tol).dims == [2, 4, 2]
+    assert verify_cone_isomorphism(c, b, tol)
+    with pytest.raises(CommutatorError):
+        mapping_cone(c, b)
+    with pytest.raises(CommutatorError):
+        verify_cone_isomorphism(c, b)

@@ -255,3 +255,18 @@ def test_float_kernel_of_rounding_noise_is_the_whole_space():
                    FLOAT)
     assert linalg.kernel_basis(noise).cols == 3
     assert linalg.rank(noise) == 0 and linalg.image_basis(noise).cols == 0
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_shift_moves_only_the_diagonal(backend):
+    rng = random.Random(41)
+    for k in (1, 2, 5):
+        m = Matrix([[QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-3, 3))
+                     for _ in range(k)] for _ in range(k)], EXACT)
+        if backend == FLOAT:
+            m = Matrix.from_numpy(m.to_numpy())
+        for lam in (QQi(0), QQi(Fraction(3, 7)), QQi(Fraction(-1, 2), 2)):
+            lam = lam if backend == EXACT else complex(lam)
+            assert m.shift(lam) == m - Matrix.identity(k, backend).scale(lam)
+    with pytest.raises(ValueError):
+        Matrix.zeros(2, 3, backend).shift(1)

@@ -128,9 +128,17 @@ def counting(monkeypatch, module, name):
 
 
 def test_single_zero_table_needs_no_characteristic_polynomial(monkeypatch):
+    def no_power(m, k):
+        raise AssertionError("_power_at_least called")
+
+    monkeypatch.setattr(spectrum, "_power_at_least", no_power)
     calls = counting(monkeypatch, spectrum, "charpoly")
+    # z1^3 - z2; z2^4 is C[z1]/(z1^12): z1 is nilpotent of index 12, the
+    # dimension, so a nilpotency chain one product short would need charpoly
     table = global_multiplicity_table(system("z1^3 - z2; z2^4", 2))
     assert table.entries == (((QQi(0), QQi(0)), 12),)
+    table = global_multiplicity_table(system("z1^15 ; z2^15", 2))
+    assert table.entries == (((QQi(0), QQi(0)), 225),)
     assert calls == []
 
 

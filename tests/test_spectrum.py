@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -247,6 +248,28 @@ def test_eigenspaces_take_no_matrix_power(monkeypatch):
     assert localized_homology(t, polys, (QQi(0), QQi(0))) == [1, 2, 1]
     report = joint_spectrum_equivalences(t, (QQi(1), QQi(0)))
     assert report.agree and report.in_eigenvalue_support
+
+
+def test_unit_generator_route_matches_the_generator_free_route():
+    rng = random.Random(1717)
+    systems = [suites.random_regular_system(rng, nvars)[0] for nvars in [2] * 8 + [3] * 3]
+    systems += [parse_system(f"z1^{a} - z2; z2^{b}", 2)
+                for a in range(1, 13) for b in range(1, 13 // a + 1) if a * b <= 12]
+    systems.append(parse_system("(z1-1)^2*z1; z2^2", 2))
+    for system in systems:
+        mats = quotient_algebra(groebner(system)).mult_matrices
+        free = spectral_decomposition(CommutingTuple.proven(mats))
+        assert list(global_multiplicity_table(system).entries) == free.multiplicities()
+    # C^d with pointwise products, in the basis of point indicators, is the
+    # diagonal tuple of the points, and its unit is all ones; a piece's first
+    # basis vector is then one point's indicator, which generates only that point
+    for _ in range(20):
+        points = rng.sample(sorted(itertools.product((-1, 0, 1), repeat=2)), rng.randint(3, 7))
+        t = CommutingTuple.proven([Matrix([[p[i] if j == k else 0 for k in range(len(points))]
+                                           for j, p in enumerate(points)]) for i in (0, 1)])
+        unit = Matrix([[1]] * len(points))
+        assert spectral_decomposition(t, unit=unit).multiplicities() == \
+            spectral_decomposition(t).multiplicities()
 
 
 def test_localized_homology_examples():
