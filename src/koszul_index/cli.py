@@ -33,6 +33,7 @@ from .scalars import EXACT, FLOAT, QQi, TolerancePolicy, scalar_str
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 7
+_MAX_R_MAX = 100  # pages past n + 1 equal the limit; dim * 2**n keeps n far below this
 
 
 class SchemaError(Exception):
@@ -363,8 +364,8 @@ def _parse_spectral_sequence(payload, backend):
     ops_b = _parse_operators(payload["operators_b"], EXACT)
     _require_common_square(ops_a + ops_b)
     r_max = payload["r_max"]
-    if not isinstance(r_max, int) or r_max < 2:
-        raise SchemaError("r_max must be an integer >= 2")
+    if not isinstance(r_max, int) or not 2 <= r_max <= _MAX_R_MAX:
+        raise SchemaError(f"r_max must be an integer from 2 to {_MAX_R_MAX}")
     return ops_a, ops_b, r_max
 
 

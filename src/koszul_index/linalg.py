@@ -13,6 +13,9 @@ Gaussian-integer numerators and builds no QQi. Float rank, kernel and image
 read one SVD split, with the relative cutoff carried by an explicit
 TolerancePolicy, never a global. numpy is imported only inside the float
 branches, so exact work never loads it.
+
+A Matrix keeps a row whose entries all have its backend's exact scalar
+type (QQi, or Python complex) and sends any other row through as_scalar.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from fractions import Fraction
 from .errors import BackendMismatch, InconsistentSystem
 from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ONE, ZERO, QQi, TolerancePolicy,
                       as_scalar)
+
+_SCALAR_TYPE = {EXACT: QQi, FLOAT: complex}
 
 
 class Matrix:
@@ -40,11 +45,13 @@ class Matrix:
             ncols = len(rows_data[0]) if nrows else 0
         if backend is None:
             backend = _infer_backend(rows_data)
+        kind = _SCALAR_TYPE.get(backend)
         data = []
         for r in rows_data:
             if len(r) != ncols:
                 raise ValueError("ragged rows in matrix literal")
-            data.append(tuple(as_scalar(x, backend) for x in r))
+            data.append(tuple(r) if all(type(x) is kind for x in r)
+                        else tuple(as_scalar(x, backend) for x in r))
         object.__setattr__(self, "rows", nrows)
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "backend", backend)

@@ -273,7 +273,7 @@ def binomial_identity_holds(n: int, m: int, max_shift: int = 8) -> bool:
     """sum_k (-1)^k C(n+k-1, k) C(m, s-k) == C(m-n, s) for 0 <= s <= max_shift."""
     for s in range(max_shift + 1):
         lhs = sum((-1) ** k * comb(n + k - 1, k) * comb(m, s - k)
-                  for k in range(s + 1) if s - k <= m)
+                  for k in range(max(0, s - m), s + 1))
         rhs = comb(m - n, s) if 0 <= s <= m - n else 0
         if lhs != rhs:
             return False

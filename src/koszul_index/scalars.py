@@ -3,6 +3,10 @@
 The exact backend is the default everywhere a theorem equality is asserted;
 the float backend exists for joint-eigenvalue computations whose eigenvalues
 leave the Gaussian rationals.
+
+QQi shares a part that is already an exact Fraction, which is immutable and
+in lowest terms, and converts any other (int, bool, Fraction subclass) with
+Fraction(), so arithmetic results are never normalized twice.
 """
 
 from __future__ import annotations
@@ -70,8 +74,8 @@ class QQi:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("QQi values are immutable")

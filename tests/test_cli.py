@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -469,3 +470,28 @@ def test_multiplicity_of_z1_15_z2_15_takes_no_matrix_power(tmp_path, monkeypatch
     assert code == 0 and reports[0]["outputs"]["multiplicity"] == 225
     assert hashlib.sha256(data).hexdigest() == \
         "881c379ab506b4e0f6081d4fdc5898a1779227f587f163473f979097bd5a9cbf"
+
+
+def test_r_max_past_the_bound_is_a_schema_violation(tmp_path, capsys, monkeypatch):
+    from koszul_index import spectral
+
+    ss = ["ss", "--operators-a", '[[["0"]]]', "--operators-b", '[[["0"]]]', "--r-max"]
+    code, reports, _ = run_main(ss + ["100"], tmp_path)
+    assert code == 0 and len(reports[0]["outputs"]["pages"]) == 101
+
+    def refuse(self, r):
+        raise AssertionError("page computed for an r_max past the bound")
+
+    monkeypatch.setattr(spectral.Bicomplex, "page", refuse)
+    for r_max in ("101", str(10 ** 6)):
+        code, reports, _ = run_main(ss + [r_max], tmp_path, f"r{r_max}.jsonl")
+        assert code == 2 and reports == []
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_identities_over_a_large_range_return(tmp_path):
+    start = time.perf_counter()
+    code, reports, _ = run_main(
+        ["identities", "--n", "3", "--m", "5", "--range", "100000"], tmp_path)
+    assert code == 0 and reports[0]["outputs"]["binomial_identity"] is True
+    assert time.perf_counter() - start < 5

@@ -257,16 +257,64 @@ def test_float_kernel_of_rounding_noise_is_the_whole_space():
     assert linalg.rank(noise) == 0 and linalg.image_basis(noise).cols == 0
 
 
+def _seeded(rng, rows, cols, backend):
+    m = Matrix([[QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-3, 3))
+                 for _ in range(cols)] for _ in range(rows)], EXACT)
+    return m if backend == EXACT else Matrix.from_numpy(m.to_numpy())
+
+
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
 def test_shift_moves_only_the_diagonal(backend):
     rng = random.Random(41)
     for k in (1, 2, 5):
-        m = Matrix([[QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-3, 3))
-                     for _ in range(k)] for _ in range(k)], EXACT)
-        if backend == FLOAT:
-            m = Matrix.from_numpy(m.to_numpy())
+        m = _seeded(rng, k, k, backend)
         for lam in (QQi(0), QQi(Fraction(3, 7)), QQi(Fraction(-1, 2), 2)):
             lam = lam if backend == EXACT else complex(lam)
             assert m.shift(lam) == m - Matrix.identity(k, backend).scale(lam)
     with pytest.raises(ValueError):
         Matrix.zeros(2, 3, backend).shift(1)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_every_matrix_op_keeps_tuple_rows_of_the_backend_type(backend):
+    rng = random.Random(1802)
+    kind = QQi if backend == EXACT else complex
+    a, b = _seeded(rng, 3, 3, backend), _seeded(rng, 3, 3, backend)
+    tall, wide = _seeded(rng, 4, 2, backend), _seeded(rng, 2, 4, backend)
+    results = [
+        Matrix.identity(3, backend), Matrix.zeros(2, 3, backend), a + b, a - b, -a,
+        a.scale(Fraction(2, 3)), a.shift(QQi(1, -1)), a @ b, tall @ wide, wide @ tall,
+        a.kron(wide), Matrix.hstack([a, b]), Matrix.vstack([a, b]),
+        Matrix.block([[a, b], [b, a]]), a.take_rows([2, 0]), a.take_cols([1]),
+        linalg.kernel_basis(wide), linalg.image_basis(tall),
+        linalg.solve(a, a @ b.take_cols([0])), linalg.extend_basis(a.take_cols([0]), a),
+    ]
+    if backend == FLOAT:
+        results.append(Matrix.from_numpy(a.to_numpy()))
+    for m in results:
+        assert m.backend == backend and type(m.entries) is tuple
+        assert all(type(r) is tuple and all(type(x) is kind for x in r) for r in m.entries)
+        rebuilt = Matrix([list(r) for r in m.entries], m.backend)
+        assert m == rebuilt and hash(m) == hash(rebuilt)
+
+
+def test_constructor_converts_rows_that_are_not_of_the_backend_type():
+    np = pytest.importorskip("numpy")
+    mixed = Matrix([[1, QQi(2)]])
+    assert mixed.backend == EXACT and mixed.entries == ((QQi(1), QQi(2)),)
+    assert all(type(x) is QQi for x in mixed.entries[0])
+    floats = Matrix([[np.complex128(1 + 2j), np.float64(3)], [1j, 2.5]])
+    assert floats.backend == FLOAT and floats.entries == ((1 + 2j, 3 + 0j), (1j, 2.5 + 0j))
+    assert all(type(x) is complex for r in floats.entries for x in r)
+    assert Matrix([[QQi(1, 2)]], FLOAT).entries == ((1 + 2j,),)
+    with pytest.raises(ValueError):
+        Matrix([[QQi(1), QQi(2)], [QQi(3)]])
+    with pytest.raises(ValueError):
+        Matrix([[1j, 2j], [3j]], FLOAT)
+    with pytest.raises(BackendMismatch):
+        Matrix([[QQi(1), 1j]])
+    with pytest.raises(BackendMismatch):
+        Matrix([[1j, 2j]], EXACT)
+    for row in ([QQi(1)], [1j], [1]):
+        with pytest.raises(ValueError):
+            Matrix([row], "bogus")

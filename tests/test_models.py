@@ -227,3 +227,17 @@ def test_model_tuple_requires_square_symbol():
         ModelTuple(BIDISC, tuple(parse_system("z1", 2)))
     with pytest.raises(ArityMismatch):
         ModelTuple(DISC, tuple(parse_system("z1; z1^2", 1)))
+
+
+def test_binomial_identity_matches_the_sum_over_every_k():
+    def full_sum(n, m, max_shift):
+        return all(
+            sum((-1) ** k * comb(n + k - 1, k) * comb(m, s - k)
+                for k in range(s + 1) if s - k <= m)
+            == (comb(m - n, s) if 0 <= s <= m - n else 0)
+            for s in range(max_shift + 1))
+
+    for n in range(1, 7):
+        for m in range(n, 7):
+            for max_shift in range(41):
+                assert binomial_identity_holds(n, m, max_shift) == full_sum(n, m, max_shift)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -105,3 +106,35 @@ def test_policy_is_explicit_value():
     assert default.rel == 1e-9
     custom = TolerancePolicy(rel=1e-6)
     assert custom.rel == 1e-6 and default.rel == 1e-9
+
+
+def _exact_parts(x):
+    return type(x) is QQi and type(x.re) is Fraction and type(x.im) is Fraction
+
+
+def test_constructor_converts_every_part_that_is_not_an_exact_fraction():
+    class Half(Fraction):
+        pass
+
+    for value in (QQi(2, -3), QQi(True, False), QQi(Half(1, 2), Half(-4, 6)),
+                  QQi(Fraction(6, 4))):
+        assert _exact_parts(value)
+    assert QQi(Half(1, 2), Half(-4, 6)) == QQi(Fraction(1, 2), Fraction(-2, 3))
+
+
+def test_arithmetic_results_have_exact_fraction_parts():
+    rng = random.Random(1801)
+    parts = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-5, 2)]
+    values = [QQi(rng.choice(parts) + Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                  rng.choice(parts)) for _ in range(12)]
+    values += [QQi(0), QQi(0, Fraction(-2, 3)), QQi(Fraction(7, 5))]
+    for a in values:
+        results = [-a, a.conjugate(), a ** 0, a ** 1, a ** 3]
+        for b in values:
+            results += [a + b, a - b, a * b, a + 2, 2 - a, a * Fraction(1, 3)]
+            if b:
+                results += [a / b, 1 / b]
+        for x in results:
+            assert _exact_parts(x)
+            rebuilt = QQi(Fraction(x.re), Fraction(x.im))
+            assert x == rebuilt and hash(x) == hash(rebuilt)
