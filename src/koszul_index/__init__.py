@@ -5,9 +5,8 @@ arithmetic and polynomial model spaces at desk scale."""
 from . import errors
 from .scalars import EXACT, FLOAT, QQi, TolerancePolicy
 from .linalg import Matrix, det, image_basis, kernel_basis, rank, solve
-from .poly import (DEGREVLEX, LEX, GroebnerBasis, MonomialOrder, Polynomial,
-                   QuotientAlgebra, groebner, normal_form, parse_polynomial,
-                   parse_system, quotient_algebra)
+from .poly import (GroebnerBasis, Polynomial, QuotientAlgebra, groebner,
+                   normal_form, parse_system, quotient_algebra)
 from .koszul import (ChainComplex, CommutingTuple, HomologyProfile,
                      KoszulComplex, build_complex, homology, mapping_cone,
                      verify_cone_isomorphism)
@@ -33,9 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "errors", "EXACT", "FLOAT", "QQi", "TolerancePolicy",
     "Matrix", "det", "image_basis", "kernel_basis", "rank", "solve",
-    "DEGREVLEX", "LEX", "GroebnerBasis", "MonomialOrder", "Polynomial",
-    "QuotientAlgebra", "groebner", "normal_form", "parse_polynomial",
-    "parse_system", "quotient_algebra",
+    "GroebnerBasis", "Polynomial", "QuotientAlgebra", "groebner",
+    "normal_form", "parse_system", "quotient_algebra",
     "ChainComplex", "CommutingTuple", "HomologyProfile", "KoszulComplex",
     "build_complex", "homology", "mapping_cone", "verify_cone_isomorphism",
     "Bicomplex", "SpectralPage", "build_bicomplex", "e2_page",

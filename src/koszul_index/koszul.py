@@ -190,7 +190,7 @@ def build_complex(t: CommutingTuple, tol: TolerancePolicy | None = None) -> Kosz
                     for c in range(d):
                         v = oprow[c]
                         if v:
-                            row[ci * d + c] = row[ci * d + c] + (v if sign > 0 else -v)
+                            row[ci * d + c] = v if sign > 0 else -v
         diffs[k] = Matrix(rows, backend, shape=(d * len(target), d * len(source)))
     return KoszulComplex(t, dims, diffs, tol)
 
@@ -266,7 +266,9 @@ def verify_cone_isomorphism(c: KoszulComplex, b: Matrix,
     permutation, kept as the full-complex row and the sign of each cone
     column: it is bijective when those rows are a permutation, and a chain
     map when full.d(k), with its rows and columns so permuted and signed,
-    equals the cone's d_k. The cone's own d*d = 0 then needs no product:
+    equals the cone's d_k. Both hold the same operator entries up to sign,
+    so they are compared by equality, with no arithmetic on either backend.
+    The cone's own d*d = 0 then needs no product:
     it is the conjugate of full.d*full.d, which `ChainComplex` checks when
     the complex of the extended tuple is built.
     """
@@ -288,9 +290,8 @@ def verify_cone_isomorphism(c: KoszulComplex, b: Matrix,
         alphas.append(alpha)
     for k in range(1, n + 2):
         entries = full.d(k).entries
-        pulled = Matrix([[entries[r][col] if rs == cs else -entries[r][col]
-                          for col, cs in alphas[k]] for r, rs in alphas[k - 1]],
-                        t.backend, shape=cone[k].shape)
-        if not (pulled - cone[k]).is_zero(tol):
+        pulled = tuple(tuple(entries[r][col] if rs == cs else -entries[r][col]
+                             for col, cs in alphas[k]) for r, rs in alphas[k - 1])
+        if pulled != cone[k].entries:
             return False
     return True

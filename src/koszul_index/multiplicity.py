@@ -22,8 +22,8 @@ from . import linalg, spectrum
 from .errors import (ArityMismatch, NotAZero, NotIsolated, ResourceLimit,
                      ZeroOnBoundary)
 from .linalg import SparseEchelon
-from .poly import (DEGREVLEX, MonomialOrder, Polynomial, groebner, mono_degree,
-                   mono_mul, monomials_of_degree, quotient_algebra)
+from .poly import (Polynomial, groebner, mono_degree, mono_mul,
+                   monomials_of_degree, quotient_algebra)
 from .koszul import CommutingTuple
 from .scalars import EXACT, FLOAT, QQi, TolerancePolicy
 
@@ -168,8 +168,7 @@ class GlobalMultiplicityTable:
         return sum(m for _, m in self.entries)
 
 
-def global_multiplicity_table(system, order: MonomialOrder = DEGREVLEX,
-                              tol: TolerancePolicy | None = None,
+def global_multiplicity_table(system, tol: TolerancePolicy | None = None,
                               backend: str = EXACT) -> GlobalMultiplicityTable:
     """Zeros with multiplicities as the joint spectral decomposition of the
     multiplication tuple on the quotient algebra.
@@ -177,13 +176,10 @@ def global_multiplicity_table(system, order: MonomialOrder = DEGREVLEX,
     Exact mode raises IrrationalSpectrum when some zero leaves the Gaussian
     rationals; callers may retry with backend="float".
     """
-    system = list(system)
-    gb = groebner(system, order)
-    algebra = quotient_algebra(gb)
+    algebra = quotient_algebra(groebner(list(system)))
     if algebra.dim == 0:
         return GlobalMultiplicityTable((), 0, backend)
-    mats = list(algebra.mult_matrices)
-    unit = linalg.Matrix([[1]] + [[0]] * (algebra.dim - 1), EXACT)  # 1 is basis[0]
+    mats, unit = list(algebra.mult_matrices), algebra.unit
     if backend == FLOAT:
         mats, unit = [linalg.Matrix.from_numpy(m.to_numpy()) for m in mats], None
     # quotient_algebra has proved that the multiplication matrices commute
@@ -194,6 +190,20 @@ def global_multiplicity_table(system, order: MonomialOrder = DEGREVLEX,
     if table.total() != algebra.dim:
         raise AssertionError("eigenspace dimensions do not add up to the quotient")
     return table
+
+
+def eigenspace_multiplicity(system, point) -> int:
+    """dim of the joint generalized eigenspace of the exact multiplication
+    tuple at one point: the multiplicity there, read without the
+    eigenvalues of any other zero, so the others may leave Q(i)."""
+    algebra = quotient_algebra(groebner(list(system)))
+    # quotient_algebra has proved that the multiplication matrices commute
+    mult_tuple = CommutingTuple.proven(algebra.mult_matrices)
+    # every shifted operator nilpotent on the unit: the point is the only
+    # zero, and V(point) is the whole quotient without a kernel
+    if all(spectrum._nilpotent(op, algebra.unit) for op in mult_tuple.shift(point).operators):
+        return algebra.dim
+    return spectrum.generalized_eigenspace(mult_tuple, point).cols
 
 
 def winding_number(poly: Polynomial, center=0j, radius: float = 1.0,

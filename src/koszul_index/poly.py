@@ -51,37 +51,11 @@ def monomials_of_degree(nvars: int, degree: int):
             yield (first,) + rest
 
 
-class MonomialOrder:
-    """A multiplicative well-order on monomials, usable as a sort key."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("orders are immutable")
-
-    def key(self, mono: Monomial):
-        if self.name == "degrevlex":
-            return (mono_degree(mono), tuple(-e for e in reversed(mono)))
-        return tuple(mono)
-
-    def max_mono(self, monos):
-        return max(monos, key=self.key)
-
-    def __repr__(self):
-        return self.name.upper()
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.name == other.name
-
-    def __hash__(self):
-        return hash(self.name)
-
-
-DEGREVLEX = MonomialOrder("degrevlex")
-LEX = MonomialOrder("lex")
+def grevlex_key(mono: Monomial):
+    """Sort key of grevlex, the one term order of every Groebner basis here:
+    total degree first; of two monomials of one degree, the larger has the
+    smaller exponent in the last variable where they differ."""
+    return (mono_degree(mono), tuple(-e for e in reversed(mono)))
 
 
 class Polynomial:
@@ -296,24 +270,22 @@ class Polynomial:
             terms[tuple(new)] = coeff
         return Polynomial(nvars, terms)
 
-    def leading(self, order: MonomialOrder):
-        """(monomial, coefficient) of the order-largest term."""
-        mono = order.max_mono(self.terms)
+    def leading(self):
+        """(monomial, coefficient) of the grevlex-largest term."""
+        mono = max(self.terms, key=grevlex_key)
         return mono, self.terms[mono]
 
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        _, c = self.leading(order)
+    def monic(self) -> "Polynomial":
+        _, c = self.leading()
         inv = QQi(1) / c
         return Polynomial(self.nvars, {m: inv * v for m, v in self.terms.items()})
-
-    def sorted_terms(self, order: MonomialOrder = DEGREVLEX):
-        return sorted(self.terms.items(), key=lambda mc: order.key(mc[0]), reverse=True)
 
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for mono, coeff in self.sorted_terms():
+        for mono, coeff in sorted(self.terms.items(), key=lambda mc: grevlex_key(mc[0]),
+                                  reverse=True):
             factors = []
             for i, e in enumerate(mono):
                 if e == 1:
@@ -482,35 +454,23 @@ def parse_system(text: str, nvars: int):
     return _Parser(text, nvars).parse_system()
 
 
-def parse_polynomial(text: str, nvars: int) -> Polynomial:
-    polys = parse_system(text, nvars)
-    if len(polys) != 1:
-        raise ParseError("expected a single polynomial")
-    return polys[0]
-
-
 # -- division and Groebner bases ----------------------------------------------
 
 
-def normal_form(p: Polynomial, basis, order: MonomialOrder = None) -> Polynomial:
+def normal_form(p: Polynomial, basis) -> Polynomial:
     """Remainder of p under multivariate division by the basis.
 
     No remainder term is divisible by any leading term, and p - remainder
     lies in the ideal generated by the divisors.
     """
-    if isinstance(basis, GroebnerBasis):
-        order = basis.order
-        divisors = basis.polys
-    else:
-        divisors = [g for g in basis if not g.is_zero()]
-        order = order or DEGREVLEX
+    divisors = [g for g in basis if not g.is_zero()]
     if not divisors:
         return p
-    leads = [g.leading(order) for g in divisors]
+    leads = [g.leading() for g in divisors]
     remainder = {}
     work = dict(p.terms)
     while work:
-        mono = order.max_mono(work)
+        mono = max(work, key=grevlex_key)
         coeff = work.pop(mono)
         for g, (lm, lc) in zip(divisors, leads):
             if mono_divides(lm, mono):
@@ -531,9 +491,9 @@ def normal_form(p: Polynomial, basis, order: MonomialOrder = None) -> Polynomial
     return Polynomial(p.nvars, remainder)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    fm, fc = f.leading(order)
-    gm, gc = g.leading(order)
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
+    fm, fc = f.leading()
+    gm, gc = g.leading()
     lcm = mono_lcm(fm, gm)
     mf = Polynomial(f.nvars, {mono_div(lcm, fm): QQi(1) / fc})
     mg = Polynomial(g.nvars, {mono_div(lcm, gm): QQi(1) / gc})
@@ -542,17 +502,16 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis together with its monomial order."""
+    """A reduced grevlex Groebner basis."""
 
     polys: tuple
-    order: MonomialOrder
 
     @property
     def nvars(self) -> int:
         return self.polys[0].nvars if self.polys else 0
 
     def leading_monomials(self):
-        return [g.leading(self.order)[0] for g in self.polys]
+        return [g.leading()[0] for g in self.polys]
 
     def pure_power_bounds(self):
         """For each variable z_i, the least e > 0 with z_i^e a leading
@@ -571,19 +530,19 @@ class GroebnerBasis:
         return iter(self.polys)
 
 
-def groebner(gens, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis by Buchberger's algorithm with the normal
-    selection strategy and both elimination criteria."""
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
+def groebner(gens) -> GroebnerBasis:
+    """Reduced grevlex Groebner basis by Buchberger's algorithm with the
+    normal selection strategy and both elimination criteria."""
+    basis = [g.monic() for g in gens if not g.is_zero()]
     if not basis:
-        return GroebnerBasis((), order)
+        return GroebnerBasis(())
     pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
 
     def lead(i):
-        return basis[i].leading(order)[0]
+        return basis[i].leading()[0]
 
     while pending:
-        i, j = min(pending, key=lambda ij: (order.key(mono_lcm(lead(ij[0]), lead(ij[1]))), ij))
+        i, j = min(pending, key=lambda ij: (grevlex_key(mono_lcm(lead(ij[0]), lead(ij[1]))), ij))
         pending.remove((i, j))
         li, lj = lead(i), lead(j)
         lcm = mono_lcm(li, lj)
@@ -599,17 +558,17 @@ def groebner(gens, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
                 break
         if chain:
             continue
-        remainder = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
+        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if remainder.is_zero():
             continue
-        basis.append(remainder.monic(order))
+        basis.append(remainder.monic())
         new = len(basis) - 1
         pending.update((k, new) for k in range(new))
 
     # minimalize: drop members whose leading term another member divides
     for i, g in enumerate(basis):
-        lm = g.leading(order)[0]
-        if any(mono_divides(basis[k].leading(order)[0], lm)
+        lm = g.leading()[0]
+        if any(mono_divides(basis[k].leading()[0], lm)
                for k in range(len(basis)) if k != i and basis[k] is not None):
             basis[i] = None
     minimal = [g for g in basis if g is not None]
@@ -619,13 +578,12 @@ def groebner(gens, order: MonomialOrder = DEGREVLEX) -> GroebnerBasis:
         changed = False
         for i in range(len(minimal)):
             others = minimal[:i] + minimal[i + 1:]
-            reduced = normal_form(minimal[i], others, order)
-            reduced = reduced.monic(order)
+            reduced = normal_form(minimal[i], others).monic()
             if reduced != minimal[i]:
                 minimal[i] = reduced
                 changed = True
-    minimal.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return GroebnerBasis(tuple(minimal), order)
+    minimal.sort(key=lambda g: grevlex_key(g.leading()[0]))
+    return GroebnerBasis(tuple(minimal))
 
 
 # -- quotient algebras ---------------------------------------------------------
@@ -637,7 +595,7 @@ class QuotientAlgebra:
     exact multiplication matrices of the coordinates."""
 
     gb: GroebnerBasis
-    basis: tuple          # standard monomials, order-ascending
+    basis: tuple          # standard monomials, grevlex-ascending
     mult_matrices: tuple  # one exact Matrix per variable
     nvars: int
 
@@ -645,13 +603,17 @@ class QuotientAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def unit(self) -> Matrix:
+        """The column of coordinates of 1, the least standard monomial."""
+        return Matrix([[int(i == 0)] for i in range(self.dim)], EXACT, shape=(self.dim, 1))
+
 
 
 def quotient_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
     """Standard monomials and multiplication matrices of a zero-dimensional
     ideal; raises NotZeroDimensional when some variable has no pure-power
     leading term."""
-    order = gb.order
     if not gb.polys:
         raise NotZeroDimensional("the zero ideal is not zero-dimensional")
     nvars = gb.nvars
@@ -667,7 +629,7 @@ def quotient_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
     for mono in itertools.product(*(range(b) for b in bounds)):
         if not any(mono_divides(lm, mono) for lm in leads):
             standard.append(mono)
-    standard.sort(key=order.key)
+    standard.sort(key=grevlex_key)
     pos = {m: i for i, m in enumerate(standard)}
     dim = len(standard)
     mats = []

@@ -495,3 +495,17 @@ def test_identities_over_a_large_range_return(tmp_path):
         ["identities", "--n", "3", "--m", "5", "--range", "100000"], tmp_path)
     assert code == 0 and reports[0]["outputs"]["binomial_identity"] is True
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("system, at, multiplicity", [
+    ("z1*(z1^2+2)^2", "0", 1),
+    ("z1^2*(z1^2-2); z2", "0,0", 2),
+])
+def test_local_multiplicity_beside_irrational_zeros(tmp_path, system, at, multiplicity):
+    # the other zeros leave Q(i); the oracle reads only the point's eigenspace
+    code, reports, _ = run_main(["multiplicity", "--system", system, "--at", at], tmp_path)
+    assert code == 0 and reports[0]["pass"]
+    assert reports[0]["outputs"]["multiplicity"] == multiplicity
+    oracle = [c for c in reports[0]["checks"] if c["name"] == "eigenspace_oracle_agreement"]
+    assert oracle == [{"name": "eigenspace_oracle_agreement", "passed": True,
+                       "detail": f"eigenspace [{multiplicity}] vs truncation {multiplicity}"}]

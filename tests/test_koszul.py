@@ -183,6 +183,22 @@ def test_verify_cone_isomorphism_rejects_a_wrong_cone(monkeypatch, backend):
     assert not verify_cone_isomorphism(c, b)
 
 
+def test_verify_cone_isomorphism_does_no_subtraction(monkeypatch):
+    # the pulled-back differentials hold the cone's entries up to sign, so
+    # they are compared by equality, not by a difference tested for zero
+    rng = random.Random(5)
+    instances = [random_cone_instance(rng, n, dim) for n, dim in ((1, 3), (2, 3), (2, 4))]
+    complexes = [(build_complex(t), b) for t, b in instances]
+    calls = []
+    for cls in (QQi, Matrix):
+        real = cls.__sub__
+        monkeypatch.setattr(cls, "__sub__",
+                            lambda x, y, real=real: calls.append(1) or real(x, y))
+    for c, b in complexes:
+        assert verify_cone_isomorphism(c, b)
+    assert calls == []
+
+
 def test_cone_rejects_non_commuting():
     t = CommutingTuple([JORDAN])
     with pytest.raises(CommutatorError):

@@ -7,6 +7,7 @@ from koszul_index import linalg, spectrum
 from koszul_index.errors import (ArityMismatch, IrrationalSpectrum, NotAZero,
                                  NotIsolated, ZeroOnBoundary)
 from koszul_index.multiplicity import (build_diagonal_system,
+                                       eigenspace_multiplicity,
                                        global_multiplicity_table,
                                        jacobian_regular, local_multiplicity,
                                        truncated_codimension,
@@ -142,6 +143,16 @@ def test_single_zero_table_needs_no_characteristic_polynomial(monkeypatch):
     assert calls == []
 
 
+def test_eigenspace_multiplicity_at_the_only_zero_takes_no_kernel(monkeypatch):
+    # every shifted multiplication operator is nilpotent on the unit, so
+    # the eigenspace is the whole quotient
+    def no_kernel(*args):
+        raise AssertionError("_kernel_chain called")
+
+    monkeypatch.setattr(spectrum, "_kernel_chain", no_kernel)
+    assert eigenspace_multiplicity(system("z1^3 - z2; z2^4", 2), ORIGIN2) == 12
+
+
 def test_global_table_checks_commutation_once(monkeypatch):
     # quotient_algebra proves the multiplication matrices commute
     calls = counting(monkeypatch, linalg, "commutes")
@@ -170,6 +181,7 @@ def test_oracle_agreement_three_ways():
         for point, eig_dim in table.entries:
             cert = local_multiplicity(g, point)
             assert cert.multiplicity == eig_dim
+            assert eigenspace_multiplicity(g, point) == eig_dim
             total += cert.multiplicity
         assert total == table.quotient_dim
 

@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszul_index.errors import NotZeroDimensional, ParseError, UnknownVariable
-from koszul_index.poly import (DEGREVLEX, LEX, MAX_NESTING, Polynomial,
-                               groebner, mono_degree, normal_form,
-                               parse_polynomial, parse_system, quotient_algebra)
+from koszul_index.poly import (MAX_NESTING, Polynomial, grevlex_key, groebner,
+                               normal_form, parse_system, quotient_algebra)
 from koszul_index.scalars import QQi
 
 
 def poly(text, n):
-    return parse_polynomial(text, n)
+    (p,) = parse_system(text, n)
+    return p
 
 
 def test_parse_system_examples():
     system = parse_system("z1^2 - z2 ; z2^2", 2)
     assert [str(p) for p in system] == ["z1^2 - z2", "z2^2"]
-    assert parse_polynomial("0", 2).is_zero()
+    assert poly("0", 2).is_zero()
     assert poly("(z1-1/2)*(z1+1/2)", 1) == poly("z1^2 - 1/4", 1)
 
 
@@ -71,20 +71,25 @@ def test_ring_laws(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(small_polys(3, max_exp=4), small_polys(3, max_exp=4), small_polys(3, max_exp=4))
 def test_order_properties(a, b, c):
-    for order in (DEGREVLEX, LEX):
-        monos = [m for p in (a, b, c) for m in p.terms]
-        if len(monos) < 2:
-            return
-        x, y = monos[0], monos[1]
-        shift = monos[-1]
-        kx, ky = order.key(x), order.key(y)
-        # total and multiplicative; 1 is minimal
-        assert (kx < ky) or (ky < kx) or (x == y)
-        if kx < ky:
-            sx = tuple(u + v for u, v in zip(x, shift))
-            sy = tuple(u + v for u, v in zip(y, shift))
-            assert order.key(sx) < order.key(sy)
-        assert order.key((0,) * len(x)) <= kx
+    monos = [m for p in (a, b, c) for m in p.terms]
+    if len(monos) < 2:
+        return
+    x, y = monos[0], monos[1]
+    shift = monos[-1]
+    kx, ky = grevlex_key(x), grevlex_key(y)
+    # total and multiplicative; 1 is minimal
+    assert (kx < ky) or (ky < kx) or (x == y)
+    if kx < ky:
+        sx = tuple(u + v for u, v in zip(x, shift))
+        sy = tuple(u + v for u, v in zip(y, shift))
+        assert grevlex_key(sx) < grevlex_key(sy)
+    assert grevlex_key((0,) * len(x)) <= kx
+    # graded, and reverse lexicographic within a degree
+    if sum(x) != sum(y):
+        assert (kx < ky) == (sum(x) < sum(y))
+    elif x != y:
+        last = max(i for i in range(len(x)) if x[i] != y[i])
+        assert (kx < ky) == (x[last] > y[last])
 
 
 def test_groebner_already_reduced():
@@ -94,7 +99,7 @@ def test_groebner_already_reduced():
 
 def test_groebner_derived_example():
     basis = groebner(parse_system("z1^2 - z2 ; z2^2", 2))
-    leads = {p.leading(DEGREVLEX)[0] for p in basis}
+    leads = {p.leading()[0] for p in basis}
     assert leads == {(2, 0), (0, 2)}
     assert normal_form(poly("z1^4", 2), basis).is_zero()
     assert normal_form(poly("z1^3", 2), basis) == poly("z1*z2", 2)
@@ -148,11 +153,21 @@ def test_quotient_requires_zero_dimensional():
 
 
 def test_quotient_dim_independent_of_order():
+    """The quotient dimension does not depend on the term order: our grevlex
+    count equals the standard-monomial count of sympy's lex basis."""
+    sympy = pytest.importorskip("sympy")
+    from test_oracles import _standard_monomial_count
+
+    z = sympy.symbols("z1:4")
     for text, n in [("z1^2 - z2; z2^2", 2), ("z1^2; z2^3", 2),
-                    ("z1*(z1-1); z2", 2), ("z1^3 - 1/8", 1)]:
+                    ("z1*(z1-1); z2", 2), ("z1^3 - 1/8", 1),
+                    ("z1^2 + z2^2 - 1; z1 - z2^3; z3^2 - z1*z2", 3)]:
         gens = parse_system(text, n)
-        assert quotient_algebra(groebner(gens, DEGREVLEX)).dim == \
-            quotient_algebra(groebner(gens, LEX)).dim
+        exprs = [sympy.sympify(part.replace("^", "**")) for part in text.split(";")]
+        lex = sympy.groebner(exprs, *z[:n], order="lex")
+        leads = [q.monoms(order="lex")[0] for q in lex.polys]
+        assert quotient_algebra(groebner(gens)).dim == \
+            _standard_monomial_count(leads, n)
 
 
 def test_multiplication_matrices_satisfy_generators():
@@ -195,4 +210,4 @@ def test_str_round_trips_through_parser():
     for text, n in [("z1^2 - z2", 2), ("(1+1i)*z1*z2 - 3/4", 2),
                     ("-z1^3 + 1/2*z2^2 - i", 2)]:
         p = poly(text, n)
-        assert parse_polynomial(str(p), n) == p
+        assert poly(str(p), n) == p

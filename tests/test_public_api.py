@@ -1,0 +1,20 @@
+import koszul_index
+from koszul_index import poly
+
+
+def test_every_exported_name_resolves():
+    assert len(set(koszul_index.__all__)) == len(koszul_index.__all__)
+    for name in koszul_index.__all__:
+        assert getattr(koszul_index, name) is not None, name
+    namespace = {}
+    exec("from koszul_index import *", namespace)
+    assert set(koszul_index.__all__) <= set(namespace)
+
+
+def test_removed_names_stay_gone():
+    # grevlex is the only term order, and one polynomial parses as a
+    # one-element system
+    for name in ("LEX", "MonomialOrder", "DEGREVLEX", "parse_polynomial"):
+        assert not hasattr(koszul_index, name), name
+        assert not hasattr(poly, name), name
+        assert name not in koszul_index.__all__
