@@ -56,9 +56,16 @@ class Scenario:
 def _parse_scalar(text, backend):
     try:
         value = QQi.parse(str(text))
+        return value if backend == EXACT else complex(value)
     except ZeroDivisionError:
         raise SchemaError(f"zero denominator in scalar literal {text!r}")
-    return value if backend == EXACT else complex(value)
+    except OverflowError:
+        raise SchemaError(f"scalar literal {text!r} is beyond float range")
+
+
+def _is_number(value, types=int) -> bool:
+    """isinstance for JSON numbers: true and false are bools, not numbers."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _parse_matrix(obj, backend) -> Matrix:
@@ -123,7 +130,7 @@ def _system_from_payload(payload):
     if not isinstance(text, str):
         raise SchemaError("payload field 'system' must be a string")
     nvars = payload.get("variables", _infer_variables(text))
-    if not isinstance(nvars, int) or nvars < 1:
+    if not _is_number(nvars) or nvars < 1:
         raise SchemaError("payload field 'variables' must be a positive integer")
     return parse_system(text, nvars)
 
@@ -179,13 +186,14 @@ def scenarios_from_document(doc, defaults) -> list:
         if backend not in (EXACT, FLOAT):
             raise SchemaError(f"scenario {sid!r}: backend is 'exact' or 'float'")
         tol = entry.get("tol", defaults.tol)
-        if tol is not None and not isinstance(tol, (int, float)):
+        if tol is not None and not _is_number(tol, (int, float)):
             raise SchemaError(f"scenario {sid!r}: tol must be a number")
         seed = entry.get("seed", defaults.seed)
-        if not isinstance(seed, int) or seed < 0:
+        if not _is_number(seed) or seed < 0:
             raise SchemaError(f"scenario {sid!r}: seed must be a non-negative integer")
         try:
-            KINDS[kind].inputs(payload, backend)  # validation; execution parses again
+            # validation; execution parses again, with every literal from the cache
+            KINDS[kind].inputs(payload, backend)
         except (SchemaError, ParseError) as err:
             raise SchemaError(f"scenario {sid!r}: {err}")
         if "expect" in payload and not isinstance(payload["expect"], dict):
@@ -362,7 +370,7 @@ def _parse_spectral_sequence(payload, backend):
     ops_b = _parse_operators(payload["operators_b"], EXACT)
     _require_common_square(ops_a + ops_b)
     r_max = payload["r_max"]
-    if not isinstance(r_max, int) or not 2 <= r_max <= _MAX_R_MAX:
+    if not _is_number(r_max) or not 2 <= r_max <= _MAX_R_MAX:
         raise SchemaError(f"r_max must be an integer from 2 to {_MAX_R_MAX}")
     return ops_a, ops_b, r_max
 
@@ -387,10 +395,10 @@ def _run_spectral_sequence(inputs, tol, outputs, checks):
 
 def _parse_identities(payload, backend):
     n, m = payload["n"], payload["m"]
-    if not (isinstance(n, int) and isinstance(m, int) and 1 <= n <= m):
+    if not (_is_number(n) and _is_number(m) and 1 <= n <= m):
         raise SchemaError("identities need integers 1 <= n <= m")
     shift = payload["range"]
-    if not isinstance(shift, int) or shift < 0:
+    if not _is_number(shift) or shift < 0:
         raise SchemaError("range must be a non-negative integer")
     return n, m, shift
 

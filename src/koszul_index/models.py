@@ -219,14 +219,18 @@ def global_index(mt: ModelTuple, tol: TolerancePolicy | None = None,
             "all_interior_quotient_dimension", total == -table.quotient_dim,
             f"quotient dimension {table.quotient_dim}"))
     if mt.domain.dimension == 1:
-        center = complex(mt.domain.center[0])
-        radius = float(mt.domain.radii[0])
-        w = winding_number(mt.system[0], center, radius)
-        rounded = round(w)
-        checks.append(Check(
-            "univariate_winding_oracle",
-            abs(w - rounded) < 0.1 and total == -rounded,
-            f"winding {w:.6f}"))
+        try:
+            w = winding_number(mt.system[0], complex(mt.domain.center[0]),
+                               float(mt.domain.radii[0]))
+        except OverflowError:
+            skipped.append(("univariate_winding_oracle",
+                            "the sampling circle or the symbol leaves float range"))
+        else:
+            rounded = round(w)
+            checks.append(Check(
+                "univariate_winding_oracle",
+                abs(w - rounded) < 0.1 and total == -rounded,
+                f"winding {w:.6f}"))
     report = IndexReport(tuple(records), tuple(locals_), total,
                          table.quotient_dim, table.backend, tuple(checks),
                          tuple(skipped))

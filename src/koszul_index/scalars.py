@@ -7,10 +7,16 @@ leave the Gaussian rationals.
 QQi shares a part that is already an exact Fraction, which is immutable and
 in lowest terms, and converts any other (int, bool, Fraction subclass) with
 Fraction(), so arithmetic results are never normalized twice.
+
+QQi.parse parses each distinct literal once per process (a bounded LRU
+cache) and returns the same immutable value to every later caller, so the
+matrices of a scenario document share their entries (a Matrix keeps entries
+of its backend's type). A bad literal is not cached and raises every time.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +54,7 @@ _INT = r"\d+(?:/\d+)?"
 _REAL_RE = re.compile(rf"^\s*([+-]?{_INT})\s*$")
 _FULL_RE = re.compile(rf"^\s*([+-]?{_INT})\s*([+-](?:{_INT})?)\s*i\s*$")
 _IMAG_RE = re.compile(rf"^\s*([+-]?(?:{_INT})?)\s*i\s*$")
+_LITERAL_CACHE_SIZE = 4096  # distinct literals; a scenario document holds dozens
 
 
 def _imag_fraction(text: str) -> Fraction:
@@ -56,6 +63,25 @@ def _imag_fraction(text: str) -> Fraction:
     if text == "-":
         return Fraction(-1)
     return Fraction(text)
+
+
+@functools.lru_cache(maxsize=_LITERAL_CACHE_SIZE)
+def _parse_literal(text: str) -> "QQi":
+    # fast path for ASCII integers; strip() and the regexes' \s agree
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if digits.isascii() and digits.isdigit():
+        return QQi(int(body))
+    m = _REAL_RE.match(text)
+    if m:
+        return QQi(Fraction(m.group(1)))
+    m = _FULL_RE.match(text)
+    if m:
+        return QQi(Fraction(m.group(1)), _imag_fraction(m.group(2)))
+    m = _IMAG_RE.match(text)
+    if m:
+        return QQi(0, _imag_fraction(m.group(1)))
+    raise ParseError(f"invalid scalar literal {text!r}")
 
 
 def _fraction_str(q: Fraction) -> str:
@@ -83,22 +109,8 @@ class QQi:
     @staticmethod
     def parse(text: str) -> "QQi":
         """Parse `[-]a[/b][[+|-]c[/d]i]`, plus the pure-imaginary shorthands
-        `i`, `-i`, `c[/d]i`."""
-        # fast path for ASCII integers; strip() and the regexes' \s agree
-        body = text.strip()
-        digits = body[1:] if body[:1] in ("+", "-") else body
-        if digits.isascii() and digits.isdigit():
-            return QQi(int(body))
-        m = _REAL_RE.match(text)
-        if m:
-            return QQi(Fraction(m.group(1)))
-        m = _FULL_RE.match(text)
-        if m:
-            return QQi(Fraction(m.group(1)), _imag_fraction(m.group(2)))
-        m = _IMAG_RE.match(text)
-        if m:
-            return QQi(0, _imag_fraction(m.group(1)))
-        raise ParseError(f"invalid scalar literal {text!r}")
+        `i`, `-i`, `c[/d]i`; a repeated literal returns the same value."""
+        return _parse_literal(text)
 
     def __add__(self, other):
         other = _coerce(other)

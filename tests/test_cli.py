@@ -97,7 +97,20 @@ def test_exit_code_one_on_computational_error(tmp_path):
     # parentheses nested far past the parser's bound, and past Python's
     # recursion limit for a recursive descent
     ("MULTIPLICITY", {"system": "(" * 3000 + "z1" + ")" * 3000, "at": ["0"]}),
-]])
+    # JSON true and false are not integers
+    ("IDENTITIES", {"n": 1, "m": True}),
+    ("IDENTITIES", {"n": True, "m": 2}),
+    ("IDENTITIES", {"n": 1, "m": 2, "range": False}),
+    ("MULTIPLICITY", {"system": "z1", "variables": True}),
+    ("SPECTRAL_SEQUENCE", {"operators_a": [[["0"]]], "operators_b": [[["0"]]],
+                           "r_max": True}),
+]] + [{"schema": 1, "scenarios": [{"id": "x", "kind": "IDENTITIES",
+                                   "payload": {"n": 1, "m": 1}, **entry}]}
+      for entry in [{"seed": False}, {"tol": True}]] + [
+    # a literal beyond float range on the float backend
+    {"schema": 1, "scenarios": [{"id": "x", "kind": "HOMOLOGY", "backend": "float",
+                                 "payload": {"operators": [[["1" + "0" * 400]]]}}]},
+])
 def test_exit_code_two_on_schema_violation(tmp_path, capsys, doc):
     code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path)
     assert code == 2
@@ -509,3 +522,33 @@ def test_local_multiplicity_beside_irrational_zeros(tmp_path, system, at, multip
     oracle = [c for c in reports[0]["checks"] if c["name"] == "eigenspace_oracle_agreement"]
     assert oracle == [{"name": "eigenspace_oracle_agreement", "passed": True,
                        "detail": f"eigenspace [{multiplicity}] vs truncation {multiplicity}"}]
+
+
+_HUGE = "1" + "0" * 400  # beyond float range
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--backend", "float", "--operators", f'[[["{_HUGE}"]]]'],
+    ["spectrum", "--backend", "float", "--operators", '[[["1"]]]', "--at", _HUGE],
+])
+def test_float_literal_beyond_range_is_a_schema_violation(tmp_path, capsys, argv):
+    code, reports, _ = run_main(argv, tmp_path)
+    assert code == 2 and reports == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and _HUGE in err and "float range" in err
+
+
+@pytest.mark.parametrize("domain", [
+    {"kind": "polydisc", "center": ["0"], "radii": ["1e400"]},
+    {"kind": "polydisc", "center": [_HUGE], "radii": ["1"]},
+])
+def test_index_beyond_float_range_skips_the_winding_oracle(tmp_path, domain):
+    code, reports, _ = run_main(
+        ["index", "--domain", json.dumps(domain), "--system", "z1"], tmp_path)
+    assert code == 0 and len(reports) == 1 and reports[0]["pass"]
+    outputs = reports[0]["outputs"]
+    assert outputs["global_index"] == (-1 if domain["center"] == ["0"] else 0)
+    assert [s["name"] for s in outputs["skipped_checks"]] == ["univariate_winding_oracle"]
+    assert "float range" in outputs["skipped_checks"][0]["reason"]
+    assert "univariate_winding_oracle" not in {c["name"] for c in reports[0]["checks"]}
+

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from koszul_index import cli, scalars, suites
 from koszul_index.errors import ParseError
 from koszul_index.scalars import QQi, TolerancePolicy, as_scalar, scalar_str
 
@@ -43,13 +44,15 @@ def test_parse_integer_literals(text, value):
 @pytest.mark.parametrize("bad", ["", "abc", "1+", "i2", "1//2", "2.5", "1 + 2",
                                  "1_0", "\u00b2", "+", "-", "+-3", "3 4"])
 def test_parse_rejects(bad):
-    with pytest.raises(ParseError):
-        QQi.parse(bad)  # "\u00b2" (superscript two) passes str.isdigit
+    for _ in range(2):  # a failed parse is not cached: it raises every time
+        with pytest.raises(ParseError):
+            QQi.parse(bad)  # "\u00b2" (superscript two) passes str.isdigit
 
 
 def test_parse_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        QQi.parse("3/0")
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            QQi.parse("3/0")
 
 
 @given(gaussians)
@@ -138,3 +141,34 @@ def test_arithmetic_results_have_exact_fraction_parts():
             assert _exact_parts(x)
             rebuilt = QQi(Fraction(x.re), Fraction(x.im))
             assert x == rebuilt and hash(x) == hash(rebuilt)
+
+
+def test_repeated_literal_is_one_shared_value():
+    first = QQi.parse("3/4-1/2i")
+    assert QQi.parse("3/4-1/2i") is first
+    assert first == QQi(Fraction(3, 4), Fraction(-1, 2))
+    assert type(first.re) is Fraction and type(first.im) is Fraction
+    # a parsed matrix keeps the shared value as its entries
+    m = cli._parse_matrix([["7/3", "7/3"], ["0", "7/3"]], "exact")
+    assert m.entries[0][0] is m.entries[0][1] is m.entries[1][1] is QQi.parse("7/3")
+
+
+def test_literal_cache_is_bounded():
+    maxsize = scalars._parse_literal.cache_info().maxsize
+    assert maxsize is not None and maxsize == scalars._LITERAL_CACHE_SIZE
+
+
+def test_validating_a_document_again_parses_no_literal():
+    rng = random.Random(11)
+    doc = {"schema": 1, "scenarios": [
+        {"id": f"h{k}", "kind": "HOMOLOGY",
+         "payload": {"operators": [cli._matrix_json(op) for op in
+                                   suites.random_commuting_family(rng, 2, 4)]}}
+        for k in range(12)]}
+    defaults = cli.Scenario("defaults", "IDENTITIES", {}, "exact", None, 7)
+    cli.scenarios_from_document(doc, defaults)
+    before = scalars._parse_literal.cache_info()
+    cli.scenarios_from_document(doc, defaults)
+    after = scalars._parse_literal.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == 12 * 2 * 16
