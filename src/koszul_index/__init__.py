@@ -23,9 +23,8 @@ from .multiplicity import (GlobalMultiplicityTable, MultiplicityCertificate,
 from .models import (DomainDescriptor, IndexReport, ModelTuple,
                      ReciprocityReport, TensorIdentityReport,
                      binomial_identity_holds, classify_zeros, global_index,
-                     l_matrix, local_index, lr_identity_holds, r_matrix,
-                     reciprocity_check, regular_case_identities,
-                     tensor_index_identity)
+                     local_index, lr_identity_holds, reciprocity_check,
+                     regular_case_identities, tensor_index_identity)
 
 __version__ = "0.1.0"
 
@@ -47,7 +46,6 @@ __all__ = [
     "local_multiplicity", "verify_diagonal_degree", "winding_number",
     "DomainDescriptor", "IndexReport", "ModelTuple", "ReciprocityReport",
     "TensorIdentityReport", "binomial_identity_holds", "classify_zeros",
-    "global_index", "l_matrix", "local_index", "lr_identity_holds",
-    "r_matrix", "reciprocity_check", "regular_case_identities",
-    "tensor_index_identity",
+    "global_index", "local_index", "lr_identity_holds", "reciprocity_check",
+    "regular_case_identities", "tensor_index_identity",
 ]

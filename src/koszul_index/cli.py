@@ -1,4 +1,6 @@
-"""Command-line front end: scenario files in, JSON Lines reports out.
+"""Command-line front end: scenario files in, JSON Lines reports out. It
+parses, runs and emits; `verify-all` runs the scenarios that
+`suites.builtin_scenarios` generates.
 
 Exit codes: 0 when every scenario passes, 1 when any scenario fails or hits
 a computational error (zero on a boundary, irrational spectrum, ...), 2 for
@@ -15,12 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from . import koszul, models, multiplicity as mult_mod, spectral, spectrum, suites
@@ -110,12 +110,11 @@ def _parse_domain(obj) -> DomainDescriptor:
     radii = obj.get("radii")
     if not isinstance(radii, list) or not radii:
         raise SchemaError("domain radii are a non-empty array")
+    radii = tuple(_parse_scalar(r, EXACT) for r in radii)
+    if any(r.im for r in radii):
+        raise SchemaError("domain radii are real")
     try:
-        radii = tuple(Fraction(str(r)) for r in radii)
-    except (ValueError, ZeroDivisionError) as err:
-        raise SchemaError(f"bad radius: {err}")
-    try:
-        return DomainDescriptor(kind, center, radii)
+        return DomainDescriptor(kind, center, tuple(r.re for r in radii))
     except ValueError as err:
         raise SchemaError(str(err))
 
@@ -545,117 +544,6 @@ def emit_reports(reports, stream, timings=False):
         stream.write(json.dumps(report, separators=(",", ":")) + "\n")
 
 
-# -- bundled suites --------------------------------------------------------------
-
-
-def _matrix_json(m: Matrix):
-    return [[scalar_str(x) for x in row] for row in m.entries]
-
-
-def builtin_scenarios(seed: int = DEFAULT_SEED, backend: str = EXACT) -> list:
-    """The bundled verification suites, generated deterministically from the
-    seed: the Euler anchor, cone isomorphisms, spectral sequences, the
-    multiplicity corpus with the diagonal identity, the index and
-    reciprocity scenarios, and the binomial identities. Exact-only kinds
-    run exact whatever the backend. Operator lists are serialized as drawn:
-    each tuple is checked for commutation once, when its scenario runs."""
-    rng = random.Random(seed)
-    out = []
-
-    def add(sid, kind, payload):
-        out.append(Scenario(sid, kind, payload, backend, None, seed))
-
-    for k in range(200):
-        n = rng.choice([1, 2, 3])
-        dim = rng.randint(1, 8)
-        ops = suites.random_commuting_family(rng, n, dim)
-        add(f"euler-anchor-{k:03d}", "HOMOLOGY",
-            {"operators": [_matrix_json(op) for op in ops],
-             "expect": {"index": 0}})
-
-    for k in range(50):
-        n = rng.choice([1, 2])
-        dim = rng.randint(1, 6)
-        ops = suites.random_commuting_family(rng, n + 1, dim)
-        add(f"cone-iso-{k:03d}", "HOMOLOGY",
-            {"operators": [_matrix_json(op) for op in ops[:n]],
-             "cone_with": _matrix_json(ops[n]),
-             "expect": {"cone_isomorphism": True, "index": 0}})
-
-    for k in range(50):
-        n = rng.choice([1, 2])
-        dim = rng.randint(1, 5)
-        ops = suites.random_commuting_family(rng, n + 1, dim)
-        add(f"spectral-seq-{k:03d}", "SPECTRAL_SEQUENCE",
-            {"operators_a": [_matrix_json(op) for op in ops[:n]],
-             "operators_b": [_matrix_json(op) for op in ops[n:]],
-             "r_max": 3})
-
-    corpus = [(f"z1^{k}", 1, ["0"], k) for k in range(1, 6)]
-    corpus += [
-        ("z1^2; z2^3", 2, ["0", "0"], 6),
-        ("z1^2 - z2; z2^2", 2, ["0", "0"], 4),
-        ("z1*(z1 - 1); z2", 2, ["0", "0"], 1),
-        ("z1 + z2; z1 - z2", 2, ["0", "0"], 1),
-    ]
-    for k, (text, nvars, at, expected) in enumerate(corpus):
-        add(f"multiplicity-{k:02d}", "MULTIPLICITY",
-            {"system": text, "variables": nvars, "at": at,
-             "check_diagonal": True,
-             "expect": {"multiplicity": expected}})
-    for k in range(10):
-        system, zeros = suites.random_regular_system(rng)
-        text = "; ".join(str(g) for g in system)
-        at = [scalar_str(c) for c in zeros[0]]
-        add(f"multiplicity-regular-{k:02d}", "MULTIPLICITY",
-            {"system": text, "variables": 2, "at": at, "check_diagonal": True,
-             "expect": {"multiplicity": 1}})
-
-    disc = {"kind": "polydisc", "center": ["0"], "radii": ["1"]}
-    bidisc = {"kind": "polydisc", "center": ["0", "0"], "radii": ["1", "1"]}
-    index = [
-        ("index-disc-two-zeros", disc, "z1^2 - 1/4", {"global_index": -2}),
-        ("index-disc-exterior", disc, "z1 - 2", {"global_index": 0}),
-        ("index-bidisc-multiplicity-four", bidisc, "z1^2; z2^2",
-         {"global_index": -4, "quotient_dim": 4}),
-        ("index-ball-regular",
-         {"kind": "ball", "center": ["0", "0"], "radii": ["1"]},
-         "z1 + z2; z1 - z2", {"global_index": -1}),
-    ]
-    for sid, domain, text, expect in index:
-        add(sid, "INDEX", {"domain": domain, "system": text, "expect": expect})
-
-    half = {"kind": "polydisc", "center": ["0"], "radii": ["1/2"]}
-    shifted = {"kind": "polydisc", "center": ["3"], "radii": ["1/2"]}
-    ball_b = {"kind": "ball", "center": ["0", "0"], "radii": ["3/4"]}
-    recip = [
-        ("reciprocity-worked-pair", disc, half, "z1*(z1 - 3/4)",
-         {"lhs": 1, "rhs": 1}),
-        ("reciprocity-disjoint", half, shifted, "z1*(z1 - 3)", None),
-        ("reciprocity-equal-domains", disc, disc, "z1^2 - 1/4", None),
-        ("reciprocity-bidisc-pair", bidisc,
-         {"kind": "polydisc", "center": ["0", "0"], "radii": ["1/2", "1/2"]},
-         "z1^2; z2^2", None),
-        ("reciprocity-ball-vs-bidisc", bidisc, ball_b,
-         "z1; z2 - 1/4", None),
-        ("reciprocity-shifted-centers", disc,
-         {"kind": "polydisc", "center": ["1/4"], "radii": ["1/2"]},
-         "z1*(z1 - 1/2)", None),
-    ]
-    for sid, da, db, text, expect in recip:
-        payload = {"domain_a": da, "domain_b": db, "system": text}
-        if expect:
-            payload["expect"] = expect
-        add(sid, "RECIPROCITY", payload)
-
-    for n in range(1, 9):
-        for m in range(n, 9):
-            add(f"identities-{n}-{m}", "IDENTITIES",
-                {"n": n, "m": m, "range": 8,
-                 "expect": {"left_inverse": True, "binomial_identity": True}})
-    return out
-
-
 # -- argument parsing -------------------------------------------------------------
 
 
@@ -700,8 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run the bundled verification suites")
     _add_common(p)
-    p.set_defaults(
-        scenarios=lambda args: builtin_scenarios(args.seed, args.backend))
+    p.set_defaults(scenarios=lambda args: [
+        Scenario(sid, kind, payload, args.backend, None, args.seed)
+        for sid, kind, payload in suites.builtin_scenarios(args.seed)])
 
     for name, kind in KINDS.items():
         p = sub.add_parser(kind.command, help=kind.help)

@@ -68,22 +68,25 @@ class DomainDescriptor:
         return DomainDescriptor.polydisc((QQi(0),), (Fraction(1),))
 
     def classify(self, point, tol: TolerancePolicy | None = None) -> str:
-        """interior / boundary / exterior; exact points compare exactly,
-        float points refuse a margin around the boundary."""
+        """interior / boundary / exterior. Squared distances meet squared
+        radii exactly, so no center, radius or point overflows; a float
+        point is read as the exact value of its floats, and a margin around
+        the boundary is refused."""
         if len(point) != self.dimension:
             raise ArityMismatch("point dimension differs from the domain")
-        exact = all(isinstance(p, QQi) for p in point)
-        if exact:  # squared distances against squared radii, with no margin
-            dists = [(p - c).abs2() for p, c in zip(point, self.center)]
-            bounds, margin = [r * r for r in self.radii], 0
-        else:
-            dists = [abs(complex(p) - complex(c)) for p, c in zip(point, self.center)]
-            bounds, margin = [float(r) for r in self.radii], (tol or DEFAULT_TOL).margin
+        margin = 0
+        if not all(isinstance(p, QQi) for p in point):
+            margin = Fraction((tol or DEFAULT_TOL).margin)
+            point = [p if isinstance(p, QQi) else
+                     QQi(Fraction(complex(p).real), Fraction(complex(p).imag))
+                     for p in point]
+        dists = [(p - c).abs2() for p, c in zip(point, self.center)]
         if self.kind == "ball":
-            dists = [sum(dists)] if exact else [sum(x ** 2 for x in dists) ** 0.5]
-        if any(d > b + margin for d, b in zip(dists, bounds)):
+            dists = [sum(dists)]
+        if any(d > (r + margin) ** 2 for d, r in zip(dists, self.radii)):
             return EXTERIOR
-        if all(d < b - margin for d, b in zip(dists, bounds)):
+        if all(r > margin and d < (r - margin) ** 2
+               for d, r in zip(dists, self.radii)):
             return INTERIOR
         return BOUNDARY
 
@@ -242,13 +245,13 @@ def global_index(mt: ModelTuple, tol: TolerancePolicy | None = None,
 # -- regular case transforms ---------------------------------------------------
 
 
-def r_matrix(k: int, rows: int, cols: int):
+def _r_matrix(k: int, rows: int, cols: int):
     """The lifting transform with entries C(k, i-j)."""
     return [[comb(k, i - j) if 0 <= i - j <= k else 0 for j in range(cols)]
             for i in range(rows)]
 
 
-def l_matrix(k: int, rows: int, cols: int):
+def _l_matrix(k: int, rows: int, cols: int):
     """The left inverse of the lifting transform:
     entries (-1)^(i-j) C(k+i-j-1, i-j)."""
     out = []
@@ -261,15 +264,16 @@ def l_matrix(k: int, rows: int, cols: int):
     return out
 
 
-def _int_matmul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
+def int_matmul(a, b):
+    """The product of two matrices given as lists of rows of Python ints."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def lr_identity_holds(n: int, m: int) -> bool:
     """L(n) R(n) is the identity on the small side."""
     size = n + m + 1
-    product = _int_matmul(l_matrix(n, m + 1, size), r_matrix(n, size, m + 1))
+    product = int_matmul(_l_matrix(n, m + 1, size), _r_matrix(n, size, m + 1))
     return product == [[1 if i == j else 0 for j in range(m + 1)] for i in range(m + 1)]
 
 

@@ -19,8 +19,9 @@ from koszul_index.linalg import Matrix
 from koszul_index.models import DomainDescriptor, ModelTuple
 from koszul_index.poly import groebner, parse_system, quotient_algebra
 from koszul_index.scalars import QQi
-from koszul_index.suites import (random_bicomplex_pair, random_commuting_tuple,
-                                 random_cone_instance, random_regular_system)
+from koszul_index.suites import random_regular_system
+from random_tuples import (random_bicomplex_pair, random_commuting_tuple,
+                           random_cone_instance)
 
 
 def _announce(line: str):

@@ -8,8 +8,8 @@ import time
 import pytest
 
 from koszul_index import cli
-from koszul_index.cli import (Scenario, SchemaError, builtin_scenarios,
-                              scenarios_from_document)
+from koszul_index.cli import Scenario, SchemaError, scenarios_from_document
+from koszul_index.suites import builtin_scenarios
 
 DEFAULTS = Scenario("defaults", "IDENTITIES", {}, "exact", None, 7)
 
@@ -444,9 +444,8 @@ def test_verify_all_float_variant_passes(tmp_path):
 def test_builtin_scenarios_deterministic():
     one = builtin_scenarios(7)
     two = builtin_scenarios(7)
-    assert [s.payload for s in one] == [s.payload for s in two]
-    other = builtin_scenarios(8)
-    assert [s.payload for s in one] != [s.payload for s in other]
+    assert one == two
+    assert [p for _, _, p in one] != [p for _, _, p in builtin_scenarios(8)]
 
 
 def test_builtin_scenarios_check_no_commutation(monkeypatch):
@@ -539,7 +538,7 @@ def test_float_literal_beyond_range_is_a_schema_violation(tmp_path, capsys, argv
 
 
 @pytest.mark.parametrize("domain", [
-    {"kind": "polydisc", "center": ["0"], "radii": ["1e400"]},
+    {"kind": "polydisc", "center": ["0"], "radii": [_HUGE]},
     {"kind": "polydisc", "center": [_HUGE], "radii": ["1"]},
 ])
 def test_index_beyond_float_range_skips_the_winding_oracle(tmp_path, domain):
@@ -552,3 +551,35 @@ def test_index_beyond_float_range_skips_the_winding_oracle(tmp_path, domain):
     assert "float range" in outputs["skipped_checks"][0]["reason"]
     assert "univariate_winding_oracle" not in {c["name"] for c in reports[0]["checks"]}
 
+
+
+@pytest.mark.parametrize("radius", ["1.5", "1e400", "1_0", "1+i", "0"])
+def test_radii_follow_the_scalar_grammar(tmp_path, capsys, radius):
+    domain = {"kind": "polydisc", "center": ["0"], "radii": [radius]}
+    code, reports, _ = run_main(
+        ["index", "--domain", json.dumps(domain), "--system", "z1"], tmp_path)
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err.startswith("error: ")
+    doc = {"schema": 1, "scenarios": [{"kind": "INDEX", "payload": {
+        "domain": domain, "system": "z1"}}]}
+    with pytest.raises(SchemaError):
+        scenarios_from_document(doc, DEFAULTS)
+
+
+def test_rational_radius_is_exact(tmp_path):
+    domain = {"kind": "polydisc", "center": ["0"], "radii": ["3/4"]}
+    code, reports, _ = run_main(
+        ["index", "--domain", json.dumps(domain), "--system", "z1^2 - 1/2"], tmp_path)
+    # 1/2 < (3/4)^2 = 9/16, so both zeros +-sqrt(1/2) lie inside
+    assert code == 0 and reports[0]["outputs"]["global_index"] == -2
+
+
+def test_float_zeros_meet_a_radius_beyond_float_range(tmp_path):
+    domain = {"kind": "polydisc", "center": ["0"], "radii": [_HUGE]}
+    code, reports, _ = run_main(
+        ["index", "--domain", json.dumps(domain), "--system", "z1^2-2"], tmp_path)
+    assert code == 0 and len(reports) == 1 and reports[0]["pass"]
+    outputs = reports[0]["outputs"]
+    assert reports[0]["backend"] == "float"
+    assert outputs["global_index"] == -2
+    assert [z["location"] for z in outputs["zeros"]] == ["interior", "interior"]

@@ -8,7 +8,7 @@ from koszul_index.koszul import (CommutingTuple, HomologyProfile, build_complex,
                                  homology, mapping_cone, verify_cone_isomorphism)
 from koszul_index.linalg import Matrix
 from koszul_index.scalars import EXACT, FLOAT, QQi, TolerancePolicy
-from koszul_index.suites import random_commuting_tuple, random_cone_instance
+from random_tuples import random_commuting_tuple, random_cone_instance
 
 
 def exact(rows):
@@ -118,8 +118,7 @@ def test_homology_invariant_under_similarity():
         base = homology(build_complex(t)).dims
         from koszul_index.suites import _unimodular
 
-        s = _unimodular(rng, 4)
-        s_inv = linalg.solve(s, Matrix.identity(4))
+        s, s_inv = (exact(rows) for rows in _unimodular(rng, 4))
         conj = CommutingTuple([s @ op @ s_inv for op in t.operators])
         assert homology(build_complex(conj)).dims == base
 

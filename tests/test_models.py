@@ -7,10 +7,11 @@ import pytest
 from koszul_index.errors import ArityMismatch, NotAZero, NotNilpotent, ZeroOnBoundary
 from koszul_index.koszul import CommutingTuple
 from koszul_index.linalg import Matrix
-from koszul_index.models import (DomainDescriptor, ModelTuple, binomial_identity_holds,
-                                 classify_zeros, global_index, l_matrix, local_index,
-                                 lr_identity_holds, r_matrix, reciprocity_check,
-                                 regular_case_identities, tensor_index_identity)
+from koszul_index.models import (DomainDescriptor, ModelTuple, _l_matrix, _r_matrix,
+                                 binomial_identity_holds, classify_zeros, global_index,
+                                 int_matmul, local_index, lr_identity_holds,
+                                 reciprocity_check, regular_case_identities,
+                                 tensor_index_identity)
 from koszul_index.poly import parse_system
 from koszul_index.scalars import FLOAT, QQi
 
@@ -122,21 +123,19 @@ def test_binomial_transform_identities():
 
 
 def test_r_and_l_matrix_entries():
-    r = r_matrix(2, 5, 3)
+    r = _r_matrix(2, 5, 3)
     assert r[0][0] == 1 and r[1][0] == 2 and r[2][0] == 1 and r[3][0] == 0
-    l = l_matrix(2, 3, 5)
+    l = _l_matrix(2, 3, 5)
     assert l[0][0] == 1 and l[1][0] == -2 and l[2][0] == 3
 
 
 def test_left_inverse_composed_with_larger_lift():
     # composing the left inverse with the larger lift convolves against the
     # binomials of the difference
-    from koszul_index.models import _int_matmul
-
     for n in range(1, 5):
         for m in range(n, 6):
             size = n + m + 1
-            product = _int_matmul(l_matrix(n, m + 1, size), r_matrix(m, size, n + 1))
+            product = int_matmul(_l_matrix(n, m + 1, size), _r_matrix(m, size, n + 1))
             expected = [[comb(m - n, i - j) if 0 <= i - j <= m - n else 0
                          for j in range(n + 1)] for i in range(m + 1)]
             assert product == expected
@@ -196,7 +195,7 @@ def test_tensor_identity_reports():
 
 def test_tensor_identity_random_instances():
     rng = random.Random(77)
-    from koszul_index.suites import random_commuting_tuple
+    from random_tuples import random_commuting_tuple
 
     for _ in range(6):
         base = random_commuting_tuple(rng, 2, 3)
@@ -241,3 +240,12 @@ def test_binomial_identity_matches_the_sum_over_every_k():
         for m in range(n, 7):
             for max_shift in range(41):
                 assert binomial_identity_holds(n, m, max_shift) == full_sum(n, m, max_shift)
+
+
+def test_float_points_classify_exactly_beyond_float_range():
+    huge = Fraction(10) ** 400
+    assert DomainDescriptor.polydisc([0], [huge]).classify((1.5 + 0j,)) == "interior"
+    assert DomainDescriptor.polydisc([huge], [1]).classify((1.5 + 0j,)) == "exterior"
+    ball = DomainDescriptor.ball([huge, 0], huge)
+    assert ball.classify((1.5 + 0j, 0j)) == "interior"
+    assert ball.classify((-1.5 + 0j, 0j)) == "exterior"

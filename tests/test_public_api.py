@@ -1,5 +1,5 @@
 import koszul_index
-from koszul_index import poly
+from koszul_index import models, poly
 
 
 def test_every_exported_name_resolves():
@@ -12,9 +12,12 @@ def test_every_exported_name_resolves():
 
 
 def test_removed_names_stay_gone():
-    # grevlex is the only term order, and one polynomial parses as a
-    # one-element system
-    for name in ("LEX", "MonomialOrder", "DEGREVLEX", "parse_polynomial"):
-        assert not hasattr(koszul_index, name), name
-        assert not hasattr(poly, name), name
-        assert name not in koszul_index.__all__
+    # grevlex is the only term order, one polynomial parses as a
+    # one-element system, and the regular-case transforms are private
+    removed = [(poly, ("LEX", "MonomialOrder", "DEGREVLEX", "parse_polynomial")),
+               (models, ("r_matrix", "l_matrix"))]
+    for module, names in removed:
+        for name in names:
+            assert not hasattr(koszul_index, name), name
+            assert not hasattr(module, name), name
+            assert name not in koszul_index.__all__

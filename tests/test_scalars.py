@@ -162,7 +162,7 @@ def test_validating_a_document_again_parses_no_literal():
     rng = random.Random(11)
     doc = {"schema": 1, "scenarios": [
         {"id": f"h{k}", "kind": "HOMOLOGY",
-         "payload": {"operators": [cli._matrix_json(op) for op in
+         "payload": {"operators": [suites._matrix_json(op) for op in
                                    suites.random_commuting_family(rng, 2, 4)]}}
         for k in range(12)]}
     defaults = cli.Scenario("defaults", "IDENTITIES", {}, "exact", None, 7)

@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from koszul_index import koszul, linalg
-from koszul_index.cli import Scenario, _matrix_json, run_scenario
+from koszul_index.cli import Scenario, run_scenario
 from koszul_index.errors import BackendMismatch, CommutatorError
 from koszul_index.koszul import CommutingTuple, build_complex, homology
 from koszul_index.linalg import Matrix
@@ -12,7 +12,8 @@ from koszul_index.scalars import FLOAT, QQi
 from koszul_index.spectral import (Bicomplex, PageEntry, _check_page_step,
                                    build_bicomplex, e2_dims_independent,
                                    e2_page, euler_via_e2, page_sequence)
-from koszul_index.suites import random_bicomplex_pair
+from koszul_index.suites import _matrix_json
+from random_tuples import random_bicomplex_pair
 
 ZERO1 = Matrix.zeros(1, 1)
 JORDAN = Matrix([[0, 1], [0, 0]])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from koszul_index import linalg, suites
+from koszul_index import suites
 from koszul_index.errors import ArityMismatch, ClusteringAmbiguity, IrrationalSpectrum
 from koszul_index.koszul import CommutingTuple
 from koszul_index.linalg import Matrix
@@ -121,8 +121,8 @@ def _conjugated_jordan(rng, blocks, steps):
             if i:
                 rows[pos + i - 1][pos + i] = QQi(1)
         pos += size
-    s = suites._unimodular(rng, d, steps)
-    return s @ Matrix(rows) @ linalg.solve(s, Matrix.identity(d))
+    s, s_inv = (Matrix(m) for m in suites._unimodular(rng, d, steps))
+    return s @ Matrix(rows) @ s_inv
 
 
 def _float_copy(m):
