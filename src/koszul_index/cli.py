@@ -68,6 +68,12 @@ def _is_number(value, types=int) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
+def _check_tol(tol, where):
+    """A tolerance is absent or in (0, largest float]: inf passes any pair as commuting."""
+    if tol is not None and not (_is_number(tol, (int, float)) and 0 < tol <= sys.float_info.max):
+        raise SchemaError(f"{where}: tol must be a finite number > 0")
+
+
 def _parse_matrix(obj, backend) -> Matrix:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError("matrix literals are non-empty arrays of arrays")
@@ -185,8 +191,7 @@ def scenarios_from_document(doc, defaults) -> list:
         if backend not in (EXACT, FLOAT):
             raise SchemaError(f"scenario {sid!r}: backend is 'exact' or 'float'")
         tol = entry.get("tol", defaults.tol)
-        if tol is not None and not _is_number(tol, (int, float)):
-            raise SchemaError(f"scenario {sid!r}: tol must be a number")
+        _check_tol(tol, f"scenario {sid!r}")
         seed = entry.get("seed", defaults.seed)
         if not _is_number(seed) or seed < 0:
             raise SchemaError(f"scenario {sid!r}: seed must be a non-negative integer")
@@ -214,8 +219,8 @@ def _point_strs(point):
     return [scalar_str(x) for x in point]
 
 
-def _check_dict(name, passed, detail=""):
-    return {"name": name, "passed": bool(passed), "detail": detail}
+def _check_dict(name, passed, detail=""):  # kept until emitted: share repeated texts
+    return {"name": sys.intern(name), "passed": bool(passed), "detail": sys.intern(detail)}
 
 
 def _apply_expect(expect, outputs, checks):
@@ -589,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run the bundled verification suites")
     _add_common(p)
     p.set_defaults(scenarios=lambda args: [
-        Scenario(sid, kind, payload, args.backend, None, args.seed)
+        Scenario(sid, kind, payload, args.backend, args.tol, args.seed)
         for sid, kind, payload in suites.builtin_scenarios(args.seed)])
 
     for name, kind in KINDS.items():
@@ -620,6 +625,7 @@ def _one_off_scenario(args) -> list:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_tol(args.tol, "--tol")
         scenarios = args.scenarios(args)
     except (SchemaError, ParseError, json.JSONDecodeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

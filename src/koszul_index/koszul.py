@@ -101,7 +101,7 @@ class CommutingTuple:
 
 class ChainComplex:
     """A finite chain complex with spaces indexed 0..length and
-    differentials d_k: C_k -> C_(k-1)."""
+    differentials d_k: C_k -> C_(k-1); shapes and d_k * d_(k+1) = 0 are checked at build."""
 
     def __init__(self, dims, diffs, tol: TolerancePolicy | None = None):
         self.dims = list(dims)
@@ -112,6 +112,9 @@ class ChainComplex:
             dk = self.d(k)
             if dk.shape != (self.dims[k - 1], self.dims[k]):
                 raise ValueError(f"differential {k} has the wrong shape")
+        self._check_square_zero(tol)
+
+    def _check_square_zero(self, tol):
         for k in range(1, self.length):
             dk, dk1 = self.d(k), self.d(k + 1)
             if not linalg.product_vanishes(dk @ dk1, dk, dk1, tol):
@@ -143,12 +146,18 @@ class ChainComplex:
 
 
 class KoszulComplex(ChainComplex):
-    """The Koszul complex of a commuting tuple, with its subset bookkeeping."""
+    """The Koszul complex of a commuting tuple, with its subset bookkeeping. Two exact
+    operators form no d_1 * d_2 = [A_1 A_2][-A_2; A_1] = -[A_1, A_2]: `commutes` in
+    `CommutingTuple._setup`, or the caller of `CommutingTuple.proven`, proved it zero."""
 
     def __init__(self, tuple_: CommutingTuple, dims, diffs, tol=None):
-        super().__init__(dims, diffs, tol)
         self.tuple = tuple_
         self.n = tuple_.n
+        super().__init__(dims, diffs, tol)
+
+    def _check_square_zero(self, tol):
+        if self.n != 2 or self.backend != EXACT:
+            super()._check_square_zero(tol)
 
 
 @dataclass(frozen=True)
@@ -168,7 +177,7 @@ class HomologyProfile:
 
 
 def build_complex(t: CommutingTuple, tol: TolerancePolicy | None = None) -> KoszulComplex:
-    """The Koszul complex of t; d squared = 0 is asserted eagerly."""
+    """The Koszul complex of t; d squared = 0 is checked at build (see `KoszulComplex`)."""
     n, d = t.n, t.dim
     backend = t.backend
     zero = QQi(0) if backend == EXACT else 0.0 + 0j
@@ -269,8 +278,8 @@ def verify_cone_isomorphism(c: KoszulComplex, b: Matrix,
     equals the cone's d_k. Both hold the same operator entries up to sign,
     so they are compared by equality, with no arithmetic on either backend.
     The cone's own d*d = 0 then needs no product:
-    it is the conjugate of full.d*full.d, which `ChainComplex` checks when
-    the complex of the extended tuple is built.
+    it is the conjugate of full.d*full.d, checked when the complex of the
+    extended tuple is built: over one exact operator, by `extend` checking b.
     """
     t = c.tuple
     full = build_complex(t.extend(b, tol), tol)  # extend checks b against the tuple

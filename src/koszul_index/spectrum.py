@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import koszul, linalg
-from .errors import ArityMismatch, ClusteringAmbiguity, IrrationalSpectrum
+from .errors import ArityMismatch, ClusteringAmbiguity, IrrationalSpectrum, ResourceLimit
 from .koszul import CommutingTuple
 from .linalg import Matrix
 from .scalars import EXACT, QQi, TolerancePolicy, DEFAULT_TOL
@@ -182,7 +182,10 @@ def _numeric_roots(factor):
     _ABERTH_TOL of it or its residual is at the rounding level of its
     evaluation (Bini, Numer. Algorithms 13, 1996)."""
     n = _degree(factor)
-    c = [complex(x) for x in factor]  # Yun factors are monic
+    try:
+        c = [complex(x) for x in factor]  # Yun factors are monic
+    except OverflowError:
+        raise ResourceLimit("a characteristic polynomial coefficient leaves float range")
     radius = max(abs(c[n - k]) ** (1 / k) for k in range(1, n + 1))
     zs = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
     for _ in range(_ABERTH_SWEEPS):

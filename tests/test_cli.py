@@ -110,7 +110,10 @@ def test_exit_code_one_on_computational_error(tmp_path):
     # a literal beyond float range on the float backend
     {"schema": 1, "scenarios": [{"id": "x", "kind": "HOMOLOGY", "backend": "float",
                                  "payload": {"operators": [[["1" + "0" * 400]]]}}]},
-])
+] + [{"schema": 1, "scenarios": [{"id": "x", "kind": "IDENTITIES",
+                                  "payload": {"n": 1, "m": 1}, "tol": tol}]}
+     # json.dumps writes NaN and Infinity, which json.load reads back
+     for tol in [float("nan"), float("inf"), -float("inf"), -1, 0, 0.0, 10 ** 400]])
 def test_exit_code_two_on_schema_violation(tmp_path, capsys, doc):
     code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path)
     assert code == 2
@@ -583,3 +586,54 @@ def test_float_zeros_meet_a_radius_beyond_float_range(tmp_path):
     assert reports[0]["backend"] == "float"
     assert outputs["global_index"] == -2
     assert [z["location"] for z in outputs["zeros"]] == ["interior", "interior"]
+
+
+@pytest.mark.parametrize("tol", ["inf", "-1", "nan", "0"])
+@pytest.mark.parametrize("argv", [
+    ["run", None],
+    ["verify-all"],
+    # inf passed this non-commuting pair; -1 and nan refused diag(1,2), diag(3,4)
+    ["homology", "--backend", "float",
+     "--operators", '[[["0","1"],["0","0"]],[["0","0"],["1","0"]]]'],
+    ["homology", "--backend", "float",
+     "--operators", '[[["1","0"],["0","2"]],[["3","0"],["0","4"]]]'],
+])
+def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, argv, tol):
+    argv = [a if a is not None else write_scenarios(tmp_path, GOOD_DOC) for a in argv]
+    code, reports, _ = run_main(argv + ["--tol", tol], tmp_path)
+    assert code == 2 and reports == []
+    err = capsys.readouterr().err
+    assert err == "error: --tol: tol must be a finite number > 0\n"
+
+
+def test_verify_all_scenarios_carry_the_given_tol():
+    parser = cli.build_parser()
+    for argv, tol in ((["verify-all"], None), (["verify-all", "--tol", "1e-3"], 1e-3)):
+        args = parser.parse_args(argv)
+        assert {s.tol for s in args.scenarios(args)} == {tol}
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "--domain", '{"kind":"polydisc","center":["0"],"radii":["1"]}'],
+    ["reciprocity", "--domain-a", '{"kind":"polydisc","center":["0"],"radii":["1"]}',
+     "--domain-b", '{"kind":"polydisc","center":["0"],"radii":["1/2"]}'],
+])
+def test_root_finder_beyond_float_range_reports_an_error(argv):
+    # z1^2 - 2e400 has no Gaussian rational zero, and its coefficients leave
+    # float range, so neither the exact nor the float route can locate them
+    proc = subprocess.run(
+        [sys.executable, "-m", "koszul_index.cli", *argv, "--system", f"z1^2-2{'0' * 400}"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stderr == ""
+    (report,) = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert report["error"]["type"] == "ResourceLimit"
+    assert "float range" in report["error"]["message"]
+
+
+def test_reports_share_repeated_check_texts():
+    # every report is held until it is emitted, so a repeated check name or
+    # detail is one string, not one per report
+    scenario = Scenario("h", "HOMOLOGY", GOOD_DOC["scenarios"][0]["payload"])
+    one, two = (cli.run_scenario(scenario)["checks"] for _ in range(2))
+    assert [c["name"] for c in one] == ["euler_characteristic_zero", "expected_dims"]
+    assert all(a[k] is b[k] for a, b in zip(one, two) for k in ("name", "detail"))

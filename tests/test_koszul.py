@@ -57,10 +57,71 @@ def test_build_zero_pair_on_scalars():
     assert c.d(1).is_zero() and c.d(2).is_zero()
 
 
+def square_zero(c, tol=None):
+    """The full-product oracle: every d_k @ d_(k+1) of c vanishes."""
+    return all(linalg.product_vanishes(c.d(k) @ c.d(k + 1), c.d(k), c.d(k + 1), tol)
+               for k in range(1, c.length))
+
+
 def test_differential_block_layout():
-    c = build_complex(CommutingTuple([JORDAN, ZERO2]))
-    assert c.d(1) == Matrix.hstack([JORDAN, ZERO2])
-    assert c.d(2) == Matrix.vstack([-ZERO2, JORDAN])
+    # d_1 = [A_1 A_2] and d_2 = [-A_2; A_1], block by block: an exact pair
+    # forms no product at build, because d_1 d_2 = -[A_1, A_2] by this layout
+    a1, a2 = JORDAN, exact([[2, QQi(1, 1)], [0, 2]])
+    c = build_complex(CommutingTuple([a1, a2]))
+
+    def block(m, i, j):
+        return m.take_rows(range(2 * i, 2 * i + 2)).take_cols(range(2 * j, 2 * j + 2))
+    assert c.dims == [2, 4, 2]
+    assert [block(c.d(1), 0, j) for j in range(2)] == [a1, a2]
+    assert [block(c.d(2), i, 0) for i in range(2)] == [-a2, a1]
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_square_zero_oracle_on_random_tuples(backend):
+    rng = random.Random(47)
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            exact_tuple = random_commuting_tuple(rng, n, rng.randint(1, 3))
+            ops = [Matrix(op.entries, backend) for op in exact_tuple.operators]
+            assert square_zero(build_complex(CommutingTuple(ops)))
+
+
+def test_square_zero_oracle_on_cones():
+    rng = random.Random(53)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            t, b = random_cone_instance(rng, n, rng.randint(1, 3))
+            c = build_complex(t)
+            assert square_zero(mapping_cone(c, b))
+            assert square_zero(build_complex(t.extend(b)))
+
+
+def test_square_zero_oracle_flags_a_flipped_sign(monkeypatch):
+    # with every removal sign +1, d_1 d_2 = A_1 A_2 + A_2 A_1 = 4J here: an
+    # exact pair no longer catches that at build, the oracle does, and three
+    # operators still multiply at build
+    t = CommutingTuple([JORDAN, exact([[2, 1], [0, 2]])])
+    assert square_zero(build_complex(t))
+    monkeypatch.setattr(koszul, "removal_sign", lambda subset, i: 1)
+    assert not square_zero(build_complex(t))
+    with pytest.raises(AssertionError, match="d_1 after d_2"):
+        build_complex(t.extend(Matrix.identity(2)))
+
+
+def test_exact_pair_builds_form_no_product(monkeypatch):
+    rng = random.Random(59)
+    pair, three = (random_commuting_tuple(rng, n, 3) for n in (2, 3))
+    float_pair = CommutingTuple([Matrix(op.entries, FLOAT) for op in pair.operators])
+    calls = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        lambda a, b: calls.append(1) or matmul(a, b))
+    build_complex(pair)
+    assert calls == []
+    build_complex(float_pair)
+    assert len(calls) == 1
+    build_complex(three)
+    assert len(calls) == 1 + 2
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
