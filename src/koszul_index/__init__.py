@@ -3,7 +3,7 @@ theory for commuting operator tuples, with exact Gaussian-rational
 arithmetic and polynomial model spaces at desk scale."""
 
 from . import errors
-from .scalars import EXACT, FLOAT, QQi, TolerancePolicy
+from .scalars import EXACT, FLOAT, QQi
 from .linalg import Matrix, det, image_basis, kernel_basis, rank, solve
 from .poly import (GroebnerBasis, Polynomial, QuotientAlgebra, groebner,
                    normal_form, parse_system, quotient_algebra)
@@ -29,7 +29,7 @@ from .models import (DomainDescriptor, IndexReport, ModelTuple,
 __version__ = "0.1.0"
 
 __all__ = [
-    "errors", "EXACT", "FLOAT", "QQi", "TolerancePolicy",
+    "errors", "EXACT", "FLOAT", "QQi",
     "Matrix", "det", "image_basis", "kernel_basis", "rank", "solve",
     "GroebnerBasis", "Polynomial", "QuotientAlgebra", "groebner",
     "normal_form", "parse_system", "quotient_algebra",

@@ -29,7 +29,7 @@ from .koszul import CommutingTuple
 from .linalg import Matrix
 from .models import DomainDescriptor, ModelTuple
 from .poly import parse_system
-from .scalars import EXACT, FLOAT, QQi, TolerancePolicy, scalar_str
+from .scalars import DEFAULT_TOL, EXACT, FLOAT, QQi, scalar_str
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 7
@@ -53,14 +53,11 @@ class Scenario:
 # -- payload parsing helpers ---------------------------------------------------
 
 
-def _parse_scalar(text, backend):
+def _parse_scalar(text):
     try:
-        value = QQi.parse(str(text))
-        return value if backend == EXACT else complex(value)
+        return QQi.parse(str(text))
     except ZeroDivisionError:
         raise SchemaError(f"zero denominator in scalar literal {text!r}")
-    except OverflowError:
-        raise SchemaError(f"scalar literal {text!r} is beyond float range")
 
 
 def _is_number(value, types=int) -> bool:
@@ -69,22 +66,22 @@ def _is_number(value, types=int) -> bool:
 
 
 def _check_tol(tol, where):
-    """A tolerance is absent or in (0, largest float]: inf passes any pair as commuting."""
+    """A tolerance is absent or in (0, largest float]: an infinite cut makes
+    every float kernel the whole space."""
     if tol is not None and not (_is_number(tol, (int, float)) and 0 < tol <= sys.float_info.max):
         raise SchemaError(f"{where}: tol must be a finite number > 0")
 
 
-def _parse_matrix(obj, backend) -> Matrix:
+def _parse_matrix(obj) -> Matrix:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError("matrix literals are non-empty arrays of arrays")
-    return Matrix([[_parse_scalar(x, backend) for x in row] for row in obj],
-                  backend)
+    return Matrix([[_parse_scalar(x) for x in row] for row in obj], EXACT)
 
 
-def _parse_operators(obj, backend) -> list:
+def _parse_operators(obj) -> list:
     if not isinstance(obj, list) or not obj:
         raise SchemaError("operator lists are non-empty arrays of matrices")
-    return [_parse_matrix(m, backend) for m in obj]
+    return [_parse_matrix(m) for m in obj]
 
 
 def _require_common_square(mats):
@@ -93,12 +90,12 @@ def _require_common_square(mats):
         raise SchemaError("operators must be square matrices of one size")
 
 
-def _parse_point(obj, backend=EXACT):
+def _parse_point(obj):
     if isinstance(obj, str):
         obj = [p.strip() for p in obj.split(",")]
     if not isinstance(obj, list):
         raise SchemaError("points are arrays of scalar strings")
-    return tuple(_parse_scalar(x, backend) for x in obj)
+    return tuple(_parse_scalar(x) for x in obj)
 
 
 def _parse_domain(obj) -> DomainDescriptor:
@@ -112,11 +109,11 @@ def _parse_domain(obj) -> DomainDescriptor:
         raise SchemaError("domain kind is 'polydisc' or 'ball'")
     if "center" not in obj or not isinstance(obj["center"], list):
         raise SchemaError("domain center is an array of scalar strings")
-    center = tuple(_parse_scalar(c, EXACT) for c in obj["center"])
+    center = tuple(_parse_scalar(c) for c in obj["center"])
     radii = obj.get("radii")
     if not isinstance(radii, list) or not radii:
         raise SchemaError("domain radii are a non-empty array")
-    radii = tuple(_parse_scalar(r, EXACT) for r in radii)
+    radii = tuple(_parse_scalar(r) for r in radii)
     if any(r.im for r in radii):
         raise SchemaError("domain radii are real")
     try:
@@ -209,10 +206,8 @@ def scenarios_from_document(doc, defaults) -> list:
 # -- execution ------------------------------------------------------------------
 
 
-def _policy(scenario: Scenario) -> TolerancePolicy:
-    if scenario.tol is None:
-        return TolerancePolicy()
-    return TolerancePolicy(rel=float(scenario.tol))
+def _policy(scenario: Scenario) -> float:
+    return DEFAULT_TOL if scenario.tol is None else float(scenario.tol)
 
 
 def _point_strs(point):
@@ -234,40 +229,54 @@ def _apply_expect(expect, outputs, checks):
 
 
 def _parse_homology(payload, backend):
-    ops = _parse_operators(payload["operators"], backend)
+    ops = _parse_operators(payload["operators"])
     cone = None
     if "cone_with" in payload:
-        cone = _parse_matrix(payload["cone_with"], backend)
+        cone = _parse_matrix(payload["cone_with"])
     _require_common_square(ops if cone is None else ops + [cone])
     return ops, cone
 
 
 def _run_homology(inputs, tol, outputs, checks):
     ops, cone = inputs
-    complex_ = koszul.build_complex(CommutingTuple(ops, tol), tol)
-    profile = koszul.homology(complex_, tol)
+    complex_ = koszul.build_complex(CommutingTuple(ops))
+    profile = koszul.homology(complex_)
     outputs.update(dims=list(profile.dims), euler=profile.euler,
                    index=profile.index)
     checks.append(_check_dict("euler_characteristic_zero",
                               profile.index == 0, f"index {profile.index}"))
     if cone is not None:
-        ok = koszul.verify_cone_isomorphism(complex_, cone, tol)
+        ok = koszul.verify_cone_isomorphism(complex_, cone)
         outputs["cone_isomorphism"] = ok
         checks.append(_check_dict("cone_isomorphism", ok))
-    return complex_.backend
+    return EXACT
+
+
+def _float_scalar(x: QQi) -> complex:
+    try:
+        return complex(x)
+    except OverflowError:
+        raise SchemaError(f"scalar literal {x} is beyond float range")
 
 
 def _parse_spectrum(payload, backend):
-    ops = _parse_operators(payload["operators"], backend)
+    """(exact operators, operators to split, point): a float split runs on
+    float copies; commutation and `at` stay exact."""
+    ops = _parse_operators(payload["operators"])
     _require_common_square(ops)
-    point = _parse_point(payload["at"], backend) if "at" in payload else None
-    return ops, point
+    split = ops
+    if backend == FLOAT:
+        split = [Matrix([[_float_scalar(x) for x in row] for row in op.entries], FLOAT)
+                 for op in ops]
+    point = _parse_point(payload["at"]) if "at" in payload else None
+    return ops, split, point
 
 
 def _run_spectrum(inputs, tol, outputs, checks):
-    ops, point = inputs
-    tup = CommutingTuple(ops, tol)
-    decomposition = spectrum.spectral_decomposition(tup, tol)
+    ops, split, point = inputs
+    tup = CommutingTuple(ops)
+    # the float copies commute because the exact operators just did
+    decomposition = spectrum.spectral_decomposition(CommutingTuple.proven(split), tol)
     outputs["eigenvalues"] = [
         {"point": _point_strs(pt), "multiplicity": space.cols}
         for pt, space in decomposition.components]
@@ -275,7 +284,7 @@ def _run_spectrum(inputs, tol, outputs, checks):
     checks.append(_check_dict("eigenspace_dimensions_sum",
                               total == tup.dim, f"{total} of {tup.dim}"))
     if point is not None:
-        report = spectrum.joint_spectrum_equivalences(tup, point, tol)
+        report = spectrum.joint_spectrum_equivalences(tup, point)
         outputs["at"] = {
             "point": _point_strs(point),
             "in_taylor_spectrum": report.in_taylor_spectrum,
@@ -283,7 +292,7 @@ def _run_spectrum(inputs, tol, outputs, checks):
             "top_homology_nonzero": report.top_homology_nonzero,
         }
         checks.append(_check_dict("membership_equivalences", report.agree))
-    return tup.backend
+    return decomposition.tuple.backend
 
 
 def _parse_multiplicity(payload, backend):
@@ -370,8 +379,8 @@ def _run_reciprocity(inputs, tol, outputs, checks):
 
 
 def _parse_spectral_sequence(payload, backend):
-    ops_a = _parse_operators(payload["operators_a"], EXACT)
-    ops_b = _parse_operators(payload["operators_b"], EXACT)
+    ops_a = _parse_operators(payload["operators_a"])
+    ops_b = _parse_operators(payload["operators_b"])
     _require_common_square(ops_a + ops_b)
     r_max = payload["r_max"]
     if not _is_number(r_max) or not 2 <= r_max <= _MAX_R_MAX:
@@ -471,7 +480,7 @@ KINDS = {
         (Field("operators", required=True, help=_OPERATORS),
          Field("cone_with",
                help="extra commuting matrix for the cone isomorphism check")),
-        _parse_homology, _run_homology, exact_only=False),
+        _parse_homology, _run_homology),
     "SPECTRUM": Kind(
         "spectrum", "joint eigenvalues and equivalences",
         (Field("operators", required=True, help=_OPERATORS),

@@ -4,7 +4,8 @@ The chain space in degree k is V tensored with the k-th exterior power of
 C^n; the differential contracts each exterior slot against the matching
 operator. Basis subsets are ordered lexicographically and the interior
 product uses the sign (-1)^(position-1), which pins every differential
-matrix bit-exactly.
+matrix bit-exactly. Every complex is exact: the index is an integer and
+the operators are Gaussian-rational, so build_complex refuses a float tuple.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
-from .errors import CommutatorError
+from .errors import BackendMismatch, CommutatorError
 from .linalg import Matrix
-from .scalars import EXACT, QQi, TolerancePolicy
+from .scalars import EXACT, QQi
 
 
 def subsets(n: int, k: int):
@@ -33,20 +34,20 @@ class CommutingTuple:
 
     __slots__ = ("operators", "n", "dim", "backend")
 
-    def __init__(self, operators, tol: TolerancePolicy | None = None):
+    def __init__(self, operators):
         operators = tuple(operators)
         n = len(operators)
-        self._setup(operators, [(a, b) for a in range(n) for b in range(a + 1, n)], tol)
+        self._setup(operators, [(a, b) for a in range(n) for b in range(a + 1, n)])
 
     @classmethod
-    def _concat(cls, first, second, tol: TolerancePolicy | None = None):
+    def _concat(cls, first, second):
         """The tuple first + second, where each part is already known to
         commute within itself: only the cross pairs are checked."""
         operators = tuple(first) + tuple(second)
         k = len(first)
         self = cls.__new__(cls)
         self._setup(operators, [(a, b) for a in range(k)
-                                for b in range(k, len(operators))], tol)
+                                for b in range(k, len(operators))])
         return self
 
     @classmethod
@@ -55,7 +56,7 @@ class CommutingTuple:
         checked, so the caller says where the proof lives."""
         return cls._concat(operators, ())
 
-    def _setup(self, operators, pairs, tol):
+    def _setup(self, operators, pairs):
         if not operators:
             raise ValueError("empty tuple of operators")
         d = operators[0].rows
@@ -66,7 +67,7 @@ class CommutingTuple:
             if op.backend != backend:
                 raise CommutatorError("operators mix scalar backends")
         for a, b in pairs:
-            if not linalg.commutes(operators[a], operators[b], tol):
+            if not linalg.commutes(operators[a], operators[b]):
                 raise CommutatorError(
                     f"operators {a + 1} and {b + 1} do not commute")
         object.__setattr__(self, "operators", operators)
@@ -85,10 +86,10 @@ class CommutingTuple:
         return CommutingTuple.proven(
             [op.shift(lam) for op, lam in zip(self.operators, point)])
 
-    def extend(self, extra: Matrix, tol: TolerancePolicy | None = None) -> "CommutingTuple":
+    def extend(self, extra: Matrix) -> "CommutingTuple":
         """The (n+1)-tuple with `extra` appended; `extra` is checked against
         every operator."""
-        return CommutingTuple._concat(self.operators, (extra,), tol)
+        return CommutingTuple._concat(self.operators, (extra,))
 
     def join(self, other: "CommutingTuple") -> "CommutingTuple":
         """Concatenation of two tuples on the same space; only the cross
@@ -100,24 +101,22 @@ class CommutingTuple:
 
 
 class ChainComplex:
-    """A finite chain complex with spaces indexed 0..length and
+    """A finite exact chain complex with spaces indexed 0..length and
     differentials d_k: C_k -> C_(k-1); shapes and d_k * d_(k+1) = 0 are checked at build."""
 
-    def __init__(self, dims, diffs, tol: TolerancePolicy | None = None):
+    def __init__(self, dims, diffs):
         self.dims = list(dims)
         self.length = len(self.dims) - 1
         self.diffs = dict(diffs)  # k -> Matrix for 1 <= k <= length
-        self.backend = next(iter(self.diffs.values())).backend if self.diffs else EXACT
         for k in range(1, self.length + 1):
             dk = self.d(k)
             if dk.shape != (self.dims[k - 1], self.dims[k]):
                 raise ValueError(f"differential {k} has the wrong shape")
-        self._check_square_zero(tol)
+        self._check_square_zero()
 
-    def _check_square_zero(self, tol):
+    def _check_square_zero(self):
         for k in range(1, self.length):
-            dk, dk1 = self.d(k), self.d(k + 1)
-            if not linalg.product_vanishes(dk @ dk1, dk, dk1, tol):
+            if not (self.d(k) @ self.d(k + 1)).is_zero():
                 raise AssertionError(f"d_{k} after d_{k + 1} is nonzero")
 
     def d(self, k: int) -> Matrix:
@@ -125,39 +124,39 @@ class ChainComplex:
             return self.diffs[k]
         rows = self.dims[k - 1] if 1 <= k <= self.length else 0
         cols = self.dims[k] if 0 <= k <= self.length else 0
-        return Matrix.zeros(rows, cols, self.backend)
+        return Matrix.zeros(rows, cols)
 
-    def cycles(self, k: int, tol=None) -> Matrix:
+    def cycles(self, k: int) -> Matrix:
         """Column basis of the cycles in degree k."""
         if k == 0:
-            return Matrix.identity(self.dims[0], self.backend)
-        return linalg.kernel_basis(self.d(k), tol)
+            return Matrix.identity(self.dims[0])
+        return linalg.kernel_basis(self.d(k))
 
-    def boundaries(self, k: int, tol=None) -> Matrix:
+    def boundaries(self, k: int) -> Matrix:
         """Column basis of the boundaries in degree k."""
         if k >= self.length:
-            return Matrix.zeros(self.dims[k], 0, self.backend)
-        return linalg.image_basis(self.d(k + 1), tol)
+            return Matrix.zeros(self.dims[k], 0)
+        return linalg.image_basis(self.d(k + 1))
 
-    def homology_dims(self, tol=None):
-        ranks = [linalg.rank(self.d(k), tol) for k in range(1, self.length + 1)]
+    def homology_dims(self):
+        ranks = [linalg.rank(self.d(k)) for k in range(1, self.length + 1)]
         ranks = [0] + ranks + [0]  # pad so ranks[k] = rank d_k
         return [self.dims[k] - ranks[k] - ranks[k + 1] for k in range(self.length + 1)]
 
 
 class KoszulComplex(ChainComplex):
-    """The Koszul complex of a commuting tuple, with its subset bookkeeping. Two exact
+    """The Koszul complex of a commuting tuple, with its subset bookkeeping. Two
     operators form no d_1 * d_2 = [A_1 A_2][-A_2; A_1] = -[A_1, A_2]: `commutes` in
     `CommutingTuple._setup`, or the caller of `CommutingTuple.proven`, proved it zero."""
 
-    def __init__(self, tuple_: CommutingTuple, dims, diffs, tol=None):
+    def __init__(self, tuple_: CommutingTuple, dims, diffs):
         self.tuple = tuple_
         self.n = tuple_.n
-        super().__init__(dims, diffs, tol)
+        super().__init__(dims, diffs)
 
-    def _check_square_zero(self, tol):
-        if self.n != 2 or self.backend != EXACT:
-            super()._check_square_zero(tol)
+    def _check_square_zero(self):
+        if self.n != 2:
+            super()._check_square_zero()
 
 
 @dataclass(frozen=True)
@@ -176,11 +175,13 @@ class HomologyProfile:
         return HomologyProfile(dims, euler, -euler)
 
 
-def build_complex(t: CommutingTuple, tol: TolerancePolicy | None = None) -> KoszulComplex:
-    """The Koszul complex of t; d squared = 0 is checked at build (see `KoszulComplex`)."""
+def build_complex(t: CommutingTuple) -> KoszulComplex:
+    """The Koszul complex of an exact t; d squared = 0 is checked at build (see
+    `KoszulComplex`)."""
+    if t.backend != EXACT:
+        raise BackendMismatch("Koszul complexes run on the exact backend only")
     n, d = t.n, t.dim
-    backend = t.backend
-    zero = QQi(0) if backend == EXACT else 0.0 + 0j
+    zero = QQi(0)
     dims = [d * len(subsets(n, k)) for k in range(n + 1)]
     diffs = {}
     for k in range(1, n + 1):
@@ -200,11 +201,11 @@ def build_complex(t: CommutingTuple, tol: TolerancePolicy | None = None) -> Kosz
                         v = oprow[c]
                         if v:
                             row[ci * d + c] = v if sign > 0 else -v
-        diffs[k] = Matrix(rows, backend, shape=(d * len(target), d * len(source)))
-    return KoszulComplex(t, dims, diffs, tol)
+        diffs[k] = Matrix(rows, EXACT, shape=(d * len(target), d * len(source)))
+    return KoszulComplex(t, dims, diffs)
 
 
-def homology(c: ChainComplex, tol: TolerancePolicy | None = None) -> HomologyProfile:
+def homology(c: ChainComplex) -> HomologyProfile:
     """Homology dimensions of a complex, from one rank per differential.
 
     The end groups of a Koszul complex need no second ranking: d_1 is the
@@ -214,31 +215,28 @@ def homology(c: ChainComplex, tol: TolerancePolicy | None = None) -> HomologyPro
     with an independent kernel and rank lives in the tests
     (`test_end_groups_match_kernel_and_cokernel`, acceptance criterion 1).
     """
-    return HomologyProfile.from_dims(c.homology_dims(tol))
+    return HomologyProfile.from_dims(c.homology_dims())
 
 
-def homology_action(c: KoszulComplex, k: int, operators,
-                    tol: TolerancePolicy | None = None):
+def homology_action(c: KoszulComplex, k: int, operators):
     """The matrices, in one basis of H_k(c), of the maps induced on it by
     `operators`, each of which commutes with the tuple of c."""
-    cycles = c.cycles(k, tol)
-    boundaries = c.boundaries(k, tol)
-    ident = Matrix.identity(len(subsets(c.n, k)), c.backend)
+    ident = Matrix.identity(len(subsets(c.n, k)))
     return linalg.induced_on_subquotient([ident.kron(op) for op in operators],
-                                         cycles, boundaries, tol)[0]
+                                         c.cycles(k), c.boundaries(k))[0]
 
 
-def mapping_cone(c: KoszulComplex, b: Matrix, tol: TolerancePolicy | None = None) -> ChainComplex:
+def mapping_cone(c: KoszulComplex, b: Matrix) -> ChainComplex:
     """The cone over the chain self-map induced by b on the complex of A.
 
     Requires b to commute with every operator of the tuple. The cone in
     degree k is K_k + K_(k-1) with differential [[d, b], [0, -d]].
     """
     for op in c.tuple.operators:
-        if not linalg.commutes(op, b, tol):
+        if not linalg.commutes(op, b):
             raise CommutatorError("cone operator does not commute with the tuple")
     cone_dims = [hi + lo for hi, lo in zip(c.dims + [0], [0] + c.dims)]
-    return ChainComplex(cone_dims, _cone(c, b), tol)
+    return ChainComplex(cone_dims, _cone(c, b))
 
 
 def _cone(c: KoszulComplex, b: Matrix) -> dict:
@@ -252,20 +250,19 @@ def _cone(c: KoszulComplex, b: Matrix) -> dict:
             row = []
             if k <= n:
                 row.append(c.d(k))
-            row.append(Matrix.identity(len(subsets(n, k - 1)), c.backend).kron(b))
+            row.append(Matrix.identity(len(subsets(n, k - 1))).kron(b))
             blocks.append(row)
         if k >= 2 and dims[k - 2]:
             row = []
             if k <= n:
-                row.append(Matrix.zeros(dims[k - 2], dims[k], c.backend))
+                row.append(Matrix.zeros(dims[k - 2], dims[k]))
             row.append(-c.d(k - 1))
             blocks.append(row)
         diffs[k] = Matrix.block(blocks)
     return diffs
 
 
-def verify_cone_isomorphism(c: KoszulComplex, b: Matrix,
-                            tol: TolerancePolicy | None = None) -> bool:
+def verify_cone_isomorphism(c: KoszulComplex, b: Matrix) -> bool:
     """Check that the explicit degreewise map from the cone of b over the
     Koszul complex c of A onto K(A + b, V) is a bijective chain map.
 
@@ -276,13 +273,13 @@ def verify_cone_isomorphism(c: KoszulComplex, b: Matrix,
     column: it is bijective when those rows are a permutation, and a chain
     map when full.d(k), with its rows and columns so permuted and signed,
     equals the cone's d_k. Both hold the same operator entries up to sign,
-    so they are compared by equality, with no arithmetic on either backend.
+    so they are compared by equality, with no arithmetic.
     The cone's own d*d = 0 then needs no product:
     it is the conjugate of full.d*full.d, checked when the complex of the
     extended tuple is built: over one exact operator, by `extend` checking b.
     """
     t = c.tuple
-    full = build_complex(t.extend(b, tol), tol)  # extend checks b against the tuple
+    full = build_complex(t.extend(b))  # extend checks b against the tuple
     cone = _cone(c, b)
     n, d = t.n, t.dim
     alphas = []  # (row, sign) of each cone column, per degree

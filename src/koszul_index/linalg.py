@@ -8,11 +8,11 @@ cycles, boundaries and eigenspaces all take this one form.
 Exact elimination runs on Python ints from input to answer: rows are scaled
 to Gaussian integers and eliminated by one fraction-free (Bareiss) loop,
 real or not, and kernels and solves back-substitute over the last pivot, so
-each QQi of an answer is built once. Exact `commutes` also runs on
-Gaussian-integer numerators and builds no QQi. Float rank, kernel and image
-read one SVD split, with the relative cutoff carried by an explicit
-TolerancePolicy, never a global. numpy is imported only inside the float
-branches, so exact work never loads it.
+each QQi of an answer is built once. Exact-only `commutes` also runs on
+Gaussian-integer numerators and builds no QQi. Float kernel and image,
+which only the float joint-eigenvalue split needs, read one SVD split,
+with the relative cut passed in as a float, never a global. numpy is
+imported only inside the float branches, so exact work never loads it.
 
 A Matrix keeps a row whose entries all have its backend's exact scalar
 type (QQi, or Python complex) and sends any other row through as_scalar.
@@ -25,8 +25,7 @@ import numbers
 from fractions import Fraction
 
 from .errors import BackendMismatch, InconsistentSystem
-from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ONE, ZERO, QQi, TolerancePolicy,
-                      as_scalar)
+from .scalars import DEFAULT_TOL, EXACT, FLOAT, ONE, ZERO, QQi, as_scalar
 
 _SCALAR_TYPE = {EXACT: QQi, FLOAT: complex}
 
@@ -194,11 +193,8 @@ class Matrix:
                 data.append([a * b for a in ra for b in rb])
         return Matrix(data, self.backend, shape=(self.rows * other.rows, self.cols * other.cols))
 
-    def is_zero(self, tol: TolerancePolicy | None = None) -> bool:
-        if self.backend == EXACT:
-            return all(not a for r in self.entries for a in r)
-        tol = tol or DEFAULT_TOL
-        return self.norm() <= tol.rel
+    def is_zero(self) -> bool:
+        return all(not a for r in self.entries for a in r)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -251,23 +247,12 @@ def _same_shape(a: Matrix, b: Matrix):
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
 
 
-def product_vanishes(p: Matrix, a: Matrix, b: Matrix,
-                     tol: TolerancePolicy | None = None) -> bool:
-    """Whether p, built from products of a and b, is zero: exactly, or in
-    float below rel * max(|a|, 1) * max(|b|, 1), the rounding scale of
-    those products."""
-    if p.backend == EXACT:
-        return p.is_zero()
-    tol = tol or DEFAULT_TOL
-    return p.norm() <= tol.rel * max(a.norm(), 1.0) * max(b.norm(), 1.0)
-
-
-def commutes(a: Matrix, b: Matrix, tol: TolerancePolicy | None = None) -> bool:
-    """Whether ab = ba. Each exact matrix is scaled once by its own least
-    common denominator, so both products carry den(a) * den(b), and their
-    rows are compared on Gaussian-integer numerators until one differs."""
+def commutes(a: Matrix, b: Matrix) -> bool:
+    """Whether ab = ba, for exact matrices. Each is scaled once by its own
+    least common denominator, so both products carry den(a) * den(b), and
+    their rows are compared on Gaussian-integer numerators until one differs."""
     if FLOAT in (a.backend, b.backend):
-        return product_vanishes(a @ b - b @ a, a, b, tol)
+        raise BackendMismatch("commutes is exact-only")
     n = a.rows
     if not a.cols == b.rows == b.cols == n:
         raise ValueError(f"commutes: {a.shape} and {b.shape}")
@@ -355,6 +340,8 @@ def _bareiss(rows, ncols, pivot_limit=None):
 
 
 def _echelon(m: Matrix, pivot_limit=None):
+    if m.backend != EXACT:
+        raise BackendMismatch("elimination is exact-only")
     rows = [_clear_denominators(r)[1] for r in m.entries]
     rank, pivots, sign, last = _bareiss(rows, m.cols, pivot_limit)
     return rank, pivots, rows, sign, last
@@ -393,26 +380,22 @@ def _back_substitute(rows, pivots, ncols, col):
     return x
 
 
-def _float_split(m: Matrix, tol: TolerancePolicy | None = None):
+def _float_split(m: Matrix, tol: float):
     """One full SVD of a nonempty float matrix: (u, vh, r), where r counts
-    the singular values above rel * max(sigma_max, 1), so a matrix of
+    the singular values above tol * max(sigma_max, 1), so a matrix of
     rounding noise has rank 0. Columns u[:, :r] span the image; rows vh[r:]
     conjugated span the kernel. This is the one float kernel cut."""
     import numpy as np
 
-    tol = tol or DEFAULT_TOL
     u, s, vh = np.linalg.svd(m.to_numpy(), full_matrices=True)
-    return u, vh, int(np.sum(s > tol.rel * max(s[0], 1.0)))
+    return u, vh, int(np.sum(s > tol * max(s[0], 1.0)))
 
 
-def rank(m: Matrix, tol: TolerancePolicy | None = None) -> int:
-    """Rank: exact via fraction-free elimination, float via singular values
-    above rel * max(sigma_max, 1)."""
+def rank(m: Matrix) -> int:
+    """Exact rank via fraction-free elimination."""
     if 0 in m.shape:
         return 0
-    if m.backend == EXACT:
-        return _echelon(m)[0]
-    return _float_split(m, tol)[2]
+    return _echelon(m)[0]
 
 
 def det(m: Matrix) -> QQi:
@@ -431,7 +414,7 @@ def det(m: Matrix) -> QQi:
     return QQi(Fraction(la * sign), Fraction(lb * sign)) / QQi(math.prod(scales))
 
 
-def kernel_basis(m: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
+def kernel_basis(m: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
     """Column basis of ker(m), in the column-index space of m."""
     if 0 in m.shape:
         return Matrix.identity(m.cols, m.backend)
@@ -449,7 +432,7 @@ def kernel_basis(m: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
     return Matrix(list(zip(*basis_cols)), EXACT, shape=(m.cols, len(basis_cols)))
 
 
-def image_basis(m: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
+def image_basis(m: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
     """Column basis of the column space of m."""
     if 0 in m.shape:
         return Matrix.zeros(m.rows, 0, m.backend)
@@ -462,8 +445,10 @@ def image_basis(m: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
     return m.take_cols(pivots)
 
 
-def solve(m: Matrix, rhs: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
-    """One exact solution X of m @ X = rhs; raises InconsistentSystem."""
+def solve(m: Matrix, rhs: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
+    """One solution X of m @ X = rhs; raises InconsistentSystem. A float
+    residual counts as zero up to tol * max(|m|, 1) * max(|X|, 1), the
+    rounding scale of the product m @ X."""
     _same_backend(m, rhs)
     if m.rows != rhs.rows:
         raise ValueError("solve: row counts differ")
@@ -473,7 +458,8 @@ def solve(m: Matrix, rhs: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
         a, b = m.to_numpy(), rhs.to_numpy()
         x, *_ = np.linalg.lstsq(a, b, rcond=None)
         sol = Matrix.from_numpy(x)
-        if not product_vanishes(Matrix.from_numpy(a @ x - b), m, sol, tol):
+        scale = max(m.norm(), 1.0) * max(sol.norm(), 1.0)
+        if Matrix.from_numpy(a @ x - b).norm() > tol * scale:
             raise InconsistentSystem("no float solution within tolerance")
         return sol
     if m.cols == 0:
@@ -490,43 +476,31 @@ def solve(m: Matrix, rhs: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
                   shape=(m.cols, rhs.cols))
 
 
-def extend_basis(inner: Matrix, spanning: Matrix, tol: TolerancePolicy | None = None) -> Matrix:
-    """Columns of `spanning` completing the columns of `inner` to a basis of
-    span(inner) + span(spanning)."""
-    _same_backend(inner, spanning)
+def extend_basis(inner: Matrix, spanning: Matrix) -> Matrix:
+    """Columns of exact `spanning` completing the columns of exact `inner` to
+    a basis of span(inner) + span(spanning)."""
     if spanning.cols == 0:
-        return Matrix.zeros(inner.rows, 0, inner.backend)
-    if inner.backend == FLOAT:
-        picked = []
-        cur = inner
-        r = rank(cur, tol)
-        for j in range(spanning.cols):
-            cand = Matrix.hstack([cur, spanning.take_cols([j])])
-            rc = rank(cand, tol)
-            if rc > r:
-                picked.append(j)
-                cur, r = cand, rc
-        return spanning.take_cols(picked)
+        return Matrix.zeros(inner.rows, 0)
     joint = Matrix.hstack([inner, spanning])
     _, pivots, _, _, _ = _echelon(joint)
     picked = [p - inner.cols for p in pivots if p >= inner.cols]
     return spanning.take_cols(picked)
 
 
-def induced_on_subquotient(ops, cycles: Matrix, boundaries: Matrix,
-                           tol: TolerancePolicy | None = None):
-    """Matrices, in one basis of cycles/boundaries, of the maps induced by `ops`.
+def induced_on_subquotient(ops, cycles: Matrix, boundaries: Matrix):
+    """Matrices, in one basis of cycles/boundaries, of the maps induced by
+    exact `ops`.
 
     `cycles` and `boundaries` are column bases. Requires op(cycles) inside
     cycles and op(boundaries) inside boundaries.
     Returns (list of matrices on the quotient, representative columns).
     """
-    comp = extend_basis(boundaries, cycles, tol)
+    comp = extend_basis(boundaries, cycles)
     q = comp.cols
     if q == 0:
         return [Matrix.zeros(0, 0, comp.backend) for _ in ops], comp
     frame = Matrix.hstack([boundaries, comp])
-    coords = solve(frame, Matrix.hstack([op @ comp for op in ops]), tol)
+    coords = solve(frame, Matrix.hstack([op @ comp for op in ops]))
     tail = coords.take_rows(range(boundaries.cols, boundaries.cols + q))
     return [tail.take_cols(range(j * q, (j + 1) * q)) for j in range(len(ops))], comp
 

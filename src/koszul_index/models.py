@@ -15,18 +15,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from . import koszul, linalg, spectrum
+from . import koszul, spectrum
 from .errors import (ArityMismatch, IrrationalSpectrum, NotAZero, NotNilpotent,
                      ZeroOnBoundary)
 from .koszul import CommutingTuple
 from .linalg import Matrix
 from .multiplicity import (global_multiplicity_table, local_multiplicity,
                            winding_number)
-from .scalars import EXACT, FLOAT, QQi, TolerancePolicy, DEFAULT_TOL
+from .scalars import DEFAULT_TOL, EXACT, FLOAT, QQi
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
 EXTERIOR = "exterior"
+_BOUNDARY_MARGIN = Fraction(1e-6)  # around a boundary, where a float zero is refused
 
 
 @dataclass(frozen=True)
@@ -67,16 +68,16 @@ class DomainDescriptor:
     def unit_disc() -> "DomainDescriptor":
         return DomainDescriptor.polydisc((QQi(0),), (Fraction(1),))
 
-    def classify(self, point, tol: TolerancePolicy | None = None) -> str:
+    def classify(self, point) -> str:
         """interior / boundary / exterior. Squared distances meet squared
         radii exactly, so no center, radius or point overflows; a float
-        point is read as the exact value of its floats, and a margin around
-        the boundary is refused."""
+        point is read as the exact value of its floats, and _BOUNDARY_MARGIN
+        around the boundary is refused."""
         if len(point) != self.dimension:
             raise ArityMismatch("point dimension differs from the domain")
         margin = 0
         if not all(isinstance(p, QQi) for p in point):
-            margin = Fraction((tol or DEFAULT_TOL).margin)
+            margin = _BOUNDARY_MARGIN
             point = [p if isinstance(p, QQi) else
                      QQi(Fraction(complex(p).real), Fraction(complex(p).imag))
                      for p in point]
@@ -90,10 +91,10 @@ class DomainDescriptor:
             return INTERIOR
         return BOUNDARY
 
-    def coordinate_index(self, point, tol: TolerancePolicy | None = None) -> int:
+    def coordinate_index(self, point) -> int:
         """Index of the shifted coordinate tuple of the model space: -1 on
         the interior, 0 on the exterior; boundary points are refused."""
-        location = self.classify(point, tol)
+        location = self.classify(point)
         if location == BOUNDARY:
             raise ZeroOnBoundary(
                 "point sits on the domain boundary where the index jumps")
@@ -151,16 +152,17 @@ class IndexReport:
         return all(c.passed for c in self.checks)
 
 
-def classify_zeros(mt: ModelTuple, tol: TolerancePolicy | None = None):
+def classify_zeros(mt: ModelTuple, tol: float = DEFAULT_TOL):
     """All zeros of the symbol with multiplicities, each tagged against the
-    domain; zeros on the boundary raise ZeroOnBoundary."""
+    domain; zeros on the boundary raise ZeroOnBoundary. `tol` is the float
+    kernel cut of the fallback for zeros outside Q(i)."""
     try:
         table = global_multiplicity_table(list(mt.system), tol=tol)
     except IrrationalSpectrum:
         table = global_multiplicity_table(list(mt.system), tol=tol, backend=FLOAT)
     records = []
     for point, m in table.entries:
-        location = mt.domain.classify(point, tol)
+        location = mt.domain.classify(point)
         if location == BOUNDARY:
             raise ZeroOnBoundary(
                 "a symbol zero lies on the domain boundary; the model tuple "
@@ -169,15 +171,14 @@ def classify_zeros(mt: ModelTuple, tol: TolerancePolicy | None = None):
     return records, table
 
 
-def local_index(mt: ModelTuple, point, tol: TolerancePolicy | None = None,
-                n_max: int = 30) -> int:
+def local_index(mt: ModelTuple, point, n_max: int = 30) -> int:
     """Local index of the composed tuple at a common zero: minus the local
     degree inside the domain, zero outside, refused on the boundary."""
     point = tuple(p if isinstance(p, QQi) else QQi(p) for p in point)
     for g in mt.system:
         if not g.evaluate(point).is_zero():
             raise NotAZero("the queried point is not a common zero")
-    location = mt.domain.classify(point, tol)
+    location = mt.domain.classify(point)
     if location == BOUNDARY:
         raise ZeroOnBoundary("zero on the domain boundary")
     if location == EXTERIOR:
@@ -185,7 +186,7 @@ def local_index(mt: ModelTuple, point, tol: TolerancePolicy | None = None,
     return -local_multiplicity(list(mt.system), point, n_max).multiplicity
 
 
-def global_index(mt: ModelTuple, tol: TolerancePolicy | None = None,
+def global_index(mt: ModelTuple, tol: float = DEFAULT_TOL,
                  n_max: int = 30) -> IndexReport:
     """The index of the composed model tuple with its cross-checks.
 
@@ -206,7 +207,7 @@ def global_index(mt: ModelTuple, tol: TolerancePolicy | None = None,
     if table.backend == EXACT:
         recomputed = 0
         for rec in records:
-            recomputed += local_index(mt, rec.point, tol, n_max)
+            recomputed += local_index(mt, rec.point, n_max)
         checks.append(Check(
             "sum_of_local_indices", recomputed == total,
             f"truncation route {recomputed} vs eigenspace route {total}"))
@@ -317,7 +318,7 @@ class ReciprocityReport:
 
 
 def reciprocity_check(domain_a: DomainDescriptor, domain_b: DomainDescriptor,
-                      system, tol: TolerancePolicy | None = None) -> ReciprocityReport:
+                      system, tol: float = DEFAULT_TOL) -> ReciprocityReport:
     """Both sides of the two-domain local index pairing.
 
     One side pairs the index function of the first domain against local
@@ -332,7 +333,7 @@ def reciprocity_check(domain_a: DomainDescriptor, domain_b: DomainDescriptor,
     lhs = 0
     rhs = 0
     for rec in records_a:
-        loc_b = domain_b.classify(rec.point, tol)
+        loc_b = domain_b.classify(rec.point)
         if loc_b == BOUNDARY:
             raise ZeroOnBoundary("a symbol zero lies on the second boundary")
         ind_mu_a = rec.coordinate_index              # Ind(mu - A)
@@ -360,10 +361,10 @@ class TensorIdentityReport:
         return all(c.passed for c in self.checks)
 
 
-def tensor_index_identity(base: CommutingTuple, nilpotent: CommutingTuple,
-                          tol: TolerancePolicy | None = None) -> TensorIdentityReport:
+def tensor_index_identity(base: CommutingTuple,
+                          nilpotent: CommutingTuple) -> TensorIdentityReport:
     """Homology bookkeeping for the sum tuple on a tensor product with a
-    nilpotent tuple.
+    nilpotent tuple, both exact.
 
     The index transformation degenerates to 0 = 0 on finite-dimensional
     spaces and is asserted as such; the recursion over an invariant flag
@@ -374,15 +375,15 @@ def tensor_index_identity(base: CommutingTuple, nilpotent: CommutingTuple,
         raise ArityMismatch("tuple lengths differ")
     nil_dim = nilpotent.dim
     for op in nilpotent.operators:
-        if not linalg.product_vanishes(spectrum._power_at_least(op, nil_dim), op, op, tol):
+        if not spectrum._power_at_least(op, nil_dim).is_zero():
             raise NotNilpotent("auxiliary tuple is not nilpotent")
     ident_base = Matrix.identity(base.dim, base.backend)
     ident_nil = Matrix.identity(nil_dim, nilpotent.backend)
     ops = [a.kron(ident_nil) + ident_base.kron(c)
            for a, c in zip(base.operators, nilpotent.operators)]
-    product = CommutingTuple(ops, tol)
-    dims_product = koszul.homology(koszul.build_complex(product, tol), tol).dims
-    dims_base = koszul.homology(koszul.build_complex(base, tol), tol).dims
+    product = CommutingTuple(ops)
+    dims_product = koszul.homology(koszul.build_complex(product)).dims
+    dims_base = koszul.homology(koszul.build_complex(base)).dims
     index_product = sum((-1) ** (k + 1) * d for k, d in enumerate(dims_product))
     index_base = sum((-1) ** (k + 1) * d for k, d in enumerate(dims_base))
     checks = [
@@ -393,7 +394,7 @@ def tensor_index_identity(base: CommutingTuple, nilpotent: CommutingTuple,
               all(dp <= nil_dim * db for dp, db in zip(dims_product, dims_base)),
               f"{dims_product} within {nil_dim} * {dims_base}"),
     ]
-    if all(op.is_zero(tol) for op in nilpotent.operators):
+    if all(op.is_zero() for op in nilpotent.operators):
         checks.append(Check(
             "split_case_equality",
             list(dims_product) == [nil_dim * d for d in dims_base],

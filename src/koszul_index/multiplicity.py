@@ -25,7 +25,7 @@ from .linalg import SparseEchelon
 from .poly import (Polynomial, groebner, mono_degree, mono_mul,
                    monomials_of_degree, quotient_algebra)
 from .koszul import CommutingTuple
-from .scalars import EXACT, FLOAT, QQi, TolerancePolicy
+from .scalars import DEFAULT_TOL, EXACT, FLOAT, QQi
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ class GlobalMultiplicityTable:
         return sum(m for _, m in self.entries)
 
 
-def global_multiplicity_table(system, tol: TolerancePolicy | None = None,
+def global_multiplicity_table(system, tol: float = DEFAULT_TOL,
                               backend: str = EXACT) -> GlobalMultiplicityTable:
     """Zeros with multiplicities as the joint spectral decomposition of the
     multiplication tuple on the quotient algebra.

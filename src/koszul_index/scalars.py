@@ -1,8 +1,8 @@
 """Scalar backends: exact Gaussian rationals and complex floats.
 
-The exact backend is the default everywhere a theorem equality is asserted;
-the float backend exists for joint-eigenvalue computations whose eigenvalues
-leave the Gaussian rationals.
+Every input is a Gaussian-rational literal and every theorem equality is
+exact; the float backend serves only joint eigenvalues that leave the
+Gaussian rationals, with the relative kernel cut DEFAULT_TOL.
 
 QQi shares a part that is already an exact Fraction, which is immutable and
 in lowest terms, and converts any other (int, bool, Fraction subclass) with
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BackendMismatch, ParseError
@@ -27,27 +26,7 @@ EXACT = "exact"
 FLOAT = "float"
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Numeric policy for the float backend; exact code paths ignore it.
-
-    rel      -- the one kernel cut: singular values up to rel * max(sigma_max,
-                1) count as zero; so does a product of A and B (commutator,
-                d after d) up to rel * max(|A|, 1) * max(|B|, 1).
-    cluster  -- both radii that link float eigenvalues: cluster, and
-                sqrt(cluster) for eigenvectors parallel to within
-                sqrt(cluster); also the floor on the smallest singular value
-                of the joint eigenspace basis.
-    margin   -- absolute margin around a domain boundary inside which a
-                float zero is refused as on-boundary.
-    """
-
-    rel: float = 1e-9
-    cluster: float = 1e-6
-    margin: float = 1e-6
-
-
-DEFAULT_TOL = TolerancePolicy()
+DEFAULT_TOL = 1e-9  # singular values up to DEFAULT_TOL * max(sigma_max, 1) are zero
 
 _INT = r"\d+(?:/\d+)?"
 # real, real+imag (sign mandatory between parts), pure imaginary

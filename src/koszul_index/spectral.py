@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import koszul, linalg
-from .errors import BackendMismatch
 from .koszul import CommutingTuple, subsets
 from .linalg import Matrix
 from .scalars import EXACT
@@ -40,9 +39,8 @@ class Bicomplex:
     columns meet zero coefficients, so no other entry is computed."""
 
     def __init__(self, tuple_a: CommutingTuple, tuple_b: CommutingTuple):
-        if tuple_a.backend != EXACT or tuple_b.backend != EXACT:
-            raise BackendMismatch("spectral sequences run on the exact backend only")
-        # the union must commute; this re-verifies all cross pairs
+        # the union must commute; this re-verifies all cross pairs, and
+        # `commutes` and `build_complex` refuse float tuples
         self.joined = tuple_a.join(tuple_b)
         self.a = tuple_a
         self.b = tuple_b

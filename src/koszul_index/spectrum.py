@@ -1,7 +1,9 @@
 """Joint spectra of commuting tuples, simultaneous generalized-eigenspace
 decompositions, polynomial functional calculus, and localized homology.
 
-Both backends decompose by one route: split the space by one operator at a
+A float tuple runs only in the split, as float copies of exact operators
+whose eigenvalues leave the Gaussian rationals; what rests on a Koszul
+complex is exact. Both backends decompose by one route: split the space by one operator at a
 time into generalized eigenspaces, each a kernel chain that forms no matrix
 power. Only the eigenvalue step differs. An exact operator keeps a piece
 whole when its shift by the mean eigenvalue is proved nilpotent there: by
@@ -10,9 +12,9 @@ tuple multiplies on C[z]/I, else by a matrix power. Exact eigenvalues
 split the Hessenberg characteristic polynomial over the Gaussian rationals
 (Yun factors, Aberth-Ehrlich root guesses, rational reconstruction, exact
 verification); when one leaves them, IrrationalSpectrum is raised and the
-caller may retry with the float backend. Float eigenvalues are clusters of
-numpy ones; numpy is imported only there and by the float independence
-check.
+caller may retry on float copies. Float eigenvalues are clusters of numpy
+ones, linked within _CLUSTER; numpy is imported only there and by the float
+independence check.
 """
 
 from __future__ import annotations
@@ -26,13 +28,15 @@ from . import koszul, linalg
 from .errors import ArityMismatch, ClusteringAmbiguity, IrrationalSpectrum, ResourceLimit
 from .koszul import CommutingTuple
 from .linalg import Matrix
-from .scalars import EXACT, QQi, TolerancePolicy, DEFAULT_TOL
+from .scalars import DEFAULT_TOL, EXACT, QQi
 
 _DENOMINATOR_LADDER = (1, 100, 10**4, 10**6, 10**9)
 _ABERTH_TOL = 1e-15
 _ABERTH_SWEEPS = 200
 _NEWTON_STEPS = 6
 _NEWTON_GRID = Fraction(1, 2 ** 256)
+_CLUSTER = 1e-6  # the link radius of float eigenvalues (_float_eigenvalues)
+_INDEPENDENCE_FLOOR = 1e-6  # of float eigenspaces (_verify_decomposition)
 
 
 # -- exact univariate polynomial helpers (coefficients low to high) -----------
@@ -266,7 +270,7 @@ def _power_at_least(m: Matrix, k: int) -> Matrix:
     return m
 
 
-def _kernel_chain(ops, bound: int, tol: TolerancePolicy | None = None) -> Matrix:
+def _kernel_chain(ops, bound: int, tol: float = DEFAULT_TOL) -> Matrix:
     """Basis of the joint generalized kernel of commuting operators, with no
     power of any of them: start from the joint kernel, and pull the space
     back through every operator, {v : N v in the space for each N}, until
@@ -284,11 +288,11 @@ def _kernel_chain(ops, bound: int, tol: TolerancePolicy | None = None) -> Matrix
     return space
 
 
-def _float_eigenvalues(m: Matrix, tol: TolerancePolicy):
+def _float_eigenvalues(m: Matrix):
     """Eigenvalues of a float matrix as (cluster mean, size) pairs, by single
     linkage: two eigenvalues share a cluster when they lie within
-    tol.cluster, or within sqrt(tol.cluster) with unit eigenvectors parallel
-    to within sqrt(tol.cluster). The second link is how a Jordan block looks
+    _CLUSTER, or within sqrt(_CLUSTER) with unit eigenvectors parallel
+    to within sqrt(_CLUSTER). The second link is how a Jordan block looks
     after rounding: a block of size j splits by about eps^(1/j) into
     eigenvalues with one eigenvector (Moro-Burke-Overton, SIAM J. Matrix
     Anal. Appl. 18(4), 1997). A cluster wider than twice its link radius
@@ -296,20 +300,20 @@ def _float_eigenvalues(m: Matrix, tol: TolerancePolicy):
     import numpy as np
 
     values, vectors = np.linalg.eig(m.to_numpy())
-    near = math.sqrt(tol.cluster)
+    near = math.sqrt(_CLUSTER)
 
     def link(i, j):  # the radius of the link from i to j, 0 for none
         gap = abs(values[i] - values[j])
-        if gap <= tol.cluster:
-            return tol.cluster
+        if gap <= _CLUSTER:
+            return _CLUSTER
         if gap > near:
             return 0.0
         sine2 = 1 - abs(np.vdot(vectors[:, i], vectors[:, j])) ** 2
-        return near if sine2 <= tol.cluster else 0.0
+        return near if sine2 <= _CLUSTER else 0.0
 
     clusters = []  # (members, link radius)
     for i in sorted(range(len(values)), key=lambda i: (values[i].real, values[i].imag)):
-        members, radius, apart = [], tol.cluster, []
+        members, radius, apart = [], _CLUSTER, []
         for cluster, r in clusters:
             radii = [link(i, j) for j in cluster]
             if any(radii):
@@ -326,7 +330,7 @@ def _float_eigenvalues(m: Matrix, tol: TolerancePolicy):
     return out
 
 
-def _decomposition(t: CommutingTuple, tol: TolerancePolicy,
+def _decomposition(t: CommutingTuple, tol: float,
                    unit: Matrix | None) -> SpectralDecomposition:
     """Split the space by one operator at a time. Each piece carries its
     basis, the operators not yet used, restricted to it, and its generator
@@ -347,7 +351,7 @@ def _decomposition(t: CommutingTuple, tol: TolerancePolicy,
                     continue
                 eigenvalues = exact_eigenvalues(rep)
             else:
-                eigenvalues = _float_eigenvalues(rep, tol)
+                eigenvalues = _float_eigenvalues(rep)
             kernels = [_kernel_chain([rep.shift(mu)], mult, tol) for mu, mult in eigenvalues]
             if [kernel.cols for kernel in kernels] != [mult for _, mult in eigenvalues]:
                 error = AssertionError if backend == EXACT else ClusteringAmbiguity
@@ -379,23 +383,23 @@ def _nilpotent(m: Matrix, gen: Matrix | None) -> bool:
     return any((gen := m @ gen).is_zero() for _ in range(m.rows))
 
 
-def spectral_decomposition(t: CommutingTuple, tol: TolerancePolicy | None = None, *,
+def spectral_decomposition(t: CommutingTuple, tol: float = DEFAULT_TOL, *,
                            unit: Matrix | None = None) -> SpectralDecomposition:
-    """Decompose the space into joint generalized eigenspaces. `unit` is the
-    column of coordinates of the unit when the exact tuple multiplies on a
-    commutative algebra, as on C[z]/I; it speeds the decomposition only."""
+    """Decompose the space into joint generalized eigenspaces; `tol` is the
+    float kernel cut. `unit` is the column of coordinates of the unit when
+    the exact tuple multiplies on a commutative algebra, as on C[z]/I; it
+    speeds the decomposition only."""
     if t.dim == 0:
         return SpectralDecomposition(t, ())
-    tol = tol or DEFAULT_TOL
     result = _decomposition(t, tol, unit)
-    _verify_decomposition(result, tol)
+    _verify_decomposition(result)
     return result
 
 
-def _verify_decomposition(dec: SpectralDecomposition, tol: TolerancePolicy):
+def _verify_decomposition(dec: SpectralDecomposition):
     """The eigenspaces add up to the space and are independent: exactly by
     rank, or in float by the smallest singular value of the joint basis,
-    each eigenspace's columns orthonormalized, against tol.cluster."""
+    each eigenspace's columns orthonormalized, against _INDEPENDENCE_FLOOR."""
     t = dec.tuple
     if dec.total_dim() != t.dim:
         raise AssertionError("eigenspace dimensions do not add up")
@@ -406,7 +410,7 @@ def _verify_decomposition(dec: SpectralDecomposition, tol: TolerancePolicy):
     import numpy as np
 
     joint = np.hstack([np.linalg.qr(space.to_numpy())[0] for _, space in dec.components])
-    if np.linalg.svd(joint, compute_uv=False)[-1] < tol.cluster:
+    if np.linalg.svd(joint, compute_uv=False)[-1] < _INDEPENDENCE_FLOOR:
         raise ClusteringAmbiguity("eigenspaces are not independent within tolerance")
 
 
@@ -427,16 +431,15 @@ class JointSpectrumReport:
             == self.top_homology_nonzero
 
 
-def generalized_eigenspace(t: CommutingTuple, point,
-                           tol: TolerancePolicy | None = None) -> Matrix:
+def generalized_eigenspace(t: CommutingTuple, point) -> Matrix:
     """Column basis of V(point), the joint generalized kernel of the
     shifted tuple."""
-    return _kernel_chain(t.shift(point).operators, t.dim, tol)
+    return _kernel_chain(t.shift(point).operators, t.dim)
 
 
-def joint_spectrum_equivalences(t: CommutingTuple, point,
-                                tol: TolerancePolicy | None = None) -> JointSpectrumReport:
-    """Evaluate the three equivalent membership predicates at a point.
+def joint_spectrum_equivalences(t: CommutingTuple, point) -> JointSpectrumReport:
+    """Evaluate the three equivalent membership predicates at a point of an
+    exact tuple.
 
     The top homology and the eigenvalue support share one kernel, that of
     the stacked shifted operators: the top Koszul differential stacks them,
@@ -446,11 +449,11 @@ def joint_spectrum_equivalences(t: CommutingTuple, point,
     point = tuple(point)
     if len(point) != t.n:
         raise ArityMismatch("point dimension differs from tuple length")
-    profile = koszul.homology(koszul.build_complex(t.shift(point)), tol)
+    profile = koszul.homology(koszul.build_complex(t.shift(point)))
     return JointSpectrumReport(
         point=point,
         in_taylor_spectrum=any(profile.dims),
-        in_eigenvalue_support=generalized_eigenspace(t, point, tol).cols > 0,
+        in_eigenvalue_support=generalized_eigenspace(t, point).cols > 0,
         top_homology_nonzero=profile.dims[-1] > 0,
     )
 
@@ -467,8 +470,7 @@ def apply_polynomial_map(t: CommutingTuple, polys) -> CommutingTuple:
     return CommutingTuple.proven([g.eval_matrices(t.operators) for g in polys])
 
 
-def localized_homology(t: CommutingTuple, polys, point,
-                       tol: TolerancePolicy | None = None):
+def localized_homology(t: CommutingTuple, polys, point):
     """Dimensions, per degree, of the generalized eigenspace at `point` of
     the induced coordinate action on the homology of the mapped tuple.
 
@@ -479,8 +481,8 @@ def localized_homology(t: CommutingTuple, polys, point,
     if len(point) != t.n:
         raise ArityMismatch("point dimension differs from tuple length")
     mapped = apply_polynomial_map(t, polys)
-    complex_ = koszul.build_complex(mapped, tol)
+    complex_ = koszul.build_complex(mapped)
     # the induced matrices commute because the operators of t do
     return [generalized_eigenspace(CommutingTuple.proven(
-                koszul.homology_action(complex_, k, t.operators, tol)), point, tol).cols
+                koszul.homology_action(complex_, k, t.operators)), point).cols
             for k in range(mapped.n + 1)]

@@ -107,8 +107,8 @@ def test_exit_code_one_on_computational_error(tmp_path):
 ]] + [{"schema": 1, "scenarios": [{"id": "x", "kind": "IDENTITIES",
                                    "payload": {"n": 1, "m": 1}, **entry}]}
       for entry in [{"seed": False}, {"tol": True}]] + [
-    # a literal beyond float range on the float backend
-    {"schema": 1, "scenarios": [{"id": "x", "kind": "HOMOLOGY", "backend": "float",
+    # an operator entry beyond float range for the float split
+    {"schema": 1, "scenarios": [{"id": "x", "kind": "SPECTRUM", "backend": "float",
                                  "payload": {"operators": [[["1" + "0" * 400]]]}}]},
 ] + [{"schema": 1, "scenarios": [{"id": "x", "kind": "IDENTITIES",
                                   "payload": {"n": 1, "m": 1}, "tol": tol}]}
@@ -132,7 +132,7 @@ def test_duplicate_ids_rejected():
 
 def test_scenario_backend_and_seed_fields(tmp_path):
     doc = {"schema": 1, "scenarios": [
-        {"id": "f", "kind": "HOMOLOGY", "backend": "float", "seed": 3,
+        {"id": "f", "kind": "SPECTRUM", "backend": "float", "seed": 3,
          "payload": {"operators": [[["0", "1"], ["0", "0"]]]}}]}
     code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path)
     assert code == 0
@@ -232,7 +232,7 @@ ONE_OFF_REPORTS = [
      '.000000"}],"pass":true,"error":null}'),
     (['homology', '--operators', '[[["0","1"],["0","0"]]]',
       '--cone-with', '[["1","2"],["0","1"]]', '--backend', 'float'],
-     '{"id":"cli-homology","kind":"HOMOLOGY","backend":"float","seed":7,'
+     '{"id":"cli-homology","kind":"HOMOLOGY","backend":"exact","seed":7,'
      '"inputs":{"operators":[[["0","1"],["0","0"]]],"cone_with":[["1","2'
      '"],["0","1"]]},"outputs":{"dims":[1,1],"euler":0,"index":0,"cone_i'
      'somorphism":true},"checks":[{"name":"euler_characteristic_zero","p'
@@ -280,8 +280,8 @@ def test_one_off_options_are_passed_through(tmp_path, capsys):
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_homology_of_large_commuting_float_pair(tmp_path, backend):
-    # B = A^2; d_1 d_2 is the commutator, so both are judged relative to
-    # the sizes of their factors, not by an absolute bound
+    # B = A^2 with entries in the hundreds of thousands: commutation is
+    # exact on either request, since HOMOLOGY always runs exact
     a = '[["1000/3","1000/7"],["1000/7","200"]]'
     b = '[["58000000/441","1600000/21"],["1600000/21","2960000/49"]]'
     code, reports, _ = run_main(["homology", "--operators", f"[{a}, {b}]",
@@ -354,7 +354,7 @@ def test_error_reports_name_the_backend_a_success_would(tmp_path):
     doc = {"schema": 1, "scenarios": [
         {"id": "not-a-zero", "kind": "MULTIPLICITY", "backend": "float",
          "payload": {"system": "z1", "at": ["1"]}},
-        {"id": "not-commuting", "kind": "HOMOLOGY", "backend": "float",
+        {"id": "not-commuting", "kind": "SPECTRUM", "backend": "float",
          "payload": {"operators": [[["0", "1"], ["0", "0"]],
                                    [["1", "0"], ["1", "1"]]]}}]}
     code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path)
@@ -412,10 +412,11 @@ def test_exact_scenarios_never_import_numpy():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_GROUPS,
-         json.dumps([exact, float_fallback, float_homology])],
+         json.dumps([exact, float_homology, float_fallback])],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["True exact False", "True float True",
+    # a float HOMOLOGY request runs exact
+    assert proc.stdout.splitlines() == ["True exact False", "True exact False",
                                         "True float True"]
 
 
@@ -434,14 +435,15 @@ def test_spectrum_at_decomposes_once(monkeypatch, tmp_path):
 
 
 def test_verify_all_float_variant_passes(tmp_path):
+    # verify-all has no SPECTRUM scenario, and every other kind runs exact,
+    # so the float variant prints the exact bytes
     code, reports, data = run_main(
         ["verify-all", "--seed", "7", "--backend", "float"], tmp_path)
     assert code == 0
     assert all(r["pass"] for r in reports)
-    backends = {r["backend"] for r in reports}
-    assert backends == {"float", "exact"}  # exact-only engines stay exact
+    assert {r["backend"] for r in reports} == {"exact"}
     assert hashlib.sha256(data).hexdigest() == \
-        "9f669839cf003d1a4893e137c55faddd9684704285ec336e789de8a7972bd605"
+        "49ba6f546f5c494714340dbe36b06a75b576e924aef3769e207d54f0832f547b"
 
 
 def test_builtin_scenarios_deterministic():
@@ -530,14 +532,53 @@ _HUGE = "1" + "0" * 400  # beyond float range
 
 
 @pytest.mark.parametrize("argv", [
-    ["homology", "--backend", "float", "--operators", f'[[["{_HUGE}"]]]'],
-    ["spectrum", "--backend", "float", "--operators", '[[["1"]]]', "--at", _HUGE],
+    ["spectrum", "--backend", "float", "--operators", f'[[["{_HUGE}"]]]'],
+    ["spectrum", "--backend", "float", "--operators", f'[[["1+{_HUGE}i"]]]'],
 ])
 def test_float_literal_beyond_range_is_a_schema_violation(tmp_path, capsys, argv):
+    # only the float split of SPECTRUM reads the operators as floats
     code, reports, _ = run_main(argv, tmp_path)
     assert code == 2 and reports == []
     err = capsys.readouterr().err
     assert err.startswith("error: ") and _HUGE in err and "float range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--backend", "float", "--operators", f'[[["{_HUGE}"]]]'],
+    ["spectrum", "--backend", "float", "--operators", '[[["1"]]]', "--at", _HUGE],
+])
+def test_float_requests_run_exact_literals_beyond_float_range(tmp_path, argv):
+    # HOMOLOGY and the `at` of SPECTRUM run exact on either request
+    code, reports, _ = run_main(argv, tmp_path)
+    assert code == 0 and reports[0]["pass"]
+
+
+def test_float_homology_runs_exact(tmp_path):
+    # sigma = 1e-9 sits on the float cut, where the float route read [2, 2]
+    code, reports, _ = run_main(["homology", "--backend", "float", "--operators",
+                                 '[[["1/1000000000","0"],["0","0"]]]'], tmp_path)
+    assert code == 0 and reports[0]["backend"] == "exact"
+    assert reports[0]["outputs"]["dims"] == [1, 1]
+
+
+@pytest.mark.parametrize("command", ["homology", "spectrum"])
+def test_non_commuting_float_input_fails_at_every_tol(tmp_path, command):
+    # commutation is exact; a float check passed this pair at --tol 1e300
+    code, reports, _ = run_main(
+        [command, "--backend", "float", "--tol", "1e300", "--operators",
+         '[[["0","1"],["0","0"]],[["0","0"],["1","0"]]]'], tmp_path)
+    assert code == 1 and reports[0]["error"]["type"] == "CommutatorError"
+
+
+def test_float_spectrum_answers_at_exactly(tmp_path):
+    code, reports, _ = run_main(["spectrum", "--backend", "float", "--operators",
+                                 '[[["0","2"],["1","0"]]]', "--at", "0"], tmp_path)
+    assert code == 0 and reports[0]["backend"] == "float"
+    outputs = reports[0]["outputs"]
+    assert sorted(float(e["point"][0]) for e in outputs["eigenvalues"]) == \
+        pytest.approx([-2 ** 0.5, 2 ** 0.5])
+    assert outputs["at"] == {"point": ["0"], "in_taylor_spectrum": False,
+                             "in_eigenvalue_support": False, "top_homology_nonzero": False}
 
 
 @pytest.mark.parametrize("domain", [
@@ -592,10 +633,10 @@ def test_float_zeros_meet_a_radius_beyond_float_range(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["run", None],
     ["verify-all"],
-    # inf passed this non-commuting pair; -1 and nan refused diag(1,2), diag(3,4)
-    ["homology", "--backend", "float",
+    # an infinite cut makes every float kernel the whole space, -1 every one empty
+    ["spectrum", "--backend", "float",
      "--operators", '[[["0","1"],["0","0"]],[["0","0"],["1","0"]]]'],
-    ["homology", "--backend", "float",
+    ["spectrum", "--backend", "float",
      "--operators", '[[["1","0"],["0","2"]],[["3","0"],["0","4"]]]'],
 ])
 def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, argv, tol):

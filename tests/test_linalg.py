@@ -53,8 +53,8 @@ def test_rank_nullity_both_backends(rows):
     m = exact(rows)
     assert linalg.rank(m) + linalg.kernel_basis(m).cols == m.cols
     f = Matrix([[complex(x) for x in r] for r in rows], FLOAT)
-    assert linalg.rank(f) + linalg.kernel_basis(f).cols == f.cols
-    assert linalg.rank(f) == linalg.rank(m)
+    assert linalg.image_basis(f).cols + linalg.kernel_basis(f).cols == f.cols
+    assert linalg.image_basis(f).cols == linalg.rank(m)
 
 
 @settings(max_examples=25, deadline=None)
@@ -199,8 +199,13 @@ def test_commutes_forms_no_qqi_products(monkeypatch):
 
 
 def test_commutes_keeps_its_error_types():
-    with pytest.raises(BackendMismatch):
-        linalg.commutes(Matrix.identity(2), Matrix.identity(2, FLOAT))
+    float_id = Matrix.identity(2, FLOAT)
+    for exact_only in (lambda: linalg.commutes(Matrix.identity(2), float_id),
+                       lambda: linalg.commutes(float_id, float_id),
+                       lambda: linalg.rank(float_id),
+                       lambda: linalg.extend_basis(float_id, float_id)):
+        with pytest.raises(BackendMismatch):  # exact-only, like det
+            exact_only()
     for a, b in ((exact([[1, 2]]), exact([[1], [2]])), (exact([[1, 2]]), exact([[1, 2]])),
                  (Matrix.identity(2), Matrix.identity(3))):
         with pytest.raises(ValueError):
@@ -241,20 +246,12 @@ def test_float_solve_residual_is_relative():
     assert abs(x[0, 0] - 1.0) < 1e-9
 
 
-def test_float_rank_uses_policy():
-    from koszul_index.scalars import TolerancePolicy
-
-    nearly = Matrix([[1.0, 0.0], [0.0, 1e-12]], FLOAT)
-    assert linalg.rank(nearly) == 1
-    assert linalg.rank(nearly, TolerancePolicy(rel=1e-15)) == 2
-
-
 def test_float_kernel_of_rounding_noise_is_the_whole_space():
     # the cut is rel * max(sigma_max, 1), so noise far below 1 is zero
     noise = Matrix([[3e-17, -1e-17, 0.0], [2e-17, 5e-17, 1e-17], [0.0, 4e-17, -2e-17]],
                    FLOAT)
     assert linalg.kernel_basis(noise).cols == 3
-    assert linalg.rank(noise) == 0 and linalg.image_basis(noise).cols == 0
+    assert linalg.image_basis(noise).cols == 0
 
 
 def _seeded(rng, rows, cols, backend):
@@ -287,10 +284,12 @@ def test_every_matrix_op_keeps_tuple_rows_of_the_backend_type(backend):
         a.kron(wide), Matrix.hstack([a, b]), Matrix.vstack([a, b]),
         Matrix.block([[a, b], [b, a]]), a.take_rows([2, 0]), a.take_cols([1]),
         linalg.kernel_basis(wide), linalg.image_basis(tall),
-        linalg.solve(a, a @ b.take_cols([0])), linalg.extend_basis(a.take_cols([0]), a),
+        linalg.solve(a, a @ b.take_cols([0])),
     ]
     if backend == FLOAT:
         results.append(Matrix.from_numpy(a.to_numpy()))
+    else:  # exact-only
+        results.append(linalg.extend_basis(a.take_cols([0]), a))
     for m in results:
         assert m.backend == backend and type(m.entries) is tuple
         assert all(type(r) is tuple and all(type(x) is kind for x in r) for r in m.entries)

@@ -13,7 +13,7 @@ from koszul_index.models import (DomainDescriptor, ModelTuple, _l_matrix, _r_mat
                                  reciprocity_check, regular_case_identities,
                                  tensor_index_identity)
 from koszul_index.poly import parse_system
-from koszul_index.scalars import FLOAT, QQi
+from koszul_index.scalars import QQi
 
 DISC = DomainDescriptor.unit_disc()
 BIDISC = DomainDescriptor.polydisc((QQi(0), QQi(0)), (Fraction(1), Fraction(1)))
@@ -205,20 +205,6 @@ def test_tensor_identity_random_instances():
         nil = CommutingTuple([strict, strict @ strict])
         report = tensor_index_identity(base, nil)
         assert report.verdict
-
-
-def test_float_nilpotency_is_relative_to_the_operator():
-    import numpy as np
-
-    # S [[0, 1000], [0, 0]] S^-1 has norm 3.4e4; its float square, about
-    # 4.9e-8, is rounding at that scale, not a nonzero power
-    s = np.array([[3.0, 7.0], [5.0, 12.0]])
-    nil = Matrix.from_numpy(s @ np.array([[0.0, 1000.0], [0.0, 0.0]]) @ np.linalg.inv(s))
-    base = CommutingTuple([Matrix([[2.0 + 0j]], FLOAT)])
-    assert not (nil @ nil).is_zero()
-    assert tensor_index_identity(base, CommutingTuple([nil])).verdict
-    with pytest.raises(NotNilpotent):
-        tensor_index_identity(base, CommutingTuple([Matrix([[1e-3 + 0j]], FLOAT)]))
 
 
 def test_model_tuple_requires_square_symbol():

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from koszul_index import cli, scalars, suites
+from koszul_index import cli, linalg, scalars, suites
 from koszul_index.errors import ParseError
-from koszul_index.scalars import QQi, TolerancePolicy, as_scalar, scalar_str
+from koszul_index.linalg import Matrix
+from koszul_index.scalars import FLOAT, QQi, as_scalar, scalar_str
 
 rationals = st.fractions(max_denominator=50)
 gaussians = st.builds(QQi, rationals, rationals)
@@ -105,10 +106,11 @@ def test_scalar_str_exact_and_float():
 
 
 def test_policy_is_explicit_value():
-    default = TolerancePolicy()
-    assert default.rel == 1e-9
-    custom = TolerancePolicy(rel=1e-6)
-    assert custom.rel == 1e-6 and default.rel == 1e-9
+    # the float kernel cut is a plain float that the caller passes, 1e-9 by default
+    assert scalars.DEFAULT_TOL == 1e-9
+    nearly = Matrix([[1.0, 0.0], [0.0, 1e-12]], FLOAT)
+    assert linalg.kernel_basis(nearly).cols == 1
+    assert linalg.kernel_basis(nearly, 1e-15).cols == 0
 
 
 def _exact_parts(x):
@@ -149,7 +151,7 @@ def test_repeated_literal_is_one_shared_value():
     assert first == QQi(Fraction(3, 4), Fraction(-1, 2))
     assert type(first.re) is Fraction and type(first.im) is Fraction
     # a parsed matrix keeps the shared value as its entries
-    m = cli._parse_matrix([["7/3", "7/3"], ["0", "7/3"]], "exact")
+    m = cli._parse_matrix([["7/3", "7/3"], ["0", "7/3"]])
     assert m.entries[0][0] is m.entries[0][1] is m.entries[1][1] is QQi.parse("7/3")
 
 
