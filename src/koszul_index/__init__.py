@@ -13,7 +13,7 @@ from .koszul import (ChainComplex, CommutingTuple, HomologyProfile,
 from .spectral import (Bicomplex, SpectralPage, build_bicomplex, e2_page,
                        euler_via_e2, page_sequence, stabilization_page)
 from .spectrum import (JointSpectrumReport, SpectralDecomposition,
-                       apply_polynomial_map, exact_eigenvalues,
+                       apply_polynomial_map, exact_eigenvalues, float_spectrum,
                        generalized_eigenspace, joint_spectrum_equivalences,
                        localized_homology, spectral_decomposition)
 from .multiplicity import (GlobalMultiplicityTable, MultiplicityCertificate,
@@ -38,7 +38,7 @@ __all__ = [
     "Bicomplex", "SpectralPage", "build_bicomplex", "e2_page",
     "euler_via_e2", "page_sequence", "stabilization_page",
     "JointSpectrumReport", "SpectralDecomposition", "apply_polynomial_map",
-    "exact_eigenvalues", "generalized_eigenspace",
+    "exact_eigenvalues", "float_spectrum", "generalized_eigenspace",
     "joint_spectrum_equivalences", "localized_homology",
     "spectral_decomposition",
     "GlobalMultiplicityTable", "MultiplicityCertificate",

@@ -6,7 +6,7 @@ class KoszulIndexError(Exception):
 
 
 class BackendMismatch(KoszulIndexError):
-    """Exact and float values were mixed in a single container or operation."""
+    """A float was given where a Matrix needs a Gaussian rational (as_scalar)."""
 
 
 class InconsistentSystem(KoszulIndexError):

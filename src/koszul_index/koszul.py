@@ -5,7 +5,7 @@ C^n; the differential contracts each exterior slot against the matching
 operator. Basis subsets are ordered lexicographically and the interior
 product uses the sign (-1)^(position-1), which pins every differential
 matrix bit-exactly. Every complex is exact: the index is an integer and
-the operators are Gaussian-rational, so build_complex refuses a float tuple.
+every operator is a Matrix of Gaussian rationals.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import linalg
-from .errors import BackendMismatch, CommutatorError
+from .errors import CommutatorError
 from .linalg import Matrix
-from .scalars import EXACT, QQi
+from .scalars import QQi
 
 
 def subsets(n: int, k: int):
@@ -32,7 +32,7 @@ def removal_sign(subset, i) -> int:
 class CommutingTuple:
     """n square matrices on a common space, verified commuting at build."""
 
-    __slots__ = ("operators", "n", "dim", "backend")
+    __slots__ = ("operators", "n", "dim")
 
     def __init__(self, operators):
         operators = tuple(operators)
@@ -60,12 +60,9 @@ class CommutingTuple:
         if not operators:
             raise ValueError("empty tuple of operators")
         d = operators[0].rows
-        backend = operators[0].backend
         for op in operators:
             if op.rows != op.cols or op.rows != d:
                 raise ValueError("operators must be square of a common size")
-            if op.backend != backend:
-                raise CommutatorError("operators mix scalar backends")
         for a, b in pairs:
             if not linalg.commutes(operators[a], operators[b]):
                 raise CommutatorError(
@@ -73,7 +70,6 @@ class CommutingTuple:
         object.__setattr__(self, "operators", operators)
         object.__setattr__(self, "n", len(operators))
         object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "backend", backend)
 
     def __setattr__(self, name, value):
         raise AttributeError("CommutingTuple values are immutable")
@@ -97,7 +93,7 @@ class CommutingTuple:
         return CommutingTuple._concat(self.operators, other.operators)
 
     def __repr__(self):
-        return f"CommutingTuple(n={self.n}, dim={self.dim}, {self.backend})"
+        return f"CommutingTuple(n={self.n}, dim={self.dim})"
 
 
 class ChainComplex:
@@ -176,10 +172,8 @@ class HomologyProfile:
 
 
 def build_complex(t: CommutingTuple) -> KoszulComplex:
-    """The Koszul complex of an exact t; d squared = 0 is checked at build (see
+    """The Koszul complex of t; d squared = 0 is checked at build (see
     `KoszulComplex`)."""
-    if t.backend != EXACT:
-        raise BackendMismatch("Koszul complexes run on the exact backend only")
     n, d = t.n, t.dim
     zero = QQi(0)
     dims = [d * len(subsets(n, k)) for k in range(n + 1)]
@@ -201,7 +195,7 @@ def build_complex(t: CommutingTuple) -> KoszulComplex:
                         v = oprow[c]
                         if v:
                             row[ci * d + c] = v if sign > 0 else -v
-        diffs[k] = Matrix(rows, EXACT, shape=(d * len(target), d * len(source)))
+        diffs[k] = Matrix(rows, shape=(d * len(target), d * len(source)))
     return KoszulComplex(t, dims, diffs)
 
 

@@ -1,5 +1,5 @@
-"""Dense linear algebra over the two scalar backends: rank, kernel, image,
-solving and subspace calculus.
+"""Dense exact linear algebra over the Gaussian rationals: rank, kernel,
+image, solving and subspace calculus.
 
 A subspace is a Matrix whose columns are an independent basis of it: its
 ambient dimension is `rows`, its dimension is `cols`. Kernels, images,
@@ -8,52 +8,44 @@ cycles, boundaries and eigenspaces all take this one form.
 Exact elimination runs on Python ints from input to answer: rows are scaled
 to Gaussian integers and eliminated by one fraction-free (Bareiss) loop,
 real or not, and kernels and solves back-substitute over the last pivot, so
-each QQi of an answer is built once. Exact-only `commutes` also runs on
-Gaussian-integer numerators and builds no QQi. Float kernel and image,
-which only the float joint-eigenvalue split needs, read one SVD split,
-with the relative cut passed in as a float, never a global. numpy is
-imported only inside the float branches, so exact work never loads it.
+each QQi of an answer is built once. `commutes` also runs on
+Gaussian-integer numerators and builds no QQi.
 
-A Matrix keeps a row whose entries all have its backend's exact scalar
-type (QQi, or Python complex) and sends any other row through as_scalar.
+A Matrix has one scalar type, QQi: it keeps a row whose entries are all
+QQi and sends any other row through as_scalar, which refuses a float. The
+float joint-eigenvalue split runs on numpy copies (`Matrix.to_numpy`) in
+`spectrum.float_spectrum`; numpy is imported only there and in to_numpy.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
 
-from .errors import BackendMismatch, InconsistentSystem
-from .scalars import DEFAULT_TOL, EXACT, FLOAT, ONE, ZERO, QQi, as_scalar
-
-_SCALAR_TYPE = {EXACT: QQi, FLOAT: complex}
+from .errors import InconsistentSystem
+from .scalars import ONE, ZERO, QQi, as_scalar
 
 
 class Matrix:
-    """An immutable dense rows x cols matrix over a single scalar backend."""
+    """An immutable dense rows x cols matrix of Gaussian rationals."""
 
-    __slots__ = ("rows", "cols", "backend", "entries")
+    __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows_data, backend=None, *, shape=None):
+    def __init__(self, rows_data, *, shape=None):
         if shape is not None:
             nrows, ncols = shape
         else:
             rows_data = [list(r) for r in rows_data]
             nrows = len(rows_data)
             ncols = len(rows_data[0]) if nrows else 0
-        if backend is None:
-            backend = _infer_backend(rows_data)
-        kind = _SCALAR_TYPE.get(backend)
         data = []
         for r in rows_data:
             if len(r) != ncols:
                 raise ValueError("ragged rows in matrix literal")
-            data.append(tuple(r) if all(type(x) is kind for x in r)
-                        else tuple(as_scalar(x, backend) for x in r))
+            data.append(tuple(r) if all(type(x) is QQi for x in r)
+                        else tuple(as_scalar(x) for x in r))
         object.__setattr__(self, "rows", nrows)
         object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "entries", tuple(data))
 
     def __setattr__(self, name, value):
@@ -62,49 +54,34 @@ class Matrix:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def identity(n: int, backend: str = EXACT) -> "Matrix":
-        one = QQi(1) if backend == EXACT else 1.0 + 0j
-        zero = QQi(0) if backend == EXACT else 0.0 + 0j
-        return Matrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)],
-            backend,
-        )
+    def identity(n: int) -> "Matrix":
+        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)],
+                      shape=(n, n))
 
     @staticmethod
-    def zeros(rows: int, cols: int, backend: str = EXACT) -> "Matrix":
-        zero = QQi(0) if backend == EXACT else 0.0 + 0j
-        return Matrix([[zero] * cols for _ in range(rows)], backend, shape=(rows, cols))
-
-    @staticmethod
-    def from_numpy(arr) -> "Matrix":
-        import numpy as np
-
-        return Matrix([[complex(x) for x in row] for row in np.atleast_2d(arr)], FLOAT)
+    def zeros(rows: int, cols: int) -> "Matrix":
+        return Matrix([[ZERO] * cols for _ in range(rows)], shape=(rows, cols))
 
     @staticmethod
     def hstack(blocks) -> "Matrix":
         blocks = list(blocks)
-        backend = blocks[0].backend
         rows = blocks[0].rows
         for b in blocks:
             if b.rows != rows:
                 raise ValueError("hstack: row counts differ")
-            _same_backend(b, blocks[0])
         data = [sum((list(b.entries[i]) for b in blocks), []) for i in range(rows)]
-        return Matrix(data, backend, shape=(rows, sum(b.cols for b in blocks)))
+        return Matrix(data, shape=(rows, sum(b.cols for b in blocks)))
 
     @staticmethod
     def vstack(blocks) -> "Matrix":
         blocks = list(blocks)
-        backend = blocks[0].backend
         cols = blocks[0].cols
         data = []
         for b in blocks:
             if b.cols != cols:
                 raise ValueError("vstack: column counts differ")
-            _same_backend(b, blocks[0])
             data.extend(list(r) for r in b.entries)
-        return Matrix(data, backend, shape=(sum(b.rows for b in blocks), cols))
+        return Matrix(data, shape=(sum(b.rows for b in blocks), cols))
 
     @staticmethod
     def block(grid) -> "Matrix":
@@ -119,13 +96,11 @@ class Matrix:
 
     def take_rows(self, indices) -> "Matrix":
         idx = list(indices)
-        return Matrix([list(self.entries[i]) for i in idx], self.backend,
-                      shape=(len(idx), self.cols))
+        return Matrix([list(self.entries[i]) for i in idx], shape=(len(idx), self.cols))
 
     def take_cols(self, indices) -> "Matrix":
         idx = list(indices)
-        return Matrix([[r[j] for j in idx] for r in self.entries], self.backend,
-                      shape=(self.rows, len(idx)))
+        return Matrix([[r[j] for j in idx] for r in self.entries], shape=(self.rows, len(idx)))
 
     @property
     def shape(self):
@@ -135,41 +110,34 @@ class Matrix:
 
     def __add__(self, other):
         _same_shape(self, other)
-        _same_backend(self, other)
         return Matrix(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            self.backend, shape=self.shape)
+            shape=self.shape)
 
     def __sub__(self, other):
         _same_shape(self, other)
-        _same_backend(self, other)
         return Matrix(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)],
-            self.backend, shape=self.shape)
+            shape=self.shape)
 
     def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.entries], self.backend, shape=self.shape)
+        return Matrix([[-a for a in r] for r in self.entries], shape=self.shape)
 
     def scale(self, s) -> "Matrix":
-        s = as_scalar(s, self.backend)
-        return Matrix([[s * a for a in r] for r in self.entries], self.backend, shape=self.shape)
+        s = as_scalar(s)
+        return Matrix([[s * a for a in r] for r in self.entries], shape=self.shape)
 
     def shift(self, lam) -> "Matrix":
         """self - lam * I, moving lam to the origin: only the diagonal changes."""
         if self.rows != self.cols:
             raise ValueError(f"shift of a non-square {self.shape} matrix")
-        lam = as_scalar(lam, self.backend)
+        lam = as_scalar(lam)
         return Matrix([r[:i] + (r[i] - lam,) + r[i + 1:] for i, r in enumerate(self.entries)],
-                      self.backend, shape=self.shape)
+                      shape=self.shape)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        _same_backend(self, other)
         if self.cols != other.rows:
             raise ValueError(f"matmul: {self.shape} @ {other.shape}")
-        if self.backend == FLOAT:
-            return Matrix.from_numpy(self.to_numpy() @ other.to_numpy()) \
-                if self.cols and self.rows and other.cols else \
-                Matrix.zeros(self.rows, other.cols, FLOAT)
         zero = QQi(0)
         cols_other = list(zip(*other.entries)) if other.rows else []
         data = []
@@ -183,15 +151,14 @@ class Matrix:
                         acc = acc + a * b
                 out_row.append(acc)
             data.append(out_row)
-        return Matrix(data, self.backend, shape=(self.rows, other.cols))
+        return Matrix(data, shape=(self.rows, other.cols))
 
     def kron(self, other: "Matrix") -> "Matrix":
-        _same_backend(self, other)
         data = []
         for ra in self.entries:
             for rb in other.entries:
                 data.append([a * b for a in ra for b in rb])
-        return Matrix(data, self.backend, shape=(self.rows * other.rows, self.cols * other.cols))
+        return Matrix(data, shape=(self.rows * other.rows, self.cols * other.cols))
 
     def is_zero(self) -> bool:
         return all(not a for r in self.entries for a in r)
@@ -199,47 +166,21 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.backend == other.backend and self.shape == other.shape
-                and self.entries == other.entries)
+        return self.shape == other.shape and self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.backend, self.entries))
+        return hash(self.entries)
 
     def to_numpy(self):
+        """A complex128 copy, for the float split; raises OverflowError on an
+        entry beyond float range."""
         import numpy as np
 
-        return np.array(
-            [[complex(a) for a in r] for r in self.entries], dtype=np.complex128
-        ).reshape(self.rows, self.cols)
-
-    def norm(self) -> float:
-        """Largest singular value (0 for empty shapes)."""
-        if 0 in self.shape:
-            return 0.0
-        import numpy as np
-
-        return float(np.linalg.norm(self.to_numpy(), 2))
+        return np.array([[complex(a) for a in r] for r in self.entries],
+                        dtype=np.complex128).reshape(self.shape)
 
     def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols}, {self.backend})"
-
-
-def _infer_backend(rows_data) -> str:
-    has_exact = has_float = False
-    for r in rows_data:
-        for x in r:
-            if isinstance(x, QQi):
-                has_exact = True
-            elif isinstance(x, numbers.Complex) and not isinstance(x, numbers.Rational):
-                has_float = True
-    if has_exact and has_float:
-        raise BackendMismatch("mixed exact and float entries in one matrix")
-    return FLOAT if has_float else EXACT
-
-
-def _same_backend(a: Matrix, b: Matrix):
-    if a.backend != b.backend:
-        raise BackendMismatch(f"{a.backend} vs {b.backend}")
+        return f"Matrix({self.rows}x{self.cols})"
 
 
 def _same_shape(a: Matrix, b: Matrix):
@@ -248,11 +189,9 @@ def _same_shape(a: Matrix, b: Matrix):
 
 
 def commutes(a: Matrix, b: Matrix) -> bool:
-    """Whether ab = ba, for exact matrices. Each is scaled once by its own
-    least common denominator, so both products carry den(a) * den(b), and
-    their rows are compared on Gaussian-integer numerators until one differs."""
-    if FLOAT in (a.backend, b.backend):
-        raise BackendMismatch("commutes is exact-only")
+    """Whether ab = ba. Each is scaled once by its own least common
+    denominator, so both products carry den(a) * den(b), and their rows are
+    compared on Gaussian-integer numerators until one differs."""
     n = a.rows
     if not a.cols == b.rows == b.cols == n:
         raise ValueError(f"commutes: {a.shape} and {b.shape}")
@@ -340,8 +279,6 @@ def _bareiss(rows, ncols, pivot_limit=None):
 
 
 def _echelon(m: Matrix, pivot_limit=None):
-    if m.backend != EXACT:
-        raise BackendMismatch("elimination is exact-only")
     rows = [_clear_denominators(r)[1] for r in m.entries]
     rank, pivots, sign, last = _bareiss(rows, m.cols, pivot_limit)
     return rank, pivots, rows, sign, last
@@ -380,17 +317,6 @@ def _back_substitute(rows, pivots, ncols, col):
     return x
 
 
-def _float_split(m: Matrix, tol: float):
-    """One full SVD of a nonempty float matrix: (u, vh, r), where r counts
-    the singular values above tol * max(sigma_max, 1), so a matrix of
-    rounding noise has rank 0. Columns u[:, :r] span the image; rows vh[r:]
-    conjugated span the kernel. This is the one float kernel cut."""
-    import numpy as np
-
-    u, s, vh = np.linalg.svd(m.to_numpy(), full_matrices=True)
-    return u, vh, int(np.sum(s > tol * max(s[0], 1.0)))
-
-
 def rank(m: Matrix) -> int:
     """Exact rank via fraction-free elimination."""
     if 0 in m.shape:
@@ -399,9 +325,7 @@ def rank(m: Matrix) -> int:
 
 
 def det(m: Matrix) -> QQi:
-    """Exact determinant of a square exact matrix."""
-    if m.backend != EXACT:
-        raise BackendMismatch("det is exact-only")
+    """Exact determinant of a square matrix."""
     if m.rows != m.cols:
         raise ValueError("det of a non-square matrix")
     if m.rows == 0:
@@ -414,57 +338,34 @@ def det(m: Matrix) -> QQi:
     return QQi(Fraction(la * sign), Fraction(lb * sign)) / QQi(math.prod(scales))
 
 
-def kernel_basis(m: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
+def kernel_basis(m: Matrix) -> Matrix:
     """Column basis of ker(m), in the column-index space of m."""
     if 0 in m.shape:
-        return Matrix.identity(m.cols, m.backend)
-    if m.backend == FLOAT:
-        _, vh, r = _float_split(m, tol)
-        if r == m.cols:
-            return Matrix.zeros(m.cols, 0, FLOAT)
-        return Matrix.from_numpy(vh[r:].conj().T)
+        return Matrix.identity(m.cols)
     rank_, pivots, rows, _, _ = _echelon(m)
     pivot_set = set(pivots)
     basis_cols = [_back_substitute(rows, pivots, m.cols, f)
                   for f in range(m.cols) if f not in pivot_set]
     if not basis_cols:
-        return Matrix.zeros(m.cols, 0, EXACT)
-    return Matrix(list(zip(*basis_cols)), EXACT, shape=(m.cols, len(basis_cols)))
+        return Matrix.zeros(m.cols, 0)
+    return Matrix(list(zip(*basis_cols)), shape=(m.cols, len(basis_cols)))
 
 
-def image_basis(m: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
+def image_basis(m: Matrix) -> Matrix:
     """Column basis of the column space of m."""
     if 0 in m.shape:
-        return Matrix.zeros(m.rows, 0, m.backend)
-    if m.backend == FLOAT:
-        u, _, r = _float_split(m, tol)
-        if r == 0:
-            return Matrix.zeros(m.rows, 0, FLOAT)
-        return Matrix.from_numpy(u[:, :r])
+        return Matrix.zeros(m.rows, 0)
     rank_, pivots, _, _, _ = _echelon(m)
     return m.take_cols(pivots)
 
 
-def solve(m: Matrix, rhs: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
-    """One solution X of m @ X = rhs; raises InconsistentSystem. A float
-    residual counts as zero up to tol * max(|m|, 1) * max(|X|, 1), the
-    rounding scale of the product m @ X."""
-    _same_backend(m, rhs)
+def solve(m: Matrix, rhs: Matrix) -> Matrix:
+    """One solution X of m @ X = rhs; raises InconsistentSystem."""
     if m.rows != rhs.rows:
         raise ValueError("solve: row counts differ")
-    if m.backend == FLOAT:
-        import numpy as np
-
-        a, b = m.to_numpy(), rhs.to_numpy()
-        x, *_ = np.linalg.lstsq(a, b, rcond=None)
-        sol = Matrix.from_numpy(x)
-        scale = max(m.norm(), 1.0) * max(sol.norm(), 1.0)
-        if Matrix.from_numpy(a @ x - b).norm() > tol * scale:
-            raise InconsistentSystem("no float solution within tolerance")
-        return sol
     if m.cols == 0:
         if rhs.is_zero():
-            return Matrix.zeros(0, rhs.cols, EXACT)
+            return Matrix.zeros(0, rhs.cols)
         raise InconsistentSystem("empty matrix with nonzero right-hand side")
     aug = Matrix.hstack([m, rhs])
     rank_, pivots, rows, _, _ = _echelon(aug, pivot_limit=m.cols)
@@ -472,13 +373,13 @@ def solve(m: Matrix, rhs: Matrix, tol: float = DEFAULT_TOL) -> Matrix:
         if any(rows[i][c] != (0, 0) for c in range(m.cols, aug.cols)):
             raise InconsistentSystem("right-hand side outside the column space")
     sols = [_back_substitute(rows, pivots, m.cols, k) for k in range(m.cols, aug.cols)]
-    return Matrix([[sols[k][i] for k in range(rhs.cols)] for i in range(m.cols)], EXACT,
+    return Matrix([[sols[k][i] for k in range(rhs.cols)] for i in range(m.cols)],
                   shape=(m.cols, rhs.cols))
 
 
 def extend_basis(inner: Matrix, spanning: Matrix) -> Matrix:
-    """Columns of exact `spanning` completing the columns of exact `inner` to
-    a basis of span(inner) + span(spanning)."""
+    """Columns of `spanning` completing the columns of `inner` to a basis of
+    span(inner) + span(spanning)."""
     if spanning.cols == 0:
         return Matrix.zeros(inner.rows, 0)
     joint = Matrix.hstack([inner, spanning])
@@ -489,7 +390,7 @@ def extend_basis(inner: Matrix, spanning: Matrix) -> Matrix:
 
 def induced_on_subquotient(ops, cycles: Matrix, boundaries: Matrix):
     """Matrices, in one basis of cycles/boundaries, of the maps induced by
-    exact `ops`.
+    `ops`.
 
     `cycles` and `boundaries` are column bases. Requires op(cycles) inside
     cycles and op(boundaries) inside boundaries.
@@ -498,7 +399,7 @@ def induced_on_subquotient(ops, cycles: Matrix, boundaries: Matrix):
     comp = extend_basis(boundaries, cycles)
     q = comp.cols
     if q == 0:
-        return [Matrix.zeros(0, 0, comp.backend) for _ in ops], comp
+        return [Matrix.zeros(0, 0) for _ in ops], comp
     frame = Matrix.hstack([boundaries, comp])
     coords = solve(frame, Matrix.hstack([op @ comp for op in ops]))
     tail = coords.take_rows(range(boundaries.cols, boundaries.cols + q))

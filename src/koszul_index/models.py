@@ -377,8 +377,8 @@ def tensor_index_identity(base: CommutingTuple,
     for op in nilpotent.operators:
         if not spectrum._power_at_least(op, nil_dim).is_zero():
             raise NotNilpotent("auxiliary tuple is not nilpotent")
-    ident_base = Matrix.identity(base.dim, base.backend)
-    ident_nil = Matrix.identity(nil_dim, nilpotent.backend)
+    ident_base = Matrix.identity(base.dim)
+    ident_nil = Matrix.identity(nil_dim)
     ops = [a.kron(ident_nil) + ident_base.kron(c)
            for a, c in zip(base.operators, nilpotent.operators)]
     product = CommutingTuple(ops)

@@ -126,7 +126,7 @@ def jacobian_regular(system, point) -> bool:
     system, nvars = _require_square(system)
     point = tuple(p if isinstance(p, QQi) else QQi(p) for p in point)
     rows = [[g.partial(j + 1).evaluate(point) for j in range(nvars)] for g in system]
-    return bool(linalg.det(linalg.Matrix(rows, EXACT)))
+    return bool(linalg.det(linalg.Matrix(rows)))
 
 
 def build_diagonal_system(system):
@@ -174,19 +174,19 @@ def global_multiplicity_table(system, tol: float = DEFAULT_TOL,
     multiplication tuple on the quotient algebra.
 
     Exact mode raises IrrationalSpectrum when some zero leaves the Gaussian
-    rationals; callers may retry with backend="float".
+    rationals; callers may retry with backend="float", which splits float
+    copies (spectrum.float_spectrum) with the relative kernel cut `tol`.
     """
     algebra = quotient_algebra(groebner(list(system)))
     if algebra.dim == 0:
         return GlobalMultiplicityTable((), 0, backend)
-    mats, unit = list(algebra.mult_matrices), algebra.unit
-    if backend == FLOAT:
-        mats, unit = [linalg.Matrix.from_numpy(m.to_numpy()) for m in mats], None
     # quotient_algebra has proved that the multiplication matrices commute
-    mult_tuple = CommutingTuple.proven(mats)
-    decomposition = spectrum.spectral_decomposition(mult_tuple, tol, unit=unit)
-    entries = tuple((point, space.cols) for point, space in decomposition.components)
-    table = GlobalMultiplicityTable(entries, algebra.dim, backend)
+    mult_tuple = CommutingTuple.proven(algebra.mult_matrices)
+    if backend == FLOAT:
+        entries = spectrum.float_spectrum(mult_tuple, tol)
+    else:
+        entries = spectrum.spectral_decomposition(mult_tuple, unit=algebra.unit).multiplicities()
+    table = GlobalMultiplicityTable(tuple(entries), algebra.dim, backend)
     if table.total() != algebra.dim:
         raise AssertionError("eigenspace dimensions do not add up to the quotient")
     return table

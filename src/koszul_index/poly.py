@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import ArityMismatch, NotZeroDimensional, ParseError, UnknownVariable
 from .linalg import Matrix, commutes
-from .scalars import EXACT, QQi
+from .scalars import QQi
 
 Monomial = tuple  # exponent vectors, fixed length = number of variables
 
@@ -217,9 +217,8 @@ class Polynomial:
         mats = list(mats)
         if len(mats) != self.nvars:
             raise ArityMismatch("operator count differs from variable count")
-        backend = mats[0].backend if mats else EXACT
         d = mats[0].rows if mats else 1
-        powers = [{0: Matrix.identity(d, backend)} for _ in mats]
+        powers = [{0: Matrix.identity(d)} for _ in mats]
 
         def power(i, e):
             cache = powers[i]
@@ -228,13 +227,13 @@ class Polynomial:
                 cache[top + 1] = cache[top] @ mats[i]
             return cache[e]
 
-        acc = Matrix.zeros(d, d, backend)
+        acc = Matrix.zeros(d, d)
         for mono, coeff in self.terms.items():
-            term = Matrix.identity(d, backend)
+            term = Matrix.identity(d)
             for i, e in enumerate(mono):
                 if e:
                     term = term @ power(i, e)
-            acc = acc + term.scale(coeff if backend == EXACT else complex(coeff))
+            acc = acc + term.scale(coeff)
         return acc
 
     def shift(self, point) -> "Polynomial":
@@ -606,7 +605,7 @@ class QuotientAlgebra:
     @property
     def unit(self) -> Matrix:
         """The column of coordinates of 1, the least standard monomial."""
-        return Matrix([[int(i == 0)] for i in range(self.dim)], EXACT, shape=(self.dim, 1))
+        return Matrix([[int(i == 0)] for i in range(self.dim)], shape=(self.dim, 1))
 
 
 
@@ -619,7 +618,7 @@ def quotient_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
     nvars = gb.nvars
     leads = gb.leading_monomials()
     if any(mono_degree(lm) == 0 for lm in leads):  # unit ideal
-        mats = tuple(Matrix.zeros(0, 0, EXACT) for _ in range(nvars))
+        mats = tuple(Matrix.zeros(0, 0) for _ in range(nvars))
         return QuotientAlgebra(gb, (), mats, nvars)
     bounds = gb.pure_power_bounds()
     if None in bounds:
@@ -644,7 +643,7 @@ def quotient_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
                 col[pos[m]] = c
             cols.append(col)
         mats.append(Matrix([[cols[j][i] for j in range(dim)] for i in range(dim)],
-                           EXACT, shape=(dim, dim)))
+                           shape=(dim, dim)))
     for a in range(nvars):
         for b in range(a + 1, nvars):
             if not commutes(mats[a], mats[b]):

@@ -1,8 +1,9 @@
-"""Scalar backends: exact Gaussian rationals and complex floats.
+"""Scalars: exact Gaussian rationals, and the names of the two backends.
 
-Every input is a Gaussian-rational literal and every theorem equality is
-exact; the float backend serves only joint eigenvalues that leave the
-Gaussian rationals, with the relative kernel cut DEFAULT_TOL.
+Every input is a Gaussian-rational literal, every Matrix entry is a QQi and
+every theorem equality is exact. The float backend names one job only, the
+numpy split of joint eigenvalues that leave the Gaussian rationals
+(`spectrum.float_spectrum`), with the relative kernel cut DEFAULT_TOL.
 
 QQi shares a part that is already an exact Fraction, which is immutable and
 in lowest terms, and converts any other (int, bool, Fraction subclass) with
@@ -11,7 +12,7 @@ Fraction(), so arithmetic results are never normalized twice.
 QQi.parse parses each distinct literal once per process (a bounded LRU
 cache) and returns the same immutable value to every later caller, so the
 matrices of a scenario document share their entries (a Matrix keeps entries
-of its backend's type). A bad literal is not cached and raises every time.
+that are already QQi). A bad literal is not cached and raises every time.
 """
 
 from __future__ import annotations
@@ -205,23 +206,16 @@ ZERO = QQi(0)
 ONE = QQi(1)
 
 
-def as_scalar(value, backend: str):
-    """Coerce a number-like value into the scalar type of `backend`."""
-    if backend == EXACT:
-        if isinstance(value, QQi):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QQi(value)
-        if isinstance(value, str):
-            return QQi.parse(value)
-        raise BackendMismatch(f"cannot use {type(value).__name__} as an exact scalar")
-    if backend == FLOAT:
-        if isinstance(value, QQi):
-            return complex(value)
-        if isinstance(value, str):
-            return complex(QQi.parse(value))
-        return complex(value)
-    raise ValueError(f"unknown backend {backend!r}")
+def as_scalar(value) -> QQi:
+    """Coerce an int, Fraction or scalar literal to QQi; any other value, a
+    float or complex included, raises BackendMismatch."""
+    if isinstance(value, QQi):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return QQi(value)
+    if isinstance(value, str):
+        return QQi.parse(value)
+    raise BackendMismatch(f"cannot use {type(value).__name__} as an exact scalar")
 
 
 def scalar_str(value) -> str:

@@ -7,7 +7,7 @@ subset-filtered complex, presented as nested subspaces of the fixed chain
 spaces K_{p,q}: an entry on page r is cycles/boundaries where both sit
 inside K_{p,q}, and every differential is computed by lifting
 representatives through the joined differential. This machinery is
-exact-only; float tuples are rejected.
+exact, as every Matrix is.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from functools import cached_property
 from . import koszul, linalg
 from .koszul import CommutingTuple, subsets
 from .linalg import Matrix
-from .scalars import EXACT
 
 
 class Bicomplex:
@@ -39,8 +38,7 @@ class Bicomplex:
     columns meet zero coefficients, so no other entry is computed."""
 
     def __init__(self, tuple_a: CommutingTuple, tuple_b: CommutingTuple):
-        # the union must commute; this re-verifies all cross pairs, and
-        # `commutes` and `build_complex` refuse float tuples
+        # the union must commute; this re-verifies all cross pairs
         self.joined = tuple_a.join(tuple_b)
         self.a = tuple_a
         self.b = tuple_b
@@ -95,7 +93,7 @@ class Bicomplex:
         cols, basis = self.approx_cycles(p, p - r, k)
         tail = range(len(cols) - self.dims[p][q], len(cols))  # block p
         cycles = linalg.image_basis(basis.take_rows(tail))
-        boundaries = Matrix.zeros(self.dims[p][q], 0, EXACT)
+        boundaries = Matrix.zeros(self.dims[p][q], 0)
         if r:
             cols_prev, prev = self.approx_cycles(p + r - 1, p, k + 1)
             if prev.cols:
@@ -125,7 +123,7 @@ class Bicomplex:
         apply the rows of d that land in the target block, and read the
         target coordinates off one frame solve."""
         if target.dim == 0:
-            return Matrix.zeros(0, entry.dim, EXACT)
+            return Matrix.zeros(0, entry.dim)
         k = p + q
         cols, basis = self.approx_cycles(p, p - r, k)
         tail = range(len(cols) - self.dims[p][q], len(cols))  # block p

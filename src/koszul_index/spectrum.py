@@ -1,20 +1,22 @@
 """Joint spectra of commuting tuples, simultaneous generalized-eigenspace
 decompositions, polynomial functional calculus, and localized homology.
 
-A float tuple runs only in the split, as float copies of exact operators
-whose eigenvalues leave the Gaussian rationals; what rests on a Koszul
-complex is exact. Both backends decompose by one route: split the space by one operator at a
-time into generalized eigenspaces, each a kernel chain that forms no matrix
-power. Only the eigenvalue step differs. An exact operator keeps a piece
-whole when its shift by the mean eigenvalue is proved nilpotent there: by
+Every tuple is exact. Its joint eigenvalues are split by one route: split
+the space by one operator at a time into generalized eigenspaces, each a
+kernel chain that forms no matrix power. An operator keeps a piece whole
+when its shift by the mean eigenvalue is proved nilpotent there: by
 matrix-vector products from the unit's component in the piece when the
-tuple multiplies on C[z]/I, else by a matrix power. Exact eigenvalues
-split the Hessenberg characteristic polynomial over the Gaussian rationals
-(Yun factors, Aberth-Ehrlich root guesses, rational reconstruction, exact
+tuple multiplies on C[z]/I, else by a matrix power. Eigenvalues split the
+Hessenberg characteristic polynomial over the Gaussian rationals (Yun
+factors, Aberth-Ehrlich root guesses, rational reconstruction, exact
 verification); when one leaves them, IrrationalSpectrum is raised and the
-caller may retry on float copies. Float eigenvalues are clusters of numpy
-ones, linked within _CLUSTER; numpy is imported only there and by the float
-independence check.
+caller may retry with `float_spectrum`.
+
+`float_spectrum` runs the same route on complex128 copies of the operators
+(Matrix.to_numpy): eigenvalues are clusters of numpy ones, linked within
+_CLUSTER, kernels are read from one SVD with the relative cut `tol`, and
+each later operator is restricted to an eigenspace by least squares. What
+it reports is not certified. numpy is imported only by the float split.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import koszul, linalg
-from .errors import ArityMismatch, ClusteringAmbiguity, IrrationalSpectrum, ResourceLimit
+from .errors import (ArityMismatch, ClusteringAmbiguity, InconsistentSystem,
+                     IrrationalSpectrum, ResourceLimit)
 from .koszul import CommutingTuple
 from .linalg import Matrix
-from .scalars import DEFAULT_TOL, EXACT, QQi
+from .scalars import DEFAULT_TOL, QQi
 
 _DENOMINATOR_LADDER = (1, 100, 10**4, 10**6, 10**9)
 _ABERTH_TOL = 1e-15
@@ -36,7 +39,7 @@ _ABERTH_SWEEPS = 200
 _NEWTON_STEPS = 6
 _NEWTON_GRID = Fraction(1, 2 ** 256)
 _CLUSTER = 1e-6  # the link radius of float eigenvalues (_float_eigenvalues)
-_INDEPENDENCE_FLOOR = 1e-6  # of float eigenspaces (_verify_decomposition)
+_INDEPENDENCE_FLOOR = 1e-6  # of float eigenspaces (float_spectrum)
 
 
 # -- exact univariate polynomial helpers (coefficients low to high) -----------
@@ -179,17 +182,27 @@ def _reconstruct_root(z: complex, factor, radius: float) -> QQi | None:
     return _on_ladder(x, z, factor, radius)
 
 
+def _bit_size(x: QQi) -> int:
+    """log2 |x| to within one, from the bit lengths of a nonzero x's parts."""
+    return max(abs(q.numerator).bit_length() - q.denominator.bit_length()
+               for q in (x.re, x.im) if q)
+
+
 def _numeric_roots(factor):
     """Numeric roots of a square-free polynomial of degree >= 2 by the
     Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973) from fixed
     points on a circle. A root is settled when its step is below
     _ABERTH_TOL of it or its residual is at the rounding level of its
-    evaluation (Bini, Numer. Algorithms 13, 1996)."""
+    evaluation (Bini, Numer. Algorithms 13, 1996). A monic p whose
+    coefficients leave float range is solved as q(w) = p(2^s w) / 2^(s n),
+    with 2^s near the largest |c_(n-k)|^(1/k), so its roots are 2^s w;
+    ResourceLimit is raised when those leave float range too."""
     n = _degree(factor)
     try:
-        c = [complex(x) for x in factor]  # Yun factors are monic
+        s, c = 0, [complex(x) for x in factor]  # Yun factors are monic
     except OverflowError:
-        raise ResourceLimit("a characteristic polynomial coefficient leaves float range")
+        s = max(-(-_bit_size(x) // (n - j)) for j, x in enumerate(factor[:n]) if x)
+        c = [complex(x / QQi(2 ** (s * (n - j)))) for j, x in enumerate(factor)]
     radius = max(abs(c[n - k]) ** (1 / k) for k in range(1, n + 1))
     zs = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
     for _ in range(_ABERTH_SWEEPS):
@@ -207,7 +220,10 @@ def _numeric_roots(factor):
             settled = settled and abs(step) <= _ABERTH_TOL * abs(zs[i])
         if settled:
             break
-    return zs
+    try:
+        return [complex(math.ldexp(z.real, s), math.ldexp(z.imag, s)) for z in zs] if s else zs
+    except OverflowError:
+        raise ResourceLimit("a characteristic polynomial root leaves float range")
 
 
 def exact_eigenvalues(m: Matrix):
@@ -243,14 +259,13 @@ def exact_eigenvalues(m: Matrix):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Joint generalized eigenspaces V(lambda) with their base tuple.
+    """Joint generalized eigenspaces V(lambda).
 
     Invariants (established by the decomposition routine): the eigenspaces
     are invariant under every operator, each shifted operator is nilpotent
     on its eigenspace, and the dimensions add up to the whole space.
     """
 
-    tuple: CommutingTuple
     components: tuple  # ((lambda_1..lambda_n), column basis Matrix) pairs
 
     def multiplicities(self):
@@ -270,27 +285,90 @@ def _power_at_least(m: Matrix, k: int) -> Matrix:
     return m
 
 
-def _kernel_chain(ops, bound: int, tol: float = DEFAULT_TOL) -> Matrix:
+def _kernel_chain(ops, bound: int) -> Matrix:
     """Basis of the joint generalized kernel of commuting operators, with no
     power of any of them: start from the joint kernel, and pull the space
     back through every operator, {v : N v in the space for each N}, until
     its dimension reaches `bound` or stops growing."""
-    space = linalg.kernel_basis(Matrix.vstack(ops), tol)
+    space = linalg.kernel_basis(Matrix.vstack(ops))
     while 0 < space.cols < bound:
-        zero = Matrix.zeros(space.rows, space.cols, space.backend)
+        zero = Matrix.zeros(space.rows, space.cols)
         pull = Matrix.block([[op] + [-space if j == i else zero for j in range(len(ops))]
                              for i, op in enumerate(ops)])
-        top = linalg.kernel_basis(pull, tol).take_rows(range(space.rows))
-        grown = linalg.image_basis(top, tol)
+        top = linalg.kernel_basis(pull).take_rows(range(space.rows))
+        grown = linalg.image_basis(top)
         if grown.cols == space.cols:
             break
         space = grown
     return space
 
 
-def _float_eigenvalues(m: Matrix):
-    """Eigenvalues of a float matrix as (cluster mean, size) pairs, by single
-    linkage: two eigenvalues share a cluster when they lie within
+def _decomposition(t: CommutingTuple, unit: Matrix | None) -> SpectralDecomposition:
+    """Split the space by one operator at a time. Each piece carries its
+    basis, the operators not yet used, restricted to it, and its generator
+    or None, and is cut into the generalized eigenspaces of the next one.
+    An operator whose shift by its mean trace is proved nilpotent on a piece
+    (_nilpotent) has that one eigenvalue there and keeps it whole. A piece
+    on which every operator has been used is a component."""
+    pieces = [((), Matrix.identity(t.dim), t.operators, unit)]
+    for _ in range(t.n):
+        refined = []
+        for point, basis, (rep, *rest), gen in pieces:
+            k = rep.rows
+            lam = sum((rep[i, i] for i in range(k)), QQi(0)) / QQi(k)
+            if _nilpotent(rep.shift(lam), gen):
+                refined.append((point + (lam,), basis, rest, gen))
+                continue
+            eigenvalues = exact_eigenvalues(rep)
+            kernels = [_kernel_chain([rep.shift(mu)], mult) for mu, mult in eigenvalues]
+            if [kernel.cols for kernel in kernels] != [mult for _, mult in eigenvalues]:
+                raise AssertionError(
+                    "generalized eigenspace dimension differs from the multiplicity")
+            # the generator in the eigenspaces' joint basis, cut by eigenspace
+            coords = gen and linalg.solve(Matrix.hstack(kernels), gen)
+            start = 0
+            for (mu, mult), kernel in zip(eigenvalues, kernels):
+                # each remaining operator on span(kernel): kernel @ X = op @ kernel
+                refined.append((point + (mu,), basis @ kernel,
+                                [linalg.solve(kernel, op @ kernel) for op in rest],
+                                coords and coords.take_rows(range(start, start + mult))))
+                start += mult
+        pieces = refined
+    components = sorted(((point, basis) for point, basis, _, _ in pieces),
+                        key=lambda cs: tuple(x.sort_key() for x in cs[0]))
+    return SpectralDecomposition(tuple(components))
+
+
+def _nilpotent(m: Matrix, gen: Matrix | None) -> bool:
+    """Whether m^k = 0 for the k x k matrix m, an operator shifted on a
+    piece. A generator g of the piece, the unit's component in it, stands
+    for an idempotent e of the commutative algebra A the tuple multiplies
+    on, with piece A*e; as m^k (a e) = a m^k e, m^k = 0 exactly when
+    m^k g = 0, at most k matrix-vector products. Else, a matrix power."""
+    if gen is None:
+        return _power_at_least(m, m.rows).is_zero()
+    return any((gen := m @ gen).is_zero() for _ in range(m.rows))
+
+
+def spectral_decomposition(t: CommutingTuple, *,
+                           unit: Matrix | None = None) -> SpectralDecomposition:
+    """Decompose the space into joint generalized eigenspaces; raises
+    IrrationalSpectrum when an eigenvalue leaves the Gaussian rationals.
+    `unit` is the column of coordinates of the unit when the tuple
+    multiplies on a commutative algebra, as on C[z]/I; it speeds the
+    decomposition only."""
+    if t.dim == 0:
+        return SpectralDecomposition(())
+    result = _decomposition(t, unit)
+    if not result.total_dim() == t.dim == linalg.rank(
+            Matrix.hstack([space for _, space in result.components])):
+        raise AssertionError("eigenspaces are not a direct sum of the space")
+    return result
+
+
+def _float_eigenvalues(a):
+    """Eigenvalues of a square complex array as (cluster mean, size) pairs,
+    by single linkage: two eigenvalues share a cluster when they lie within
     _CLUSTER, or within sqrt(_CLUSTER) with unit eigenvectors parallel
     to within sqrt(_CLUSTER). The second link is how a Jordan block looks
     after rounding: a block of size j splits by about eps^(1/j) into
@@ -299,7 +377,7 @@ def _float_eigenvalues(m: Matrix):
     raises ClusteringAmbiguity."""
     import numpy as np
 
-    values, vectors = np.linalg.eig(m.to_numpy())
+    values, vectors = np.linalg.eig(a)
     near = math.sqrt(_CLUSTER)
 
     def link(i, j):  # the radius of the link from i to j, 0 for none
@@ -330,88 +408,78 @@ def _float_eigenvalues(m: Matrix):
     return out
 
 
-def _decomposition(t: CommutingTuple, tol: float,
-                   unit: Matrix | None) -> SpectralDecomposition:
-    """Split the space by one operator at a time. Each piece carries its
-    basis, the operators not yet used, restricted to it, and its generator
-    or None, and is cut into the generalized eigenspaces of the next one.
-    An exact operator whose shift by its mean trace is proved nilpotent on a
-    piece (_nilpotent) has that one eigenvalue there and keeps it whole. A
-    piece on which every operator has been used is a component."""
-    backend = t.backend
-    pieces = [((), Matrix.identity(t.dim, backend), t.operators, unit)]
-    for _ in range(t.n):
-        refined = []
-        for point, basis, (rep, *rest), gen in pieces:
-            k = rep.rows
-            if backend == EXACT:
-                lam = sum((rep[i, i] for i in range(k)), QQi(0)) / QQi(k)
-                if _nilpotent(rep.shift(lam), gen):
-                    refined.append((point + (lam,), basis, rest, gen))
-                    continue
-                eigenvalues = exact_eigenvalues(rep)
-            else:
-                eigenvalues = _float_eigenvalues(rep)
-            kernels = [_kernel_chain([rep.shift(mu)], mult, tol) for mu, mult in eigenvalues]
-            if [kernel.cols for kernel in kernels] != [mult for _, mult in eigenvalues]:
-                error = AssertionError if backend == EXACT else ClusteringAmbiguity
-                raise error("generalized eigenspace dimension differs from the multiplicity")
-            # the generator in the eigenspaces' joint basis, cut by eigenspace
-            coords = gen and linalg.solve(Matrix.hstack(kernels), gen)
-            start = 0
-            for (mu, mult), kernel in zip(eigenvalues, kernels):
-                # each remaining operator on span(kernel): kernel @ X = op @ kernel
-                refined.append((point + (mu,), basis @ kernel,
-                                [linalg.solve(kernel, op @ kernel, tol) for op in rest],
-                                coords and coords.take_rows(range(start, start + mult))))
-                start += mult
-        pieces = refined
-    components = sorted(((point, basis) for point, basis, _, _ in pieces),
-                        key=lambda cs: tuple(x.sort_key() if backend == EXACT
-                                             else (x.real, x.imag) for x in cs[0]))
-    return SpectralDecomposition(t, tuple(components))
-
-
-def _nilpotent(m: Matrix, gen: Matrix | None) -> bool:
-    """Whether m^k = 0 for the exact k x k matrix m, an operator shifted on a
-    piece. A generator g of the piece, the unit's component in it, stands
-    for an idempotent e of the commutative algebra A the tuple multiplies
-    on, with piece A*e; as m^k (a e) = a m^k e, m^k = 0 exactly when
-    m^k g = 0, at most k matrix-vector products. Else, a matrix power."""
-    if gen is None:
-        return _power_at_least(m, m.rows).is_zero()
-    return any((gen := m @ gen).is_zero() for _ in range(m.rows))
-
-
-def spectral_decomposition(t: CommutingTuple, tol: float = DEFAULT_TOL, *,
-                           unit: Matrix | None = None) -> SpectralDecomposition:
-    """Decompose the space into joint generalized eigenspaces; `tol` is the
-    float kernel cut. `unit` is the column of coordinates of the unit when
-    the exact tuple multiplies on a commutative algebra, as on C[z]/I; it
-    speeds the decomposition only."""
-    if t.dim == 0:
-        return SpectralDecomposition(t, ())
-    result = _decomposition(t, tol, unit)
-    _verify_decomposition(result)
-    return result
-
-
-def _verify_decomposition(dec: SpectralDecomposition):
-    """The eigenspaces add up to the space and are independent: exactly by
-    rank, or in float by the smallest singular value of the joint basis,
-    each eigenspace's columns orthonormalized, against _INDEPENDENCE_FLOOR."""
-    t = dec.tuple
-    if dec.total_dim() != t.dim:
-        raise AssertionError("eigenspace dimensions do not add up")
-    if t.backend == EXACT:
-        if linalg.rank(Matrix.hstack([space for _, space in dec.components])) != t.dim:
-            raise AssertionError("eigenspaces do not span the whole space")
-        return
+def _float_split(a, tol: float):
+    """The one float kernel cut: a full SVD (u, vh, r) of a nonempty complex
+    array, r counting singular values above tol * max(sigma_max, 1), so
+    rounding noise has rank 0; u[:, :r] spans the image, vh[r:].conj() the kernel."""
     import numpy as np
 
-    joint = np.hstack([np.linalg.qr(space.to_numpy())[0] for _, space in dec.components])
+    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    return u, vh, int(np.sum(s > tol * max(s[0], 1.0)))
+
+
+def _float_kernel_chain(a, bound: int, tol: float):
+    """_kernel_chain of one square complex array, every kernel and image
+    read from _float_split."""
+    import numpy as np
+
+    _, vh, r = _float_split(a, tol)
+    space = vh[r:].conj().T
+    while 0 < space.shape[1] < bound:
+        _, vh, r = _float_split(np.hstack([a, -space]), tol)
+        u, _, r = _float_split(vh[r:].conj().T[:len(a)], tol)
+        if r == space.shape[1]:
+            break
+        space = u[:, :r]
+    return np.ascontiguousarray(space)  # products then see one memory layout
+
+
+def _float_restrict(basis, image, tol: float):
+    """The least-squares X with basis @ X = image; raises InconsistentSystem
+    when the residual exceeds tol * max(|basis|, 1) * max(|X|, 1), the
+    rounding scale of the product basis @ X."""
+    import numpy as np
+
+    x, *_ = np.linalg.lstsq(basis, image, rcond=None)
+    scale = max(np.linalg.norm(basis, 2), 1.0) * max(np.linalg.norm(x, 2), 1.0)
+    if np.linalg.norm(basis @ x - image, 2) > tol * scale:
+        raise InconsistentSystem("no float solution within tolerance")
+    return np.ascontiguousarray(x)
+
+
+def float_spectrum(t: CommutingTuple, tol: float = DEFAULT_TOL):
+    """Uncertified (point, multiplicity) pairs of t, sorted by point, split
+    on complex128 copies of the operators by the route of
+    spectral_decomposition, with the relative kernel cut `tol`. Raises
+    ClusteringAmbiguity when the clusters, the eigenspace dimensions or the
+    independence of the eigenspaces (_INDEPENDENCE_FLOOR) are in doubt."""
+    import numpy as np
+
+    if t.dim == 0:
+        return []
+    try:
+        ops = [op.to_numpy() for op in t.operators]
+    except OverflowError:
+        raise ResourceLimit("an operator entry leaves float range")
+    pieces = [((), np.eye(t.dim, dtype=complex), ops)]
+    for _ in range(t.n):
+        refined = []
+        for point, basis, (rep, *rest) in pieces:
+            eigenvalues = _float_eigenvalues(rep)
+            kernels = [_float_kernel_chain(rep - np.diag([mu] * len(rep)), mult, tol)
+                       for mu, mult in eigenvalues]
+            if [kernel.shape[1] for kernel in kernels] != [mult for _, mult in eigenvalues]:
+                raise ClusteringAmbiguity(
+                    "generalized eigenspace dimension differs from the multiplicity")
+            for (mu, _), kernel in zip(eigenvalues, kernels):
+                refined.append((point + (mu,), basis @ kernel,
+                                [_float_restrict(kernel, op @ kernel, tol) for op in rest]))
+        pieces = refined
+    joint = np.hstack([np.linalg.qr(basis)[0] for _, basis, _ in pieces])
     if np.linalg.svd(joint, compute_uv=False)[-1] < _INDEPENDENCE_FLOOR:
         raise ClusteringAmbiguity("eigenspaces are not independent within tolerance")
+    return sorted(((point, basis.shape[1]) for point, basis, _ in pieces),
+                  key=lambda pm: tuple((x.real, x.imag) for x in pm[0]))
 
 
 @dataclass(frozen=True)

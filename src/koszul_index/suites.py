@@ -16,7 +16,7 @@ from fractions import Fraction
 from .linalg import Matrix
 from .models import int_matmul
 from .poly import Polynomial
-from .scalars import EXACT, QQi, scalar_str
+from .scalars import QQi, scalar_str
 
 
 def _identity(dim: int):
@@ -83,7 +83,7 @@ def random_commuting_family(rng: random.Random, count: int, dim: int,
     if conjugate and rng.random() < 0.5:
         s, s_inv = _unimodular(rng, dim)
         ops = [int_matmul(int_matmul(s, op), s_inv) for op in ops]
-    return [Matrix(op, EXACT) for op in ops]
+    return [Matrix(op) for op in ops]
 
 
 def compose(poly: Polynomial, arguments) -> Polynomial:

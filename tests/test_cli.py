@@ -113,7 +113,9 @@ def test_exit_code_one_on_computational_error(tmp_path):
 ] + [{"schema": 1, "scenarios": [{"id": "x", "kind": "IDENTITIES",
                                   "payload": {"n": 1, "m": 1}, "tol": tol}]}
      # json.dumps writes NaN and Infinity, which json.load reads back
-     for tol in [float("nan"), float("inf"), -float("inf"), -1, 0, 0.0, 10 ** 400]])
+     for tol in [float("nan"), float("inf"), -float("inf"), -1, 0, 0.0, 10 ** 400,
+                 # at tol >= 1 the cut reaches sigma_max: every float kernel is everything
+                 1, 10, 1e300]])
 def test_exit_code_two_on_schema_violation(tmp_path, capsys, doc):
     code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path)
     assert code == 2
@@ -563,9 +565,10 @@ def test_float_homology_runs_exact(tmp_path):
 
 @pytest.mark.parametrize("command", ["homology", "spectrum"])
 def test_non_commuting_float_input_fails_at_every_tol(tmp_path, command):
-    # commutation is exact; a float check passed this pair at --tol 1e300
+    # commutation is exact; a float check passed this pair at --tol 1e300,
+    # which the schema now refuses, as it does every tol >= 1
     code, reports, _ = run_main(
-        [command, "--backend", "float", "--tol", "1e300", "--operators",
+        [command, "--backend", "float", "--tol", "0.99", "--operators",
          '[[["0","1"],["0","0"]],[["0","0"],["1","0"]]]'], tmp_path)
     assert code == 1 and reports[0]["error"]["type"] == "CommutatorError"
 
@@ -629,11 +632,12 @@ def test_float_zeros_meet_a_radius_beyond_float_range(tmp_path):
     assert [z["location"] for z in outputs["zeros"]] == ["interior", "interior"]
 
 
-@pytest.mark.parametrize("tol", ["inf", "-1", "nan", "0"])
+@pytest.mark.parametrize("tol", ["inf", "-1", "nan", "0", "1", "10", "1e300"])
 @pytest.mark.parametrize("argv", [
     ["run", None],
     ["verify-all"],
-    # an infinite cut makes every float kernel the whole space, -1 every one empty
+    # a cut at or above sigma_max makes every float kernel the whole space,
+    # -1 every one empty
     ["spectrum", "--backend", "float",
      "--operators", '[[["0","1"],["0","0"]],[["0","0"],["1","0"]]]'],
     ["spectrum", "--backend", "float",
@@ -644,7 +648,7 @@ def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, argv, tol):
     code, reports, _ = run_main(argv + ["--tol", tol], tmp_path)
     assert code == 2 and reports == []
     err = capsys.readouterr().err
-    assert err == "error: --tol: tol must be a finite number > 0\n"
+    assert err == "error: --tol: tol must be a number > 0 and < 1\n"
 
 
 def test_verify_all_scenarios_carry_the_given_tol():
@@ -661,7 +665,8 @@ def test_verify_all_scenarios_carry_the_given_tol():
 ])
 def test_root_finder_beyond_float_range_reports_an_error(argv):
     # z1^2 - 2e400 has no Gaussian rational zero, and its coefficients leave
-    # float range, so neither the exact nor the float route can locate them
+    # float range: the exact route locates its zeros but cannot certify them,
+    # and the float route cannot copy its operators
     proc = subprocess.run(
         [sys.executable, "-m", "koszul_index.cli", *argv, "--system", f"z1^2-2{'0' * 400}"],
         capture_output=True, text=True)
@@ -669,6 +674,24 @@ def test_root_finder_beyond_float_range_reports_an_error(argv):
     (report,) = [json.loads(line) for line in proc.stdout.splitlines()]
     assert report["error"]["type"] == "ResourceLimit"
     assert "float range" in report["error"]["message"]
+
+
+def test_rational_zeros_beyond_float_range_are_certified(tmp_path):
+    # z1^2 - 4e400 has the rational zeros +-2e200, which fit a float while the
+    # coefficient does not: the roots are located on the rescaled polynomial
+    system = f"z1^2-4{'0' * 400}"
+    zeros = [f"-2{'0' * 200}", f"2{'0' * 200}"]
+    code, reports, _ = run_main(["index", "--domain", _DISC, "--system", system], tmp_path)
+    assert code == 0 and reports[0]["pass"] and reports[0]["backend"] == "exact"
+    outputs = reports[0]["outputs"]
+    assert outputs["global_index"] == 0
+    assert [(z["point"], z["location"]) for z in outputs["zeros"]] == \
+        [([z], "exterior") for z in zeros]
+    code, reports, _ = run_main(["multiplicity", "--system", system], tmp_path)
+    assert code == 0 and [(z["point"], z["multiplicity"]) for z in
+                          reports[0]["outputs"]["zeros"]] == [([z], 1) for z in zeros]
+    code, reports, _ = run_main(["multiplicity", "--system", system, "--at", zeros[1]], tmp_path)
+    assert code == 0 and reports[0]["outputs"]["multiplicity"] == 1
 
 
 def test_reports_share_repeated_check_texts():

@@ -7,12 +7,12 @@ from koszul_index.errors import BackendMismatch, CommutatorError
 from koszul_index.koszul import (CommutingTuple, HomologyProfile, build_complex,
                                  homology, mapping_cone, verify_cone_isomorphism)
 from koszul_index.linalg import Matrix
-from koszul_index.scalars import EXACT, FLOAT, QQi
+from koszul_index.scalars import QQi
 from random_tuples import random_commuting_tuple, random_cone_instance
 
 
 def exact(rows):
-    return Matrix(rows, EXACT)
+    return Matrix(rows)
 
 
 JORDAN = exact([[0, 1], [0, 0]])
@@ -170,9 +170,9 @@ def test_exact_pair_builds_form_no_product(monkeypatch):
 
 def test_build_complex_refuses_a_float_tuple():
     # the index is an integer and every operator a Gaussian-rational literal,
-    # so no Koszul complex is float; one float operator has no pair to check
+    # so no Koszul complex is float: a float operator is refused when built
     with pytest.raises(BackendMismatch):
-        build_complex(CommutingTuple([Matrix([[0.0, 1.0], [0.0, 0.0]], FLOAT)]))
+        build_complex(CommutingTuple([Matrix([[0.0, 1.0], [0.0, 0.0]])]))
 
 
 def test_end_differentials_are_the_operator_blocks():

@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszul_index import linalg
+from koszul_index import linalg, spectrum
 from koszul_index.errors import BackendMismatch, InconsistentSystem
 from koszul_index.linalg import Matrix
-from koszul_index.scalars import EXACT, FLOAT, QQi
+from koszul_index.scalars import DEFAULT_TOL, QQi
 
 
 def exact(rows):
-    return Matrix(rows, EXACT)
+    return Matrix(rows)
 
 
 def test_rank_trivial_cases():
@@ -38,10 +38,11 @@ def test_image_trivial_cases():
 
 
 def test_backend_mismatch_rejected():
+    # a Matrix holds Gaussian rationals only, so a float fails when it is built
     with pytest.raises(BackendMismatch):
         Matrix([[QQi(1), 0.5 + 0j]])
     with pytest.raises(BackendMismatch):
-        Matrix.identity(2) @ Matrix.identity(2, FLOAT)
+        Matrix([[0.5]])
 
 
 small_entries = st.integers(min_value=-5, max_value=5)
@@ -52,9 +53,8 @@ small_entries = st.integers(min_value=-5, max_value=5)
 def test_rank_nullity_both_backends(rows):
     m = exact(rows)
     assert linalg.rank(m) + linalg.kernel_basis(m).cols == m.cols
-    f = Matrix([[complex(x) for x in r] for r in rows], FLOAT)
-    assert linalg.image_basis(f).cols + linalg.kernel_basis(f).cols == f.cols
-    assert linalg.image_basis(f).cols == linalg.rank(m)
+    # the float kernel cut of the float split reads the same rank
+    assert spectrum._float_split(m.to_numpy(), DEFAULT_TOL)[2] == linalg.rank(m)
 
 
 @settings(max_examples=25, deadline=None)
@@ -199,13 +199,6 @@ def test_commutes_forms_no_qqi_products(monkeypatch):
 
 
 def test_commutes_keeps_its_error_types():
-    float_id = Matrix.identity(2, FLOAT)
-    for exact_only in (lambda: linalg.commutes(Matrix.identity(2), float_id),
-                       lambda: linalg.commutes(float_id, float_id),
-                       lambda: linalg.rank(float_id),
-                       lambda: linalg.extend_basis(float_id, float_id)):
-        with pytest.raises(BackendMismatch):  # exact-only, like det
-            exact_only()
     for a, b in ((exact([[1, 2]]), exact([[1], [2]])), (exact([[1, 2]]), exact([[1, 2]])),
                  (Matrix.identity(2), Matrix.identity(3))):
         with pytest.raises(ValueError):
@@ -239,81 +232,67 @@ def test_commutes_matches_the_product_oracle():
 
 
 def test_float_solve_residual_is_relative():
-    ones = Matrix([[1.0], [1.0]], FLOAT)
+    # the restriction of the float split (spectrum._float_restrict)
+    np = pytest.importorskip("numpy")
+    ones = np.array([[1.0], [1.0]], dtype=complex)
     with pytest.raises(InconsistentSystem):
-        linalg.solve(ones, Matrix([[1.0], [1.0 + 1e-6]], FLOAT))
-    x = linalg.solve(ones.scale(1e6), Matrix([[1e6], [1e6 + 1e-6]], FLOAT))
+        spectrum._float_restrict(ones, np.array([[1.0], [1.0 + 1e-6]]), DEFAULT_TOL)
+    x = spectrum._float_restrict(ones * 1e6, np.array([[1e6], [1e6 + 1e-6]]), DEFAULT_TOL)
     assert abs(x[0, 0] - 1.0) < 1e-9
 
 
 def test_float_kernel_of_rounding_noise_is_the_whole_space():
-    # the cut is rel * max(sigma_max, 1), so noise far below 1 is zero
-    noise = Matrix([[3e-17, -1e-17, 0.0], [2e-17, 5e-17, 1e-17], [0.0, 4e-17, -2e-17]],
-                   FLOAT)
-    assert linalg.kernel_basis(noise).cols == 3
-    assert linalg.image_basis(noise).cols == 0
+    # the cut of the float split (spectrum._float_split) is
+    # tol * max(sigma_max, 1), so noise far below 1 is zero
+    np = pytest.importorskip("numpy")
+    noise = np.array([[3e-17, -1e-17, 0.0], [2e-17, 5e-17, 1e-17], [0.0, 4e-17, -2e-17]],
+                     dtype=complex)
+    assert spectrum._float_split(noise, DEFAULT_TOL)[2] == 0
+    assert spectrum._float_kernel_chain(noise, 3, DEFAULT_TOL).shape == (3, 3)
 
 
-def _seeded(rng, rows, cols, backend):
-    m = Matrix([[QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-3, 3))
-                 for _ in range(cols)] for _ in range(rows)], EXACT)
-    return m if backend == EXACT else Matrix.from_numpy(m.to_numpy())
+def _seeded(rng, rows, cols):
+    return Matrix([[QQi(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-3, 3))
+                    for _ in range(cols)] for _ in range(rows)])
 
 
-@pytest.mark.parametrize("backend", [EXACT, FLOAT])
-def test_shift_moves_only_the_diagonal(backend):
+def test_shift_moves_only_the_diagonal():
     rng = random.Random(41)
     for k in (1, 2, 5):
-        m = _seeded(rng, k, k, backend)
+        m = _seeded(rng, k, k)
         for lam in (QQi(0), QQi(Fraction(3, 7)), QQi(Fraction(-1, 2), 2)):
-            lam = lam if backend == EXACT else complex(lam)
-            assert m.shift(lam) == m - Matrix.identity(k, backend).scale(lam)
+            assert m.shift(lam) == m - Matrix.identity(k).scale(lam)
     with pytest.raises(ValueError):
-        Matrix.zeros(2, 3, backend).shift(1)
+        Matrix.zeros(2, 3).shift(1)
 
 
-@pytest.mark.parametrize("backend", [EXACT, FLOAT])
-def test_every_matrix_op_keeps_tuple_rows_of_the_backend_type(backend):
+def test_every_matrix_op_keeps_tuple_rows_of_qqi():
     rng = random.Random(1802)
-    kind = QQi if backend == EXACT else complex
-    a, b = _seeded(rng, 3, 3, backend), _seeded(rng, 3, 3, backend)
-    tall, wide = _seeded(rng, 4, 2, backend), _seeded(rng, 2, 4, backend)
+    a, b = _seeded(rng, 3, 3), _seeded(rng, 3, 3)
+    tall, wide = _seeded(rng, 4, 2), _seeded(rng, 2, 4)
     results = [
-        Matrix.identity(3, backend), Matrix.zeros(2, 3, backend), a + b, a - b, -a,
+        Matrix.identity(3), Matrix.zeros(2, 3), a + b, a - b, -a,
         a.scale(Fraction(2, 3)), a.shift(QQi(1, -1)), a @ b, tall @ wide, wide @ tall,
         a.kron(wide), Matrix.hstack([a, b]), Matrix.vstack([a, b]),
         Matrix.block([[a, b], [b, a]]), a.take_rows([2, 0]), a.take_cols([1]),
         linalg.kernel_basis(wide), linalg.image_basis(tall),
-        linalg.solve(a, a @ b.take_cols([0])),
+        linalg.solve(a, a @ b.take_cols([0])), linalg.extend_basis(a.take_cols([0]), a),
     ]
-    if backend == FLOAT:
-        results.append(Matrix.from_numpy(a.to_numpy()))
-    else:  # exact-only
-        results.append(linalg.extend_basis(a.take_cols([0]), a))
     for m in results:
-        assert m.backend == backend and type(m.entries) is tuple
-        assert all(type(r) is tuple and all(type(x) is kind for x in r) for r in m.entries)
-        rebuilt = Matrix([list(r) for r in m.entries], m.backend)
+        assert type(m.entries) is tuple
+        assert all(type(r) is tuple and all(type(x) is QQi for x in r) for r in m.entries)
+        rebuilt = Matrix([list(r) for r in m.entries])
         assert m == rebuilt and hash(m) == hash(rebuilt)
 
 
 def test_constructor_converts_rows_that_are_not_of_the_backend_type():
     np = pytest.importorskip("numpy")
-    mixed = Matrix([[1, QQi(2)]])
-    assert mixed.backend == EXACT and mixed.entries == ((QQi(1), QQi(2)),)
+    mixed = Matrix([[1, Fraction(1, 2), "i", QQi(2)]])
+    assert mixed.entries == ((QQi(1), QQi(Fraction(1, 2)), QQi(0, 1), QQi(2)),)
     assert all(type(x) is QQi for x in mixed.entries[0])
-    floats = Matrix([[np.complex128(1 + 2j), np.float64(3)], [1j, 2.5]])
-    assert floats.backend == FLOAT and floats.entries == ((1 + 2j, 3 + 0j), (1j, 2.5 + 0j))
-    assert all(type(x) is complex for r in floats.entries for x in r)
-    assert Matrix([[QQi(1, 2)]], FLOAT).entries == ((1 + 2j,),)
     with pytest.raises(ValueError):
         Matrix([[QQi(1), QQi(2)], [QQi(3)]])
-    with pytest.raises(ValueError):
-        Matrix([[1j, 2j], [3j]], FLOAT)
-    with pytest.raises(BackendMismatch):
-        Matrix([[QQi(1), 1j]])
-    with pytest.raises(BackendMismatch):
-        Matrix([[1j, 2j]], EXACT)
-    for row in ([QQi(1)], [1j], [1]):
-        with pytest.raises(ValueError):
-            Matrix([row], "bogus")
+    # one scalar type: a float or complex is refused, numpy's included
+    for row in ([QQi(1), 1j], [0.5], [np.complex128(1 + 2j)], [np.float64(3)]):
+        with pytest.raises(BackendMismatch):
+            Matrix([row])

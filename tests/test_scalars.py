@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from koszul_index import cli, linalg, scalars, suites
-from koszul_index.errors import ParseError
+from koszul_index import cli, scalars, spectrum, suites
+from koszul_index.errors import BackendMismatch, ParseError
 from koszul_index.linalg import Matrix
-from koszul_index.scalars import FLOAT, QQi, as_scalar, scalar_str
+from koszul_index.scalars import QQi, as_scalar, scalar_str
 
 rationals = st.fractions(max_denominator=50)
 gaussians = st.builds(QQi, rationals, rationals)
@@ -95,9 +95,13 @@ def test_lowest_terms_invariant():
 
 
 def test_as_scalar_backends():
-    assert as_scalar("1/2i", "exact") == QQi(0, Fraction(1, 2))
-    assert as_scalar(QQi(1, 1), "float") == 1 + 1j
-    assert as_scalar(2, "exact") == QQi(2)
+    assert as_scalar("1/2i") == QQi(0, Fraction(1, 2))
+    assert as_scalar(2) == QQi(2)
+    assert as_scalar(Fraction(1, 3)) == QQi(Fraction(1, 3))
+    # the one place a float is refused: every Matrix entry passes through here
+    for value in (0.5, 1 + 1j, float("nan")):
+        with pytest.raises(BackendMismatch):
+            as_scalar(value)
 
 
 def test_scalar_str_exact_and_float():
@@ -108,9 +112,9 @@ def test_scalar_str_exact_and_float():
 def test_policy_is_explicit_value():
     # the float kernel cut is a plain float that the caller passes, 1e-9 by default
     assert scalars.DEFAULT_TOL == 1e-9
-    nearly = Matrix([[1.0, 0.0], [0.0, 1e-12]], FLOAT)
-    assert linalg.kernel_basis(nearly).cols == 1
-    assert linalg.kernel_basis(nearly, 1e-15).cols == 0
+    nearly = Matrix([[1, 0], [0, QQi(Fraction(1, 10 ** 12))]]).to_numpy()
+    assert spectrum._float_split(nearly, scalars.DEFAULT_TOL)[2] == 1
+    assert spectrum._float_split(nearly, 1e-15)[2] == 2
 
 
 def _exact_parts(x):

@@ -12,7 +12,7 @@ from koszul_index.multiplicity import global_multiplicity_table
 from koszul_index.poly import groebner, parse_system, quotient_algebra
 from koszul_index.scalars import QQi
 from koszul_index.spectrum import (_power_at_least, apply_polynomial_map,
-                                   charpoly, exact_eigenvalues,
+                                   charpoly, exact_eigenvalues, float_spectrum,
                                    generalized_eigenspace,
                                    joint_spectrum_equivalences,
                                    localized_homology, spectral_decomposition)
@@ -102,9 +102,7 @@ def test_irrational_spectrum_raises_exact_passes_float():
     t = mult_tuple("z1^2 - 2", 1)
     with pytest.raises(IrrationalSpectrum):
         spectral_decomposition(t)
-    f = CommutingTuple([Matrix.from_numpy(t.operators[0].to_numpy())])
-    dec = spectral_decomposition(f)
-    values = sorted(pt[0].real for pt, _ in dec.components)
+    values = sorted(pt[0].real for pt, _ in float_spectrum(t))
     assert values[0] == pytest.approx(-2 ** 0.5, abs=1e-6)
     assert values[1] == pytest.approx(2 ** 0.5, abs=1e-6)
 
@@ -125,19 +123,15 @@ def _conjugated_jordan(rng, blocks, steps):
     return s @ Matrix(rows) @ s_inv
 
 
-def _float_copy(m):
-    return CommutingTuple([Matrix.from_numpy(m.to_numpy())])
-
-
 @pytest.mark.parametrize("seed", [0, 10, 25, 32])
 def test_float_jordan_block_is_one_component(seed):
     # rounding splits J_2(1+5i) by about sqrt(eps) times the conditioning of
     # S, often beyond tol.cluster; its two eigenvectors stay parallel
     m = _conjugated_jordan(random.Random(seed),
                            [(QQi(1, 5), 2), (QQi(2), 1)], 12)
-    dec = spectral_decomposition(_float_copy(m))
-    assert [n for _, n in dec.multiplicities()] == [2, 1]
-    points = [pt[0] for pt, _ in dec.multiplicities()]
+    pairs = float_spectrum(CommutingTuple([m]))
+    assert [n for _, n in pairs] == [2, 1]
+    points = [pt[0] for pt, _ in pairs]
     assert points == [pytest.approx(1 + 5j, abs=1e-6), pytest.approx(2, abs=1e-6)]
 
 
@@ -155,6 +149,21 @@ def _gaussian_blocks(rng):
             for _ in range(rng.randint(2, 4))]
 
 
+def _right_or_refused(t):
+    """True when the float split of t matches its certified exact table, False
+    when it refuses; a wrong float table fails."""
+    exact = spectral_decomposition(t).multiplicities()
+    try:
+        got = float_spectrum(t)
+    except ClusteringAmbiguity:
+        return False
+    assert len(got) == len(exact)
+    for point, mult in exact:
+        assert [n for q, n in got
+                if all(abs(x - complex(p)) < 1e-6 for x, p in zip(q, point))] == [mult]
+    return True
+
+
 def test_float_tables_match_exact_or_refuse():
     # float copies of conjugated Jordan forms against the certified exact
     # table: a float table is right or refused, never wrong
@@ -163,16 +172,27 @@ def test_float_tables_match_exact_or_refuse():
     for trial in range(100):
         family = _jordan_blocks if trial % 2 == 0 else _gaussian_blocks
         m = _conjugated_jordan(rng, family(rng), 20)
-        exact = spectral_decomposition(CommutingTuple([m])).multiplicities()
-        try:
-            got = spectral_decomposition(_float_copy(m)).multiplicities()
-        except ClusteringAmbiguity:
-            continue
-        assert len(got) == len(exact), trial
-        for point, mult in exact:
-            assert [n for q, n in got if abs(q[0] - complex(point[0])) < 1e-6] == [mult], trial
-        right += 1
+        right += _right_or_refused(CommutingTuple([m]))
     assert right >= 80
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_float_joint_tables_match_exact_or_refuse(count):
+    # families whose later operators the float split restricts to each
+    # eigenspace of the first by least squares; only families the exact
+    # split certifies are compared
+    rng = random.Random(500 + count)
+    right = certified = 0
+    while certified < 40:
+        ops = suites.random_commuting_family(rng, count, rng.randint(2, 6))
+        try:
+            t = CommutingTuple(ops)
+            spectral_decomposition(t)
+        except IrrationalSpectrum:
+            continue
+        certified += 1
+        right += _right_or_refused(t)
+    assert right >= 30
 
 
 def test_equivalences_examples():

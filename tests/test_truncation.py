@@ -15,7 +15,7 @@ from koszul_index.multiplicity import (build_diagonal_system,
                                        local_multiplicity)
 from koszul_index.poly import (Polynomial, mono_degree, mono_mul,
                                monomials_of_degree, parse_system)
-from koszul_index.scalars import EXACT, QQi
+from koszul_index.scalars import QQi
 from koszul_index.suites import compose
 
 DEFAULTS = cli.Scenario("defaults", "IDENTITIES", {}, "exact", None, 7)
@@ -43,7 +43,7 @@ def _dense_codimension(system_at_origin, bound):
                 if mono_degree(shifted) < bound:
                     row[position[shifted]] = row[position[shifted]] + coeff
             rows.append(row)
-    rank = linalg.rank(Matrix(rows, EXACT, shape=(len(rows), len(position)))) if rows else 0
+    rank = linalg.rank(Matrix(rows, shape=(len(rows), len(position)))) if rows else 0
     return len(position) - rank
 
 
