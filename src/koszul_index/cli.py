@@ -538,8 +538,9 @@ def run_scenario(scenario: Scenario) -> dict:
     try:
         report = execute_scenario(scenario)
     except (KoszulIndexError, AssertionError) as err:
-        report = _report(scenario, KINDS[scenario.kind].backend(scenario.backend),
-                         {}, [],
+        # an error names the backend that raised it (models._raised_on), if not the default
+        backend = getattr(err, "backend", KINDS[scenario.kind].backend(scenario.backend))
+        report = _report(scenario, backend, {}, [],
                          {"type": type(err).__name__, "message": str(err)})
     report["_wall_ms"] = (time.perf_counter() - started) * 1000.0
     return report

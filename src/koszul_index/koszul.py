@@ -2,15 +2,15 @@
 
 The chain space in degree k is V tensored with the k-th exterior power of
 C^n; the differential contracts each exterior slot against the matching
-operator. Basis subsets are ordered lexicographically and the interior
-product uses the sign (-1)^(position-1), which pins every differential
-matrix bit-exactly. Every complex is exact: the index is an integer and
-every operator is a Matrix of Gaussian rationals.
+operator. `shape(n)` fixes the basis and signs once per n, which pins every
+differential matrix bit-exactly. Every complex is exact: the index is an
+integer and every operator is a Matrix of Gaussian rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from . import linalg
@@ -19,14 +19,38 @@ from .linalg import Matrix
 from .scalars import QQi
 
 
-def subsets(n: int, k: int):
-    """Size-k subsets of {1..n} in lexicographic order."""
-    return list(combinations(range(1, n + 1), k))
+@dataclass(frozen=True)
+class KoszulShape:
+    """The exterior-basis bookkeeping of the Koszul complexes on n operators."""
+
+    bases: tuple  # bases[k]: the size-k subsets of {1..n}, lexicographic
+    faces: tuple  # faces[k][c]: (operator index, row block, sign) per e_i in bases[k][c]
+    cone: tuple  # cone[k]: (block of shape(n+1).bases[k], sign) per K_k block, then K_(k-1)
 
 
-def removal_sign(subset, i) -> int:
-    """Sign of contracting e_i out of e_subset: (-1)^(position-1)."""
-    return -1 if subset.index(i) % 2 else 1
+@cache
+def shape(n: int) -> KoszulShape:
+    """The one holder of the exterior-basis convention: contracting e_i out of
+    e_S, with i in position j of S, gives (-1)^(j-1) e_(S - i). The cone of b
+    over K(A) maps S in K_k to S in K(A, b), and S in K_(k-1) to S + {n+1}
+    with the sign (-1)^(k-1) of moving e_(n+1) last; a bijection, checked."""
+    wide = [list(combinations(range(1, n + 2), k)) for k in range(n + 2)]
+    wide_pos = [{s: i for i, s in enumerate(level)} for level in wide]
+    bases = tuple(tuple(s for s in level if n + 1 not in s) for level in wide[:n + 1])
+    pos = [{s: i for i, s in enumerate(level)} for level in bases]
+    faces = tuple(tuple(tuple((i - 1, pos[k - 1][s[:j] + s[j + 1:]], -1 if j % 2 else 1)
+                              for j, i in enumerate(s)) for s in level)
+                  for k, level in enumerate(bases))
+    cone = []
+    for k in range(n + 2):
+        images = [(wide_pos[k][s], 1) for s in bases[k]] if k <= n else []
+        if k:
+            sign = 1 if k % 2 else -1
+            images += [(wide_pos[k][s + (n + 1,)], sign) for s in bases[k - 1]]
+        if sorted(block for block, _ in images) != list(range(len(wide[k]))):
+            raise AssertionError(f"the degree-{k} cone images are no bijection")
+        cone.append(tuple(images))
+    return KoszulShape(bases, faces, tuple(cone))
 
 
 class CommutingTuple:
@@ -141,7 +165,7 @@ class ChainComplex:
 
 
 class KoszulComplex(ChainComplex):
-    """The Koszul complex of a commuting tuple, with its subset bookkeeping. Two
+    """The Koszul complex of a commuting tuple, laid out by `shape(n)`. Two
     operators form no d_1 * d_2 = [A_1 A_2][-A_2; A_1] = -[A_1, A_2]: `commutes` in
     `CommutingTuple._setup`, or the caller of `CommutingTuple.proven`, proved it zero."""
 
@@ -172,30 +196,21 @@ class HomologyProfile:
 
 
 def build_complex(t: CommutingTuple) -> KoszulComplex:
-    """The Koszul complex of t; d squared = 0 is checked at build (see
-    `KoszulComplex`)."""
-    n, d = t.n, t.dim
-    zero = QQi(0)
-    dims = [d * len(subsets(n, k)) for k in range(n + 1)]
+    """The Koszul complex of t, each operator placed at the faces of
+    `shape(n)`; d squared = 0 is checked at build (see `KoszulComplex`)."""
+    d, sh, zero = t.dim, shape(t.n), QQi(0)
+    dims = [d * len(basis) for basis in sh.bases]
     diffs = {}
-    for k in range(1, n + 1):
-        source = subsets(n, k)
-        target = subsets(n, k - 1)
-        target_pos = {s: i for i, s in enumerate(target)}
-        rows = [[zero] * (d * len(source)) for _ in range(d * len(target))]
-        for ci, subset in enumerate(source):
-            for i in subset:
-                sign = removal_sign(subset, i)
-                ri = target_pos[tuple(x for x in subset if x != i)]
-                op = t.operators[i - 1]
-                for r in range(d):
+    for k in range(1, t.n + 1):
+        rows = [[zero] * dims[k] for _ in range(dims[k - 1])]
+        for ci, faces in enumerate(sh.faces[k]):
+            for i, ri, sign in faces:
+                for r, oprow in enumerate(t.operators[i].entries):
                     row = rows[ri * d + r]
-                    oprow = op.entries[r]
-                    for c in range(d):
-                        v = oprow[c]
+                    for c, v in enumerate(oprow):
                         if v:
                             row[ci * d + c] = v if sign > 0 else -v
-        diffs[k] = Matrix(rows, shape=(d * len(target), d * len(source)))
+        diffs[k] = Matrix(rows, shape=(dims[k - 1], dims[k]))
     return KoszulComplex(t, dims, diffs)
 
 
@@ -215,7 +230,7 @@ def homology(c: ChainComplex) -> HomologyProfile:
 def homology_action(c: KoszulComplex, k: int, operators):
     """The matrices, in one basis of H_k(c), of the maps induced on it by
     `operators`, each of which commutes with the tuple of c."""
-    ident = Matrix.identity(len(subsets(c.n, k)))
+    ident = Matrix.identity(len(shape(c.n).bases[k]))
     return linalg.induced_on_subquotient([ident.kron(op) for op in operators],
                                          c.cycles(k), c.boundaries(k))[0]
 
@@ -226,69 +241,43 @@ def mapping_cone(c: KoszulComplex, b: Matrix) -> ChainComplex:
     Requires b to commute with every operator of the tuple. The cone in
     degree k is K_k + K_(k-1) with differential [[d, b], [0, -d]].
     """
-    for op in c.tuple.operators:
-        if not linalg.commutes(op, b):
-            raise CommutatorError("cone operator does not commute with the tuple")
+    if not all(linalg.commutes(op, b) for op in c.tuple.operators):
+        raise CommutatorError("cone operator does not commute with the tuple")
     cone_dims = [hi + lo for hi, lo in zip(c.dims + [0], [0] + c.dims)]
     return ChainComplex(cone_dims, _cone(c, b))
 
 
 def _cone(c: KoszulComplex, b: Matrix) -> dict:
     """The differentials {k: matrix} of the cone of b over c, for a b already
-    known to commute with the tuple."""
-    n, dims = c.n, c.dims
+    known to commute with the tuple; the blocks of K_(n+1) and K_(-1) are empty."""
+    n, dims, bases = c.n, c.dims, shape(c.n).bases
     diffs = {}
     for k in range(1, n + 2):
-        blocks = []
-        if dims[k - 1]:
-            row = []
-            if k <= n:
-                row.append(c.d(k))
-            row.append(Matrix.identity(len(subsets(n, k - 1))).kron(b))
-            blocks.append(row)
-        if k >= 2 and dims[k - 2]:
-            row = []
-            if k <= n:
-                row.append(Matrix.zeros(dims[k - 2], dims[k]))
-            row.append(-c.d(k - 1))
-            blocks.append(row)
+        top = [c.d(k)] if k <= n else []
+        blocks = [top + [Matrix.identity(len(bases[k - 1])).kron(b)]]
+        if k >= 2:
+            left = [Matrix.zeros(dims[k - 2], dims[k])] if k <= n else []
+            blocks.append(left + [-c.d(k - 1)])
         diffs[k] = Matrix.block(blocks)
     return diffs
 
 
 def verify_cone_isomorphism(c: KoszulComplex, b: Matrix) -> bool:
-    """Check that the explicit degreewise map from the cone of b over the
-    Koszul complex c of A onto K(A + b, V) is a bijective chain map.
-
-    The map sends the K_k summand to the matching subsets of {1..n} and the
-    K_(k-1) summand to the subsets extended by n+1, with the sign of moving
-    the new generator into last position. So in each degree it is a signed
-    permutation, kept as the full-complex row and the sign of each cone
-    column: it is bijective when those rows are a permutation, and a chain
-    map when full.d(k), with its rows and columns so permuted and signed,
-    equals the cone's d_k. Both hold the same operator entries up to sign,
-    so they are compared by equality, with no arithmetic.
-    The cone's own d*d = 0 then needs no product:
-    it is the conjugate of full.d*full.d, checked when the complex of the
-    extended tuple is built: over one exact operator, by `extend` checking b.
+    """Check that the signed permutation `shape(n).cone`, bijective by
+    construction, is a chain map from the cone of b over the Koszul complex c
+    of A onto K(A + b, V): full.d(k), its rows and columns so permuted and
+    signed, must equal the cone's d_k. Both hold the same operator entries up
+    to sign, so they are compared by equality, with no arithmetic. The cone's
+    own d*d = 0 then needs no product: it is the conjugate of full.d*full.d,
+    checked when the complex of the extended tuple is built (over one exact
+    operator, by `extend` checking b).
     """
-    t = c.tuple
+    t, d = c.tuple, c.tuple.dim
     full = build_complex(t.extend(b))  # extend checks b against the tuple
     cone = _cone(c, b)
-    n, d = t.n, t.dim
-    alphas = []  # (row, sign) of each cone column, per degree
-    for k in range(n + 2):
-        target_pos = {s: i for i, s in enumerate(subsets(n + 1, k))}
-        images = [(target_pos[subset], 1) for subset in subsets(n, k)]
-        if k >= 1:
-            sign = 1 if (k - 1) % 2 == 0 else -1
-            images += [(target_pos[subset + (n + 1,)], sign)
-                       for subset in subsets(n, k - 1)]
-        alpha = [(ri * d + v, s) for ri, s in images for v in range(d)]
-        if sorted(row for row, _ in alpha) != list(range(full.dims[k])):
-            return False
-        alphas.append(alpha)
-    for k in range(1, n + 2):
+    alphas = [[(block * d + v, s) for block, s in images for v in range(d)]
+              for images in shape(t.n).cone]  # (row, sign) of each cone column
+    for k in range(1, t.n + 2):
         entries = full.d(k).entries
         pulled = tuple(tuple(entries[r][col] if rs == cs else -entries[r][col]
                              for col, cs in alphas[k]) for r, rs in alphas[k - 1])

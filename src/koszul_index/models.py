@@ -11,13 +11,14 @@ boundary are refused because the index function jumps there.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import koszul, spectrum
-from .errors import (ArityMismatch, IrrationalSpectrum, NotAZero, NotNilpotent,
-                     ZeroOnBoundary)
+from .errors import (ArityMismatch, IrrationalSpectrum, KoszulIndexError, NotAZero,
+                     NotNilpotent, ZeroOnBoundary)
 from .koszul import CommutingTuple
 from .linalg import Matrix
 from .multiplicity import (global_multiplicity_table, local_multiplicity,
@@ -152,6 +153,17 @@ class IndexReport:
         return all(c.passed for c in self.checks)
 
 
+@contextmanager
+def _raised_on(backend: str):
+    """Name `backend` as the `backend` of an error raised inside: an error
+    after the float fallback fired is reported under float, not exact."""
+    try:
+        yield
+    except (KoszulIndexError, AssertionError) as err:
+        err.backend = backend
+        raise
+
+
 def classify_zeros(mt: ModelTuple, tol: float = DEFAULT_TOL):
     """All zeros of the symbol with multiplicities, each tagged against the
     domain; zeros on the boundary raise ZeroOnBoundary. `tol` is the float
@@ -159,15 +171,17 @@ def classify_zeros(mt: ModelTuple, tol: float = DEFAULT_TOL):
     try:
         table = global_multiplicity_table(list(mt.system), tol=tol)
     except IrrationalSpectrum:
-        table = global_multiplicity_table(list(mt.system), tol=tol, backend=FLOAT)
+        with _raised_on(FLOAT):
+            table = global_multiplicity_table(list(mt.system), tol=tol, backend=FLOAT)
     records = []
-    for point, m in table.entries:
-        location = mt.domain.classify(point)
-        if location == BOUNDARY:
-            raise ZeroOnBoundary(
-                "a symbol zero lies on the domain boundary; the model tuple "
-                "is not Fredholm there")
-        records.append(ZeroRecord(point, m, location, -1 if location == INTERIOR else 0))
+    with _raised_on(table.backend):
+        for point, m in table.entries:
+            location = mt.domain.classify(point)
+            if location == BOUNDARY:
+                raise ZeroOnBoundary(
+                    "a symbol zero lies on the domain boundary; the model tuple "
+                    "is not Fredholm there")
+            records.append(ZeroRecord(point, m, location, -1 if location == INTERIOR else 0))
     return records, table
 
 
@@ -196,51 +210,46 @@ def global_index(mt: ModelTuple, tol: float = DEFAULT_TOL,
     compared against the numeric winding oracle.
     """
     records, table = classify_zeros(mt, tol)
-    checks = []
-    locals_ = []
-    total = 0
-    for rec in records:
-        contribution = rec.multiplicity * rec.coordinate_index
-        locals_.append((rec.point, contribution))
-        total += contribution
-    skipped = []
-    if table.backend == EXACT:
-        recomputed = 0
-        for rec in records:
-            recomputed += local_index(mt, rec.point, n_max)
-        checks.append(Check(
-            "sum_of_local_indices", recomputed == total,
-            f"truncation route {recomputed} vs eigenspace route {total}"))
-    else:
-        skipped.append(("sum_of_local_indices",
-                        "the zeros leave Q(i) and the truncation route is exact-only"))
-    interior_mult = sum(r.multiplicity for r in records if r.location == INTERIOR)
-    checks.append(Check(
-        "interior_zero_count", total == -interior_mult,
-        f"interior multiplicity {interior_mult}"))
-    if records and all(r.location == INTERIOR for r in records):
-        checks.append(Check(
-            "all_interior_quotient_dimension", total == -table.quotient_dim,
-            f"quotient dimension {table.quotient_dim}"))
-    if mt.domain.dimension == 1:
-        try:
-            w = winding_number(mt.system[0], complex(mt.domain.center[0]),
-                               float(mt.domain.radii[0]))
-        except OverflowError:
-            skipped.append(("univariate_winding_oracle",
-                            "the sampling circle or the symbol leaves float range"))
-        else:
-            rounded = round(w)
+    with _raised_on(table.backend):
+        locals_ = [(rec.point, rec.multiplicity * rec.coordinate_index) for rec in records]
+        total = sum(contribution for _, contribution in locals_)
+        checks = []
+        skipped = []
+        if table.backend == EXACT:
+            recomputed = sum(local_index(mt, rec.point, n_max) for rec in records)
             checks.append(Check(
-                "univariate_winding_oracle",
-                abs(w - rounded) < 0.1 and total == -rounded,
-                f"winding {w:.6f}"))
-    report = IndexReport(tuple(records), tuple(locals_), total,
-                         table.quotient_dim, table.backend, tuple(checks),
-                         tuple(skipped))
-    if not report.all_passed:
-        raise AssertionError(f"index cross-checks failed: {report.checks}")
-    return report
+                "sum_of_local_indices", recomputed == total,
+                f"truncation route {recomputed} vs eigenspace route {total}"))
+        else:
+            skipped.append(("sum_of_local_indices",
+                            "the zeros leave Q(i) and the truncation route is exact-only"))
+        interior_mult = sum(r.multiplicity for r in records if r.location == INTERIOR)
+        checks.append(Check(
+            "interior_zero_count", total == -interior_mult,
+            f"interior multiplicity {interior_mult}"))
+        if records and all(r.location == INTERIOR for r in records):
+            checks.append(Check(
+                "all_interior_quotient_dimension", total == -table.quotient_dim,
+                f"quotient dimension {table.quotient_dim}"))
+        if mt.domain.dimension == 1:
+            try:
+                w = winding_number(mt.system[0], complex(mt.domain.center[0]),
+                                   float(mt.domain.radii[0]))
+            except OverflowError:
+                skipped.append(("univariate_winding_oracle",
+                                "the sampling circle or the symbol leaves float range"))
+            else:
+                rounded = round(w)
+                checks.append(Check(
+                    "univariate_winding_oracle",
+                    abs(w - rounded) < 0.1 and total == -rounded,
+                    f"winding {w:.6f}"))
+        report = IndexReport(tuple(records), tuple(locals_), total,
+                             table.quotient_dim, table.backend, tuple(checks),
+                             tuple(skipped))
+        if not report.all_passed:
+            raise AssertionError(f"index cross-checks failed: {report.checks}")
+        return report
 
 
 # -- regular case transforms ---------------------------------------------------
@@ -329,21 +338,22 @@ def reciprocity_check(domain_a: DomainDescriptor, domain_b: DomainDescriptor,
     mt_a = ModelTuple(domain_a, tuple(system))
     mt_b = ModelTuple(domain_b, tuple(system))
     records_a, table = classify_zeros(mt_a, tol)
-    zeros = []
-    lhs = 0
-    rhs = 0
-    for rec in records_a:
-        loc_b = domain_b.classify(rec.point)
-        if loc_b == BOUNDARY:
-            raise ZeroOnBoundary("a symbol zero lies on the second boundary")
-        ind_mu_a = rec.coordinate_index              # Ind(mu - A)
-        ind_mu_b = -1 if loc_b == INTERIOR else 0    # Ind(mu - B)
-        local_a = rec.multiplicity * ind_mu_a        # Ind_mu over domain A
-        local_b = rec.multiplicity * ind_mu_b        # Ind_mu over domain B
-        lhs += ind_mu_a * local_b
-        rhs += local_a * ind_mu_b
-        zeros.append((rec.point, rec.multiplicity, rec.location, loc_b))
-    return ReciprocityReport(lhs, rhs, lhs == rhs, tuple(zeros), table.backend)
+    with _raised_on(table.backend):
+        zeros = []
+        lhs = 0
+        rhs = 0
+        for rec in records_a:
+            loc_b = domain_b.classify(rec.point)
+            if loc_b == BOUNDARY:
+                raise ZeroOnBoundary("a symbol zero lies on the second boundary")
+            ind_mu_a = rec.coordinate_index              # Ind(mu - A)
+            ind_mu_b = -1 if loc_b == INTERIOR else 0    # Ind(mu - B)
+            local_a = rec.multiplicity * ind_mu_a        # Ind_mu over domain A
+            local_b = rec.multiplicity * ind_mu_b        # Ind_mu over domain B
+            lhs += ind_mu_a * local_b
+            rhs += local_a * ind_mu_b
+            zeros.append((rec.point, rec.multiplicity, rec.location, loc_b))
+        return ReciprocityReport(lhs, rhs, lhs == rhs, tuple(zeros), table.backend)
 
 
 # -- nilpotent tensor bookkeeping ------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import koszul, linalg
-from .koszul import CommutingTuple, subsets
+from .koszul import CommutingTuple
 from .linalg import Matrix
 
 
@@ -27,8 +27,9 @@ class Bicomplex:
     the order of the pairs (I, J), so the vertical (p -> p-1) and horizontal
     (q -> q-1) parts of the joined differential are those of K(A) tensor
     K(B). The bicomplex laws (both squares vanish, the two parts
-    anticommute) are the three filtration components of d*d = 0, which
-    ChainComplex asserts when the joined complex is built.
+    anticommute) are the three filtration components of d*d = 0. Building
+    the joined complex asserts that, except for n = m = 1: a pair forms no
+    product, and the laws rest on `join`'s exact cross-pair `commutes`.
 
     Pages and the approximate-cycle subspaces they come from are computed
     once per bicomplex and cached. Products use only the target block's
@@ -49,11 +50,10 @@ class Bicomplex:
         self.complex = koszul.build_complex(self.joined)
         # blocks[k][p]: indices of K_{p,k-p} in the joined degree-k basis
         self.blocks = []
-        for k in range(n + m + 1):
+        for basis in koszul.shape(n + m).bases:
             by_p = [[] for _ in range(n + 1)]
-            for pos, subset in enumerate(subsets(n + m, k)):
-                p = sum(1 for i in subset if i <= n)
-                by_p[p].extend(range(pos * d, pos * d + d))
+            for pos, subset in enumerate(basis):
+                by_p[sum(i <= n for i in subset)].extend(range(pos * d, pos * d + d))
             self.blocks.append(by_p)
         self.dims = [[len(self.blocks[p + q][p]) for q in range(m + 1)]
                      for p in range(n + 1)]

@@ -365,6 +365,31 @@ def test_error_reports_name_the_backend_a_success_would(tmp_path):
     assert [r["backend"] for r in reports] == ["exact", "float"]
 
 
+def _disc(radius):
+    return {"kind": "polydisc", "center": ["0"], "radii": [radius]}
+
+
+_NEAR_SQRT2 = "14142135623730951/10000000000000000"  # within the float boundary margin
+
+
+@pytest.mark.parametrize("kind, huge, float_edge, exact_edge", [
+    ("INDEX", {"domain": _disc("1")}, {"domain": _disc(_NEAR_SQRT2)},
+     {"domain": _disc("1")}),
+    ("RECIPROCITY", {"domain_a": _disc("1"), "domain_b": _disc("1/2")},
+     {"domain_a": _disc("1"), "domain_b": _disc(_NEAR_SQRT2)},
+     {"domain_a": _disc("2"), "domain_b": _disc("1")}),
+])
+def test_error_reports_name_the_backend_that_raised(kind, huge, float_edge, exact_edge):
+    # the zeros of z1^2 - 2e400 and of z1^2 - 2 leave Q(i), so the float
+    # fallback runs: its own error, and a float zero refused on a boundary,
+    # are reported under float; the exact zero of z1 - 1 on a boundary stays exact
+    runs = [(huge, f"z1^2-2{'0' * 400}"), (float_edge, "z1^2-2"), (exact_edge, "z1-1")]
+    reports = [cli.run_scenario(Scenario(kind, kind, {**domains, "system": system}))
+               for domains, system in runs]
+    assert [(r["backend"], r["error"]["type"]) for r in reports] == [
+        ("float", "ResourceLimit"), ("float", "ZeroOnBoundary"), ("exact", "ZeroOnBoundary")]
+
+
 _RUN_GROUPS = """
 import io, json, sys
 from koszul_index import cli

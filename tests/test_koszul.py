@@ -1,8 +1,10 @@
+import dataclasses
+import functools
 import random
 
 import pytest
 
-from koszul_index import cli, koszul, linalg, suites
+from koszul_index import cli, koszul, linalg, spectral, suites
 from koszul_index.errors import BackendMismatch, CommutatorError
 from koszul_index.koszul import (CommutingTuple, HomologyProfile, build_complex,
                                  homology, mapping_cone, verify_cone_isomorphism)
@@ -143,16 +145,119 @@ def test_homology_matches_the_iterated_cone_oracle():
     assert nonzero >= 24
 
 
+def _patch_shape(monkeypatch, mutate):
+    """Every Koszul builder reads `koszul.shape`: patch in a mutated copy."""
+    real = koszul.shape
+    monkeypatch.setattr(koszul, "shape", functools.cache(lambda n: mutate(real(n))))
+
+
+def _all_signs_plus(sh):
+    return dataclasses.replace(sh, faces=tuple(
+        tuple(tuple((i, ri, 1) for i, ri, _ in col) for col in level)
+        for level in sh.faces))
+
+
+def _drop_a_face(sh):
+    # the A_1 term of e_1 ^ e_2 in d_2
+    if len(sh.faces) < 3:
+        return sh
+    faces = list(sh.faces)
+    faces[2] = (faces[2][0][1:],) + faces[2][1:]
+    return dataclasses.replace(sh, faces=tuple(faces))
+
+
+def _flip_a_cone_sign(sh):
+    # the image of e_1 in the degree-1 cone basis
+    cone = list(sh.cone)
+    (block, sign), *rest = cone[1]
+    cone[1] = ((block, -sign), *rest)
+    return dataclasses.replace(sh, cone=tuple(cone))
+
+
 def test_square_zero_oracle_flags_a_flipped_sign(monkeypatch):
     # with every removal sign +1, d_1 d_2 = A_1 A_2 + A_2 A_1 = 4J here: an
     # exact pair no longer catches that at build, the oracle does, and three
     # operators still multiply at build
     t = CommutingTuple([JORDAN, exact([[2, 1], [0, 2]])])
     assert square_zero(build_complex(t))
-    monkeypatch.setattr(koszul, "removal_sign", lambda subset, i: 1)
+    _patch_shape(monkeypatch, _all_signs_plus)
     assert not square_zero(build_complex(t))
     with pytest.raises(AssertionError, match="d_1 after d_2"):
         build_complex(t.extend(Matrix.identity(2)))
+
+
+def _rejections():
+    """The checks that reject the current shape: the build-time d*d check
+    (n = 3), the square_zero oracle (n = 2) and the cone isomorphism (n = 1)."""
+    pair = CommutingTuple([JORDAN, exact([[2, 1], [0, 2]])])
+    out = set()
+    try:
+        build_complex(pair.extend(Matrix.identity(2)))
+    except AssertionError:
+        out.add("build")
+    if not square_zero(build_complex(pair)):
+        out.add("square_zero")
+    if not verify_cone_isomorphism(build_complex(CommutingTuple([JORDAN])),
+                                   pair.operators[1]):
+        out.add("cone")
+    return out
+
+
+@pytest.mark.parametrize("mutate, rejected_by", [
+    (_drop_a_face, {"build", "square_zero", "cone"}),
+    (_flip_a_cone_sign, {"cone"}),
+], ids=["dropped_face", "wrong_cone_sign"])
+def test_shape_mutations_are_rejected(monkeypatch, mutate, rejected_by):
+    assert _rejections() == set()
+    _patch_shape(monkeypatch, mutate)
+    assert _rejections() == rejected_by
+
+
+def _lex_subsets(n, k):
+    return sorted(tuple(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
+                  for mask in range(2 ** n) if bin(mask).count("1") == k)
+
+
+def _parity(seq):
+    """The sign of the permutation that sorts seq: -1 to its inversions."""
+    inversions = sum(a > b for x, a in enumerate(seq) for b in seq[x + 1:])
+    return -1 if inversions % 2 else 1
+
+
+def test_shape_matches_an_independent_exterior_oracle():
+    # contracting e_i out of e_S first moves e_i to the front; the cone sends
+    # S in K_(k-1) to S + {n+1}, moving e_(n+1) from the front to the back
+    for n in range(6):
+        sh = koszul.shape(n)
+        assert [list(basis) for basis in sh.bases] == [_lex_subsets(n, k)
+                                                        for k in range(n + 1)]
+        for k in range(1, n + 1):
+            lower = _lex_subsets(n, k - 1)
+            for s, faces in zip(sh.bases[k], sh.faces[k]):
+                rest = [tuple(x for x in s if x != i) for i in s]
+                assert list(faces) == [(i - 1, lower.index(r), _parity((i,) + r))
+                                       for i, r in zip(s, rest)]
+        for k, images in enumerate(sh.cone):
+            wide = _lex_subsets(n + 1, k)
+            expected = [(wide.index(s), 1) for s in _lex_subsets(n, k)]
+            expected += [(wide.index(s + (n + 1,)), _parity((n + 1,) + s))
+                         for s in _lex_subsets(n, k - 1)] if k else []
+            assert list(images) == expected
+            assert sorted(block for block, _ in images) == list(range(len(wide)))
+
+
+def test_shape_is_built_once_per_n():
+    koszul.shape.cache_clear()
+    rng = random.Random(67)
+    for _ in range(3):
+        t, b = random_cone_instance(rng, 2, 2)
+        c = build_complex(t)
+        koszul.homology_action(c, 1, [b])
+        mapping_cone(c, b)
+        assert verify_cone_isomorphism(c, b)
+        spectral.build_bicomplex(t, CommutingTuple([b]))
+    info = koszul.shape.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)  # n = 2 and n + 1 = 3
 
 
 def test_exact_pair_builds_form_no_product(monkeypatch):

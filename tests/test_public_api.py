@@ -1,5 +1,5 @@
 import koszul_index
-from koszul_index import models, poly
+from koszul_index import koszul, models, poly
 
 
 def test_every_exported_name_resolves():
@@ -13,9 +13,11 @@ def test_every_exported_name_resolves():
 
 def test_removed_names_stay_gone():
     # grevlex is the only term order, one polynomial parses as a
-    # one-element system, and the regular-case transforms are private
+    # one-element system, the regular-case transforms are private, and
+    # koszul.shape is the one holder of the exterior-basis convention
     removed = [(poly, ("LEX", "MonomialOrder", "DEGREVLEX", "parse_polynomial")),
-               (models, ("r_matrix", "l_matrix"))]
+               (models, ("r_matrix", "l_matrix")),
+               (koszul, ("subsets", "removal_sign"))]
     for module, names in removed:
         for name in names:
             assert not hasattr(koszul_index, name), name
