@@ -211,8 +211,17 @@ def _point_strs(point):
     return [scalar_str(x) for x in point]
 
 
-def _check_dict(name, passed, detail=""):  # kept until emitted: share repeated texts
-    return {"name": sys.intern(name), "passed": bool(passed), "detail": sys.intern(detail)}
+def _check_dict(name, passed, detail=""):
+    return {"name": name, "passed": bool(passed), "detail": detail}
+
+
+_SHARED = {}  # repr -> the first outputs or checks with it, bounded
+
+
+def _shared(value):  # reports are kept until emitted; nothing mutates these values
+    if len(_SHARED) >= 4096:
+        _SHARED.clear()
+    return _SHARED.setdefault(repr(value), value)
 
 
 def _apply_expect(expect, outputs, checks):
@@ -530,7 +539,7 @@ def execute_scenario(scenario: Scenario) -> dict:
     tol = DEFAULT_TOL if scenario.tol is None else float(scenario.tol)
     backend = kind.run(kind.inputs(scenario.payload, scenario.backend), tol, outputs, checks)
     _apply_expect(scenario.payload.get("expect"), outputs, checks)
-    return _report(scenario, backend, outputs, checks)
+    return _report(scenario, backend, _shared(outputs), _shared(checks))
 
 
 def run_scenario(scenario: Scenario) -> dict:

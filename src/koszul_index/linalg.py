@@ -423,7 +423,7 @@ class SparseEchelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def rank_below(self, column) -> int:
+    def rank_below(self, column: int) -> int:
         """Rank of the rows projected onto the columns before `column`: the
         number of rows that lead there, since their leads are distinct."""
         return sum(1 for lead in self._rows if lead < column)

@@ -21,8 +21,8 @@ from .errors import (ArityMismatch, IrrationalSpectrum, KoszulIndexError, NotAZe
                      NotNilpotent, ZeroOnBoundary)
 from .koszul import CommutingTuple
 from .linalg import Matrix
-from .multiplicity import (global_multiplicity_table, local_multiplicity,
-                           winding_number)
+from .multiplicity import local_multiplicity, multiplicity_table, winding_number
+from .poly import groebner, quotient_algebra
 from .scalars import DEFAULT_TOL, EXACT, FLOAT, QQi
 
 INTERIOR = "interior"
@@ -167,12 +167,13 @@ def _raised_on(backend: str):
 def classify_zeros(mt: ModelTuple, tol: float = DEFAULT_TOL):
     """All zeros of the symbol with multiplicities, each tagged against the
     domain; zeros on the boundary raise ZeroOnBoundary. `tol` is the float
-    kernel cut of the fallback for zeros outside Q(i)."""
+    kernel cut of the fallback for zeros outside Q(i) on the same algebra."""
+    algebra = quotient_algebra(groebner(list(mt.system)))
     try:
-        table = global_multiplicity_table(list(mt.system), tol=tol)
+        table = multiplicity_table(algebra, tol)
     except IrrationalSpectrum:
         with _raised_on(FLOAT):
-            table = global_multiplicity_table(list(mt.system), tol=tol, backend=FLOAT)
+            table = multiplicity_table(algebra, tol, FLOAT)
     records = []
     with _raised_on(table.backend):
         for point, m in table.entries:

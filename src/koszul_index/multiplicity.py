@@ -15,6 +15,7 @@ the order-N truncation span, and the rows that lead higher lie in degrees >= N.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,8 +23,8 @@ from . import linalg, spectrum
 from .errors import (ArityMismatch, NotAZero, NotIsolated, ResourceLimit,
                      ZeroOnBoundary)
 from .linalg import SparseEchelon
-from .poly import (Polynomial, groebner, mono_degree, mono_mul,
-                   monomials_of_degree, quotient_algebra)
+from .poly import (Polynomial, groebner, mono_mul, monomials_of_degree,
+                   quotient_algebra)
 from .koszul import CommutingTuple
 from .scalars import DEFAULT_TOL, EXACT, FLOAT, QQi
 
@@ -55,18 +56,26 @@ class _Truncation:
     """The products m * g_i of a system at the origin in one SparseEchelon
     that grows with the truncation order: order N adds the products whose
     least degree is N - 1, each generator's coefficients cleared to
-    Gaussian integers once. A column is a (degree, monomial) pair."""
+    Gaussian integers once. Columns number the monomials by degree first,
+    so those of degree < N are the first C(N - 1 + n, n)."""
 
     def __init__(self, system_at_origin):
         self.nvars = system_at_origin[0].nvars
-        self.gens = []  # (order of vanishing, [((degree, monomial), pair)])
+        self.gens = []  # (order of vanishing, [(monomial, pair)])
         for g in system_at_origin:
             if not g.is_zero():
                 _, pairs = linalg._clear_denominators(g.terms.values())
-                columns = [(mono_degree(m), m) for m in g.terms]
-                self.gens.append((g.order_of_vanishing(), list(zip(columns, pairs))))
+                self.gens.append((g.order_of_vanishing(), list(zip(g.terms, pairs))))
+        self.columns = {}  # monomial -> column
+        self.unnumbered = (m for d in itertools.count()
+                           for m in sorted(monomials_of_degree(self.nvars, d)))
         self.echelon = SparseEchelon()
         self.order = 0
+
+    def column(self, mono) -> int:
+        while mono not in self.columns:
+            self.columns[next(self.unnumbered)] = len(self.columns)
+        return self.columns[mono]
 
     def codimension(self, order_bound):
         """codim of span{trunc(m * g_i)} inside polynomials of degree <
@@ -77,11 +86,10 @@ class _Truncation:
             for ord_g, terms in self.gens:
                 deg_m = self.order - 1 - ord_g
                 for mult in monomials_of_degree(self.nvars, deg_m) if deg_m >= 0 else ():
-                    self.echelon.add({(d + deg_m, mono_mul(mono, mult)): pair
-                                      for (d, mono), pair in terms})
+                    self.echelon.add({self.column(mono_mul(mono, mult)): pair
+                                      for mono, pair in terms})
         below = math.comb(order_bound - 1 + self.nvars, self.nvars)
-        # (N,) sorts after every column of degree < N and before the rest
-        return below - self.echelon.rank_below((order_bound,))
+        return below - self.echelon.rank_below(below)
 
 
 def truncated_codimension(system_at_origin, order_bound: int) -> int:
@@ -170,14 +178,19 @@ class GlobalMultiplicityTable:
 
 def global_multiplicity_table(system, tol: float = DEFAULT_TOL,
                               backend: str = EXACT) -> GlobalMultiplicityTable:
+    """Zeros with multiplicities of a system (`multiplicity_table`)."""
+    return multiplicity_table(quotient_algebra(groebner(list(system))), tol, backend)
+
+
+def multiplicity_table(algebra, tol: float = DEFAULT_TOL,
+                       backend: str = EXACT) -> GlobalMultiplicityTable:
     """Zeros with multiplicities as the joint spectral decomposition of the
     multiplication tuple on the quotient algebra.
 
-    Exact mode raises IrrationalSpectrum when some zero leaves the Gaussian
-    rationals; callers may retry with backend="float", which splits float
-    copies (spectrum.float_spectrum) with the relative kernel cut `tol`.
+    Exact mode raises IrrationalSpectrum when some zero leaves Q(i); the
+    same algebra may then be split with backend="float", on float copies
+    (spectrum.float_spectrum) with the relative kernel cut `tol`.
     """
-    algebra = quotient_algebra(groebner(list(system)))
     if algebra.dim == 0:
         return GlobalMultiplicityTable((), 0, backend)
     # quotient_algebra has proved that the multiplication matrices commute

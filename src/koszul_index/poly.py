@@ -2,12 +2,16 @@
 for polynomial systems, Buchberger Groebner bases, and finite quotient
 algebras with multiplication matrices.
 
-Coefficients are always exact Gaussian rationals; float polynomials are
-rejected because basis computations are numerically unstable.
+A Polynomial maps monomials to exact QQi coefficients. Shifts, division and
+Groebner bases run on Gaussian-integer numerators, maps monomial -> (re, im)
+of ints: division multiplies by a divisor's lead, divides out the content
+(the gcd of every part) and keeps the scale it owes as one num / den pair, so
+each QQi of a result is built once, at the end; a basis is made monic then.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import re
@@ -15,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityMismatch, NotZeroDimensional, ParseError, UnknownVariable
-from .linalg import Matrix, commutes
-from .scalars import QQi
+from .linalg import Matrix, _clear_denominators, commutes
+from .scalars import ZERO, QQi
 
 Monomial = tuple  # exponent vectors, fixed length = number of variables
 
@@ -116,12 +120,8 @@ class Polynomial:
             return NotImplemented
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc = terms.get(mono, QQi(0)) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
-        return Polynomial(self.nvars, terms)
+            terms[mono] = terms.get(mono, ZERO) + coeff
+        return Polynomial(self.nvars, terms)  # which drops the zero sums
 
     __radd__ = __add__
 
@@ -147,11 +147,7 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = mono_mul(m1, m2)
-                acc = terms.get(mono, QQi(0)) + c1 * c2
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
+                terms[mono] = terms.get(mono, ZERO) + c1 * c2
         return Polynomial(self.nvars, terms)
 
     __rmul__ = __mul__
@@ -238,25 +234,35 @@ class Polynomial:
 
     def shift(self, point) -> "Polynomial":
         """The translate p(z + point), expanding each term by the binomial
-        theorem; p itself at the origin."""
+        theorem; p itself at the origin. With coefficients c / L and point
+        a / M on Gaussian-integer numerators, a term of degree |e| expands
+        over ints times M^(D - |e|), D the total degree, and the sum is
+        divided once by L * M^D."""
         point = [p if isinstance(p, QQi) else QQi(p) for p in point]
         if len(point) != self.nvars:
             raise ArityMismatch("point dimension differs from variable count")
         if not any(point):
             return self
+        lcm, coeffs = _clear_denominators(list(self.terms.values()))
+        m, ints = _clear_denominators(point)
+        degree = max(map(mono_degree, self.terms), default=0)
+        powers = [list(itertools.accumulate([a] * degree, _gauss_mul, initial=(1, 0)))
+                  for a in ints]  # powers[i][k] = a_i^k
         terms = {}
-        for mono, coeff in self.terms.items():
-            # (z_i + a_i)^e = sum over k of C(e, k) a_i^(e - k) z_i^k
-            expansions = [[(k, a ** (e - k) * QQi(math.comb(e, k)))
-                           for k in range(e + 1) if a or k == e]
-                          for a, e in zip(point, mono)]
+        for mono, c in zip(self.terms, coeffs):
+            # (z_i + a_i / M)^e * M^e = sum over k of C(e, k) a_i^(e - k) M^k z_i^k
+            expansions = [[(k, _gauss_mul(pw[e - k], (math.comb(e, k) * m ** k, 0)))
+                           for k in range(e + 1) if a != (0, 0) or k == e]
+                          for a, pw, e in zip(ints, powers, mono)]
+            lift = m ** (degree - mono_degree(mono))
             for combo in itertools.product(*expansions):
-                c = coeff
-                for _, f in combo:
-                    c = c * f
+                f = (c[0] * lift, c[1] * lift)
+                for _, x in combo:
+                    f = _gauss_mul(f, x)
                 key = tuple(k for k, _ in combo)
-                terms[key] = terms.get(key, QQi(0)) + c
-        return Polynomial(self.nvars, terms)
+                ta, tb = terms.get(key, (0, 0))
+                terms[key] = (ta + f[0], tb + f[1])
+        return Polynomial(self.nvars, _scaled(terms, (1, 0), (lcm * m ** degree, 0)))
 
     def embed(self, nvars: int, var_map) -> "Polynomial":
         """Reindex variables: old variable i+1 becomes new variable
@@ -274,11 +280,6 @@ class Polynomial:
         mono = max(self.terms, key=grevlex_key)
         return mono, self.terms[mono]
 
-    def monic(self) -> "Polynomial":
-        _, c = self.leading()
-        inv = QQi(1) / c
-        return Polynomial(self.nvars, {m: inv * v for m, v in self.terms.items()})
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -293,18 +294,14 @@ class Polynomial:
                     factors.append(f"z{i + 1}^{e}")
             body = "*".join(factors)
             cs = str(coeff)
-            if body:
-                if coeff == QQi(1):
-                    text = body
-                elif coeff == QQi(-1):
-                    text = f"-{body}"
-                elif ("+" in cs[1:]) or ("-" in cs[1:]):
-                    text = f"({cs})*{body}"
-                else:
-                    text = f"{cs}*{body}"
+            if "+" in cs[1:] or "-" in cs[1:]:
+                cs = f"({cs})"
+            if not body:
+                parts.append(cs)
+            elif coeff == QQi(1) or coeff == QQi(-1):
+                parts.append(body if coeff == QQi(1) else f"-{body}")
             else:
-                text = cs if not (("+" in cs[1:]) or ("-" in cs[1:])) else f"({cs})"
-            parts.append(text)
+                parts.append(f"{cs}*{body}")
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -456,47 +453,76 @@ def parse_system(text: str, nvars: int):
 # -- division and Groebner bases ----------------------------------------------
 
 
+def _gauss_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _divisors(polys) -> list:
+    return [_divisor(dict(zip(g.terms, _clear_denominators(list(g.terms.values()))[1])))
+            for g in polys if not g.is_zero()]
+
+
+def _divisor(terms: dict):
+    """(lead monomial, lead pair, terms) with the content divided out."""
+    h = math.gcd(*[a for pair in terms.values() for a in pair])
+    terms = {m: (a // h, b // h) for m, (a, b) in terms.items()}
+    lm = max(terms, key=grevlex_key)
+    return lm, terms[lm], terms
+
+
+def _reduce(terms: dict, divisors):
+    """(remainder, num, den) of pseudo-division, largest term first: no term
+    of the remainder is divisible by a leading monomial, and terms * num /
+    den - remainder lies in the ideal, num and den Gaussian-integer pairs."""
+    work, num, den = dict(terms), (1, 0), (1, 0)
+    heap = [(-mono_degree(m), m[::-1]) for m in work]  # the least is grevlex-largest
+    heapq.heapify(heap)
+    while heap:
+        mono = heapq.heappop(heap)[1][::-1]
+        divisor = mono in work and next((d for d in divisors if mono_divides(d[0], mono)), None)
+        if not divisor:
+            continue
+        lm, lc, g = divisor
+        x = work.pop(mono)
+        if lc != (1, 0):  # x * g then cancels the lead exactly
+            work = {m: _gauss_mul(c, lc) for m, c in work.items()}
+            den = _gauss_mul(den, lc)
+        shift = mono_div(mono, lm)
+        for gm, c in g.items():
+            tm = mono_mul(gm, shift)
+            if tm == mono:
+                continue
+            if tm not in work:
+                heapq.heappush(heap, (-mono_degree(tm), tm[::-1]))
+            (ea, eb), (da, db) = work.get(tm, (0, 0)), _gauss_mul(x, c)
+            if ea != da or eb != db:
+                work[tm] = (ea - da, eb - db)
+            else:
+                del work[tm]
+        h = math.gcd(*[a for pair in work.values() for a in pair])
+        if h > 1:
+            work = {m: (a // h, b // h) for m, (a, b) in work.items()}
+            num = (num[0] * h, num[1] * h)
+    return work, num, den
+
+
+def _scaled(terms: dict, num, den) -> dict:
+    """The exact coefficients terms * num / den, one QQi each."""
+    n, conj = den[0] * den[0] + den[1] * den[1], (den[0], -den[1])
+    return {m: QQi(*(Fraction(a, n) for a in _gauss_mul(_gauss_mul(c, num), conj)))
+            for m, c in terms.items()}
+
+
 def normal_form(p: Polynomial, basis) -> Polynomial:
     """Remainder of p under multivariate division by the basis.
 
     No remainder term is divisible by any leading term, and p - remainder
     lies in the ideal generated by the divisors.
     """
-    divisors = [g for g in basis if not g.is_zero()]
-    if not divisors:
-        return p
-    leads = [g.leading() for g in divisors]
-    remainder = {}
-    work = dict(p.terms)
-    while work:
-        mono = max(work, key=grevlex_key)
-        coeff = work.pop(mono)
-        for g, (lm, lc) in zip(divisors, leads):
-            if mono_divides(lm, mono):
-                factor = coeff / lc
-                shift = mono_div(mono, lm)
-                for gm, gc in g.terms.items():
-                    tm = mono_mul(gm, shift)
-                    acc = work.get(tm, QQi(0)) - factor * gc if tm != mono else QQi(0)
-                    if tm == mono:
-                        continue
-                    if acc:
-                        work[tm] = acc
-                    else:
-                        work.pop(tm, None)
-                break
-        else:
-            remainder[mono] = coeff
-    return Polynomial(p.nvars, remainder)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    fm, fc = f.leading()
-    gm, gc = g.leading()
-    lcm = mono_lcm(fm, gm)
-    mf = Polynomial(f.nvars, {mono_div(lcm, fm): QQi(1) / fc})
-    mg = Polynomial(g.nvars, {mono_div(lcm, gm): QQi(1) / gc})
-    return mf * f - mg * g
+    divisors = _divisors(basis)
+    lcm, pairs = _clear_denominators(list(p.terms.values()))
+    remainder, num, (da, db) = _reduce(dict(zip(p.terms, pairs)), divisors)
+    return Polynomial(p.nvars, _scaled(remainder, num, (da * lcm, db * lcm)))
 
 
 @dataclass(frozen=True)
@@ -529,60 +555,56 @@ class GroebnerBasis:
         return iter(self.polys)
 
 
+def _s_pair(f, g) -> dict:
+    """lc(g) * (lcm / lm(f)) * f - lc(f) * (lcm / lm(g)) * g, whose leads cancel."""
+    (fm, fc, ft), (gm, gc, gt) = f, g
+    lcm = mono_lcm(fm, gm)
+    sf, sg = mono_div(lcm, fm), mono_div(lcm, gm)
+    s = {mono_mul(m, sf): _gauss_mul(c, gc) for m, c in ft.items() if m != fm}
+    for m, c in ((mono_mul(m, sg), c) for m, c in gt.items() if m != gm):
+        (ea, eb), (da, db) = s.get(m, (0, 0)), _gauss_mul(c, fc)
+        if ea != da or eb != db:
+            s[m] = (ea - da, eb - db)
+        else:
+            s.pop(m, None)
+    return s
+
+
 def groebner(gens) -> GroebnerBasis:
     """Reduced grevlex Groebner basis by Buchberger's algorithm with the
-    normal selection strategy and both elimination criteria."""
-    basis = [g.monic() for g in gens if not g.is_zero()]
-    if not basis:
-        return GroebnerBasis(())
+    normal selection strategy and both elimination criteria, on integer
+    numerators; each member is made monic only at the end."""
+    basis = _divisors(gens)
     pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-
-    def lead(i):
-        return basis[i].leading()[0]
-
     while pending:
-        i, j = min(pending, key=lambda ij: (grevlex_key(mono_lcm(lead(ij[0]), lead(ij[1]))), ij))
+        i, j = min(pending, key=lambda ij: (grevlex_key(mono_lcm(basis[ij[0]][0],
+                                                                 basis[ij[1]][0])), ij))
         pending.remove((i, j))
-        li, lj = lead(i), lead(j)
+        li, lj = basis[i][0], basis[j][0]
         lcm = mono_lcm(li, lj)
         if mono_mul(li, lj) == lcm:  # coprime leading terms
             continue
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_divides(lead(k), lcm) and (min(i, k), max(i, k)) not in pending \
-                    and (min(j, k), max(j, k)) not in pending:
-                chain = True
-                break
-        if chain:
-            continue
-        remainder = normal_form(s_polynomial(basis[i], basis[j]), basis)
-        if remainder.is_zero():
-            continue
-        basis.append(remainder.monic())
-        new = len(basis) - 1
-        pending.update((k, new) for k in range(new))
+        if any(k not in (i, j) and mono_divides(basis[k][0], lcm)
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending for k in range(len(basis))):
+            continue  # chain criterion
+        remainder = _reduce(_s_pair(basis[i], basis[j]), basis)[0]
+        if remainder:
+            basis.append(_divisor(remainder))
+            pending.update((k, len(basis) - 1) for k in range(len(basis) - 1))
 
     # minimalize: drop members whose leading term another member divides
     for i, g in enumerate(basis):
-        lm = g.leading()[0]
-        if any(mono_divides(basis[k].leading()[0], lm)
+        if any(mono_divides(basis[k][0], g[0])
                for k in range(len(basis)) if k != i and basis[k] is not None):
             basis[i] = None
     minimal = [g for g in basis if g is not None]
-    # tail-reduce to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1:]
-            reduced = normal_form(minimal[i], others).monic()
-            if reduced != minimal[i]:
-                minimal[i] = reduced
-                changed = True
-    minimal.sort(key=lambda g: grevlex_key(g.leading()[0]))
-    return GroebnerBasis(tuple(minimal))
+    # tail-reduce: the leading monomials stay, so one pass leaves it reduced
+    for i, (_, _, terms) in enumerate(minimal):
+        minimal[i] = _divisor(_reduce(terms, minimal[:i] + minimal[i + 1:])[0])
+    minimal.sort(key=lambda g: grevlex_key(g[0]))
+    return GroebnerBasis(tuple(Polynomial(len(lm), _scaled(terms, (1, 0), lc))
+                               for lm, lc, terms in minimal))
 
 
 # -- quotient algebras ---------------------------------------------------------
@@ -624,26 +646,19 @@ def quotient_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
     if None in bounds:
         raise NotZeroDimensional(
             f"no pure power of z{bounds.index(None) + 1} among the leading terms")
-    standard = []
-    for mono in itertools.product(*(range(b) for b in bounds)):
-        if not any(mono_divides(lm, mono) for lm in leads):
-            standard.append(mono)
-    standard.sort(key=grevlex_key)
+    standard = sorted((mono for mono in itertools.product(*(range(b) for b in bounds))
+                       if not any(mono_divides(lm, mono) for lm in leads)), key=grevlex_key)
     pos = {m: i for i, m in enumerate(standard)}
     dim = len(standard)
+    divisors = _divisors(gb.polys)  # converted once
     mats = []
     for var in range(nvars):
-        cols = []
-        for mono in standard:
-            shifted = list(mono)
-            shifted[var] += 1
-            nf = normal_form(Polynomial(nvars, {tuple(shifted): QQi(1)}), gb)
-            col = [QQi(0)] * dim
-            for m, c in nf.terms.items():
-                col[pos[m]] = c
-            cols.append(col)
-        mats.append(Matrix([[cols[j][i] for j in range(dim)] for i in range(dim)],
-                           shape=(dim, dim)))
+        rows = [[ZERO] * dim for _ in range(dim)]
+        for j, mono in enumerate(standard):
+            shifted = mono[:var] + (mono[var] + 1,) + mono[var + 1:]
+            for m, c in _scaled(*_reduce({shifted: (1, 0)}, divisors)).items():
+                rows[pos[m]][j] = c
+        mats.append(Matrix(rows, shape=(dim, dim)))
     for a in range(nvars):
         for b in range(a + 1, nvars):
             if not commutes(mats[a], mats[b]):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -302,6 +303,27 @@ def test_index_reports_the_backend_that_ran(tmp_path):
     code, reports, _ = run_main(
         ["index", "--domain", domain, "--system", "z1^2-1"], tmp_path)
     assert code == 0 and reports[0]["backend"] == "exact"
+
+
+def test_float_fallback_reuses_the_groebner_basis(tmp_path, monkeypatch):
+    # the exact split of z1^2 - 2 raises IrrationalSpectrum, and the float
+    # split runs on the same quotient algebra instead of starting over
+    import koszul_index
+    from koszul_index import poly
+    real, calls = poly.groebner, []
+
+    def counting(gens):
+        calls.append(gens)
+        return real(gens)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("koszul_index") and getattr(module, "groebner", None) is real:
+            monkeypatch.setattr(module, "groebner", counting)
+    assert koszul_index.groebner is counting
+    domain = '{"kind":"polydisc","center":["0"],"radii":["2"]}'
+    code, reports, _ = run_main(
+        ["index", "--domain", domain, "--system", "z1^2-2"], tmp_path)
+    assert code == 0 and reports[0]["backend"] == "float"
+    assert len(calls) == 1
 
 
 def test_float_index_lists_the_check_it_skipped(tmp_path):
@@ -726,3 +748,22 @@ def test_reports_share_repeated_check_texts():
     one, two = (cli.run_scenario(scenario)["checks"] for _ in range(2))
     assert [c["name"] for c in one] == ["euler_characteristic_zero", "expected_dims"]
     assert all(a[k] is b[k] for a, b in zip(one, two) for k in ("name", "detail"))
+
+
+def test_two_runs_share_their_checks_and_point_texts():
+    # one dict per repeated check and one string per repeated point text;
+    # emitting, with or without timings, mutates no check
+    scenario = Scenario("m", "MULTIPLICITY", {"system": "z1^2 - z2; z2^2 - 1/16",
+                                              "expect": {"quotient_dim": 4}})
+    one, two = (cli.run_scenario(scenario) for _ in range(2))
+    assert len(one["checks"]) == 2 and one["pass"]
+    assert all(a is b for a, b in zip(one["checks"], two["checks"]))
+    assert all(x is y for a, b in zip(one["outputs"]["zeros"], two["outputs"]["zeros"])
+               for x, y in zip(a["point"], b["point"]))
+    before = json.dumps(one["checks"])
+    for timings, report in ((False, one), (True, two)):
+        stream = io.StringIO()
+        cli.emit_reports([report], stream, timings)
+        assert ("wall_ms" in stream.getvalue()) == timings
+        assert json.dumps(report["checks"]) == before
+    assert json.dumps(cli.run_scenario(scenario)["checks"]) == before

@@ -12,7 +12,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from koszul_index import linalg, suites  # noqa: E402
+from koszul_index import linalg, poly, suites  # noqa: E402
 from koszul_index.errors import InconsistentSystem, IrrationalSpectrum  # noqa: E402
 from koszul_index.linalg import Matrix  # noqa: E402
 from koszul_index.poly import (Polynomial, groebner, monomials_of_degree,  # noqa: E402
@@ -209,6 +209,41 @@ def _random_dense_system(rng, nvars):
     return [Polynomial(nvars, {m: _gaussian(rng, 0.3) for m in monos}) for _ in range(nvars)]
 
 
+_BIG_PRIMES = (10007, 65537, 999983, 1000003, 2147483647, 4294967311)
+
+
+def _coprime_denominator_system(rng, nvars):
+    """A dense degree-2 system whose coefficients have Gaussian parts over
+    large prime denominators, so a polynomial's common denominator is a
+    product of coprime primes and each division step on integer numerators
+    leaves a content to divide out."""
+    monos = [m for deg in range(3) for m in monomials_of_degree(nvars, deg)]
+    return [Polynomial(nvars, {m: QQi(Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.choice(_BIG_PRIMES)),
+                                      Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice(_BIG_PRIMES)))
+                               for m in monos}) for _ in range(nvars)]
+
+
+def _groebner_disagreements(systems) -> list:
+    """The indices of the systems whose `poly.groebner` basis differs from
+    sympy's reduced grevlex basis over Q(i)."""
+    return [trial for trial, system in enumerate(systems)
+            if not _same_basis(poly.groebner(system), _sympy_groebner(system))]
+
+
+def _sympy_groebner(system):
+    gens = sympy.symbols(f"z1:{system[0].nvars + 1}")
+    exprs = [sum(_to_sympy(c) * sympy.prod(g ** e for g, e in zip(gens, m))
+                 for m, c in p.terms.items()) for p in system]
+    return sympy.groebner(exprs, *gens, order="grevlex", domain=sympy.QQ_I)
+
+
+def _same_basis(gb, expected) -> bool:
+    return len(gb.polys) == len(expected.polys) and {
+        frozenset(p.terms.items()) for p in gb} == {
+        frozenset((m, _from_sympy(c.as_expr())) for m, c in q.as_dict().items())
+        for q in expected.polys}
+
+
 def _standard_monomial_count(leads, nvars):
     """Monomials divisible by no leading monomial, in the box that the pure
     powers among the leads bound."""
@@ -226,17 +261,12 @@ def test_groebner_and_quotient_dimension_match_sympy():
     systems += [(parse_system(f"z1^{a} - z2; z2^{b}", 2), a * b)
                 for a, b in ((1, 3), (2, 2), (3, 2), (2, 5), (4, 3), (5, 2))]
     systems += [(_random_dense_system(rng, nvars), None) for nvars in (2,) * 8 + (3,) * 2]
+    systems += [(_coprime_denominator_system(rng, 2), None) for _ in range(4)]
     for trial, (system, known_dim) in enumerate(systems):
         nvars = system[0].nvars
-        gens = sympy.symbols(f"z1:{nvars + 1}")
-        exprs = [sum(_to_sympy(c) * sympy.prod(g ** e for g, e in zip(gens, m))
-                     for m, c in p.terms.items()) for p in system]
-        expected = sympy.groebner(exprs, *gens, order="grevlex", domain=sympy.QQ_I)
+        expected = _sympy_groebner(system)
         gb = groebner(system)
-        assert len(gb.polys) == len(expected.polys) and {
-            frozenset(p.terms.items()) for p in gb} == {
-            frozenset((m, _from_sympy(c.as_expr())) for m, c in q.as_dict().items())
-            for q in expected.polys}, trial
+        assert _same_basis(gb, expected), trial
         assert expected.is_zero_dimensional and gb.is_zero_dimensional(), trial
         leads = [q.monoms(order="grevlex")[0] for q in expected.polys]
         dim = quotient_algebra(gb).dim

@@ -1,9 +1,12 @@
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from koszul_index import poly as poly_mod
 from koszul_index.errors import NotZeroDimensional, ParseError, UnknownVariable
 from koszul_index.poly import (MAX_NESTING, Polynomial, grevlex_key, groebner,
                                normal_form, parse_system, quotient_algebra)
@@ -211,3 +214,94 @@ def test_str_round_trips_through_parser():
                     ("-z1^3 + 1/2*z2^2 - i", 2)]:
         p = poly(text, n)
         assert poly(str(p), n) == p
+
+
+def _qqi_normal_form(p, divisors):
+    """Division over QQi that divides by each leading coefficient, largest
+    term first and the first divisor whose lead divides it: a reference
+    that forms no integer numerator and keeps no scale."""
+    divisors = [g for g in divisors if not g.is_zero()]
+    remainder, work = {}, dict(p.terms)
+    while work:
+        mono = max(work, key=grevlex_key)
+        coeff = work.pop(mono)
+        for g in divisors:
+            lm, lc = g.leading()
+            if all(x <= y for x, y in zip(lm, mono)):
+                shift = [y - x for x, y in zip(lm, mono)]
+                for gm, gc in g.terms.items():
+                    tm = tuple(a + b for a, b in zip(gm, shift))
+                    if tm != mono:
+                        work[tm] = work.get(tm, QQi(0)) - coeff / lc * gc
+                        if not work[tm]:
+                            del work[tm]
+                break
+        else:
+            remainder[mono] = coeff
+    return Polynomial(p.nvars, remainder)
+
+
+def _random_polynomial(rng, n, terms, top):
+    return Polynomial(n, {tuple(rng.randint(0, top) for _ in range(n)): _gaussian(rng)
+                          for _ in range(terms)})
+
+
+def test_normal_form_matches_a_qqi_reference():
+    # non-monic divisors with Gaussian leads, in a given order, and reduced
+    # bases: the integer route must leave the reference's exact remainder
+    rng = random.Random(27)
+    for trial in range(60):
+        n = rng.randint(1, 3)
+        divisors = [_random_polynomial(rng, n, rng.randint(1, 4), 2)
+                    for _ in range(rng.randint(1, 3))]
+        if trial % 3 == 0:
+            divisors = list(groebner([p + _gaussian(rng) for p in divisors]))
+        p = _random_polynomial(rng, n, rng.randint(0, 6), 4)
+        assert poly_mod.normal_form(p, divisors) == _qqi_normal_form(p, divisors), trial
+
+
+def _sympy_groebner_oracle():
+    oracles = pytest.importorskip("test_oracles")
+    rng = random.Random(606)
+    systems = [oracles._random_dense_system(rng, 2) for _ in range(3)]
+    systems.append(oracles._coprime_denominator_system(rng, 2))
+    assert not oracles._groebner_disagreements(systems)
+
+
+def _patch_source(monkeypatch, path, old, new):
+    """Install a copy of poly's function (or Polynomial method) `path` with
+    the text `old` of its source replaced by `new`."""
+    owner = poly_mod.Polynomial if path.startswith("Polynomial.") else poly_mod
+    name = path.rpartition(".")[2]
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    assert source.count(old) == 1, path
+    namespace = dict(vars(poly_mod))
+    exec(compile(source.replace(old, new), poly_mod.__file__, "exec"), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+
+
+# Mutations of the integer route, each with the independent oracle that
+# must reject it: (patched function, text, mutated text, oracle).
+_INTEGER_ROUTE_MUTATIONS = {
+    "s_pair_sign": ("_s_pair", "_gauss_mul(c, fc)", "_gauss_mul(c, (-fc[0], -fc[1]))",
+                    _sympy_groebner_oracle),
+    "no_monic_division": ("groebner", "_scaled(terms, (1, 0), lc)",
+                          "_scaled(terms, (1, 0), (1, 0))", _sympy_groebner_oracle),
+    "shift_over_m_to_d_minus_1": ("Polynomial.shift", "(lcm * m ** degree, 0)",
+                                  "(lcm * m ** (degree - 1), 0)",
+                                  test_shift_properties_on_seeded_polynomials),
+    "normal_form_scale_twice": (
+        "normal_form", "_scaled(remainder, num, (da * lcm, db * lcm))",
+        "_scaled(remainder, _gauss_mul(num, num), "
+        "_gauss_mul((da * lcm, db * lcm), (da * lcm, db * lcm)))",
+        test_normal_form_matches_a_qqi_reference),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_INTEGER_ROUTE_MUTATIONS))
+def test_integer_route_mutations_are_rejected(monkeypatch, mutation):
+    path, old, new, oracle = _INTEGER_ROUTE_MUTATIONS[mutation]
+    oracle()
+    _patch_source(monkeypatch, path, old, new)
+    with pytest.raises(AssertionError):
+        oracle()

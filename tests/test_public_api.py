@@ -13,9 +13,12 @@ def test_every_exported_name_resolves():
 
 def test_removed_names_stay_gone():
     # grevlex is the only term order, one polynomial parses as a
-    # one-element system, the regular-case transforms are private, and
-    # koszul.shape is the one holder of the exterior-basis convention
-    removed = [(poly, ("LEX", "MonomialOrder", "DEGREVLEX", "parse_polynomial")),
+    # one-element system, the regular-case transforms are private,
+    # koszul.shape is the one holder of the exterior-basis convention, and
+    # S-pairs and monic bases are formed on integer numerators inside groebner
+    removed = [(poly, ("LEX", "MonomialOrder", "DEGREVLEX", "parse_polynomial",
+                       "s_polynomial")),
+               (poly.Polynomial, ("monic",)),
                (models, ("r_matrix", "l_matrix")),
                (koszul, ("subsets", "removal_sign"))]
     for module, names in removed:

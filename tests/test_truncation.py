@@ -154,3 +154,14 @@ def test_isolated_zero_past_the_order_bound_is_a_resource_limit(monkeypatch):
 def test_not_isolated_says_isolation_was_not_proved():
     with pytest.raises(NotIsolated, match="isolation was not proved"):
         local_multiplicity(parse_system("z1*z2; z1*z2", 2), (QQi(0), QQi(0)), n_max=8)
+
+
+def test_truncation_columns_are_ints_numbered_degree_first():
+    # an int column hashes without rehashing a nested (degree, monomial)
+    # tuple; the monomials of degree < N are the first C(N - 1 + n, n)
+    engine = multiplicity._Truncation(parse_system("z1^2 - z2; z2^3", 2))
+    assert engine.codimension(5) == _dense_codimension(parse_system("z1^2 - z2; z2^3", 2), 5)
+    columns = engine.columns
+    assert sorted(columns.values()) == list(range(len(columns)))
+    assert sorted(columns, key=columns.get) == sorted(columns, key=lambda m: (mono_degree(m), m))
+    assert {type(c) for row in engine.echelon._rows.values() for c in row} == {int}
