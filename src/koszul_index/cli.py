@@ -4,9 +4,10 @@ parses, runs and emits; `verify-all` runs the scenarios that
 
 Exit codes: 0 when every scenario passes, 1 when any scenario fails or hits
 a computational error (zero on a boundary, irrational spectrum, ...), 2 for
-schema violations or bad usage. Reports are emitted in input order, and an
-exact-backend run is byte-identical for a fixed seed (timings are only added
-under --timings).
+schema violations, bad usage or output that cannot be written; nothing
+sets a tolerance. Reports are emitted in input order, and an exact-backend
+run is byte-identical for a fixed seed (timings are only added under
+--timings).
 
 Each scenario kind is one entry of KINDS: its payload fields, which are also
 the options of its one-off subcommand, one function that validates a payload
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -29,7 +31,7 @@ from .koszul import CommutingTuple
 from .linalg import Matrix
 from .models import DomainDescriptor, ModelTuple
 from .poly import parse_system
-from .scalars import DEFAULT_TOL, EXACT, FLOAT, QQi, scalar_str
+from .scalars import EXACT, FLOAT, QQi, scalar_str
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 7
@@ -46,8 +48,12 @@ class Scenario:
     kind: str
     payload: dict
     backend: str = EXACT
-    tol: float | None = None
+    tol: None = None
     seed: int = DEFAULT_SEED
+
+    def __post_init__(self):  # `tol` is kept for positional callers only
+        if self.tol is not None:
+            raise SchemaError("a scenario takes no tol: the float kernel cut is fixed")
 
 
 # -- payload parsing helpers ---------------------------------------------------
@@ -60,17 +66,9 @@ def _parse_scalar(text):
         raise SchemaError(f"zero denominator in scalar literal {text!r}")
 
 
-def _is_number(value, types=int) -> bool:
-    """isinstance for JSON numbers: true and false are bools, not numbers."""
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
-def _check_tol(tol, where):
-    """A tolerance is absent or in (0, 1): at tol >= 1 the cut
-    tol * max(sigma_max, 1) reaches sigma_max, so every float kernel is the
-    whole space."""
-    if tol is not None and not (_is_number(tol, (int, float)) and 0 < tol < 1):
-        raise SchemaError(f"{where}: tol must be a number > 0 and < 1")
+def _is_int(value) -> bool:
+    """isinstance for JSON integers: true and false are bools, not numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_matrix(obj) -> Matrix:
@@ -133,7 +131,7 @@ def _system_from_payload(payload):
     if not isinstance(text, str):
         raise SchemaError("payload field 'system' must be a string")
     nvars = payload.get("variables", _infer_variables(text))
-    if not _is_number(nvars) or nvars < 1:
+    if not _is_int(nvars) or nvars < 1:
         raise SchemaError("payload field 'variables' must be a positive integer")
     return parse_system(text, nvars)
 
@@ -166,7 +164,7 @@ def scenarios_from_document(doc, defaults) -> list:
     for k, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise SchemaError(f"scenario #{k} is not an object")
-        extra = set(entry) - {"id", "kind", "payload", "backend", "tol", "seed"}
+        extra = set(entry) - {"id", "kind", "payload", "backend", "seed"}
         if extra:
             raise SchemaError(f"scenario #{k} has unknown fields {sorted(extra)}")
         sid = entry.get("id", f"scenario-{k:03d}")
@@ -188,10 +186,8 @@ def scenarios_from_document(doc, defaults) -> list:
         backend = entry.get("backend", defaults.backend)
         if backend not in (EXACT, FLOAT):
             raise SchemaError(f"scenario {sid!r}: backend is 'exact' or 'float'")
-        tol = entry.get("tol", defaults.tol)
-        _check_tol(tol, f"scenario {sid!r}")
         seed = entry.get("seed", defaults.seed)
-        if not _is_number(seed) or seed < 0:
+        if not _is_int(seed) or seed < 0:
             raise SchemaError(f"scenario {sid!r}: seed must be a non-negative integer")
         try:
             # validation; execution parses again, with every literal from the cache
@@ -200,7 +196,7 @@ def scenarios_from_document(doc, defaults) -> list:
             raise SchemaError(f"scenario {sid!r}: {err}")
         if "expect" in payload and not isinstance(payload["expect"], dict):
             raise SchemaError(f"scenario {sid!r}: expect must be an object")
-        out.append(Scenario(sid, kind, payload, backend, tol, seed))
+        out.append(Scenario(sid, kind, payload, backend, seed=seed))
     return out
 
 
@@ -243,7 +239,7 @@ def _parse_homology(payload, backend):
     return ops, cone
 
 
-def _run_homology(inputs, tol, outputs, checks):
+def _run_homology(inputs, outputs, checks):
     ops, cone = inputs
     complex_ = koszul.build_complex(CommutingTuple(ops))
     profile = koszul.homology(complex_)
@@ -274,10 +270,10 @@ def _parse_spectrum(payload, backend):
     return ops, point, backend
 
 
-def _run_spectrum(inputs, tol, outputs, checks):
+def _run_spectrum(inputs, outputs, checks):
     ops, point, backend = inputs
     tup = CommutingTuple(ops)
-    pairs = (spectrum.float_spectrum(tup, tol) if backend == FLOAT
+    pairs = (spectrum.float_spectrum(tup) if backend == FLOAT
              else spectrum.spectral_decomposition(tup).multiplicities())
     outputs["eigenvalues"] = [{"point": _point_strs(pt), "multiplicity": m}
                               for pt, m in pairs]
@@ -308,7 +304,7 @@ def _parse_multiplicity(payload, backend):
     return system, point, payload.get("check_diagonal", False)
 
 
-def _run_multiplicity(inputs, tol, outputs, checks):
+def _run_multiplicity(inputs, outputs, checks):
     system, point, check_diagonal = inputs
     if point is None:
         table = mult_mod.global_multiplicity_table(system)
@@ -344,9 +340,9 @@ def _parse_index(payload, backend):
     return _system_from_payload(payload), _parse_domain(payload["domain"])
 
 
-def _run_index(inputs, tol, outputs, checks):
+def _run_index(inputs, outputs, checks):
     system, domain = inputs
-    report = models.global_index(ModelTuple(domain, tuple(system)), tol)
+    report = models.global_index(ModelTuple(domain, tuple(system)))
     outputs["global_index"] = report.global_index
     outputs["quotient_dim"] = report.quotient_dim
     outputs["zeros"] = [
@@ -369,9 +365,9 @@ def _parse_reciprocity(payload, backend):
             _parse_domain(payload["domain_b"]))
 
 
-def _run_reciprocity(inputs, tol, outputs, checks):
+def _run_reciprocity(inputs, outputs, checks):
     system, domain_a, domain_b = inputs
-    report = models.reciprocity_check(domain_a, domain_b, system, tol)
+    report = models.reciprocity_check(domain_a, domain_b, system)
     outputs.update(lhs=report.lhs, rhs=report.rhs)
     outputs["zeros"] = [
         {"point": _point_strs(pt), "multiplicity": m,
@@ -387,12 +383,12 @@ def _parse_spectral_sequence(payload, backend):
     ops_b = _parse_operators(payload["operators_b"])
     _require_common_square(ops_a + ops_b)
     r_max = payload["r_max"]
-    if not _is_number(r_max) or not 2 <= r_max <= _MAX_R_MAX:
+    if not _is_int(r_max) or not 2 <= r_max <= _MAX_R_MAX:
         raise SchemaError(f"r_max must be an integer from 2 to {_MAX_R_MAX}")
     return ops_a, ops_b, r_max
 
 
-def _run_spectral_sequence(inputs, tol, outputs, checks):
+def _run_spectral_sequence(inputs, outputs, checks):
     ops_a, ops_b, r_max = inputs
     bc = spectral.build_bicomplex(CommutingTuple(ops_a), CommutingTuple(ops_b))
     pages = spectral.page_sequence(bc, r_max)
@@ -412,15 +408,15 @@ def _run_spectral_sequence(inputs, tol, outputs, checks):
 
 def _parse_identities(payload, backend):
     n, m = payload["n"], payload["m"]
-    if not (_is_number(n) and _is_number(m) and 1 <= n <= m):
+    if not (_is_int(n) and _is_int(m) and 1 <= n <= m):
         raise SchemaError("identities need integers 1 <= n <= m")
     shift = payload["range"]
-    if not _is_number(shift) or shift < 0:
+    if not _is_int(shift) or shift < 0:
         raise SchemaError("range must be a non-negative integer")
     return n, m, shift
 
 
-def _run_identities(inputs, tol, outputs, checks):
+def _run_identities(inputs, outputs, checks):
     n, m, shift = inputs
     lr = models.lr_identity_holds(n, m)
     binom = models.binomial_identity_holds(n, m, shift)
@@ -457,8 +453,8 @@ class Kind:
     # (payload with defaults filled in, engine backend) -> inputs; raises
     # SchemaError or ParseError, and never again once a payload passed
     parse: Callable
-    # (inputs, tol, outputs, checks) -> the backend that actually ran;
-    # fills outputs and checks
+    # (inputs, outputs, checks) -> the backend that actually ran; fills
+    # outputs and checks
     run: Callable
     exact_only: bool = True  # a float request runs exact engines
 
@@ -536,8 +532,7 @@ def execute_scenario(scenario: Scenario) -> dict:
     kind = KINDS[scenario.kind]
     outputs = {}
     checks = []
-    tol = DEFAULT_TOL if scenario.tol is None else float(scenario.tol)
-    backend = kind.run(kind.inputs(scenario.payload, scenario.backend), tol, outputs, checks)
+    backend = kind.run(kind.inputs(scenario.payload, scenario.backend), outputs, checks)
     _apply_expect(scenario.payload.get("expect"), outputs, checks)
     return _report(scenario, backend, _shared(outputs), _shared(checks))
 
@@ -569,8 +564,6 @@ def emit_reports(reports, stream, timings=False):
 def _add_common(parser):
     parser.add_argument("--backend", choices=[EXACT, FLOAT], default=EXACT,
                         help="scalar backend (default exact)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="relative float tolerance (default 1e-9)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed of the verify-all generator, echoed in "
                              "each report")
@@ -603,12 +596,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(scenarios=lambda args: load_scenario_file(
         args.scenario_file,
-        Scenario("defaults", "IDENTITIES", {}, args.backend, args.tol, args.seed)))
+        Scenario("defaults", "IDENTITIES", {}, args.backend, seed=args.seed)))
 
     p = sub.add_parser("verify-all", help="run the bundled verification suites")
     _add_common(p)
     p.set_defaults(scenarios=lambda args: [
-        Scenario(sid, kind, payload, args.backend, args.tol, args.seed)
+        Scenario(sid, kind, payload, args.backend, seed=args.seed)
         for sid, kind, payload in suites.builtin_scenarios(args.seed)])
 
     for name, kind in KINDS.items():
@@ -633,28 +626,32 @@ def _one_off_scenario(args) -> list:
                                    else value)
     kind.inputs(payload, args.backend)
     return [Scenario(f"cli-{kind.command}", args.kind, payload,
-                     args.backend, args.tol, args.seed)]
+                     args.backend, seed=args.seed)]
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_tol(args.tol, "--tol")
+        if args.seed < 0:
+            raise SchemaError("--seed: seed must be a non-negative integer")
         scenarios = args.scenarios(args)
     except (SchemaError, ParseError, json.JSONDecodeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
     reports = [run_scenario(s) for s in scenarios]
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 emit_reports(reports, handle, args.timings)
-        except OSError as err:
-            print(f"error: cannot write output: {err}", file=sys.stderr)
-            return 2
-    else:
-        emit_reports(reports, sys.stdout, args.timings)
+        else:
+            emit_reports(reports, sys.stdout, args.timings)
+            sys.stdout.flush()
+    except OSError as err:
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        if not args.output:  # the interpreter's last flush of stdout goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return 0 if all(r["pass"] for r in reports) else 1
 
 

@@ -6,7 +6,8 @@ tensor bookkeeping.
 The coordinate tuple of a model space is never materialized: its index
 function is -1 inside the domain and 0 outside, and every index computation
 reduces to zero and multiplicity data of the polynomial symbol. Zeros on the
-boundary are refused because the index function jumps there.
+boundary are refused because the index function jumps there. A zero table
+with zeros outside Q(i) comes from the uncertified `spectrum.float_spectrum`.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from .errors import (ArityMismatch, IrrationalSpectrum, KoszulIndexError, NotAZe
                      NotNilpotent, ZeroOnBoundary)
 from .koszul import CommutingTuple
 from .linalg import Matrix
-from .multiplicity import local_multiplicity, multiplicity_table, winding_number
+from .multiplicity import (GlobalMultiplicityTable, local_multiplicity, multiplicity_table,
+                           winding_number)
 from .poly import groebner, quotient_algebra
-from .scalars import DEFAULT_TOL, EXACT, FLOAT, QQi
+from .scalars import EXACT, FLOAT, QQi
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -164,16 +166,18 @@ def _raised_on(backend: str):
         raise
 
 
-def classify_zeros(mt: ModelTuple, tol: float = DEFAULT_TOL):
+def classify_zeros(mt: ModelTuple):
     """All zeros of the symbol with multiplicities, each tagged against the
-    domain; zeros on the boundary raise ZeroOnBoundary. `tol` is the float
-    kernel cut of the fallback for zeros outside Q(i) on the same algebra."""
+    domain; zeros on the boundary raise ZeroOnBoundary. When a zero leaves
+    Q(i), the same quotient algebra is split by `spectrum.float_spectrum`."""
     algebra = quotient_algebra(groebner(list(mt.system)))
     try:
-        table = multiplicity_table(algebra, tol)
+        table = multiplicity_table(algebra)
     except IrrationalSpectrum:
         with _raised_on(FLOAT):
-            table = multiplicity_table(algebra, tol, FLOAT)
+            # quotient_algebra has proved that the multiplication matrices commute
+            entries = spectrum.float_spectrum(CommutingTuple.proven(algebra.mult_matrices))
+            table = GlobalMultiplicityTable(tuple(entries), algebra.dim, FLOAT)
     records = []
     with _raised_on(table.backend):
         for point, m in table.entries:
@@ -201,8 +205,7 @@ def local_index(mt: ModelTuple, point, n_max: int = 30) -> int:
     return -local_multiplicity(list(mt.system), point, n_max).multiplicity
 
 
-def global_index(mt: ModelTuple, tol: float = DEFAULT_TOL,
-                 n_max: int = 30) -> IndexReport:
+def global_index(mt: ModelTuple, n_max: int = 30) -> IndexReport:
     """The index of the composed model tuple with its cross-checks.
 
     The headline number comes from the zero table; interior contributions
@@ -210,7 +213,7 @@ def global_index(mt: ModelTuple, tol: float = DEFAULT_TOL,
     compared against the quotient dimension, and one-variable scenarios are
     compared against the numeric winding oracle.
     """
-    records, table = classify_zeros(mt, tol)
+    records, table = classify_zeros(mt)
     with _raised_on(table.backend):
         locals_ = [(rec.point, rec.multiplicity * rec.coordinate_index) for rec in records]
         total = sum(contribution for _, contribution in locals_)
@@ -328,7 +331,7 @@ class ReciprocityReport:
 
 
 def reciprocity_check(domain_a: DomainDescriptor, domain_b: DomainDescriptor,
-                      system, tol: float = DEFAULT_TOL) -> ReciprocityReport:
+                      system) -> ReciprocityReport:
     """Both sides of the two-domain local index pairing.
 
     One side pairs the index function of the first domain against local
@@ -338,7 +341,7 @@ def reciprocity_check(domain_a: DomainDescriptor, domain_b: DomainDescriptor,
     system = list(system)
     mt_a = ModelTuple(domain_a, tuple(system))
     mt_b = ModelTuple(domain_b, tuple(system))
-    records_a, table = classify_zeros(mt_a, tol)
+    records_a, table = classify_zeros(mt_a)
     with _raised_on(table.backend):
         zeros = []
         lhs = 0

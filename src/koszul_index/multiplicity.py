@@ -1,7 +1,7 @@
 """Local intersection multiplicity of an isolated common zero, computed as
 the stabilized codimension of a truncated local algebra, plus the diagonal
 two-variable-block reduction and the joint-spectrum route to all zeros at
-once.
+once, which is exact-only (`models.classify_zeros` owns the float split).
 
 The codimension at truncation order N is exactly the dimension of the local
 ring modulo the ideal plus the N-th power of the maximal ideal; it is
@@ -26,7 +26,7 @@ from .linalg import SparseEchelon
 from .poly import (Polynomial, groebner, mono_mul, monomials_of_degree,
                    quotient_algebra)
 from .koszul import CommutingTuple
-from .scalars import DEFAULT_TOL, EXACT, FLOAT, QQi
+from .scalars import EXACT, QQi
 
 
 @dataclass(frozen=True)
@@ -166,43 +166,35 @@ def verify_diagonal_degree(system, point, n_max: int = 30) -> bool:
 @dataclass(frozen=True)
 class GlobalMultiplicityTable:
     """All zeros of a zero-dimensional system with the dimensions of their
-    generalized eigenspaces; the dimensions add up to the quotient dimension."""
+    generalized eigenspaces, checked to add up to the quotient dimension."""
 
     entries: tuple  # (point, multiplicity) pairs
     quotient_dim: int
     backend: str
 
+    def __post_init__(self):
+        if self.total() != self.quotient_dim:
+            raise AssertionError("eigenspace dimensions do not add up to the quotient")
+
     def total(self) -> int:
         return sum(m for _, m in self.entries)
 
 
-def global_multiplicity_table(system, tol: float = DEFAULT_TOL,
-                              backend: str = EXACT) -> GlobalMultiplicityTable:
+def global_multiplicity_table(system) -> GlobalMultiplicityTable:
     """Zeros with multiplicities of a system (`multiplicity_table`)."""
-    return multiplicity_table(quotient_algebra(groebner(list(system))), tol, backend)
+    return multiplicity_table(quotient_algebra(groebner(list(system))))
 
 
-def multiplicity_table(algebra, tol: float = DEFAULT_TOL,
-                       backend: str = EXACT) -> GlobalMultiplicityTable:
-    """Zeros with multiplicities as the joint spectral decomposition of the
-    multiplication tuple on the quotient algebra.
-
-    Exact mode raises IrrationalSpectrum when some zero leaves Q(i); the
-    same algebra may then be split with backend="float", on float copies
-    (spectrum.float_spectrum) with the relative kernel cut `tol`.
-    """
-    if algebra.dim == 0:
-        return GlobalMultiplicityTable((), 0, backend)
-    # quotient_algebra has proved that the multiplication matrices commute
-    mult_tuple = CommutingTuple.proven(algebra.mult_matrices)
-    if backend == FLOAT:
-        entries = spectrum.float_spectrum(mult_tuple, tol)
-    else:
+def multiplicity_table(algebra) -> GlobalMultiplicityTable:
+    """Zeros with multiplicities as the exact joint spectral decomposition
+    of the multiplication tuple on the quotient algebra; raises
+    IrrationalSpectrum when some zero leaves Q(i)."""
+    entries = ()
+    if algebra.dim:
+        # quotient_algebra has proved that the multiplication matrices commute
+        mult_tuple = CommutingTuple.proven(algebra.mult_matrices)
         entries = spectrum.spectral_decomposition(mult_tuple, unit=algebra.unit).multiplicities()
-    table = GlobalMultiplicityTable(tuple(entries), algebra.dim, backend)
-    if table.total() != algebra.dim:
-        raise AssertionError("eigenspace dimensions do not add up to the quotient")
-    return table
+    return GlobalMultiplicityTable(tuple(entries), algebra.dim, EXACT)
 
 
 def eigenspace_multiplicity(system, point) -> int:

@@ -3,7 +3,8 @@
 Every input is a Gaussian-rational literal, every Matrix entry is a QQi and
 every theorem equality is exact. The float backend names one job only, the
 numpy split of joint eigenvalues that leave the Gaussian rationals
-(`spectrum.float_spectrum`), with the relative kernel cut DEFAULT_TOL.
+(`spectrum.float_spectrum`), whose relative kernel cut is one fixed constant
+there; no function takes a tolerance.
 
 QQi shares a part that is already an exact Fraction, which is immutable and
 in lowest terms, and converts any other (int, bool, Fraction subclass) with
@@ -25,9 +26,6 @@ from .errors import BackendMismatch, ParseError
 
 EXACT = "exact"
 FLOAT = "float"
-
-
-DEFAULT_TOL = 1e-9  # singular values up to DEFAULT_TOL * max(sigma_max, 1) are zero
 
 _INT = r"\d+(?:/\d+)?"
 # real, real+imag (sign mandatory between parts), pure imaginary

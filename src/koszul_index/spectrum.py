@@ -14,7 +14,7 @@ caller may retry with `float_spectrum`.
 
 `float_spectrum` runs the same route on complex128 copies of the operators
 (Matrix.to_numpy): eigenvalues are clusters of numpy ones, linked within
-_CLUSTER, kernels are read from one SVD with the relative cut `tol`, and
+_CLUSTER, kernels are read from one SVD with the fixed cut _KERNEL_CUT, and
 each later operator is restricted to an eigenspace by least squares. What
 it reports is not certified. numpy is imported only by the float split.
 """
@@ -31,7 +31,7 @@ from .errors import (ArityMismatch, ClusteringAmbiguity, InconsistentSystem,
                      IrrationalSpectrum, ResourceLimit)
 from .koszul import CommutingTuple
 from .linalg import Matrix
-from .scalars import DEFAULT_TOL, QQi
+from .scalars import QQi
 
 _DENOMINATOR_LADDER = (1, 100, 10**4, 10**6, 10**9)
 _ABERTH_TOL = 1e-15
@@ -40,6 +40,7 @@ _NEWTON_STEPS = 6
 _NEWTON_GRID = Fraction(1, 2 ** 256)
 _CLUSTER = 1e-6  # the link radius of float eigenvalues (_float_eigenvalues)
 _INDEPENDENCE_FLOOR = 1e-6  # of float eigenspaces (float_spectrum)
+_KERNEL_CUT = 1e-9  # relative: singular values up to 1e-9 * max(sigma_max, 1) are zero
 
 
 # -- exact univariate polynomial helpers (coefficients low to high) -----------
@@ -408,49 +409,49 @@ def _float_eigenvalues(a):
     return out
 
 
-def _float_split(a, tol: float):
+def _float_split(a):
     """The one float kernel cut: a full SVD (u, vh, r) of a nonempty complex
-    array, r counting singular values above tol * max(sigma_max, 1), so
-    rounding noise has rank 0; u[:, :r] spans the image, vh[r:].conj() the kernel."""
+    array, r counting singular values above the cut, so rounding noise has
+    rank 0; u[:, :r] spans the image, vh[r:].conj() the kernel."""
     import numpy as np
 
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    return u, vh, int(np.sum(s > tol * max(s[0], 1.0)))
+    return u, vh, int(np.sum(s > _KERNEL_CUT * max(s[0], 1.0)))
 
 
-def _float_kernel_chain(a, bound: int, tol: float):
+def _float_kernel_chain(a, bound: int):
     """_kernel_chain of one square complex array, every kernel and image
     read from _float_split."""
     import numpy as np
 
-    _, vh, r = _float_split(a, tol)
+    _, vh, r = _float_split(a)
     space = vh[r:].conj().T
     while 0 < space.shape[1] < bound:
-        _, vh, r = _float_split(np.hstack([a, -space]), tol)
-        u, _, r = _float_split(vh[r:].conj().T[:len(a)], tol)
+        _, vh, r = _float_split(np.hstack([a, -space]))
+        u, _, r = _float_split(vh[r:].conj().T[:len(a)])
         if r == space.shape[1]:
             break
         space = u[:, :r]
     return np.ascontiguousarray(space)  # products then see one memory layout
 
 
-def _float_restrict(basis, image, tol: float):
+def _float_restrict(basis, image):
     """The least-squares X with basis @ X = image; raises InconsistentSystem
-    when the residual exceeds tol * max(|basis|, 1) * max(|X|, 1), the
-    rounding scale of the product basis @ X."""
+    when the residual exceeds _KERNEL_CUT * max(|basis|, 1) * max(|X|, 1),
+    the rounding scale of the product basis @ X."""
     import numpy as np
 
     x, *_ = np.linalg.lstsq(basis, image, rcond=None)
     scale = max(np.linalg.norm(basis, 2), 1.0) * max(np.linalg.norm(x, 2), 1.0)
-    if np.linalg.norm(basis @ x - image, 2) > tol * scale:
+    if np.linalg.norm(basis @ x - image, 2) > _KERNEL_CUT * scale:
         raise InconsistentSystem("no float solution within tolerance")
     return np.ascontiguousarray(x)
 
 
-def float_spectrum(t: CommutingTuple, tol: float = DEFAULT_TOL):
+def float_spectrum(t: CommutingTuple):
     """Uncertified (point, multiplicity) pairs of t, sorted by point, split
     on complex128 copies of the operators by the route of
-    spectral_decomposition, with the relative kernel cut `tol`. Raises
+    spectral_decomposition, with the relative kernel cut _KERNEL_CUT. Raises
     ClusteringAmbiguity when the clusters, the eigenspace dimensions or the
     independence of the eigenspaces (_INDEPENDENCE_FLOOR) are in doubt."""
     import numpy as np
@@ -466,14 +467,14 @@ def float_spectrum(t: CommutingTuple, tol: float = DEFAULT_TOL):
         refined = []
         for point, basis, (rep, *rest) in pieces:
             eigenvalues = _float_eigenvalues(rep)
-            kernels = [_float_kernel_chain(rep - np.diag([mu] * len(rep)), mult, tol)
+            kernels = [_float_kernel_chain(rep - np.diag([mu] * len(rep)), mult)
                        for mu, mult in eigenvalues]
             if [kernel.shape[1] for kernel in kernels] != [mult for _, mult in eigenvalues]:
                 raise ClusteringAmbiguity(
                     "generalized eigenspace dimension differs from the multiplicity")
             for (mu, _), kernel in zip(eigenvalues, kernels):
                 refined.append((point + (mu,), basis @ kernel,
-                                [_float_restrict(kernel, op @ kernel, tol) for op in rest]))
+                                [_float_restrict(kernel, op @ kernel) for op in rest]))
         pieces = refined
     joint = np.hstack([np.linalg.qr(basis)[0] for _, basis, _ in pieces])
     if np.linalg.svd(joint, compute_uv=False)[-1] < _INDEPENDENCE_FLOOR:

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -107,16 +109,12 @@ def test_exit_code_one_on_computational_error(tmp_path):
                            "r_max": True}),
 ]] + [{"schema": 1, "scenarios": [{"id": "x", "kind": "IDENTITIES",
                                    "payload": {"n": 1, "m": 1}, **entry}]}
-      for entry in [{"seed": False}, {"tol": True}]] + [
+      # the retired tolerance is an unknown field (test_scenario_refuses_a_tol)
+      for entry in [{"seed": False}, {"tol": 1e-9}]] + [
     # an operator entry beyond float range for the float split
     {"schema": 1, "scenarios": [{"id": "x", "kind": "SPECTRUM", "backend": "float",
                                  "payload": {"operators": [[["1" + "0" * 400]]]}}]},
-] + [{"schema": 1, "scenarios": [{"id": "x", "kind": "IDENTITIES",
-                                  "payload": {"n": 1, "m": 1}, "tol": tol}]}
-     # json.dumps writes NaN and Infinity, which json.load reads back
-     for tol in [float("nan"), float("inf"), -float("inf"), -1, 0, 0.0, 10 ** 400,
-                 # at tol >= 1 the cut reaches sigma_max: every float kernel is everything
-                 1, 10, 1e300]])
+])
 def test_exit_code_two_on_schema_violation(tmp_path, capsys, doc):
     code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path)
     assert code == 2
@@ -611,11 +609,10 @@ def test_float_homology_runs_exact(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["homology", "spectrum"])
-def test_non_commuting_float_input_fails_at_every_tol(tmp_path, command):
-    # commutation is exact; a float check passed this pair at --tol 1e300,
-    # which the schema now refuses, as it does every tol >= 1
+def test_non_commuting_float_input_fails_the_exact_commutation_check(tmp_path, command):
+    # commutation is checked exactly on either backend
     code, reports, _ = run_main(
-        [command, "--backend", "float", "--tol", "0.99", "--operators",
+        [command, "--backend", "float", "--operators",
          '[[["0","1"],["0","0"]],[["0","0"],["1","0"]]]'], tmp_path)
     assert code == 1 and reports[0]["error"]["type"] == "CommutatorError"
 
@@ -679,30 +676,92 @@ def test_float_zeros_meet_a_radius_beyond_float_range(tmp_path):
     assert [z["location"] for z in outputs["zeros"]] == ["interior", "interior"]
 
 
-@pytest.mark.parametrize("tol", ["inf", "-1", "nan", "0", "1", "10", "1e300"])
+_ONE = '[[["0"]]]'
+_COMMANDS = {
+    "run": ["run", None],
+    "verify-all": ["verify-all"],
+    "homology": ["homology", "--operators", _ONE],
+    "spectrum": ["spectrum", "--operators", _ONE],
+    "multiplicity": ["multiplicity", "--system", "z1"],
+    "index": ["index", "--domain", _DISC, "--system", "z1"],
+    "reciprocity": ["reciprocity", "--domain-a", _DISC, "--domain-b", _DISC,
+                    "--system", "z1 - 3"],
+    "ss": ["ss", "--operators-a", _ONE, "--operators-b", _ONE],
+    "identities": ["identities", "--n", "1", "--m", "1"],
+}
+
+
+def test_every_subcommand_is_listed():
+    assert set(_COMMANDS) == {"run", "verify-all"} | {k.command for k in cli.KINDS.values()}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_tol_flag_is_refused_on_every_subcommand(tmp_path, capsys, command):
+    # the float kernel cut is fixed, so no command takes a tolerance;
+    # argparse names unrecognized arguments only once every required one parsed
+    argv = [a if a is not None else write_scenarios(tmp_path, GOOD_DOC)
+            for a in _COMMANDS[command]]
+    with pytest.raises(SystemExit) as exit_:
+        run_main(argv + ["--tol", "1e-9"], tmp_path)
+    assert exit_.value.code == 2
+    (line,) = [x for x in capsys.readouterr().err.splitlines() if "error:" in x]
+    assert line.endswith("error: unrecognized arguments: --tol 1e-9")
+
+
+def test_scenario_refuses_a_tol():
+    # `tol` stays a field only for positional callers, which pass None
+    assert Scenario("x", "IDENTITIES", {}, "exact", None, 7).tol is None
+    with pytest.raises(SchemaError, match="tol"):
+        Scenario("x", "IDENTITIES", {"n": 1, "m": 1}, "float", tol=1e-3)
+    doc = {"schema": 1, "scenarios": [{"id": "x", "kind": "IDENTITIES",
+                                       "payload": {"n": 1, "m": 1}, "tol": 1e-9}]}
+    with pytest.raises(SchemaError, match=r"^scenario #0 has unknown fields \['tol'\]$"):
+        scenarios_from_document(doc, DEFAULTS)
+
+
 @pytest.mark.parametrize("argv", [
-    ["run", None],
-    ["verify-all"],
-    # a cut at or above sigma_max makes every float kernel the whole space,
-    # -1 every one empty
-    ["spectrum", "--backend", "float",
-     "--operators", '[[["0","1"],["0","0"]],[["0","0"],["1","0"]]]'],
-    ["spectrum", "--backend", "float",
-     "--operators", '[[["1","0"],["0","2"]],[["3","0"],["0","4"]]]'],
+    ["identities", "--n", "1", "--m", "1", "--seed", "-1"],
+    ["verify-all", "--seed", "-3"],
+    ["run", None, "--seed", "-1"],
 ])
-def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, argv, tol):
+def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, argv):
     argv = [a if a is not None else write_scenarios(tmp_path, GOOD_DOC) for a in argv]
-    code, reports, _ = run_main(argv + ["--tol", tol], tmp_path)
+    code, reports, _ = run_main(argv, tmp_path)
     assert code == 2 and reports == []
-    err = capsys.readouterr().err
-    assert err == "error: --tol: tol must be a number > 0 and < 1\n"
+    assert capsys.readouterr().err == "error: --seed: seed must be a non-negative integer\n"
 
 
-def test_verify_all_scenarios_carry_the_given_tol():
-    parser = cli.build_parser()
-    for argv, tol in ((["verify-all"], None), (["verify-all", "--tol", "1e-3"], 1e-3)):
-        args = parser.parse_args(argv)
-        assert {s.tol for s in args.scenarios(args)} == {tol}
+def test_negative_scenario_seed_names_its_scenario(tmp_path, capsys):
+    doc = {"schema": 1, "scenarios": [{"id": "s", "kind": "IDENTITIES", "seed": -1,
+                                       "payload": {"n": 1, "m": 1}}]}
+    code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path)
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err == \
+        "error: scenario 's': seed must be a non-negative integer\n"
+
+
+def test_closed_stdout_is_an_output_error():
+    # the reader stops after 100 bytes; the rest of verify-all's reports
+    # cannot be written, which is reported once, without a traceback
+    proc = subprocess.Popen([sys.executable, "-m", "koszul_index.cli", "verify-all"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == b"error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_readme_names_every_common_flag():
+    # the "Common flags:" sentence of the README lists exactly the options
+    # every subcommand shares
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    sentence = " ".join(readme.split("Common flags:", 1)[1].split(". ", 1)[0].split())
+    documented = set(re.findall(r"`(--[a-z-]+)", sentence))
+    parser = argparse.ArgumentParser()
+    cli._add_common(parser)
+    registered = {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+    assert documented == registered
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from koszul_index import linalg, spectrum
 from koszul_index.errors import BackendMismatch, InconsistentSystem
 from koszul_index.linalg import Matrix
-from koszul_index.scalars import DEFAULT_TOL, QQi
+from koszul_index.scalars import QQi
 
 
 def exact(rows):
@@ -54,7 +54,7 @@ def test_rank_nullity_both_backends(rows):
     m = exact(rows)
     assert linalg.rank(m) + linalg.kernel_basis(m).cols == m.cols
     # the float kernel cut of the float split reads the same rank
-    assert spectrum._float_split(m.to_numpy(), DEFAULT_TOL)[2] == linalg.rank(m)
+    assert spectrum._float_split(m.to_numpy())[2] == linalg.rank(m)
 
 
 @settings(max_examples=25, deadline=None)
@@ -236,19 +236,19 @@ def test_float_solve_residual_is_relative():
     np = pytest.importorskip("numpy")
     ones = np.array([[1.0], [1.0]], dtype=complex)
     with pytest.raises(InconsistentSystem):
-        spectrum._float_restrict(ones, np.array([[1.0], [1.0 + 1e-6]]), DEFAULT_TOL)
-    x = spectrum._float_restrict(ones * 1e6, np.array([[1e6], [1e6 + 1e-6]]), DEFAULT_TOL)
+        spectrum._float_restrict(ones, np.array([[1.0], [1.0 + 1e-6]]))
+    x = spectrum._float_restrict(ones * 1e6, np.array([[1e6], [1e6 + 1e-6]]))
     assert abs(x[0, 0] - 1.0) < 1e-9
 
 
 def test_float_kernel_of_rounding_noise_is_the_whole_space():
     # the cut of the float split (spectrum._float_split) is
-    # tol * max(sigma_max, 1), so noise far below 1 is zero
+    # _KERNEL_CUT * max(sigma_max, 1), so noise far below 1 is zero
     np = pytest.importorskip("numpy")
     noise = np.array([[3e-17, -1e-17, 0.0], [2e-17, 5e-17, 1e-17], [0.0, 4e-17, -2e-17]],
                      dtype=complex)
-    assert spectrum._float_split(noise, DEFAULT_TOL)[2] == 0
-    assert spectrum._float_kernel_chain(noise, 3, DEFAULT_TOL).shape == (3, 3)
+    assert spectrum._float_split(noise)[2] == 0
+    assert spectrum._float_kernel_chain(noise, 3).shape == (3, 3)
 
 
 def _seeded(rng, rows, cols):

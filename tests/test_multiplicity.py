@@ -12,6 +12,7 @@ from koszul_index.multiplicity import (build_diagonal_system,
                                        jacobian_regular, local_multiplicity,
                                        truncated_codimension,
                                        verify_diagonal_degree, winding_number)
+from koszul_index.models import DomainDescriptor, ModelTuple, classify_zeros
 from koszul_index.poly import parse_system
 from koszul_index.scalars import QQi
 from koszul_index.suites import random_regular_system
@@ -162,12 +163,17 @@ def test_global_table_checks_commutation_once(monkeypatch):
 
 
 def test_global_table_float_fallback():
+    # the zero table is exact-only; the float split of the same algebra is
+    # models.classify_zeros's fallback
     g = system("z1^2 - 2", 1)
     with pytest.raises(IrrationalSpectrum):
         global_multiplicity_table(g)
-    table = global_multiplicity_table(g, backend="float")
+    disc = DomainDescriptor("polydisc", (QQi(0),), (2,))
+    records, table = classify_zeros(ModelTuple(disc, tuple(g)))
+    assert table.backend == "float" and table.quotient_dim == 2
     values = sorted(p[0].real for p, _ in table.entries)
     assert values[0] == pytest.approx(-2 ** 0.5, abs=1e-6)
+    assert [r.location for r in records] == ["interior", "interior"]
 
 
 def test_oracle_agreement_three_ways():

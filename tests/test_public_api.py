@@ -1,5 +1,7 @@
+import inspect
+
 import koszul_index
-from koszul_index import koszul, models, poly
+from koszul_index import koszul, models, multiplicity, poly
 
 
 def test_every_exported_name_resolves():
@@ -26,3 +28,21 @@ def test_removed_names_stay_gone():
             assert not hasattr(koszul_index, name), name
             assert not hasattr(module, name), name
             assert name not in koszul_index.__all__
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # the float kernel cut is one fixed constant of spectrum's float split,
+    # and the zero tables are exact-only
+    for name in koszul_index.__all__:
+        obj = getattr(koszul_index, name)
+        fns = [obj]
+        if isinstance(obj, type):  # and its methods
+            fns += [fn for _, fn in inspect.getmembers(obj, callable)]
+        for fn in filter(callable, fns):
+            try:
+                params = inspect.signature(fn).parameters
+            except (TypeError, ValueError):
+                continue
+            assert "tol" not in params, name
+    for table in (koszul_index.global_multiplicity_table, multiplicity.multiplicity_table):
+        assert "backend" not in inspect.signature(table).parameters

@@ -109,12 +109,15 @@ def test_scalar_str_exact_and_float():
     assert scalar_str(1.5 + 0j) == "1.5"
 
 
-def test_policy_is_explicit_value():
-    # the float kernel cut is a plain float that the caller passes, 1e-9 by default
-    assert scalars.DEFAULT_TOL == 1e-9
+def test_policy_is_explicit_value(monkeypatch):
+    # the float kernel cut is one fixed constant of the float split, 1e-9
+    # relative, and no caller passes another
+    assert spectrum._KERNEL_CUT == 1e-9
+    assert not hasattr(scalars, "DEFAULT_TOL")
     nearly = Matrix([[1, 0], [0, QQi(Fraction(1, 10 ** 12))]]).to_numpy()
-    assert spectrum._float_split(nearly, scalars.DEFAULT_TOL)[2] == 1
-    assert spectrum._float_split(nearly, 1e-15)[2] == 2
+    assert spectrum._float_split(nearly)[2] == 1
+    monkeypatch.setattr(spectrum, "_KERNEL_CUT", 1e-15)
+    assert spectrum._float_split(nearly)[2] == 2
 
 
 def _exact_parts(x):

@@ -37,7 +37,7 @@ def test_verify_all_generation_calls_no_linalg(monkeypatch):
     scenarios = args.scenarios(args)
     assert calls == []
     assert len(scenarios) == 365
-    assert {(s.backend, s.tol, s.seed) for s in scenarios} == {("float", None, 7)}
+    assert {(s.backend, s.seed) for s in scenarios} == {("float", 7)}
     assert not hasattr(suites, "linalg")
 
 
