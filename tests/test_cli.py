@@ -114,7 +114,12 @@ def test_exit_code_one_on_computational_error(tmp_path):
     # an operator entry beyond float range for the float split
     {"schema": 1, "scenarios": [{"id": "x", "kind": "SPECTRUM", "backend": "float",
                                  "payload": {"operators": [[["1" + "0" * 400]]]}}]},
-])
+] + [{"schema": 1, "scenarios": [{"id": "x", "kind": "IDENTITIES",
+                                  "payload": {"n": 1, "m": 1}, "tol": tol}]}
+     # no value makes `tol` a known field, whether or not it was a valid cut;
+     # json.dumps writes NaN and Infinity, which json.load reads back
+     for tol in [float("nan"), float("inf"), -float("inf"), -1, 0, 0.0, 10 ** 400,
+                 1, 10, 1e300]])
 def test_exit_code_two_on_schema_violation(tmp_path, capsys, doc):
     code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path)
     assert code == 2
@@ -706,6 +711,28 @@ def test_tol_flag_is_refused_on_every_subcommand(tmp_path, capsys, command):
     assert exit_.value.code == 2
     (line,) = [x for x in capsys.readouterr().err.splitlines() if "error:" in x]
     assert line.endswith("error: unrecognized arguments: --tol 1e-9")
+
+
+@pytest.mark.parametrize("tol", ["inf", "-1", "nan", "0", "1", "10", "1e300"])
+@pytest.mark.parametrize("argv", [
+    ["run", None],
+    ["verify-all"],
+    # a cut at or above sigma_max once made every float kernel the whole space,
+    # -1 every one empty
+    ["spectrum", "--backend", "float",
+     "--operators", '[[["0","1"],["0","0"]],[["0","0"],["1","0"]]]'],
+    ["spectrum", "--backend", "float",
+     "--operators", '[[["1","0"],["0","2"]],[["3","0"],["0","4"]]]'],
+])
+def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, argv, tol):
+    # no value of the retired flag is accepted, invalid cuts included
+    argv = [a if a is not None else write_scenarios(tmp_path, GOOD_DOC) for a in argv]
+    with pytest.raises(SystemExit) as exit_:
+        run_main(argv + ["--tol", tol], tmp_path)
+    assert exit_.value.code == 2
+    assert not (tmp_path / "out.jsonl").exists()
+    (line,) = [x for x in capsys.readouterr().err.splitlines() if "error:" in x]
+    assert line.endswith(f"error: unrecognized arguments: --tol {tol}")
 
 
 def test_scenario_refuses_a_tol():
