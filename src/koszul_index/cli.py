@@ -4,10 +4,11 @@ parses, runs and emits; `verify-all` runs the scenarios that
 
 Exit codes: 0 when every scenario passes, 1 when any scenario fails or hits
 a computational error (zero on a boundary, irrational spectrum, ...), 2 for
-schema violations, bad usage or output that cannot be written; nothing
-sets a tolerance. Reports are emitted in input order, and an exact-backend
-run is byte-identical for a fixed seed (timings are only added under
---timings).
+schema violations, bad usage or output that cannot be written, each one
+`error:` line on stderr. No option sets a tolerance or a backend: a report
+names the one that ran (`spectrum.joint_eigenvalues` decides). Reports are
+emitted in input order, and a run is byte-identical for a fixed seed
+(timings are only added under --timings).
 
 Each scenario kind is one entry of KINDS: its payload fields, which are also
 the options of its one-off subcommand, one function that validates a payload
@@ -51,9 +52,11 @@ class Scenario:
     tol: None = None
     seed: int = DEFAULT_SEED
 
-    def __post_init__(self):  # `tol` is kept for positional callers only
+    def __post_init__(self):  # `backend` and `tol` are kept for positional callers only
         if self.tol is not None:
             raise SchemaError("a scenario takes no tol: the float kernel cut is fixed")
+        if self.backend != EXACT:
+            raise SchemaError("a scenario takes no backend: the float split is a fallback")
 
 
 # -- payload parsing helpers ---------------------------------------------------
@@ -74,6 +77,8 @@ def _is_int(value) -> bool:
 def _parse_matrix(obj) -> Matrix:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError("matrix literals are non-empty arrays of arrays")
+    if any(len(row) != len(obj[0]) for row in obj):
+        raise SchemaError("ragged rows in matrix literal")
     return Matrix([[_parse_scalar(x) for x in row] for row in obj])
 
 
@@ -164,7 +169,7 @@ def scenarios_from_document(doc, defaults) -> list:
     for k, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise SchemaError(f"scenario #{k} is not an object")
-        extra = set(entry) - {"id", "kind", "payload", "backend", "seed"}
+        extra = set(entry) - {"id", "kind", "payload", "seed"}
         if extra:
             raise SchemaError(f"scenario #{k} has unknown fields {sorted(extra)}")
         sid = entry.get("id", f"scenario-{k:03d}")
@@ -183,20 +188,17 @@ def scenarios_from_document(doc, defaults) -> list:
         if extra:
             raise SchemaError(
                 f"scenario {sid!r}: unknown payload fields {sorted(extra)}")
-        backend = entry.get("backend", defaults.backend)
-        if backend not in (EXACT, FLOAT):
-            raise SchemaError(f"scenario {sid!r}: backend is 'exact' or 'float'")
         seed = entry.get("seed", defaults.seed)
         if not _is_int(seed) or seed < 0:
             raise SchemaError(f"scenario {sid!r}: seed must be a non-negative integer")
         try:
             # validation; execution parses again, with every literal from the cache
-            KINDS[kind].inputs(payload, backend)
+            KINDS[kind].inputs(payload)
         except (SchemaError, ParseError) as err:
             raise SchemaError(f"scenario {sid!r}: {err}")
         if "expect" in payload and not isinstance(payload["expect"], dict):
             raise SchemaError(f"scenario {sid!r}: expect must be an object")
-        out.append(Scenario(sid, kind, payload, backend, seed=seed))
+        out.append(Scenario(sid, kind, payload, seed=seed))
     return out
 
 
@@ -230,7 +232,7 @@ def _apply_expect(expect, outputs, checks):
 # -- the scenario kinds: parse a payload, run the parsed inputs ------------------
 
 
-def _parse_homology(payload, backend):
+def _parse_homology(payload):
     ops = _parse_operators(payload["operators"])
     cone = None
     if "cone_with" in payload:
@@ -254,27 +256,17 @@ def _run_homology(inputs, outputs, checks):
     return EXACT
 
 
-def _parse_spectrum(payload, backend):
-    """(operators, point, backend): a float split runs on float copies of
-    the operators, so their entries must be in float range; commutation and
-    `at` stay exact."""
+def _parse_spectrum(payload):
     ops = _parse_operators(payload["operators"])
     _require_common_square(ops)
-    if backend == FLOAT:
-        for x in (x for op in ops for row in op.entries for x in row):
-            try:
-                complex(x)
-            except OverflowError:
-                raise SchemaError(f"scalar literal {x} is beyond float range")
     point = _parse_point(payload["at"]) if "at" in payload else None
-    return ops, point, backend
+    return ops, point
 
 
 def _run_spectrum(inputs, outputs, checks):
-    ops, point, backend = inputs
+    ops, point = inputs
     tup = CommutingTuple(ops)
-    pairs = (spectrum.float_spectrum(tup) if backend == FLOAT
-             else spectrum.spectral_decomposition(tup).multiplicities())
+    pairs, backend = spectrum.joint_eigenvalues(tup)
     outputs["eigenvalues"] = [{"point": _point_strs(pt), "multiplicity": m}
                               for pt, m in pairs]
     total = sum(m for _, m in pairs)
@@ -295,7 +287,7 @@ def _run_spectrum(inputs, outputs, checks):
     return backend
 
 
-def _parse_multiplicity(payload, backend):
+def _parse_multiplicity(payload):
     system = _system_from_payload(payload)
     point = _parse_point(payload["at"]) if "at" in payload else None
     if "check_diagonal" in payload and not isinstance(
@@ -336,7 +328,7 @@ def _run_multiplicity(inputs, outputs, checks):
     return EXACT
 
 
-def _parse_index(payload, backend):
+def _parse_index(payload):
     return _system_from_payload(payload), _parse_domain(payload["domain"])
 
 
@@ -360,7 +352,7 @@ def _run_index(inputs, outputs, checks):
     return report.backend  # float when the zeros leave Q(i)
 
 
-def _parse_reciprocity(payload, backend):
+def _parse_reciprocity(payload):
     return (_system_from_payload(payload), _parse_domain(payload["domain_a"]),
             _parse_domain(payload["domain_b"]))
 
@@ -378,7 +370,7 @@ def _run_reciprocity(inputs, outputs, checks):
     return report.backend
 
 
-def _parse_spectral_sequence(payload, backend):
+def _parse_spectral_sequence(payload):
     ops_a = _parse_operators(payload["operators_a"])
     ops_b = _parse_operators(payload["operators_b"])
     _require_common_square(ops_a + ops_b)
@@ -406,7 +398,7 @@ def _run_spectral_sequence(inputs, outputs, checks):
     return EXACT
 
 
-def _parse_identities(payload, backend):
+def _parse_identities(payload):
     n, m = payload["n"], payload["m"]
     if not (_is_int(n) and _is_int(m) and 1 <= n <= m):
         raise SchemaError("identities need integers 1 <= n <= m")
@@ -450,25 +442,21 @@ class Kind:
     command: str
     help: str
     fields: tuple
-    # (payload with defaults filled in, engine backend) -> inputs; raises
-    # SchemaError or ParseError, and never again once a payload passed
+    # payload with defaults filled in -> inputs; raises SchemaError or
+    # ParseError, and never again once a payload passed
     parse: Callable
     # (inputs, outputs, checks) -> the backend that actually ran; fills
     # outputs and checks
     run: Callable
-    exact_only: bool = True  # a float request runs exact engines
 
-    def backend(self, requested: str) -> str:
-        return EXACT if self.exact_only else requested
-
-    def inputs(self, payload: dict, requested: str):
+    def inputs(self, payload: dict):
         """The parsed inputs of a payload; raises SchemaError or ParseError."""
         for f in self.fields:
             if f.required and f.name not in payload:
                 raise SchemaError(f"missing payload field {f.name!r}")
         defaults = {f.name: f.default for f in self.fields
                     if f.default is not None}
-        return self.parse({**defaults, **payload}, self.backend(requested))
+        return self.parse({**defaults, **payload})
 
 
 _OPERATORS = "JSON array of matrices (scalar-string entries)"
@@ -485,7 +473,7 @@ KINDS = {
         "spectrum", "joint eigenvalues and equivalences",
         (Field("operators", required=True, help=_OPERATORS),
          Field("at", "text", help="comma-separated point")),
-        _parse_spectrum, _run_spectrum, exact_only=False),
+        _parse_spectrum, _run_spectrum),
     "MULTIPLICITY": Kind(
         "multiplicity", "local multiplicity at a zero",
         _SYSTEM + (Field("at", "text", help="comma-separated point"),
@@ -532,7 +520,7 @@ def execute_scenario(scenario: Scenario) -> dict:
     kind = KINDS[scenario.kind]
     outputs = {}
     checks = []
-    backend = kind.run(kind.inputs(scenario.payload, scenario.backend), outputs, checks)
+    backend = kind.run(kind.inputs(scenario.payload), outputs, checks)
     _apply_expect(scenario.payload.get("expect"), outputs, checks)
     return _report(scenario, backend, _shared(outputs), _shared(checks))
 
@@ -542,8 +530,8 @@ def run_scenario(scenario: Scenario) -> dict:
     try:
         report = execute_scenario(scenario)
     except (KoszulIndexError, AssertionError) as err:
-        # an error names the backend that raised it (models._raised_on), if not the default
-        backend = getattr(err, "backend", KINDS[scenario.kind].backend(scenario.backend))
+        # an error raised after a float fallback says so (spectrum._raised_on)
+        backend = getattr(err, "backend", EXACT)
         report = _report(scenario, backend, {}, [],
                          {"type": type(err).__name__, "message": str(err)})
     report["_wall_ms"] = (time.perf_counter() - started) * 1000.0
@@ -562,8 +550,6 @@ def emit_reports(reports, stream, timings=False):
 
 
 def _add_common(parser):
-    parser.add_argument("--backend", choices=[EXACT, FLOAT], default=EXACT,
-                        help="scalar backend (default exact)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed of the verify-all generator, echoed in "
                              "each report")
@@ -584,8 +570,13 @@ def _add_field(parser, field: Field):
                             help=field.help)
 
 
+class _Parser(argparse.ArgumentParser):  # subparsers are of this class too
+    def error(self, message):  # one line, as every other exit-2 error; -h is unchanged
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="koszul-index",
         description="Koszul homology, joint spectra and index theorems for "
                     "commuting tuples at desk scale.")
@@ -596,12 +587,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(scenarios=lambda args: load_scenario_file(
         args.scenario_file,
-        Scenario("defaults", "IDENTITIES", {}, args.backend, seed=args.seed)))
+        Scenario("defaults", "IDENTITIES", {}, seed=args.seed)))
 
     p = sub.add_parser("verify-all", help="run the bundled verification suites")
     _add_common(p)
     p.set_defaults(scenarios=lambda args: [
-        Scenario(sid, kind, payload, args.backend, seed=args.seed)
+        Scenario(sid, kind, payload, seed=args.seed)
         for sid, kind, payload in suites.builtin_scenarios(args.seed)])
 
     for name, kind in KINDS.items():
@@ -624,9 +615,8 @@ def _one_off_scenario(args) -> list:
         if value is not None:
             payload[field.name] = (json.loads(value) if field.option == "json"
                                    else value)
-    kind.inputs(payload, args.backend)
-    return [Scenario(f"cli-{kind.command}", args.kind, payload,
-                     args.backend, seed=args.seed)]
+    kind.inputs(payload)
+    return [Scenario(f"cli-{kind.command}", args.kind, payload, seed=args.seed)]
 
 
 def main(argv=None) -> int:

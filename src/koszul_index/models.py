@@ -7,25 +7,22 @@ The coordinate tuple of a model space is never materialized: its index
 function is -1 inside the domain and 0 outside, and every index computation
 reduces to zero and multiplicity data of the polynomial symbol. Zeros on the
 boundary are refused because the index function jumps there. A zero table
-with zeros outside Q(i) comes from the uncertified `spectrum.float_spectrum`.
+off Q(i) is the uncertified float fallback of `spectrum.joint_eigenvalues`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from . import koszul, spectrum
-from .errors import (ArityMismatch, IrrationalSpectrum, KoszulIndexError, NotAZero,
-                     NotNilpotent, ZeroOnBoundary)
+from .errors import ArityMismatch, NotAZero, NotNilpotent, ZeroOnBoundary
 from .koszul import CommutingTuple
 from .linalg import Matrix
-from .multiplicity import (GlobalMultiplicityTable, local_multiplicity, multiplicity_table,
-                           winding_number)
+from .multiplicity import GlobalMultiplicityTable, local_multiplicity, winding_number
 from .poly import groebner, quotient_algebra
-from .scalars import EXACT, FLOAT, QQi
+from .scalars import EXACT, QQi
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -155,31 +152,17 @@ class IndexReport:
         return all(c.passed for c in self.checks)
 
 
-@contextmanager
-def _raised_on(backend: str):
-    """Name `backend` as the `backend` of an error raised inside: an error
-    after the float fallback fired is reported under float, not exact."""
-    try:
-        yield
-    except (KoszulIndexError, AssertionError) as err:
-        err.backend = backend
-        raise
-
-
 def classify_zeros(mt: ModelTuple):
     """All zeros of the symbol with multiplicities, each tagged against the
-    domain; zeros on the boundary raise ZeroOnBoundary. When a zero leaves
-    Q(i), the same quotient algebra is split by `spectrum.float_spectrum`."""
+    domain; zeros on the boundary raise ZeroOnBoundary. The table is exact
+    unless a zero leaves Q(i), as `spectrum.joint_eigenvalues` decides."""
     algebra = quotient_algebra(groebner(list(mt.system)))
-    try:
-        table = multiplicity_table(algebra)
-    except IrrationalSpectrum:
-        with _raised_on(FLOAT):
-            # quotient_algebra has proved that the multiplication matrices commute
-            entries = spectrum.float_spectrum(CommutingTuple.proven(algebra.mult_matrices))
-            table = GlobalMultiplicityTable(tuple(entries), algebra.dim, FLOAT)
+    # quotient_algebra has proved that the multiplication matrices commute
+    entries, backend = spectrum.joint_eigenvalues(
+        CommutingTuple.proven(algebra.mult_matrices), unit=algebra.unit)
     records = []
-    with _raised_on(table.backend):
+    with spectrum._raised_on(backend):
+        table = GlobalMultiplicityTable(tuple(entries), algebra.dim, backend)
         for point, m in table.entries:
             location = mt.domain.classify(point)
             if location == BOUNDARY:
@@ -214,7 +197,7 @@ def global_index(mt: ModelTuple, n_max: int = 30) -> IndexReport:
     compared against the numeric winding oracle.
     """
     records, table = classify_zeros(mt)
-    with _raised_on(table.backend):
+    with spectrum._raised_on(table.backend):
         locals_ = [(rec.point, rec.multiplicity * rec.coordinate_index) for rec in records]
         total = sum(contribution for _, contribution in locals_)
         checks = []
@@ -342,7 +325,7 @@ def reciprocity_check(domain_a: DomainDescriptor, domain_b: DomainDescriptor,
     mt_a = ModelTuple(domain_a, tuple(system))
     mt_b = ModelTuple(domain_b, tuple(system))
     records_a, table = classify_zeros(mt_a)
-    with _raised_on(table.backend):
+    with spectrum._raised_on(table.backend):
         zeros = []
         lhs = 0
         rhs = 0

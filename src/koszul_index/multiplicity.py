@@ -1,7 +1,7 @@
 """Local intersection multiplicity of an isolated common zero, computed as
 the stabilized codimension of a truncated local algebra, plus the diagonal
 two-variable-block reduction and the joint-spectrum route to all zeros at
-once, which is exact-only (`models.classify_zeros` owns the float split).
+once, which is exact-only (`spectrum.joint_eigenvalues` owns the fallback).
 
 The codimension at truncation order N is exactly the dimension of the local
 ring modulo the ideal plus the N-th power of the maximal ideal; it is
@@ -181,19 +181,13 @@ class GlobalMultiplicityTable:
 
 
 def global_multiplicity_table(system) -> GlobalMultiplicityTable:
-    """Zeros with multiplicities of a system (`multiplicity_table`)."""
-    return multiplicity_table(quotient_algebra(groebner(list(system))))
-
-
-def multiplicity_table(algebra) -> GlobalMultiplicityTable:
-    """Zeros with multiplicities as the exact joint spectral decomposition
-    of the multiplication tuple on the quotient algebra; raises
-    IrrationalSpectrum when some zero leaves Q(i)."""
-    entries = ()
-    if algebra.dim:
-        # quotient_algebra has proved that the multiplication matrices commute
-        mult_tuple = CommutingTuple.proven(algebra.mult_matrices)
-        entries = spectrum.spectral_decomposition(mult_tuple, unit=algebra.unit).multiplicities()
+    """Zeros with multiplicities of a system as the exact joint spectral
+    decomposition of the multiplication tuple on its quotient algebra;
+    raises IrrationalSpectrum when some zero leaves Q(i)."""
+    algebra = quotient_algebra(groebner(list(system)))
+    # quotient_algebra has proved that the multiplication matrices commute
+    mult_tuple = CommutingTuple.proven(algebra.mult_matrices)
+    entries = spectrum.spectral_decomposition(mult_tuple, unit=algebra.unit).multiplicities()
     return GlobalMultiplicityTable(tuple(entries), algebra.dim, EXACT)
 
 

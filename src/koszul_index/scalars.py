@@ -1,10 +1,11 @@
 """Scalars: exact Gaussian rationals, and the names of the two backends.
 
 Every input is a Gaussian-rational literal, every Matrix entry is a QQi and
-every theorem equality is exact. The float backend names one job only, the
-numpy split of joint eigenvalues that leave the Gaussian rationals
-(`spectrum.float_spectrum`), whose relative kernel cut is one fixed constant
-there; no function takes a tolerance.
+every theorem equality is exact. EXACT and FLOAT name the backend a report
+says ran; FLOAT names one job only, the numpy split of joint eigenvalues
+that leave the Gaussian rationals, which `spectrum.joint_eigenvalues` falls
+back to. Its relative kernel cut is the fixed `spectrum._KERNEL_CUT`; no
+function takes a tolerance or a backend.
 
 QQi shares a part that is already an exact Fraction, which is immutable and
 in lowest terms, and converts any other (int, bool, Fraction subclass) with

@@ -9,29 +9,29 @@ matrix-vector products from the unit's component in the piece when the
 tuple multiplies on C[z]/I, else by a matrix power. Eigenvalues split the
 Hessenberg characteristic polynomial over the Gaussian rationals (Yun
 factors, Aberth-Ehrlich root guesses, rational reconstruction, exact
-verification); when one leaves them, IrrationalSpectrum is raised and the
-caller may retry with `float_spectrum`.
-
-`float_spectrum` runs the same route on complex128 copies of the operators
-(Matrix.to_numpy): eigenvalues are clusters of numpy ones, linked within
-_CLUSTER, kernels are read from one SVD with the fixed cut _KERNEL_CUT, and
-each later operator is restricted to an eigenspace by least squares. What
-it reports is not certified. numpy is imported only by the float split.
+verification); when one leaves them, IrrationalSpectrum is raised.
+`joint_eigenvalues` alone decides exact or float: on IrrationalSpectrum it
+runs `float_spectrum`, the same route on complex128 copies of the operators
+(Matrix.to_numpy) with eigenvalues clustered within _CLUSTER, kernels read
+from one SVD with the fixed cut _KERNEL_CUT and each later operator
+restricted to an eigenspace by least squares. What it reports is not
+certified. numpy is imported only by the float split.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import koszul, linalg
 from .errors import (ArityMismatch, ClusteringAmbiguity, InconsistentSystem,
-                     IrrationalSpectrum, ResourceLimit)
+                     IrrationalSpectrum, KoszulIndexError, ResourceLimit)
 from .koszul import CommutingTuple
 from .linalg import Matrix
-from .scalars import QQi
+from .scalars import EXACT, FLOAT, QQi
 
 _DENOMINATOR_LADDER = (1, 100, 10**4, 10**6, 10**9)
 _ABERTH_TOL = 1e-15
@@ -481,6 +481,30 @@ def float_spectrum(t: CommutingTuple):
         raise ClusteringAmbiguity("eigenspaces are not independent within tolerance")
     return sorted(((point, basis.shape[1]) for point, basis, _ in pieces),
                   key=lambda pm: tuple((x.real, x.imag) for x in pm[0]))
+
+
+@contextmanager
+def _raised_on(backend: str):
+    """Name `backend` as the `backend` of an error raised inside: an error
+    after the float fallback fired is reported under float, not exact."""
+    try:
+        yield
+    except (KoszulIndexError, AssertionError) as err:
+        err.backend = backend
+        raise
+
+
+def joint_eigenvalues(t: CommutingTuple, unit: Matrix | None = None):
+    """(pairs, backend): the (point, multiplicity) pairs of t sorted by
+    point, certified by spectral_decomposition under EXACT; when an
+    eigenvalue leaves the Gaussian rationals, the uncertified pairs of
+    float_spectrum under FLOAT, any error of that split tagged float.
+    `unit` is as for spectral_decomposition."""
+    try:
+        return spectral_decomposition(t, unit=unit).multiplicities(), EXACT
+    except IrrationalSpectrum:
+        with _raised_on(FLOAT):
+            return float_spectrum(t), FLOAT
 
 
 @dataclass(frozen=True)

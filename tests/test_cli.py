@@ -111,7 +111,7 @@ def test_exit_code_one_on_computational_error(tmp_path):
                                    "payload": {"n": 1, "m": 1}, **entry}]}
       # the retired tolerance is an unknown field (test_scenario_refuses_a_tol)
       for entry in [{"seed": False}, {"tol": 1e-9}]] + [
-    # an operator entry beyond float range for the float split
+    # the retired backend is an unknown field (test_scenario_refuses_a_backend)
     {"schema": 1, "scenarios": [{"id": "x", "kind": "SPECTRUM", "backend": "float",
                                  "payload": {"operators": [[["1" + "0" * 400]]]}}]},
 ] + [{"schema": 1, "scenarios": [{"id": "x", "kind": "IDENTITIES",
@@ -136,14 +136,19 @@ def test_duplicate_ids_rejected():
         scenarios_from_document(doc, DEFAULTS)
 
 
-def test_scenario_backend_and_seed_fields(tmp_path):
+def test_scenario_backend_and_seed_fields(tmp_path, capsys):
+    # a scenario's seed is echoed; its backend is worked out, never requested
     doc = {"schema": 1, "scenarios": [
-        {"id": "f", "kind": "SPECTRUM", "backend": "float", "seed": 3,
-         "payload": {"operators": [[["0", "1"], ["0", "0"]]]}}]}
+        {"id": "f", "kind": "SPECTRUM", "seed": 3,
+         "payload": {"operators": [[["0", "2"], ["1", "0"]]]}}]}
     code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path)
     assert code == 0
-    assert reports[0]["backend"] == "float"
+    assert reports[0]["backend"] == "float"  # the eigenvalues +-sqrt(2) leave Q(i)
     assert reports[0]["seed"] == 3
+    doc["scenarios"][0]["backend"] = "float"
+    code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path, "no.jsonl")
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err == "error: scenario #0 has unknown fields ['backend']\n"
 
 
 def test_timings_flag_adds_wall_clock(tmp_path):
@@ -237,7 +242,7 @@ ONE_OFF_REPORTS = [
      'ame":"univariate_winding_oracle","passed":true,"detail":"winding 2'
      '.000000"}],"pass":true,"error":null}'),
     (['homology', '--operators', '[[["0","1"],["0","0"]]]',
-      '--cone-with', '[["1","2"],["0","1"]]', '--backend', 'float'],
+      '--cone-with', '[["1","2"],["0","1"]]'],
      '{"id":"cli-homology","kind":"HOMOLOGY","backend":"exact","seed":7,'
      '"inputs":{"operators":[[["0","1"],["0","0"]]],"cone_with":[["1","2'
      '"],["0","1"]]},"outputs":{"dims":[1,1],"euler":0,"index":0,"cone_i'
@@ -287,13 +292,17 @@ def test_one_off_options_are_passed_through(tmp_path, capsys):
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_homology_of_large_commuting_float_pair(tmp_path, backend):
     # B = A^2 with entries in the hundreds of thousands: commutation is
-    # exact on either request, since HOMOLOGY always runs exact
+    # checked exactly whichever backend then runs. HOMOLOGY is exact; the
+    # eigenvalues of A are irrational, so SPECTRUM falls back to float
     a = '[["1000/3","1000/7"],["1000/7","200"]]'
     b = '[["58000000/441","1600000/21"],["1600000/21","2960000/49"]]'
-    code, reports, _ = run_main(["homology", "--operators", f"[{a}, {b}]",
-                                 "--backend", backend], tmp_path)
-    assert code == 0 and reports[0]["pass"]
-    assert reports[0]["outputs"]["dims"] == [0, 0, 0]
+    command = "homology" if backend == "exact" else "spectrum"
+    code, reports, _ = run_main([command, "--operators", f"[{a}, {b}]"], tmp_path)
+    assert code == 0 and reports[0]["pass"] and reports[0]["backend"] == backend
+    if command == "homology":
+        assert reports[0]["outputs"]["dims"] == [0, 0, 0]
+    else:
+        assert [e["multiplicity"] for e in reports[0]["outputs"]["eigenvalues"]] == [1, 1]
 
 
 def test_index_reports_the_backend_that_ran(tmp_path):
@@ -378,16 +387,17 @@ def test_reciprocity_reports_the_backend_that_ran(tmp_path):
 
 
 def test_error_reports_name_the_backend_a_success_would(tmp_path):
+    # no float split ran before either error, so both are reported under exact
     doc = {"schema": 1, "scenarios": [
-        {"id": "not-a-zero", "kind": "MULTIPLICITY", "backend": "float",
+        {"id": "not-a-zero", "kind": "MULTIPLICITY",
          "payload": {"system": "z1", "at": ["1"]}},
-        {"id": "not-commuting", "kind": "SPECTRUM", "backend": "float",
+        {"id": "not-commuting", "kind": "SPECTRUM",
          "payload": {"operators": [[["0", "1"], ["0", "0"]],
                                    [["1", "0"], ["1", "1"]]]}}]}
     code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path)
     assert code == 1
     assert [r["error"]["type"] for r in reports] == ["NotAZero", "CommutatorError"]
-    assert [r["backend"] for r in reports] == ["exact", "float"]
+    assert [r["backend"] for r in reports] == ["exact", "exact"]
 
 
 def _disc(radius):
@@ -458,16 +468,17 @@ def test_exact_scenarios_never_import_numpy():
     ]
     float_fallback = [{"id": "index-float", "kind": "INDEX",
                        "payload": {"domain": wide, "system": "z1^2 - 2"}}]
-    float_homology = [dict(exact[0], backend="float")]
+    # eigenvalues +-i lie in Q(i): SPECTRUM stays exact
+    gaussian = [{"id": "spec-i", "kind": "SPECTRUM",
+                 "payload": {"operators": [[["0", "-1"], ["1", "0"]]]}}]
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
         [sys.executable, "-c", _RUN_GROUPS,
-         json.dumps([exact, float_homology, float_fallback])],
+         json.dumps([exact, gaussian, float_fallback])],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    # a float HOMOLOGY request runs exact
     assert proc.stdout.splitlines() == ["True exact False", "True exact False",
                                         "True float True"]
 
@@ -478,24 +489,12 @@ def test_spectrum_at_decomposes_once(monkeypatch, tmp_path):
     calls = []
     original = spectrum.spectral_decomposition
     monkeypatch.setattr(spectrum, "spectral_decomposition",
-                        lambda *args: calls.append(1) or original(*args))
+                        lambda *args, **kw: calls.append(1) or original(*args, **kw))
     code, reports, _ = run_main(
         ["spectrum", "--operators",
          '[[["1","0"],["0","2"]], [["3","0"],["0","4"]]]', "--at", "1,3"], tmp_path)
     assert code == 0 and reports[0]["pass"]
     assert len(calls) == 1
-
-
-def test_verify_all_float_variant_passes(tmp_path):
-    # verify-all has no SPECTRUM scenario, and every other kind runs exact,
-    # so the float variant prints the exact bytes
-    code, reports, data = run_main(
-        ["verify-all", "--seed", "7", "--backend", "float"], tmp_path)
-    assert code == 0
-    assert all(r["pass"] for r in reports)
-    assert {r["backend"] for r in reports} == {"exact"}
-    assert hashlib.sha256(data).hexdigest() == \
-        "49ba6f546f5c494714340dbe36b06a75b576e924aef3769e207d54f0832f547b"
 
 
 def test_builtin_scenarios_deterministic():
@@ -583,31 +582,40 @@ def test_local_multiplicity_beside_irrational_zeros(tmp_path, system, at, multip
 _HUGE = "1" + "0" * 400  # beyond float range
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--backend", "float", "--operators", f'[[["{_HUGE}"]]]'],
-    ["spectrum", "--backend", "float", "--operators", f'[[["1+{_HUGE}i"]]]'],
-])
-def test_float_literal_beyond_range_is_a_schema_violation(tmp_path, capsys, argv):
-    # only the float split of SPECTRUM reads the operators as floats
-    code, reports, _ = run_main(argv, tmp_path)
-    assert code == 2 and reports == []
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and _HUGE in err and "float range" in err
+_HUGE2 = "2" + "0" * 400
+
+
+def test_spectrum_beyond_float_range_is_certified_exactly(tmp_path):
+    # the eigenvalue 2·10^400 lies in Q(i), so the float split never runs
+    code, reports, _ = run_main(["spectrum", "--operators", f'[[["{_HUGE2}"]]]'], tmp_path)
+    assert code == 0 and reports[0]["pass"] and reports[0]["backend"] == "exact"
+    assert reports[0]["outputs"]["eigenvalues"] == [{"point": [_HUGE2], "multiplicity": 1}]
+
+
+def test_spectrum_fallback_beyond_float_range_is_a_float_error(tmp_path):
+    # the eigenvalues +-sqrt(2·10^400) leave Q(i), and the float split
+    # cannot copy an entry beyond float range: a float ResourceLimit
+    code, reports, _ = run_main(
+        ["spectrum", "--operators", f'[[["0","{_HUGE2}"],["1","0"]]]'], tmp_path)
+    assert code == 1 and reports[0]["backend"] == "float"
+    assert reports[0]["error"] == {"type": "ResourceLimit",
+                                   "message": "an operator entry leaves float range"}
 
 
 @pytest.mark.parametrize("argv", [
-    ["homology", "--backend", "float", "--operators", f'[[["{_HUGE}"]]]'],
-    ["spectrum", "--backend", "float", "--operators", '[[["1"]]]', "--at", _HUGE],
+    ["homology", "--operators", f'[[["{_HUGE}"]]]'],
+    ["spectrum", "--operators", '[[["1"]]]', "--at", _HUGE],
 ])
 def test_float_requests_run_exact_literals_beyond_float_range(tmp_path, argv):
-    # HOMOLOGY and the `at` of SPECTRUM run exact on either request
+    # HOMOLOGY and the `at` of SPECTRUM are exact, so a literal beyond float
+    # range is read exactly
     code, reports, _ = run_main(argv, tmp_path)
     assert code == 0 and reports[0]["pass"]
 
 
 def test_float_homology_runs_exact(tmp_path):
     # sigma = 1e-9 sits on the float cut, where the float route read [2, 2]
-    code, reports, _ = run_main(["homology", "--backend", "float", "--operators",
+    code, reports, _ = run_main(["homology", "--operators",
                                  '[[["1/1000000000","0"],["0","0"]]]'], tmp_path)
     assert code == 0 and reports[0]["backend"] == "exact"
     assert reports[0]["outputs"]["dims"] == [1, 1]
@@ -615,15 +623,15 @@ def test_float_homology_runs_exact(tmp_path):
 
 @pytest.mark.parametrize("command", ["homology", "spectrum"])
 def test_non_commuting_float_input_fails_the_exact_commutation_check(tmp_path, command):
-    # commutation is checked exactly on either backend
+    # commutation is checked exactly before any split, so its error is exact
     code, reports, _ = run_main(
-        [command, "--backend", "float", "--operators",
-         '[[["0","1"],["0","0"]],[["0","0"],["1","0"]]]'], tmp_path)
+        [command, "--operators", '[[["0","1"],["0","0"]],[["0","0"],["1","0"]]]'], tmp_path)
     assert code == 1 and reports[0]["error"]["type"] == "CommutatorError"
+    assert reports[0]["backend"] == "exact"
 
 
 def test_float_spectrum_answers_at_exactly(tmp_path):
-    code, reports, _ = run_main(["spectrum", "--backend", "float", "--operators",
+    code, reports, _ = run_main(["spectrum", "--operators",
                                  '[[["0","2"],["1","0"]]]', "--at", "0"], tmp_path)
     assert code == 0 and reports[0]["backend"] == "float"
     outputs = reports[0]["outputs"]
@@ -719,10 +727,8 @@ def test_tol_flag_is_refused_on_every_subcommand(tmp_path, capsys, command):
     ["verify-all"],
     # a cut at or above sigma_max once made every float kernel the whole space,
     # -1 every one empty
-    ["spectrum", "--backend", "float",
-     "--operators", '[[["0","1"],["0","0"]],[["0","0"],["1","0"]]]'],
-    ["spectrum", "--backend", "float",
-     "--operators", '[[["1","0"],["0","2"]],[["3","0"],["0","4"]]]'],
+    ["spectrum", "--operators", '[[["0","1"],["0","0"]],[["0","0"],["1","0"]]]'],
+    ["spectrum", "--operators", '[[["1","0"],["0","2"]],[["3","0"],["0","4"]]]'],
 ])
 def test_tol_flag_must_be_finite_and_positive(tmp_path, capsys, argv, tol):
     # no value of the retired flag is accepted, invalid cuts included
@@ -744,6 +750,72 @@ def test_scenario_refuses_a_tol():
                                        "payload": {"n": 1, "m": 1}, "tol": 1e-9}]}
     with pytest.raises(SchemaError, match=r"^scenario #0 has unknown fields \['tol'\]$"):
         scenarios_from_document(doc, DEFAULTS)
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_backend_flag_is_refused_on_every_subcommand(tmp_path, capsys, command):
+    # exact or float is worked out from the input, so no command takes a backend
+    argv = [a if a is not None else write_scenarios(tmp_path, GOOD_DOC)
+            for a in _COMMANDS[command]]
+    with pytest.raises(SystemExit) as exit_:
+        run_main(argv + ["--backend", "float"], tmp_path)
+    assert exit_.value.code == 2
+    assert not (tmp_path / "out.jsonl").exists()
+    assert capsys.readouterr().err == "error: unrecognized arguments: --backend float\n"
+
+
+def test_scenario_refuses_a_backend():
+    # `backend` stays a field only for positional callers, which pass "exact"
+    assert Scenario("x", "IDENTITIES", {}, "exact", None, 7).backend == "exact"
+    with pytest.raises(SchemaError, match="backend"):
+        Scenario("x", "IDENTITIES", {"n": 1, "m": 1}, "float")
+    doc = {"schema": 1, "scenarios": [{"id": "x", "kind": "IDENTITIES",
+                                       "payload": {"n": 1, "m": 1}, "backend": "exact"}]}
+    with pytest.raises(SchemaError, match=r"^scenario #0 has unknown fields \['backend'\]$"):
+        scenarios_from_document(doc, DEFAULTS)
+
+
+def test_rational_spectrum_stays_exact(tmp_path):
+    # every eigenvalue lies in Q(i): certified exactly, nothing skipped
+    code, reports, _ = run_main(
+        ["spectrum", "--operators", '[[["1","1"],["0","1"]],[["2","3"],["0","2"]]]'], tmp_path)
+    assert code == 0 and reports[0]["pass"] and reports[0]["backend"] == "exact"
+    assert reports[0]["outputs"] == {"eigenvalues": [{"point": ["1", "2"], "multiplicity": 2}]}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-all", "--backend", "float"], "unrecognized arguments: --backend float"),
+    (["spectrum"], "the following arguments are required: --operators"),
+    (["identities", "--n", "1", "--m", "1", "--seed", "x"],
+     "argument --seed: invalid int value: 'x'"),
+    (["nope"], None),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_are_one_error_line(capsys, argv, message):
+    # argparse's refusals read like every other exit-2 error: no usage block
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message is None or err == f"error: {message}\n"
+
+
+def test_help_is_unchanged(capsys):
+    for argv in (["-h"], ["spectrum", "-h"]):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: koszul-index") and "--backend" not in out
+
+
+def test_ragged_matrix_names_its_scenario(tmp_path, capsys):
+    doc = {"schema": 1, "scenarios": [{"id": "rag", "kind": "HOMOLOGY", "payload": {
+        "operators": [[["1", "0"], ["0"]]]}}]}
+    code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path)
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err == "error: scenario 'rag': ragged rows in matrix literal\n"
 
 
 @pytest.mark.parametrize("argv", [

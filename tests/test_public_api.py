@@ -1,4 +1,6 @@
+import ast
 import inspect
+import os
 
 import koszul_index
 from koszul_index import koszul, models, multiplicity, poly
@@ -22,6 +24,7 @@ def test_removed_names_stay_gone():
                        "s_polynomial")),
                (poly.Polynomial, ("monic",)),
                (models, ("r_matrix", "l_matrix")),
+               (multiplicity, ("multiplicity_table",)),
                (koszul, ("subsets", "removal_sign"))]
     for module, names in removed:
         for name in names:
@@ -30,9 +33,12 @@ def test_removed_names_stay_gone():
             assert name not in koszul_index.__all__
 
 
+_REPORT_RECORDS = {"GlobalMultiplicityTable", "IndexReport", "ReciprocityReport"}
+
+
 def test_no_public_callable_takes_a_tolerance():
     # the float kernel cut is one fixed constant of spectrum's float split,
-    # and the zero tables are exact-only
+    # and exact or float is decided by spectrum.joint_eigenvalues alone
     for name in koszul_index.__all__:
         obj = getattr(koszul_index, name)
         fns = [obj]
@@ -44,5 +50,38 @@ def test_no_public_callable_takes_a_tolerance():
             except (TypeError, ValueError):
                 continue
             assert "tol" not in params, name
-    for table in (koszul_index.global_multiplicity_table, multiplicity.multiplicity_table):
-        assert "backend" not in inspect.signature(table).parameters
+            # a report record names the backend that ran; nothing takes one to run
+            assert "backend" not in params or name in _REPORT_RECORDS, name
+
+
+def _sites(match):
+    """(module, enclosing function) of every node of src/ that `match` accepts."""
+    sites = set()
+    package = os.path.dirname(koszul_index.__file__)
+
+    def visit(node, module, func):
+        if match(node):
+            sites.add((module, func))
+        for child in ast.iter_child_nodes(node):
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if inner else func)
+
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                visit(ast.parse(handle.read()), name[:-3], None)
+    return sites
+
+
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_one_function_decides_exact_or_float():
+    # only spectrum.joint_eigenvalues catches IrrationalSpectrum and runs
+    # the float split; every other caller asks it
+    calls = _sites(lambda n: isinstance(n, ast.Call) and "float_spectrum" in _names(n.func))
+    catches = _sites(lambda n: isinstance(n, ast.ExceptHandler) and n.type is not None
+                     and "IrrationalSpectrum" in _names(n.type))
+    assert calls == catches == {("spectrum", "joint_eigenvalues")}

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from koszul_index import suites
-from koszul_index.errors import ArityMismatch, ClusteringAmbiguity, IrrationalSpectrum
+from koszul_index.errors import (ArityMismatch, ClusteringAmbiguity, IrrationalSpectrum,
+                                 ResourceLimit)
 from koszul_index.koszul import CommutingTuple
 from koszul_index.linalg import Matrix
 from koszul_index.multiplicity import global_multiplicity_table
@@ -13,7 +14,7 @@ from koszul_index.poly import groebner, parse_system, quotient_algebra
 from koszul_index.scalars import QQi
 from koszul_index.spectrum import (_power_at_least, apply_polynomial_map,
                                    charpoly, exact_eigenvalues, float_spectrum,
-                                   generalized_eigenspace,
+                                   generalized_eigenspace, joint_eigenvalues,
                                    joint_spectrum_equivalences,
                                    localized_homology, spectral_decomposition)
 
@@ -105,6 +106,20 @@ def test_irrational_spectrum_raises_exact_passes_float():
     values = sorted(pt[0].real for pt, _ in float_spectrum(t))
     assert values[0] == pytest.approx(-2 ** 0.5, abs=1e-6)
     assert values[1] == pytest.approx(2 ** 0.5, abs=1e-6)
+
+
+def test_joint_eigenvalues_fall_back_to_float_only_off_q_i():
+    assert joint_eigenvalues(DIAG) == (spectral_decomposition(DIAG).multiplicities(), "exact")
+    t = mult_tuple("z1^2 - 2", 1)
+    assert joint_eigenvalues(t) == (float_spectrum(t), "float")
+    # an error of the float split is tagged float, one of the exact split is
+    # not: roots +-sqrt(2)·10^200 leave Q(i) and their entry leaves float range;
+    # roots +-sqrt(2)·10^350 leave float range before the float split runs
+    for exponent, tagged in ((400, True), (700, False)):
+        t = CommutingTuple([Matrix([[0, 2 * 10 ** exponent], [1, 0]])])
+        with pytest.raises(ResourceLimit) as raised:
+            joint_eigenvalues(t)
+        assert getattr(raised.value, "backend", None) == ("float" if tagged else None)
 
 
 def _conjugated_jordan(rng, blocks, steps):

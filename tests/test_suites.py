@@ -33,11 +33,11 @@ def test_verify_all_generation_calls_no_linalg(monkeypatch):
                         lambda *args, **kw: calls.append("solve") or solve(*args, **kw))
     monkeypatch.setattr(Matrix, "__matmul__",
                         lambda a, b: calls.append("matmul") or matmul(a, b))
-    args = cli.build_parser().parse_args(["verify-all", "--backend", "float"])
+    args = cli.build_parser().parse_args(["verify-all"])
     scenarios = args.scenarios(args)
     assert calls == []
     assert len(scenarios) == 365
-    assert {(s.backend, s.seed) for s in scenarios} == {("float", 7)}
+    assert {(s.backend, s.seed) for s in scenarios} == {("exact", 7)}
     assert not hasattr(suites, "linalg")
 
 
