@@ -7,9 +7,11 @@ kernel chain that forms no matrix power. An operator keeps a piece whole
 when its shift by the mean eigenvalue is proved nilpotent there: by
 matrix-vector products from the unit's component in the piece when the
 tuple multiplies on C[z]/I, else by a matrix power. Eigenvalues split the
-Hessenberg characteristic polynomial over the Gaussian rationals (Yun
-factors, Aberth-Ehrlich root guesses, rational reconstruction, exact
-verification); when one leaves them, IrrationalSpectrum is raised.
+Hessenberg characteristic polynomial, made primitive over Z[i], into
+square-free factors by Musser's algorithm on int pairs; a root in Q(i) of a
+factor with lead lc is in Z[i] / lc, so it is read off an Aberth-Ehrlich
+guess x as round(lc x) / lc and verified exactly. When a root leaves Q(i),
+IrrationalSpectrum is raised.
 `joint_eigenvalues` alone decides exact or float: on IrrationalSpectrum it
 runs `float_spectrum`, the same route on complex128 copies of the operators
 (Matrix.to_numpy) with eigenvalues clustered within _CLUSTER, kernels read
@@ -21,6 +23,7 @@ certified. numpy is imported only by the float split.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,9 +34,9 @@ from .errors import (ArityMismatch, ClusteringAmbiguity, InconsistentSystem,
                      IrrationalSpectrum, KoszulIndexError, ResourceLimit)
 from .koszul import CommutingTuple
 from .linalg import Matrix
+from .poly import _gauss_mul
 from .scalars import EXACT, FLOAT, QQi
 
-_DENOMINATOR_LADDER = (1, 100, 10**4, 10**6, 10**9)
 _ABERTH_TOL = 1e-15
 _ABERTH_SWEEPS = 200
 _NEWTON_STEPS = 6
@@ -43,46 +46,91 @@ _INDEPENDENCE_FLOOR = 1e-6  # of float eigenspaces (float_spectrum)
 _KERNEL_CUT = 1e-9  # relative: singular values up to 1e-9 * max(sigma_max, 1) are zero
 
 
-# -- exact univariate polynomial helpers (coefficients low to high) -----------
-
-
-def _trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _degree(p):
-    return len(p) - 1
-
-
-def _monic(p):
-    inv = QQi(1) / p[-1]
-    return [inv * c for c in p]
+# -- univariate polynomials over Z[i]: (re, im) int pairs, low to high -------
 
 
 def _deriv(p):
-    return _trim([QQi(k) * p[k] for k in range(1, len(p))])
+    return [(k * a, k * b) for k, (a, b) in enumerate(p) if k]
 
 
-def _divmod(a, b):
-    a = list(a)
-    quot = [QQi(0)] * max(0, len(a) - len(b) + 1)
-    inv = QQi(1) / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        factor = a[k + len(b) - 1] * inv
-        if factor:
-            quot[k] = factor
-            for j, bc in enumerate(b):
-                a[k + j] = a[k + j] - factor * bc
-    return _trim(quot), _trim(a)
+def _sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _divide(x, y, rounding=0):
+    """x conj(y) / |y|^2 in Z[i]: exact when y divides x, else floored or rounded."""
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((2 * (x[0] * y[0] + x[1] * y[1]) + rounding * n) // (2 * n),
+            (2 * (x[1] * y[0] - x[0] * y[1]) + rounding * n) // (2 * n))
+
+
+def _ratio(x, y) -> QQi:
+    """x / y in Q(i), one QQi."""
+    n = y[0] * y[0] + y[1] * y[1]
+    return QQi(Fraction(x[0] * y[0] + x[1] * y[1], n), Fraction(x[1] * y[0] - x[0] * y[1], n))
+
+
+def _gauss_gcd(x, y):
+    """A gcd in Z[i]: Euclid with rounded quotients at least halves the norm each step."""
+    while y != (0, 0):
+        x, y = y, _sub(x, _gauss_mul(_divide(x, y, 1), y))
+    return x
+
+
+def _primitive(p):
+    """p over its content: the gcd h of every part, times a gcd in Z[i] of
+    the coefficients over h, whose Euclid starts from the gcd of their norms."""
+    h = math.gcd(*(x for c in p for x in c))
+    p = [(a // h, b // h) for a, b in p] if h > 1 else p
+    g = functools.reduce(_gauss_gcd, p, (math.gcd(*(a * a + b * b for a, b in p)), 0))
+    return [_divide(c, g) for c in p] if g[0] * g[0] + g[1] * g[1] > 1 else p
+
+
+def _prem(a, b):
+    """lc(b)^e a mod b (e >= 0), each step scaled by lc(b) to stay in Z[i]."""
+    r, lc, top = list(a), b[-1], len(b) - 1
+    while r and (len(r) > top or r[-1] == (0, 0)):  # and drop zero leads
+        x = r.pop()
+        if x != (0, 0):
+            r = [_gauss_mul(lc, c) for c in r]
+            for j in range(top):
+                r[len(r) - top + j] = _sub(r[len(r) - top + j], _gauss_mul(x, b[j]))
+    return r
 
 
 def _gcd(a, b):
-    a, b = _trim(list(a)), _trim(list(b))
+    """A primitive gcd of primitive a and b: the primitive pseudo-remainder
+    sequence (Geddes-Czapor-Labahn, Algorithms for Computer Algebra, 7.3)."""
     while b:
-        a, b = b, _divmod(a, b)[1]
-    return _monic(a) if a else a
+        a, b = b, _primitive(_prem(a, b))
+    return a
+
+
+def _quo(a, b):
+    """a / b for b dividing a in Z[i][x], each division by lc(b) exact."""
+    r, top = list(a), len(b) - 1
+    q = [(0, 0)] * (len(a) - top)
+    for k in range(len(q) - 1, -1, -1):
+        x = q[k] = _divide(r[k + top], b[-1])
+        for j in range(top):
+            r[k + j] = _sub(r[k + j], _gauss_mul(x, b[j]))
+    return q
+
+
+def _squarefree(p):
+    """Musser's square-free decomposition [(factor, multiplicity)] of a
+    primitive p of degree >= 1 by gcds and exact divisions (Geddes-Czapor-
+    Labahn, 8.2): with c = gcd(p, p') and w = p / c, y = gcd(w, c) keeps the
+    factors of multiplicity above i, so w / y is the primitive i-th one."""
+    c = _gcd(p, _primitive(_deriv(p)))
+    w = _quo(p, c)
+    out, i = [], 1
+    while len(w) > 1:
+        y = _gcd(w, c)
+        if len(y) < len(w):
+            out.append((_quo(w, y), i))
+        w, c, i = y, _quo(c, y), i + 1
+    return out
 
 
 def _eval(p, x: QQi) -> QQi:
@@ -125,64 +173,6 @@ def charpoly(m: Matrix):
     return polys[d]
 
 
-def _squarefree(p):
-    """Yun decomposition [(factor, multiplicity)] of a monic polynomial."""
-    p = _monic(list(p))
-    dp = _deriv(p)
-    g = _gcd(p, dp)
-    if _degree(g) == 0:
-        return [(p, 1)]
-    c = _divmod(p, g)[0]
-    d = [x - y for x, y in _pad(_divmod(dp, g)[0], _deriv(c))]
-    out = []
-    i = 1
-    while _degree(c) > 0:
-        y = _gcd(c, _trim(list(d)))
-        if _degree(y) > 0:
-            out.append((y, i))
-        c = _divmod(c, y)[0]
-        d = [x - y_ for x, y_ in _pad(_divmod(_trim(list(d)), y)[0], _deriv(c))]
-        i += 1
-    return out
-
-
-def _pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [QQi(0)] * (n - len(a))
-    b = list(b) + [QQi(0)] * (n - len(b))
-    return zip(a, b)
-
-
-def _on_ladder(x: QQi, z: complex, factor, radius: float) -> QQi | None:
-    for bound in _DENOMINATOR_LADDER:
-        cand = QQi(x.re.limit_denominator(bound), x.im.limit_denominator(bound))
-        if abs(complex(cand) - z) < radius and _eval(factor, cand).is_zero():
-            return cand
-    return None
-
-
-def _reconstruct_root(z: complex, factor, radius: float) -> QQi | None:
-    """The first exact root of `factor` on the denominator ladder that lies
-    within `radius` of the numeric root z, so it is z's root and not a
-    neighbour's. When z is too coarse for the ladder, as for roots close
-    relative to their size, the ladder runs once more on z refined by up to
-    _NEWTON_STEPS exact Newton steps on the square-free factor, each iterate
-    rounded to multiples of _NEWTON_GRID so its size stays bounded."""
-    x = QQi(Fraction(z.real), Fraction(z.imag))
-    cand = _on_ladder(x, z, factor, radius)
-    if cand is not None:
-        return cand
-    derivative = _deriv(factor)
-    for _ in range(_NEWTON_STEPS):
-        slope = _eval(derivative, x)
-        if not slope:
-            break
-        step = _eval(factor, x) / slope
-        x = QQi(round((x.re - step.re) / _NEWTON_GRID) * _NEWTON_GRID,
-                round((x.im - step.im) / _NEWTON_GRID) * _NEWTON_GRID)
-    return _on_ladder(x, z, factor, radius)
-
-
 def _bit_size(x: QQi) -> int:
     """log2 |x| to within one, from the bit lengths of a nonzero x's parts."""
     return max(abs(q.numerator).bit_length() - q.denominator.bit_length()
@@ -198,9 +188,9 @@ def _numeric_roots(factor):
     coefficients leave float range is solved as q(w) = p(2^s w) / 2^(s n),
     with 2^s near the largest |c_(n-k)|^(1/k), so its roots are 2^s w;
     ResourceLimit is raised when those leave float range too."""
-    n = _degree(factor)
+    n = len(factor) - 1
     try:
-        s, c = 0, [complex(x) for x in factor]  # Yun factors are monic
+        s, c = 0, [complex(x) for x in factor]  # made monic by the caller
     except OverflowError:
         s = max(-(-_bit_size(x) // (n - j)) for j, x in enumerate(factor[:n]) if x)
         c = [complex(x / QQi(2 ** (s * (n - j)))) for j, x in enumerate(factor)]
@@ -227,17 +217,46 @@ def _numeric_roots(factor):
         raise ResourceLimit("a characteristic polynomial root leaves float range")
 
 
+def _reconstruct_root(z: complex, factor, radius: float) -> QQi | None:
+    """The root of a primitive `factor` near its numeric root z: Z[i] is
+    integrally closed, so lc r is in Z[i] for its lead lc and a root r in
+    Q(i); the candidate round(lc x) / lc, x = z exactly, must vanish and lie
+    within `radius` of z, so it is z's root and not a neighbour's. When z is
+    too coarse, x takes up to _NEWTON_STEPS exact Newton steps, each rounded
+    to multiples of _NEWTON_GRID, and is read once more."""
+    lc = factor[-1]
+    p, dp = ([QQi(*c) for c in f] for f in (factor, _deriv(factor)))
+
+    def read(x: QQi) -> QQi | None:
+        cand = _ratio((round(lc[0] * x.re - lc[1] * x.im),
+                       round(lc[0] * x.im + lc[1] * x.re)), lc)
+        return cand if abs(complex(cand) - z) < radius and not _eval(p, cand) else None
+
+    x = QQi(Fraction(z.real), Fraction(z.imag))
+    cand = read(x)
+    if cand is not None:
+        return cand
+    for _ in range(_NEWTON_STEPS):
+        slope = _eval(dp, x)
+        if not slope:
+            break
+        step = _eval(p, x) / slope
+        x = QQi(round((x.re - step.re) / _NEWTON_GRID) * _NEWTON_GRID,
+                round((x.im - step.im) / _NEWTON_GRID) * _NEWTON_GRID)
+    return read(x)
+
+
 def exact_eigenvalues(m: Matrix):
     """Eigenvalues of an exact matrix certified in the Gaussian rationals,
     as (value, algebraic multiplicity) pairs; raises IrrationalSpectrum."""
     if m.rows == 0:
         return []
     out = {}
-    for factor, mult in _squarefree(charpoly(m)):
-        if _degree(factor) == 1:
-            found = {-factor[0] / factor[1]}
+    for factor, mult in _squarefree(_primitive(linalg._clear_denominators(charpoly(m))[1])):
+        if len(factor) == 2:
+            found = {-_ratio(*factor)}
         else:
-            numeric = _numeric_roots(factor)
+            numeric = _numeric_roots([_ratio(c, factor[-1]) for c in factor])
             found = set()
             for i, z in enumerate(numeric):
                 # half the gap to the nearest other root of this square-free factor
@@ -248,7 +267,7 @@ def exact_eigenvalues(m: Matrix):
                         "characteristic polynomial does not split over the "
                         "Gaussian rationals")
                 found.add(cand)
-            if len(found) != _degree(factor):
+            if len(found) != len(factor) - 1:
                 raise IrrationalSpectrum(
                     "root reconstruction collapsed distinct eigenvalues")
         for root in found:

@@ -783,6 +783,32 @@ def test_rational_spectrum_stays_exact(tmp_path):
     assert reports[0]["outputs"] == {"eigenvalues": [{"point": ["1", "2"], "multiplicity": 2}]}
 
 
+_BIG_DENOMINATOR = "(1000000001*z1 - 1)*(z1 - 2); z2"
+
+
+def test_denominators_above_10_to_the_9_stay_exact(tmp_path):
+    # a zero 1/1000000001 is certified exactly: MULTIPLICITY answers instead
+    # of raising IrrationalSpectrum, and SPECTRUM and INDEX no longer fall
+    # back to float or skip sum_of_local_indices
+    zeros = [{"point": ["1/1000000001", "0"], "multiplicity": 1},
+             {"point": ["2", "0"], "multiplicity": 1}]
+    code, reports, _ = run_main(["multiplicity", "--system", _BIG_DENOMINATOR], tmp_path, "m")
+    assert code == 0 and reports[0]["outputs"]["zeros"] == zeros
+    code, reports, _ = run_main(
+        ["spectrum", "--operators", '[[["1/1000000001","0"],["0","2"]]]'], tmp_path, "s")
+    assert code == 0 and reports[0]["backend"] == "exact"
+    assert reports[0]["outputs"] == {"eigenvalues": [
+        {"point": ["1/1000000001"], "multiplicity": 1}, {"point": ["2"], "multiplicity": 1}]}
+    code, reports, _ = run_main(
+        ["index", "--domain", '{"kind":"polydisc","center":["0","0"],"radii":["1","1"]}',
+         "--system", _BIG_DENOMINATOR], tmp_path, "i")
+    outputs = reports[0]["outputs"]
+    assert code == 0 and reports[0]["backend"] == "exact" and "skipped_checks" not in outputs
+    assert [z["point"] for z in outputs["zeros"]] == [z["point"] for z in zeros]
+    assert {"name": "sum_of_local_indices", "passed": True,
+            "detail": "truncation route -1 vs eigenspace route -1"} in reports[0]["checks"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify-all", "--backend", "float"], "unrecognized arguments: --backend float"),
     (["spectrum"], "the following arguments are required: --operators"),

@@ -1,8 +1,9 @@
 """Differential tests of the exact routes against sympy: rank, kernel and
 solve against sympy's elimination, on Gaussian and on real systems, the characteristic polynomial against
 sympy's, certified eigenvalues against spectra known by construction,
-S J S^-1 with J in Jordan form, and reduced grevlex Groebner bases and
-quotient dimensions against sympy's `groebner`."""
+S J S^-1 with J in Jordan form, the square-free split of characteristic
+polynomials against sympy's `sqf_list` over QQ_I, and reduced grevlex
+Groebner bases and quotient dimensions against sympy's `groebner`."""
 
 import itertools
 import random
@@ -12,7 +13,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from koszul_index import linalg, poly, suites  # noqa: E402
+from koszul_index import linalg, poly, spectrum, suites  # noqa: E402
 from koszul_index.errors import InconsistentSystem, IrrationalSpectrum  # noqa: E402
 from koszul_index.linalg import Matrix  # noqa: E402
 from koszul_index.poly import (Polynomial, groebner, monomials_of_degree,  # noqa: E402
@@ -200,6 +201,52 @@ def test_companion_of_irrational_polynomial_raises():
     companion = Matrix([[0, 2], [1, 0]])  # z^2 - 2
     with pytest.raises(IrrationalSpectrum):
         exact_eigenvalues(companion)
+
+
+def _big_rational(rng, den):
+    return sympy.Rational(rng.randint(-den, den), rng.randint(1, den))
+
+
+def _squarefree_case(rng):
+    """A seeded product of powers of linear factors x - r, r in Q(i), and of
+    quadratics (x - r)^2 - 3 s^2, irreducible over Q(i) since 3 is prime in
+    Z[i], times a Gaussian constant: degree 1 to 10, denominators up to
+    10^12."""
+    x = sympy.Symbol("x")
+    den, target = rng.choice([10, 10 ** 6, 10 ** 12]), rng.randint(1, 10)
+    expr, degree = _to_sympy(_gaussian(rng)) or 1, 0
+    while degree < target:
+        r = _big_rational(rng, den)
+        r += sympy.I * _big_rational(rng, den) if rng.random() < 0.5 else 0
+        size = 2 if target - degree >= 2 and rng.random() < 0.4 else 1
+        k = rng.randint(1, min(3, (target - degree) // size))
+        base = (x - r) ** 2 - 3 * (_big_rational(rng, den) or 1) ** 2 if size == 2 else x - r
+        expr, degree = expr * base ** k, degree + size * k
+    return sympy.Poly(sympy.expand(expr), x, domain=sympy.QQ_I)
+
+
+def _first_squarefree_disagreement(seed, trials):
+    """The first case, or None, whose split by spectrum._squarefree, on the
+    primitive Gaussian-integer polynomial, differs from sympy's sqf_list
+    over QQ_I, both read as sets of (monic factor, multiplicity): case 0 is
+    (x^2 - 2)^2 (x - 1/3)^3, the rest are seeded."""
+    rng = random.Random(seed)
+    x = sympy.Symbol("x")
+    cases = [sympy.Poly((x ** 2 - 2) ** 2 * (x - sympy.Rational(1, 3)) ** 3, x)]
+    cases += [_squarefree_case(rng) for _ in range(trials)]
+    for trial, p in enumerate(cases):
+        coeffs = [_from_sympy(c) for c in reversed(p.all_coeffs())]
+        ours = spectrum._squarefree(spectrum._primitive(linalg._clear_denominators(coeffs)[1]))
+        got = {(tuple(spectrum._ratio(c, f[-1]) for c in f), k) for f, k in ours}
+        expected = {(tuple(_from_sympy(c) for c in reversed(f.monic().all_coeffs())), k)
+                    for f, k in p.sqf_list()[1]}
+        if got != expected:
+            return trial
+    return None
+
+
+def test_squarefree_split_matches_sympy():
+    assert _first_squarefree_disagreement(3030, 40) is None
 
 
 def _random_dense_system(rng, nvars):

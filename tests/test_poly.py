@@ -1,6 +1,4 @@
-import inspect
 import random
-import textwrap
 from fractions import Fraction
 
 import pytest
@@ -11,6 +9,7 @@ from koszul_index.errors import NotZeroDimensional, ParseError, UnknownVariable
 from koszul_index.poly import (MAX_NESTING, Polynomial, grevlex_key, groebner,
                                normal_form, parse_system, quotient_algebra)
 from koszul_index.scalars import QQi
+from mutations import patch_source
 
 
 def poly(text, n):
@@ -268,18 +267,6 @@ def _sympy_groebner_oracle():
     assert not oracles._groebner_disagreements(systems)
 
 
-def _patch_source(monkeypatch, path, old, new):
-    """Install a copy of poly's function (or Polynomial method) `path` with
-    the text `old` of its source replaced by `new`."""
-    owner = poly_mod.Polynomial if path.startswith("Polynomial.") else poly_mod
-    name = path.rpartition(".")[2]
-    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
-    assert source.count(old) == 1, path
-    namespace = dict(vars(poly_mod))
-    exec(compile(source.replace(old, new), poly_mod.__file__, "exec"), namespace)
-    monkeypatch.setattr(owner, name, namespace[name])
-
-
 # Mutations of the integer route, each with the independent oracle that
 # must reject it: (patched function, text, mutated text, oracle).
 _INTEGER_ROUTE_MUTATIONS = {
@@ -302,6 +289,6 @@ _INTEGER_ROUTE_MUTATIONS = {
 def test_integer_route_mutations_are_rejected(monkeypatch, mutation):
     path, old, new, oracle = _INTEGER_ROUTE_MUTATIONS[mutation]
     oracle()
-    _patch_source(monkeypatch, path, old, new)
+    patch_source(monkeypatch, poly_mod, path, old, new)
     with pytest.raises(AssertionError):
         oracle()

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from koszul_index import suites
+from koszul_index import spectrum as spectrum_mod, suites
 from koszul_index.errors import (ArityMismatch, ClusteringAmbiguity, IrrationalSpectrum,
-                                 ResourceLimit)
+                                 KoszulIndexError, ResourceLimit)
 from koszul_index.koszul import CommutingTuple
 from koszul_index.linalg import Matrix
 from koszul_index.multiplicity import global_multiplicity_table
@@ -17,6 +17,7 @@ from koszul_index.spectrum import (_power_at_least, apply_polynomial_map,
                                    generalized_eigenspace, joint_eigenvalues,
                                    joint_spectrum_equivalences,
                                    localized_homology, spectral_decomposition)
+from mutations import patch_source
 
 
 def mult_tuple(text, n):
@@ -63,6 +64,15 @@ def test_exact_eigenvalues_close_relative_to_their_size():
     table = global_multiplicity_table(parse_system("(z1-999)*(z1-1000)*(z1-1000001/1000)", 1))
     assert table.entries == (((QQi(999),), 1), ((QQi(1000),), 1),
                              ((QQi(Fraction(1000001, 1000)),), 1))
+
+
+@pytest.mark.parametrize("entries", [("1/1000000001", "2"), ("7/1000000011", "-4/3-2i")])
+def test_exact_eigenvalues_with_denominators_above_10_to_the_9(entries):
+    # each root is read off its factor's leading coefficient, so no
+    # denominator bound applies
+    a, b = (QQi.parse(x) for x in entries)
+    m = Matrix([[a, QQi(0)], [QQi(0), b]])
+    assert exact_eigenvalues(m) == sorted([(a, 1), (b, 1)], key=lambda kv: kv[0].sort_key())
 
 
 def test_exact_eigenvalues_of_an_irrational_companion_still_raise():
@@ -122,10 +132,11 @@ def test_joint_eigenvalues_fall_back_to_float_only_off_q_i():
         assert getattr(raised.value, "backend", None) == ("float" if tagged else None)
 
 
-def _conjugated_jordan(rng, blocks, steps):
+def _conjugated_jordan(rng, blocks, steps, extra=()):
     """S J S^-1 for a unimodular S of `steps` row operations, where J holds
-    one Jordan block of each (eigenvalue, size)."""
-    d = sum(size for _, size in blocks)
+    one Jordan block of each (eigenvalue, size), then the square block
+    `extra` on its diagonal."""
+    d = sum(size for _, size in blocks) + len(extra)
     rows = [[QQi(0)] * d for _ in range(d)]
     pos = 0
     for lam, size in blocks:
@@ -134,8 +145,89 @@ def _conjugated_jordan(rng, blocks, steps):
             if i:
                 rows[pos + i - 1][pos + i] = QQi(1)
         pos += size
+    for i, row in enumerate(extra):
+        rows[pos + i][pos:] = row
     s, s_inv = (Matrix(m) for m in suites._unimodular(rng, d, steps))
     return s @ Matrix(rows) @ s_inv
+
+
+def _big_value(rng, den):
+    """A Gaussian rational whose parts have denominators up to den."""
+    im = Fraction(rng.randint(-den, den), rng.randint(1, den)) if rng.random() < 0.5 else 0
+    return QQi(Fraction(rng.randint(-den, den), rng.randint(1, den)), im)
+
+
+def _jordan_case(rng, irrational):
+    """(blocks, extra) of a seeded conjugated Jordan form of size at most 7:
+    eigenvalues in Q(i) with denominators up to 10^12, often shared by two
+    blocks; when `irrational`, extra is [[r, q], [1, r]] with q = 3 s^2, whose
+    eigenvalues r +- sqrt(q) leave Q(i)."""
+    den = rng.choice([10, 10 ** 6, 10 ** 12])
+    room = 5 if irrational else 7
+    values = [_big_value(rng, den) for _ in range(rng.randint(1, 3))]
+    blocks = []
+    while room and (not blocks or rng.random() < 0.6):
+        size = rng.randint(1, min(3, room))
+        blocks.append((rng.choice(values), size))
+        room -= size
+    if not irrational:
+        return blocks, ()
+    r, s = _big_value(rng, den), Fraction(rng.randint(1, den), rng.randint(1, den))
+    return blocks, [[r, QQi(3 * s * s)], [QQi(1), r]]
+
+
+def _split_or_error(m):
+    """exact_eigenvalues(m), or the type of the KoszulIndexError it raises;
+    any other exception escapes."""
+    try:
+        return exact_eigenvalues(m)
+    except KoszulIndexError as err:
+        return type(err)
+
+
+def test_conjugated_jordan_forms_come_back_exactly():
+    # 200 seeded forms: the spectrum and multiplicities a Jordan form is
+    # built with come back exactly, an irrational 2x2 block raises
+    # IrrationalSpectrum, and no error but a KoszulIndexError escapes (an
+    # OverflowError from a large leading coefficient would)
+    rng = random.Random(3030)
+    for trial in range(200):
+        irrational = trial % 4 == 3
+        blocks, extra = _jordan_case(rng, irrational)
+        m = _conjugated_jordan(rng, blocks, 12, extra)
+        expected = {}
+        for lam, size in blocks:
+            expected[lam] = expected.get(lam, 0) + size
+        wanted = sorted(expected.items(), key=lambda kv: kv[0].sort_key())
+        assert _split_or_error(m) == (IrrationalSpectrum if irrational else wanted), trial
+
+
+def _sympy_squarefree_oracle():
+    oracles = pytest.importorskip("test_oracles")
+    assert oracles._first_squarefree_disagreement(3030, 10) is None
+
+
+# Mutations of the Gaussian-integer split, each with the independent oracle
+# that must reject it: (patched function, text, mutated text, oracle).
+_SPLIT_MUTATIONS = {
+    "prem_without_lc": ("_prem", "r = [_gauss_mul(lc, c) for c in r]", "r = list(r)",
+                        _sympy_squarefree_oracle),
+    "candidate_over_unconjugated_lc": (
+        "_reconstruct_root", "round(lc[0] * x.im + lc[1] * x.re)), lc)",
+        "round(lc[0] * x.im + lc[1] * x.re)), (lc[0], -lc[1]))",
+        test_conjugated_jordan_forms_come_back_exactly),
+    "musser_counts_from_0": ("_squarefree", "out, i = [], 1", "out, i = [], 0",
+                             test_conjugated_jordan_forms_come_back_exactly),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_SPLIT_MUTATIONS))
+def test_split_mutations_are_rejected(monkeypatch, mutation):
+    path, old, new, oracle = _SPLIT_MUTATIONS[mutation]
+    oracle()
+    patch_source(monkeypatch, spectrum_mod, path, old, new)
+    with pytest.raises(AssertionError):
+        oracle()
 
 
 @pytest.mark.parametrize("seed", [0, 10, 25, 32])
