@@ -457,6 +457,12 @@ def _gauss_mul(x, y):
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
+def _gauss_ratio(x, y) -> QQi:
+    """x / y in Q(i) for Gaussian-integer pairs, one QQi."""
+    n = y[0] * y[0] + y[1] * y[1]
+    return QQi(*(Fraction(a, n) for a in _gauss_mul(x, (y[0], -y[1]))))
+
+
 def _divisors(polys) -> list:
     return [_divisor(dict(zip(g.terms, _clear_denominators(list(g.terms.values()))[1])))
             for g in polys if not g.is_zero()]
@@ -508,9 +514,7 @@ def _reduce(terms: dict, divisors):
 
 def _scaled(terms: dict, num, den) -> dict:
     """The exact coefficients terms * num / den, one QQi each."""
-    n, conj = den[0] * den[0] + den[1] * den[1], (den[0], -den[1])
-    return {m: QQi(*(Fraction(a, n) for a in _gauss_mul(_gauss_mul(c, num), conj)))
-            for m, c in terms.items()}
+    return {m: _gauss_ratio(_gauss_mul(c, num), den) for m, c in terms.items()}
 
 
 def normal_form(p: Polynomial, basis) -> Polynomial:

@@ -10,8 +10,9 @@ tuple multiplies on C[z]/I, else by a matrix power. Eigenvalues split the
 Hessenberg characteristic polynomial, made primitive over Z[i], into
 square-free factors by Musser's algorithm on int pairs; a root in Q(i) of a
 factor with lead lc is in Z[i] / lc, so it is read off an Aberth-Ehrlich
-guess x as round(lc x) / lc and verified exactly. When a root leaves Q(i),
-IrrationalSpectrum is raised.
+guess x as round(lc x) / lc, after exact Newton steps on a grid finer than
+1 / |lc| while x is too coarse, and verified exactly. When a root leaves
+Q(i), IrrationalSpectrum is raised.
 `joint_eigenvalues` alone decides exact or float: on IrrationalSpectrum it
 runs `float_spectrum`, the same route on complex128 copies of the operators
 (Matrix.to_numpy) with eigenvalues clustered within _CLUSTER, kernels read
@@ -34,13 +35,12 @@ from .errors import (ArityMismatch, ClusteringAmbiguity, InconsistentSystem,
                      IrrationalSpectrum, KoszulIndexError, ResourceLimit)
 from .koszul import CommutingTuple
 from .linalg import Matrix
-from .poly import _gauss_mul
+from .poly import _gauss_mul, _gauss_ratio
 from .scalars import EXACT, FLOAT, QQi
 
 _ABERTH_TOL = 1e-15
 _ABERTH_SWEEPS = 200
 _NEWTON_STEPS = 6
-_NEWTON_GRID = Fraction(1, 2 ** 256)
 _CLUSTER = 1e-6  # the link radius of float eigenvalues (_float_eigenvalues)
 _INDEPENDENCE_FLOOR = 1e-6  # of float eigenspaces (float_spectrum)
 _KERNEL_CUT = 1e-9  # relative: singular values up to 1e-9 * max(sigma_max, 1) are zero
@@ -62,12 +62,6 @@ def _divide(x, y, rounding=0):
     n = y[0] * y[0] + y[1] * y[1]
     return ((2 * (x[0] * y[0] + x[1] * y[1]) + rounding * n) // (2 * n),
             (2 * (x[1] * y[0] - x[0] * y[1]) + rounding * n) // (2 * n))
-
-
-def _ratio(x, y) -> QQi:
-    """x / y in Q(i), one QQi."""
-    n = y[0] * y[0] + y[1] * y[1]
-    return QQi(Fraction(x[0] * y[0] + x[1] * y[1], n), Fraction(x[1] * y[0] - x[0] * y[1], n))
 
 
 def _gauss_gcd(x, y):
@@ -221,28 +215,28 @@ def _reconstruct_root(z: complex, factor, radius: float) -> QQi | None:
     """The root of a primitive `factor` near its numeric root z: Z[i] is
     integrally closed, so lc r is in Z[i] for its lead lc and a root r in
     Q(i); the candidate round(lc x) / lc, x = z exactly, must vanish and lie
-    within `radius` of z, so it is z's root and not a neighbour's. When z is
-    too coarse, x takes up to _NEWTON_STEPS exact Newton steps, each rounded
-    to multiples of _NEWTON_GRID, and is read once more."""
+    within `radius` of z, so it is z's root and not a neighbour's. While z
+    is too coarse, x takes exact Newton steps, each rounded to multiples of
+    2^-b with 2^b > 16 |lc|, far below the 1 / (2 |lc|) the reading needs,
+    and is read again; quadratic convergence from double precision bounds
+    the steps by _NEWTON_STEPS plus the bit length of b."""
     lc = factor[-1]
+    b = max(map(abs, lc)).bit_length() + 5
+    grid = 1 << b
     p, dp = ([QQi(*c) for c in f] for f in (factor, _deriv(factor)))
 
     def read(x: QQi) -> QQi | None:
-        cand = _ratio((round(lc[0] * x.re - lc[1] * x.im),
-                       round(lc[0] * x.im + lc[1] * x.re)), lc)
+        cand = _gauss_ratio((round(lc[0] * x.re - lc[1] * x.im),
+                             round(lc[0] * x.im + lc[1] * x.re)), lc)
         return cand if abs(complex(cand) - z) < radius and not _eval(p, cand) else None
 
     x = QQi(Fraction(z.real), Fraction(z.imag))
-    cand = read(x)
-    if cand is not None:
-        return cand
-    for _ in range(_NEWTON_STEPS):
-        slope = _eval(dp, x)
-        if not slope:
-            break
+    for _ in range(_NEWTON_STEPS + b.bit_length()):
+        if (cand := read(x)) is not None or not (slope := _eval(dp, x)):
+            return cand
         step = _eval(p, x) / slope
-        x = QQi(round((x.re - step.re) / _NEWTON_GRID) * _NEWTON_GRID,
-                round((x.im - step.im) / _NEWTON_GRID) * _NEWTON_GRID)
+        x = QQi(Fraction(round((x.re - step.re) * grid), grid),
+                Fraction(round((x.im - step.im) * grid), grid))
     return read(x)
 
 
@@ -254,9 +248,9 @@ def exact_eigenvalues(m: Matrix):
     out = {}
     for factor, mult in _squarefree(_primitive(linalg._clear_denominators(charpoly(m))[1])):
         if len(factor) == 2:
-            found = {-_ratio(*factor)}
+            found = {-_gauss_ratio(*factor)}
         else:
-            numeric = _numeric_roots([_ratio(c, factor[-1]) for c in factor])
+            numeric = _numeric_roots([_gauss_ratio(c, factor[-1]) for c in factor])
             found = set()
             for i, z in enumerate(numeric):
                 # half the gap to the nearest other root of this square-free factor

@@ -799,6 +799,13 @@ def test_denominators_above_10_to_the_9_stay_exact(tmp_path):
     assert code == 0 and reports[0]["backend"] == "exact"
     assert reports[0]["outputs"] == {"eigenvalues": [
         {"point": ["1/1000000001"], "multiplicity": 1}, {"point": ["2"], "multiplicity": 1}]}
+    # nine points over 999999937: their factor's lead 999999937^9 passes 2^256
+    points = [f"{k}/999999937" for k in range(1, 10)]
+    operator = [[points[i] if i == j else "0" for j in range(9)] for i in range(9)]
+    code, reports, _ = run_main(["spectrum", "--operators", json.dumps([operator])], tmp_path, "n")
+    assert code == 0 and reports[0]["backend"] == "exact"
+    assert reports[0]["outputs"] == {"eigenvalues": [
+        {"point": [point], "multiplicity": 1} for point in points]}
     code, reports, _ = run_main(
         ["index", "--domain", '{"kind":"polydisc","center":["0","0"],"radii":["1","1"]}',
          "--system", _BIG_DENOMINATOR], tmp_path, "i")

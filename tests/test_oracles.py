@@ -237,7 +237,7 @@ def _first_squarefree_disagreement(seed, trials):
     for trial, p in enumerate(cases):
         coeffs = [_from_sympy(c) for c in reversed(p.all_coeffs())]
         ours = spectrum._squarefree(spectrum._primitive(linalg._clear_denominators(coeffs)[1]))
-        got = {(tuple(spectrum._ratio(c, f[-1]) for c in f), k) for f, k in ours}
+        got = {(tuple(poly._gauss_ratio(c, f[-1]) for c in f), k) for f, k in ours}
         expected = {(tuple(_from_sympy(c) for c in reversed(f.monic().all_coeffs())), k)
                     for f, k in p.sqf_list()[1]}
         if got != expected:

@@ -66,13 +66,18 @@ def test_exact_eigenvalues_close_relative_to_their_size():
                              ((QQi(Fraction(1000001, 1000)),), 1))
 
 
-@pytest.mark.parametrize("entries", [("1/1000000001", "2"), ("7/1000000011", "-4/3-2i")])
+@pytest.mark.parametrize("entries", [
+    ("1/1000000001", "2"), ("7/1000000011", "-4/3-2i"),
+    [f"{k}/999999937" for k in range(1, 10)], [f"{k}/{1000003 + k}" for k in range(1, 14)],
+])
 def test_exact_eigenvalues_with_denominators_above_10_to_the_9(entries):
-    # each root is read off its factor's leading coefficient, so no
-    # denominator bound applies
-    a, b = (QQi.parse(x) for x in entries)
-    m = Matrix([[a, QQi(0)], [QQi(0), b]])
-    assert exact_eigenvalues(m) == sorted([(a, 1), (b, 1)], key=lambda kv: kv[0].sort_key())
+    # each root is read off its factor's leading coefficient, so no fixed
+    # denominator bound applies; in the last two that lead, the product of
+    # every denominator, is above 2^256, and the Newton grid must follow it
+    values = [QQi.parse(x) for x in entries]
+    d = len(values)
+    m = Matrix([[values[i] if i == j else QQi(0) for j in range(d)] for i in range(d)])
+    assert exact_eigenvalues(m) == sorted(((v, 1) for v in values), key=lambda kv: kv[0].sort_key())
 
 
 def test_exact_eigenvalues_of_an_irrational_companion_still_raise():
