@@ -192,7 +192,7 @@ def scenarios_from_document(doc, defaults) -> list:
         if not _is_int(seed) or seed < 0:
             raise SchemaError(f"scenario {sid!r}: seed must be a non-negative integer")
         try:
-            # validation; execution parses again, with every literal from the cache
+            # validation; execution parses again: a system anew, scalars from QQi's cache
             KINDS[kind].inputs(payload)
         except (SchemaError, ParseError) as err:
             raise SchemaError(f"scenario {sid!r}: {err}")

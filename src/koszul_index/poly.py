@@ -2,11 +2,12 @@
 for polynomial systems, Buchberger Groebner bases, and finite quotient
 algebras with multiplication matrices.
 
-A Polynomial maps monomials to exact QQi coefficients. Shifts, division and
-Groebner bases run on Gaussian-integer numerators, maps monomial -> (re, im)
-of ints: division multiplies by a divisor's lead, divides out the content
-(the gcd of every part) and keeps the scale it owes as one num / den pair, so
-each QQi of a result is built once, at the end; a basis is made monic then.
+A Polynomial maps monomials to exact QQi coefficients. Parsing, shifts,
+division and Groebner bases run on Gaussian-integer numerators, maps monomial
+-> (re, im) of ints: the parser holds each value over one denominator, and
+division multiplies by a divisor's lead, divides out the content (the gcd of
+every part) and keeps the scale it owes as one num / den pair, so each QQi of
+a result is built once, at the end; a basis is made monic then.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +28,7 @@ Monomial = tuple  # exponent vectors, fixed length = number of variables
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -314,95 +316,127 @@ class Polynomial:
 # -- parsing ------------------------------------------------------------------
 
 
-_TOKEN_RE = re.compile(r"z\d+|\d+|[i+\-*^()/;]|\s+|.", re.DOTALL)
+_TOKEN_RE = re.compile(r"\s*(z\d+|\d+|[i+\-*^()/;]|\S)")
 # Each open parenthesis costs four Python frames of the recursive descent,
 # so this bound keeps the parser far below the interpreter's recursion limit.
 MAX_NESTING = 100
+# A power's exponent, the term products of one multiplication (which bound
+# the terms it expands to) and the bit size of the numerators and common
+# denominator a product can reach, each checked before the product or power
+# is formed: together they keep the worst single product near 0.15 s.
+MAX_EXPONENT = 1000
+MAX_TERMS = 4096
+MAX_BITS = 4096
 
 
-def _tokenize(text: str):
-    line, col = 1, 1
-    for m in _TOKEN_RE.finditer(text):
-        tok = m.group(0)
-        if tok.strip():
-            yield tok, line, col
-        for ch in tok:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-    yield None, line, col
+def _bits(value) -> int:
+    den, terms = value
+    return max(map(abs, itertools.chain((den,), *terms.values()))).bit_length()
 
 
 class _Parser:
+    """Recursive descent in which every value is one Gaussian-integer term
+    map over one positive denominator, (den, {monomial: (re, im)}) of ints."""
+
     def __init__(self, text: str, nvars: int):
-        self.tokens = list(_tokenize(text))
+        self.text = text
+        self.tokens = [(m[1], m.start(1)) for m in _TOKEN_RE.finditer(text)]
+        self.tokens.append((None, len(text)))
         self.pos = 0
         self.nvars = nvars
+        self.one = (0,) * nvars
         self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0]
 
     def where(self):
-        _, line, col = self.tokens[self.pos]
-        return line, col
+        """(line, column) of the current token, counted only for an error."""
+        offset = self.tokens[self.pos][1]
+        return self.text.count("\n", 0, offset) + 1, offset - self.text.rfind("\n", 0, offset)
 
     def advance(self):
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok[0]
 
-    def expect(self, tok):
-        if self.peek() != tok:
-            line, col = self.where()
-            raise ParseError(f"expected {tok!r}, found {self.peek()!r}", line, col)
-        return self.advance()
-
     def fail(self, message):
         line, col = self.where()
         raise ParseError(message, line, col)
 
+    def add(self, a, b, sign):
+        """a + sign * b, both sides scaled to the lcm of the denominators."""
+        (da, ta), (db, tb) = a, b
+        den = math.lcm(da, db)
+        sa, sb = den // da, sign * den // db
+        terms = {m: (x * sa, y * sa) for m, (x, y) in ta.items()}
+        for m, (x, y) in tb.items():
+            u, v = terms.get(m, (0, 0))
+            terms[m] = (u + x * sb, v + y * sb)
+        return den, {m: c for m, c in terms.items() if c != (0, 0)}
+
+    def multiply(self, a, b, at):
+        """a * b, convolved on the numerators; a ParseError at token `at`
+        when it would pass MAX_TERMS term products or MAX_BITS bits."""
+        (da, ta), (db, tb) = a, b
+        if (len(ta) * len(tb) > MAX_TERMS
+                or _bits(a) + _bits(b) + min(len(ta), len(tb)).bit_length() + 1 > MAX_BITS):
+            self.pos = at
+            self.fail(f"a product past {MAX_TERMS} term products or {MAX_BITS} bits")
+        terms = {}
+        for m1, c1 in ta.items():
+            for m2, c2 in tb.items():
+                m, (x, y) = mono_mul(m1, m2), _gauss_mul(c1, c2)
+                u, v = terms.get(m, (0, 0))
+                terms[m] = (u + x, v + y)
+        return da * db, {m: c for m, c in terms.items() if c != (0, 0)}
+
     def parse_system(self):
-        polys = [self.parse_expr()]
+        values = [self.parse_expr()]
         while self.peek() == ";":
             self.advance()
-            polys.append(self.parse_expr())
+            values.append(self.parse_expr())
         if self.peek() is not None:
             self.fail(f"unexpected token {self.peek()!r}")
-        return polys
+        return values
 
     def parse_expr(self):
-        negate = False
+        sign = 1
         if self.peek() in ("+", "-"):
-            negate = self.advance() == "-"
-        acc = self.parse_term()
-        if negate:
-            acc = -acc
+            sign = -1 if self.advance() == "-" else 1
+        acc = self.add((1, {}), self.parse_term(), sign)
         while self.peek() in ("+", "-"):
-            op = self.advance()
-            term = self.parse_term()
-            acc = acc - term if op == "-" else acc + term
+            sign = -1 if self.advance() == "-" else 1
+            acc = self.add(acc, self.parse_term(), sign)
         return acc
 
     def parse_term(self):
         acc = self.parse_factor()
         while self.peek() == "*":
+            at = self.pos
             self.advance()
-            acc = acc * self.parse_factor()
+            acc = self.multiply(acc, self.parse_factor(), at)
         return acc
 
     def parse_factor(self):
-        atom = self.parse_atom()
-        if self.peek() == "^":
-            self.advance()
-            tok = self.peek()
-            if tok is None or not tok.isdigit():
-                self.fail("exponent must be a non-negative integer")
-            self.advance()
-            return atom ** int(tok)
-        return atom
+        base = self.parse_atom()
+        if self.peek() != "^":
+            return base
+        self.advance()
+        tok, at = self.peek(), self.pos
+        if tok is None or not tok.isdigit():
+            self.fail("exponent must be a non-negative integer")
+        if int(tok) > MAX_EXPONENT:
+            self.fail(f"exponent above {MAX_EXPONENT}")
+        self.advance()
+        k, result = int(tok), (1, {self.one: (1, 0)})
+        while k:
+            if k & 1:
+                result = self.multiply(result, base, at)
+            k >>= 1
+            if k:
+                base = self.multiply(base, base, at)
+        return result
 
     def parse_atom(self):
         tok = self.peek()
@@ -415,39 +449,44 @@ class _Parser:
             self.depth += 1
             inner = self.parse_expr()
             self.depth -= 1
-            self.expect(")")
+            if self.peek() != ")":
+                self.fail(f"expected ')', found {self.peek()!r}")
+            self.advance()
             return inner
         if tok == "i":
             self.advance()
-            return Polynomial.constant(self.nvars, QQi(0, 1))
+            return 1, {self.one: (0, 1)}
         if tok.isdigit():
             self.advance()
-            num = Fraction(int(tok))
+            num, den = int(tok), 1
             if self.peek() == "/":
                 self.advance()
                 den = self.peek()
                 if den is None or not den.isdigit() or int(den) == 0:
                     self.fail("expected a nonzero integer denominator")
                 self.advance()
-                num /= int(den)
+                den = int(den)
             if self.peek() == "i":
                 self.advance()
-                return Polynomial.constant(self.nvars, QQi(0, num))
-            return Polynomial.constant(self.nvars, QQi(num))
+                return den, {self.one: (0, num)} if num else {}
+            return den, {self.one: (num, 0)} if num else {}
         if tok.startswith("z"):
-            line, col = self.where()
-            self.advance()
             index = int(tok[1:])
             if not 1 <= index <= self.nvars:
+                line, col = self.where()
                 raise UnknownVariable(
                     f"variable {tok} outside z1..z{self.nvars}", line, col)
-            return Polynomial.variable(self.nvars, index)
+            self.advance()
+            return 1, {(0,) * (index - 1) + (1,) + (0,) * (self.nvars - index): (1, 0)}
         self.fail(f"unexpected token {tok!r}")
 
 
 def parse_system(text: str, nvars: int):
-    """Parse `;`-separated polynomials over z1..zn with exact literals."""
-    return _Parser(text, nvars).parse_system()
+    """Parse `;`-separated polynomials over z1..zn with exact literals; each
+    coefficient becomes a QQi once, from its numerator over the denominator."""
+    return [Polynomial(nvars, {m: QQi(Fraction(a, den), Fraction(b, den))
+                               for m, (a, b) in terms.items()})
+            for den, terms in _Parser(text, nvars).parse_system()]
 
 
 # -- division and Groebner bases ----------------------------------------------

@@ -834,6 +834,17 @@ def test_usage_errors_are_one_error_line(capsys, argv, message):
     assert message is None or err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("system, column", [
+    ("(z1+1)^3000; z2", 8), ("3^30000000*z1; z2", 3), ("z1^1000000000; z2", 4)])
+def test_polynomials_past_the_parser_bounds_exit_two_at_once(tmp_path, capsys, system, column):
+    # each of these hung in the parser, or ran to a ResourceLimit report
+    began = time.perf_counter()
+    code, reports, _ = run_main(["multiplicity", "--system", system, "--at", "0,0"], tmp_path)
+    assert time.perf_counter() - began < 1.0
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err == f"error: exponent above 1000 (line 1, column {column})\n"
+
+
 def test_help_is_unchanged(capsys):
     for argv in (["-h"], ["spectrum", "-h"]):
         with pytest.raises(SystemExit) as exit_:

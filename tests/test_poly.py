@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszul_index import poly as poly_mod
+from koszul_index import cli, poly as poly_mod, suites
 from koszul_index.errors import NotZeroDimensional, ParseError, UnknownVariable
-from koszul_index.poly import (MAX_NESTING, Polynomial, grevlex_key, groebner,
-                               normal_form, parse_system, quotient_algebra)
+from koszul_index.poly import (MAX_BITS, MAX_EXPONENT, MAX_NESTING, MAX_TERMS, Polynomial,
+                               grevlex_key, groebner, normal_form, parse_system,
+                               quotient_algebra)
 from koszul_index.scalars import QQi
 from mutations import patch_source
 
@@ -30,21 +31,138 @@ def test_parse_complex_literals():
     assert p.terms[(0,)] == QQi(0, "-3/4")
 
 
+_DEEP = "(" * (MAX_NESTING + 1) + "z1" + ")" * (MAX_NESTING + 1)
+
+# (text, variables, error type, message, line, column), pinned from the
+# parser that counted lines and columns character by character
+_MALFORMED = [
+    ("z1 + z3", 2, UnknownVariable, "variable z3 outside z1..z2", 1, 6),
+    ("z0", 1, UnknownVariable, "variable z0 outside z1..z1", 1, 1),
+    ("z1 +\n  z3", 2, UnknownVariable, "variable z3 outside z1..z2", 2, 3),
+    ("z1 ** 2", 1, ParseError, "unexpected token '*'", 1, 5),
+    ("(z1", 1, ParseError, "expected ')', found None", 1, 4),
+    ("(z1))", 1, ParseError, "unexpected token ')'", 1, 5),
+    ("1/0", 1, ParseError, "expected a nonzero integer denominator", 1, 3),
+    ("z1 + 3/0i", 1, ParseError, "expected a nonzero integer denominator", 1, 8),
+    ("3/z1", 1, ParseError, "expected a nonzero integer denominator", 1, 3),
+    (_DEEP, 1, ParseError, "parentheses nested deeper than 100", 1, 101),
+    ("z1;\n\n  z2 ^ z1", 2, ParseError, "exponent must be a non-negative integer", 3, 8),
+    ("z1^", 1, ParseError, "exponent must be a non-negative integer", 1, 4),
+    ("z1 +", 1, ParseError, "unexpected end of input", 1, 5),
+    ("", 1, ParseError, "unexpected end of input", 1, 1),
+    ("z1;;z1", 1, ParseError, "unexpected token ';'", 1, 4),
+    ("z1 #\u00a0 2", 1, ParseError, "unexpected token '#'", 1, 4),
+    ("z1 +\t\u00a0\n\u00a0z1 z1", 1, ParseError, "unexpected token 'z1'", 2, 5),
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(UnknownVariable) as err:
-        parse_system("z1 + z3", 2)
-    assert err.value.column == 6
-    with pytest.raises(ParseError):
-        parse_system("z1 ** 2", 1)
-    with pytest.raises(ParseError):
-        parse_system("(z1", 1)
-    with pytest.raises(ParseError):
-        parse_system("z1 ^ z1", 1)
-    deep = "(" * (MAX_NESTING + 1) + "z1" + ")" * (MAX_NESTING + 1)
-    with pytest.raises(ParseError) as err:
-        parse_system(deep, 1)
-    assert err.value.column == MAX_NESTING + 1
-    assert parse_system(deep[1:-1], 1) == parse_system("z1", 1)
+    for text, nvars, kind, message, line, column in _MALFORMED:
+        with pytest.raises(ParseError) as err:
+            parse_system(text, nvars)
+        assert (type(err.value), str(err.value), err.value.line, err.value.column) == \
+            (kind, f"{message} (line {line}, column {column})", line, column), text
+    assert parse_system(_DEEP[1:-1], 1) == parse_system("z1", 1)
+
+
+def test_size_bounds_refuse_before_forming():
+    # each bound is met exactly and refused one step past it; the inputs
+    # that hung the parser are refused before any product is formed
+    assert poly(f"z1^{MAX_EXPONENT}", 1).terms == {(MAX_EXPONENT,): QQi(1)}
+    side = 64  # side * side == MAX_TERMS
+    left = "(" + " + ".join(f"z1^{k}" for k in range(side)) + ")"
+    right = "(" + " + ".join(f"z2^{k}" for k in range(side)) + ")"
+    assert len(poly(f"{left}*{right}", 2).terms) == MAX_TERMS
+    big = 2 ** (MAX_BITS // 2 - 2)  # its bits twice, plus 1 + 1, make MAX_BITS
+    assert poly(f"{big}*{big}i", 1).terms == {(0,): QQi(0, big * big)}
+    assert poly("2^256*z1 - 1", 1).terms[(1,)] == QQi(2 ** 256)
+    refused = [
+        (f"z1^{MAX_EXPONENT + 1}", 4, f"exponent above {MAX_EXPONENT}"),
+        ("(z1+1)^3000; z2", 8, f"exponent above {MAX_EXPONENT}"),
+        ("3^30000000*z1; z2", 3, f"exponent above {MAX_EXPONENT}"),
+        (f"{left}*{right[:-1]} + z2^{side})", len(left) + 1, "a product past"),
+        (f"{big * 2}*{big}i", len(str(big * 2)) + 1, "a product past"),
+        ("(z1+1)^1000", 8, "a product past"),
+        ("(3^999*z1 + 1)^999", 16, "a product past"),
+    ]
+    for text, column, message in refused:
+        with pytest.raises(ParseError) as err:
+            parse_system(text, 2)
+        assert str(err.value).startswith(message) and err.value.column == column, text
+
+
+def _random_atom(rng, depth):
+    roll = rng.random()
+    if depth < 2 and roll < 0.2:
+        text, expr = _random_expression(rng, depth + 1)
+        return f"({text})", f"({expr})"
+    if roll < 0.55:
+        return (f"z{rng.randint(1, 3)}",) * 2
+    if roll < 0.65:
+        return "i", "I"
+    literal = f"{rng.randint(0, 30)}/{rng.choice([1, 2, 3, 7, 10 ** 12])}"
+    if rng.random() < 0.3:
+        return literal + "i", f"({literal}*I)"
+    return literal, f"({literal})"
+
+
+def _random_expression(rng, depth=0):
+    """A seeded expression of the grammar, with nesting, powers, fractions
+    and i, and the same expression for sympy: (text, sympy text)."""
+    text, expr = "", ""
+    for k in range(rng.randint(1, 3)):
+        sign = rng.choice("+-") if k else rng.choice(["", "-"])
+        factors = []
+        for _ in range(rng.randint(1, 2)):
+            atom = _random_atom(rng, depth)
+            power = rng.randint(0, 3) if rng.random() < 0.3 else None
+            factors.append(atom if power is None else
+                           (f"{atom[0]}^{power}", f"({atom[1]})**{power}"))
+        text += f" {sign} " + "*".join(f for f, _ in factors)
+        expr += f" {sign} " + "*".join(f for _, f in factors)
+    return text.strip(), expr
+
+
+def _sympy_parser_oracle():
+    """parse_system against sympy's expansion of the same expressions: the
+    exact Gaussian-rational coefficient of every monomial."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.symbols("z1:4")
+    rng = random.Random(31)
+    for _ in range(150):
+        text, expr = _random_expression(rng)
+        expanded = sympy.Poly(sympy.expand(sympy.sympify(expr, locals=dict(zip(
+            ("z1", "z2", "z3"), z)))), *z)
+        wanted = {}
+        for mono, c in expanded.terms():
+            re, im = (sympy.Rational(part) for part in c.as_real_imag())
+            if re or im:
+                wanted[mono] = (Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+        (p,) = parse_system(text, 3)
+        assert {m: (c.re, c.im) for m, c in p.terms.items()} == wanted, text
+
+
+def test_parse_system_matches_sympy():
+    _sympy_parser_oracle()
+
+
+def test_parsing_a_document_forms_no_qqi_or_polynomial_product(monkeypatch):
+    # the parser convolves Gaussian-integer numerators; each coefficient
+    # becomes a QQi once, and no QQi or Polynomial arithmetic runs
+    rng = random.Random(30)
+    texts = ["; ".join(map(str, suites.random_regular_system(rng, 2 + k % 2)[0]))
+             for k in range(100)]
+    texts += [f"z1^{a} - z2; z2^{b}" for a in range(1, 6) for b in range(1, 5)]
+    doc = {"schema": cli.SCHEMA_VERSION, "scenarios": [
+        {"id": f"s{k}", "kind": "MULTIPLICITY", "payload": {"system": text}}
+        for k, text in enumerate(texts)]}
+    products = []
+    for cls in (QQi, Polynomial):
+        monkeypatch.setattr(cls, "__mul__", lambda self, other, mul=cls.__mul__:
+                            products.append(cls) or mul(self, other))
+    defaults = cli.Scenario("defaults", "IDENTITIES", {}, seed=7)
+    assert len(cli.scenarios_from_document(doc, defaults)) == 120
+    assert not products
 
 
 def test_unary_minus_and_powers():
@@ -282,6 +400,12 @@ _INTEGER_ROUTE_MUTATIONS = {
         "_scaled(remainder, _gauss_mul(num, num), "
         "_gauss_mul((da * lcm, db * lcm), (da * lcm, db * lcm)))",
         test_normal_form_matches_a_qqi_reference),
+    "sum_scales_one_side": ("_Parser.add", "sign * den // db", "sign", _sympy_parser_oracle),
+    "product_drops_an_imaginary_cross_term": (
+        "_Parser.multiply", "_gauss_mul(c1, c2)",
+        "(c1[0] * c2[0] - c1[1] * c2[1], c1[0] * c2[1])", _sympy_parser_oracle),
+    "power_skips_its_last_squaring": ("_Parser.parse_factor", "if k:", "if k > 1:",
+                                      _sympy_parser_oracle),
 }
 
 
