@@ -31,7 +31,7 @@ from .errors import KoszulIndexError, ParseError
 from .koszul import CommutingTuple
 from .linalg import Matrix
 from .models import DomainDescriptor, ModelTuple
-from .poly import parse_system
+from .poly import MAX_VARIABLES, _decimal, parse_system
 from .scalars import EXACT, FLOAT, QQi, scalar_str
 
 SCHEMA_VERSION = 1
@@ -127,8 +127,9 @@ def _parse_domain(obj) -> DomainDescriptor:
 
 
 def _infer_variables(text: str) -> int:
-    indices = [int(m.group(1)) for m in re.finditer(r"z(\d+)", text)]
-    return max(indices) if indices else 1
+    """The largest variable index in text, capped where the parser refuses it."""
+    indices = [_decimal(m.group(1), MAX_VARIABLES) for m in re.finditer(r"z(\d+)", text)]
+    return min(max(indices, default=1), MAX_VARIABLES)
 
 
 def _system_from_payload(payload):
@@ -136,8 +137,9 @@ def _system_from_payload(payload):
     if not isinstance(text, str):
         raise SchemaError("payload field 'system' must be a string")
     nvars = payload.get("variables", _infer_variables(text))
-    if not _is_int(nvars) or nvars < 1:
-        raise SchemaError("payload field 'variables' must be a positive integer")
+    if not _is_int(nvars) or not 1 <= nvars <= MAX_VARIABLES:
+        raise SchemaError(
+            f"payload field 'variables' must be a positive integer up to {MAX_VARIABLES}")
     return parse_system(text, nvars)
 
 

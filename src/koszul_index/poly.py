@@ -327,6 +327,14 @@ MAX_NESTING = 100
 MAX_EXPONENT = 1000
 MAX_TERMS = 4096
 MAX_BITS = 4096
+MAX_VARIABLES = 32  # each monomial's length, checked before one is formed
+
+
+def _decimal(digits: str, bound: int) -> int:
+    """int(digits) for decimal digits, or bound + 1 unread past bound.bit_length() // 3
+    + 1 digits, where it is above bound: int() never meets its 4,300-digit limit."""
+    digits = digits.lstrip("0")
+    return int(digits or "0") if len(digits) <= bound.bit_length() // 3 + 1 else bound + 1
 
 
 def _bits(value) -> int:
@@ -339,6 +347,8 @@ class _Parser:
     map over one positive denominator, (den, {monomial: (re, im)}) of ints."""
 
     def __init__(self, text: str, nvars: int):
+        if nvars > MAX_VARIABLES:
+            raise ParseError(f"more than {MAX_VARIABLES} variables")
         self.text = text
         self.tokens = [(m[1], m.start(1)) for m in _TOKEN_RE.finditer(text)]
         self.tokens.append((None, len(text)))
@@ -363,6 +373,14 @@ class _Parser:
     def fail(self, message):
         line, col = self.where()
         raise ParseError(message, line, col)
+
+    def number(self, bound, message):
+        """The current, decimal token's int, then passed; above bound, a ParseError."""
+        value = _decimal(self.peek(), bound)
+        if value > bound:
+            self.fail(message)
+        self.advance()
+        return value
 
     def add(self, a, b, sign):
         """a + sign * b, both sides scaled to the lcm of the denominators."""
@@ -424,12 +442,10 @@ class _Parser:
             return base
         self.advance()
         tok, at = self.peek(), self.pos
-        if tok is None or not tok.isdigit():
+        if tok is None or not tok.isdecimal():
             self.fail("exponent must be a non-negative integer")
-        if int(tok) > MAX_EXPONENT:
-            self.fail(f"exponent above {MAX_EXPONENT}")
-        self.advance()
-        k, result = int(tok), (1, {self.one: (1, 0)})
+        k = self.number(MAX_EXPONENT, f"exponent above {MAX_EXPONENT}")
+        result = 1, {self.one: (1, 0)}
         while k:
             if k & 1:
                 result = self.multiply(result, base, at)
@@ -456,22 +472,21 @@ class _Parser:
         if tok == "i":
             self.advance()
             return 1, {self.one: (0, 1)}
-        if tok.isdigit():
-            self.advance()
-            num, den = int(tok), 1
+        if tok.isdecimal():
+            literal = (1 << MAX_BITS) - 1, f"a literal past {MAX_BITS} bits"
+            num, den = self.number(*literal), 1
             if self.peek() == "/":
                 self.advance()
                 den = self.peek()
-                if den is None or not den.isdigit() or int(den) == 0:
+                if den is None or not den.isdecimal() or not den.strip("0"):
                     self.fail("expected a nonzero integer denominator")
-                self.advance()
-                den = int(den)
+                den = self.number(*literal)
             if self.peek() == "i":
                 self.advance()
                 return den, {self.one: (0, num)} if num else {}
             return den, {self.one: (num, 0)} if num else {}
-        if tok.startswith("z"):
-            index = int(tok[1:])
+        if tok.startswith("z") and tok[1:].isdecimal():
+            index = _decimal(tok[1:], self.nvars)
             if not 1 <= index <= self.nvars:
                 line, col = self.where()
                 raise UnknownVariable(

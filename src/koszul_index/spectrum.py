@@ -6,13 +6,10 @@ the space by one operator at a time into generalized eigenspaces, each a
 kernel chain that forms no matrix power. An operator keeps a piece whole
 when its shift by the mean eigenvalue is proved nilpotent there: by
 matrix-vector products from the unit's component in the piece when the
-tuple multiplies on C[z]/I, else by a matrix power. Eigenvalues split the
-Hessenberg characteristic polynomial, made primitive over Z[i], into
-square-free factors by Musser's algorithm on int pairs; a root in Q(i) of a
-factor with lead lc is in Z[i] / lc, so it is read off an Aberth-Ehrlich
-guess x as round(lc x) / lc, after exact Newton steps on a grid finer than
-1 / |lc| while x is too coarse, and verified exactly. When a root leaves
-Q(i), IrrationalSpectrum is raised.
+tuple multiplies on C[z]/I, else by a matrix power. Eigenvalues are the
+roots in Q(i) of the Hessenberg characteristic polynomial, found modulo a
+prime, Newton-lifted, read back and verified exactly, with no float (Loos,
+SIAM J. Comput. 12, 1983); IrrationalSpectrum is raised when they leave Q(i).
 `joint_eigenvalues` alone decides exact or float: on IrrationalSpectrum it
 runs `float_spectrum`, the same route on complex128 copies of the operators
 (Matrix.to_numpy) with eigenvalues clustered within _CLUSTER, kernels read
@@ -23,12 +20,11 @@ certified. numpy is imported only by the float split.
 
 from __future__ import annotations
 
-import cmath
 import functools
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import koszul, linalg
 from .errors import (ArityMismatch, ClusteringAmbiguity, InconsistentSystem,
@@ -38,100 +34,11 @@ from .linalg import Matrix
 from .poly import _gauss_mul, _gauss_ratio
 from .scalars import EXACT, FLOAT, QQi
 
-_ABERTH_TOL = 1e-15
-_ABERTH_SWEEPS = 200
-_NEWTON_STEPS = 6
+_PRIME_FLOOR = 4096  # every prime tried is above it and above deg f
+_PRIME_TRIES = 8  # primes whose readings fail before IrrationalSpectrum
 _CLUSTER = 1e-6  # the link radius of float eigenvalues (_float_eigenvalues)
 _INDEPENDENCE_FLOOR = 1e-6  # of float eigenspaces (float_spectrum)
 _KERNEL_CUT = 1e-9  # relative: singular values up to 1e-9 * max(sigma_max, 1) are zero
-
-
-# -- univariate polynomials over Z[i]: (re, im) int pairs, low to high -------
-
-
-def _deriv(p):
-    return [(k * a, k * b) for k, (a, b) in enumerate(p) if k]
-
-
-def _sub(x, y):
-    return x[0] - y[0], x[1] - y[1]
-
-
-def _divide(x, y, rounding=0):
-    """x conj(y) / |y|^2 in Z[i]: exact when y divides x, else floored or rounded."""
-    n = y[0] * y[0] + y[1] * y[1]
-    return ((2 * (x[0] * y[0] + x[1] * y[1]) + rounding * n) // (2 * n),
-            (2 * (x[1] * y[0] - x[0] * y[1]) + rounding * n) // (2 * n))
-
-
-def _gauss_gcd(x, y):
-    """A gcd in Z[i]: Euclid with rounded quotients at least halves the norm each step."""
-    while y != (0, 0):
-        x, y = y, _sub(x, _gauss_mul(_divide(x, y, 1), y))
-    return x
-
-
-def _primitive(p):
-    """p over its content: the gcd h of every part, times a gcd in Z[i] of
-    the coefficients over h, whose Euclid starts from the gcd of their norms."""
-    h = math.gcd(*(x for c in p for x in c))
-    p = [(a // h, b // h) for a, b in p] if h > 1 else p
-    g = functools.reduce(_gauss_gcd, p, (math.gcd(*(a * a + b * b for a, b in p)), 0))
-    return [_divide(c, g) for c in p] if g[0] * g[0] + g[1] * g[1] > 1 else p
-
-
-def _prem(a, b):
-    """lc(b)^e a mod b (e >= 0), each step scaled by lc(b) to stay in Z[i]."""
-    r, lc, top = list(a), b[-1], len(b) - 1
-    while r and (len(r) > top or r[-1] == (0, 0)):  # and drop zero leads
-        x = r.pop()
-        if x != (0, 0):
-            r = [_gauss_mul(lc, c) for c in r]
-            for j in range(top):
-                r[len(r) - top + j] = _sub(r[len(r) - top + j], _gauss_mul(x, b[j]))
-    return r
-
-
-def _gcd(a, b):
-    """A primitive gcd of primitive a and b: the primitive pseudo-remainder
-    sequence (Geddes-Czapor-Labahn, Algorithms for Computer Algebra, 7.3)."""
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    return a
-
-
-def _quo(a, b):
-    """a / b for b dividing a in Z[i][x], each division by lc(b) exact."""
-    r, top = list(a), len(b) - 1
-    q = [(0, 0)] * (len(a) - top)
-    for k in range(len(q) - 1, -1, -1):
-        x = q[k] = _divide(r[k + top], b[-1])
-        for j in range(top):
-            r[k + j] = _sub(r[k + j], _gauss_mul(x, b[j]))
-    return q
-
-
-def _squarefree(p):
-    """Musser's square-free decomposition [(factor, multiplicity)] of a
-    primitive p of degree >= 1 by gcds and exact divisions (Geddes-Czapor-
-    Labahn, 8.2): with c = gcd(p, p') and w = p / c, y = gcd(w, c) keeps the
-    factors of multiplicity above i, so w / y is the primitive i-th one."""
-    c = _gcd(p, _primitive(_deriv(p)))
-    w = _quo(p, c)
-    out, i = [], 1
-    while len(w) > 1:
-        y = _gcd(w, c)
-        if len(y) < len(w):
-            out.append((_quo(w, y), i))
-        w, c, i = y, _quo(c, y), i + 1
-    return out
-
-
-def _eval(p, x: QQi) -> QQi:
-    acc = QQi(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def charpoly(m: Matrix):
@@ -167,108 +74,182 @@ def charpoly(m: Matrix):
     return polys[d]
 
 
-def _bit_size(x: QQi) -> int:
-    """log2 |x| to within one, from the bit lengths of a nonzero x's parts."""
-    return max(abs(q.numerator).bit_length() - q.denominator.bit_length()
-               for q in (x.re, x.im) if q)
+# -- univariate polynomials over Z[i]: (re, im) int pairs, low to high -------
 
 
-def _numeric_roots(factor):
-    """Numeric roots of a square-free polynomial of degree >= 2 by the
-    Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973) from fixed
-    points on a circle. A root is settled when its step is below
-    _ABERTH_TOL of it or its residual is at the rounding level of its
-    evaluation (Bini, Numer. Algorithms 13, 1996). A monic p whose
-    coefficients leave float range is solved as q(w) = p(2^s w) / 2^(s n),
-    with 2^s near the largest |c_(n-k)|^(1/k), so its roots are 2^s w;
-    ResourceLimit is raised when those leave float range too."""
-    n = len(factor) - 1
-    try:
-        s, c = 0, [complex(x) for x in factor]  # made monic by the caller
-    except OverflowError:
-        s = max(-(-_bit_size(x) // (n - j)) for j, x in enumerate(factor[:n]) if x)
-        c = [complex(x / QQi(2 ** (s * (n - j)))) for j, x in enumerate(factor)]
-    radius = max(abs(c[n - k]) ** (1 / k) for k in range(1, n + 1))
-    zs = [radius * cmath.exp(1j * (2 * math.pi * k / n + 0.4)) for k in range(n)]
-    for _ in range(_ABERTH_SWEEPS):
-        settled = True
-        for i, z in enumerate(zs):
-            p, dp, scale = c[n], 0j, 1.0
-            for coeff in reversed(c[:n]):
-                p, dp = p * z + coeff, dp * z + p
-                scale = scale * abs(z) + abs(coeff)
-            if abs(p) <= _ABERTH_TOL * scale:
-                continue
-            denom = dp - p * sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
-            step = p / denom if denom else 0j
-            zs[i] = z - step
-            settled = settled and abs(step) <= _ABERTH_TOL * abs(zs[i])
-        if settled:
-            break
-    try:
-        return [complex(math.ldexp(z.real, s), math.ldexp(z.imag, s)) for z in zs] if s else zs
-    except OverflowError:
-        raise ResourceLimit("a characteristic polynomial root leaves float range")
+def _norm(x):
+    return x[0] * x[0] + x[1] * x[1]
 
 
-def _reconstruct_root(z: complex, factor, radius: float) -> QQi | None:
-    """The root of a primitive `factor` near its numeric root z: Z[i] is
-    integrally closed, so lc r is in Z[i] for its lead lc and a root r in
-    Q(i); the candidate round(lc x) / lc, x = z exactly, must vanish and lie
-    within `radius` of z, so it is z's root and not a neighbour's. While z
-    is too coarse, x takes exact Newton steps, each rounded to multiples of
-    2^-b with 2^b > 16 |lc|, far below the 1 / (2 |lc|) the reading needs,
-    and is read again; quadratic convergence from double precision bounds
-    the steps by _NEWTON_STEPS plus the bit length of b."""
-    lc = factor[-1]
-    b = max(map(abs, lc)).bit_length() + 5
-    grid = 1 << b
-    p, dp = ([QQi(*c) for c in f] for f in (factor, _deriv(factor)))
+def _reduce(x, y):
+    """x - q y for the Gaussian integer q nearest x / y: x's residue of least norm."""
+    n = _norm(y)
+    a, b = _gauss_mul(((2 * (x[0] * y[0] + x[1] * y[1]) + n) // (2 * n),
+                       (2 * (x[1] * y[0] - x[0] * y[1]) + n) // (2 * n)), y)
+    return x[0] - a, x[1] - b
 
-    def read(x: QQi) -> QQi | None:
-        cand = _gauss_ratio((round(lc[0] * x.re - lc[1] * x.im),
-                             round(lc[0] * x.im + lc[1] * x.re)), lc)
-        return cand if abs(complex(cand) - z) < radius and not _eval(p, cand) else None
 
-    x = QQi(Fraction(z.real), Fraction(z.imag))
-    for _ in range(_NEWTON_STEPS + b.bit_length()):
-        if (cand := read(x)) is not None or not (slope := _eval(dp, x)):
-            return cand
-        step = _eval(p, x) / slope
-        x = QQi(Fraction(round((x.re - step.re) * grid), grid),
-                Fraction(round((x.im - step.im) * grid), grid))
-    return read(x)
+def _gauss_gcd(x, y):
+    """A gcd in Z[i]: Euclid with rounded quotients at least halves the norm each step."""
+    while y != (0, 0):
+        x, y = y, _reduce(x, y)
+    return x
+
+
+def _vanishes(h, r: QQi) -> bool:
+    """Whether h(r) = 0, by Horner's rule on d^deg(h) h(r) in Z[i] for the
+    least positive integer d with d r in Z[i]."""
+    d = math.lcm(r.re.denominator, r.im.denominator)
+    z = (r.re.numerator * (d // r.re.denominator), r.im.numerator * (d // r.im.denominator))
+    acc, w = h[-1], 1
+    for c in reversed(h[:-1]):
+        w *= d
+        x, y = _gauss_mul(acc, z)
+        acc = x + c[0] * w, y + c[1] * w
+    return acc == (0, 0)
+
+
+# -- univariate polynomials over F_p: ints in [0, p), low to high, no zero lead
+
+
+def _pmod(a, b, p):
+    """a mod b over F_p."""
+    r, inv, top = list(a), pow(b[-1], p - 2, p), len(b) - 1
+    for k in range(len(a) - top - 1, -1, -1):
+        c = r[k + top] * inv % p
+        for j in range(top):
+            r[k + j] -= c * b[j]
+    r = [c % p for c in r[:top]]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _pmulmod(a, b, g, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _pmod(prod, g, p)
+
+
+def _ppow(a, e, g, p):
+    """a^e mod g over F_p, by squaring."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _pmulmod(out, out, g, p)
+        if bit == "1":
+            out = _pmulmod(out, a, g, p)
+    return out
+
+
+def _horner(h, x, q):
+    acc = 0
+    for c in reversed(h):
+        acc = (acc * x + c) % q
+    return acc
+
+
+def _split(g, p, d=0):
+    """The distinct roots in F_p of g over F_p, p odd. As x^p - x is
+    x (x^((p-1)/2) - 1) (x^((p-1)/2) + 1), with h = (x + d)^((p-1)/2) mod g,
+    gcd(h - 1, g) and gcd(h + 1, g) hold once each the roots r with r + d a
+    nonzero square and a non-square, and -d may be one; each gcd is split
+    again at d + 1 (Cantor-Zassenhaus)."""
+    if len(g) <= 2:
+        return [-g[0] * pow(g[1], p - 2, p) % p] if len(g) == 2 else []
+    h = _ppow([d, 1], (p - 1) // 2, g, p) or [0]
+    roots = [] if _horner(g, -d, p) else [-d % p]
+    for c in (1, -1):
+        a, b = [(h[0] - c) % p] + h[1:], g
+        while b:  # Euclid: a becomes gcd(h - c, g)
+            a, b = b, _pmod(a, b, p)
+        roots += _split(a, p, d + 1)
+    return roots
+
+
+# -- roots in Q(i) by p-adic lifting -----------------------------------------
+
+
+@functools.cache
+def _prime_after(q):
+    """(p, iota, pi) for the least prime p = 1 (mod 4) above q, iota^2 = -1
+    (mod p) and pi = gcd(p, iota - i) in Z[i]."""
+    p = q + 1 + (-q) % 4
+    while any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+        p += 4
+    g = next(g for g in itertools.count(2) if pow(g, (p - 1) // 2, p) == p - 1)
+    iota = pow(g, (p - 1) // 4, p)
+    return p, iota, _gauss_gcd((p, 0), (iota, -1))
+
+
+def _lift(h, r, p, k):
+    """The root modulo p^k of h in Z[x] that is its simple root r modulo p:
+    Newton's iteration, h'(r)^-1 lifted beside it, doubling the precision."""
+    dh = [j * c for j, c in enumerate(h)][1:]
+    inv, e = pow(_horner(dh, r, p), p - 2, p), 1
+    while e < k:
+        e = min(2 * e, k)
+        q = p ** e
+        r = (r - _horner(h, r, q) * inv) % q
+        inv = inv * (2 - _horner(dh, r, q) * inv) % q
+    return r
+
+
+def _read(derivs, roots, p, iota, pi):
+    """{root: multiplicity} of f = derivs[0], derivs[j] = f^(j), from its
+    roots rho modulo pi of multiplicity m, or None when one fails its check:
+    rho, a simple root of f^(m-1), is lifted to modulo p^k, and so is iota,
+    so that Z[i] / pi^k is Z / p^k with i -> iota. A root r in Q(i) has
+    lc r in Z[i] within Cauchy's bound b >= |lc| + max |c_j|; as
+    p^k > 4 b^2, lc r is lc rho's residue of least norm modulo pi^k, kept
+    when f^(j)(r) = 0 for every j < m. Roots that merge modulo pi fail."""
+    f, lc = derivs[0], derivs[0][-1]
+    b = math.isqrt(_norm(lc)) + math.isqrt(max(map(_norm, f[:-1]))) + 2
+    k = next(k for k in itertools.count(1) if p ** k > 4 * b * b)
+    q, iota = p ** k, _lift([1, 0, 1], iota, p, k)
+    pk, lcq, out = functools.reduce(_gauss_mul, [pi] * k), (lc[0] + lc[1] * iota) % q, {}
+    for rho, mult in roots:
+        r = _lift([(x + y * iota) % q for x, y in derivs[mult - 1]], rho, p, k)
+        root = _gauss_ratio(_reduce((lcq * r % q, 0), pk), lc)
+        if not all(_vanishes(h, root) for h in derivs[:mult]):
+            return None
+        out[root] = mult
+    return out
+
+
+def _roots(f):
+    """(value, multiplicity) pairs, by value, of the roots in Q(i) of f over
+    Z[i], deg f >= 1. Modulo a prime p = 1 (mod 4) above _PRIME_FLOOR and
+    deg f, i -> iota, where lc(f) is a unit, a root rho has multiplicity the
+    least j with f^(j)(rho) != 0: fewer than deg f in all certify that f does
+    not split over Q(i), else _read reads them or the next prime is tried,
+    up to _PRIME_TRIES; then IrrationalSpectrum is raised."""
+    derivs = [f]
+    while len(derivs[-1]) > 1:
+        derivs.append([(k * a, k * b) for k, (a, b) in enumerate(derivs[-1]) if k])
+    p, tries = max(len(f), _PRIME_FLOOR), 0
+    while tries < _PRIME_TRIES:
+        p, iota, pi = _prime_after(p)
+        images = [[(x + y * iota) % p for x, y in h] for h in derivs]
+        if not images[0][-1]:  # pi divides lc(f)
+            continue
+        roots = [(rho, next(j for j, h in enumerate(images) if _horner(h, rho, p)))
+                 for rho in _split(images[0], p)]
+        if sum(mult for _, mult in roots) < len(f) - 1:
+            raise IrrationalSpectrum(
+                "characteristic polynomial does not split over the Gaussian rationals")
+        found = _read(derivs, roots, p, iota, pi)
+        if found is not None:
+            return sorted(found.items(), key=lambda kv: kv[0].sort_key())
+        tries += 1
+    raise IrrationalSpectrum(f"no root reading passed its check modulo {_PRIME_TRIES} primes")
 
 
 def exact_eigenvalues(m: Matrix):
     """Eigenvalues of an exact matrix certified in the Gaussian rationals,
-    as (value, algebraic multiplicity) pairs; raises IrrationalSpectrum."""
-    if m.rows == 0:
-        return []
-    out = {}
-    for factor, mult in _squarefree(_primitive(linalg._clear_denominators(charpoly(m))[1])):
-        if len(factor) == 2:
-            found = {-_gauss_ratio(*factor)}
-        else:
-            numeric = _numeric_roots([_gauss_ratio(c, factor[-1]) for c in factor])
-            found = set()
-            for i, z in enumerate(numeric):
-                # half the gap to the nearest other root of this square-free factor
-                radius = min(abs(z - w) / 2 for j, w in enumerate(numeric) if j != i)
-                cand = _reconstruct_root(z, factor, radius)
-                if cand is None:
-                    raise IrrationalSpectrum(
-                        "characteristic polynomial does not split over the "
-                        "Gaussian rationals")
-                found.add(cand)
-            if len(found) != len(factor) - 1:
-                raise IrrationalSpectrum(
-                    "root reconstruction collapsed distinct eigenvalues")
-        for root in found:
-            out[root] = out.get(root, 0) + mult
-    if sum(out.values()) != m.rows:
-        raise IrrationalSpectrum("eigenvalue multiplicities do not add up")
-    return sorted(out.items(), key=lambda kv: kv[0].sort_key())
+    as (value, algebraic multiplicity) pairs sorted by value; raises IrrationalSpectrum."""
+    return _roots(linalg._clear_denominators(charpoly(m))[1]) if m.rows else []
 
 
 @dataclass(frozen=True)

@@ -845,6 +845,31 @@ def test_polynomials_past_the_parser_bounds_exit_two_at_once(tmp_path, capsys, s
     assert capsys.readouterr().err == f"error: exponent above 1000 (line 1, column {column})\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--system", "z100000000 + 1", "--at", "0"],
+     "variable z100000000 outside z1..z32 (line 1, column 1)"),
+    (["--system", "z1", "--variables", "100000000", "--at", "0"],
+     "payload field 'variables' must be a positive integer up to 32"),
+])
+def test_too_many_variables_exit_two_at_once(tmp_path, capsys, argv, message):
+    # every monomial is a tuple of one exponent per variable: these asked
+    # for 800 MB a monomial
+    began = time.perf_counter()
+    code, reports, _ = run_main(["multiplicity"] + argv, tmp_path)
+    assert time.perf_counter() - began < 1.0
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_superscript_exponent_names_its_scenario(tmp_path, capsys):
+    doc = {"schema": 1, "scenarios": [{"id": "sup", "kind": "MULTIPLICITY", "payload": {
+        "system": "z1^\u00b2; z2", "at": ["0", "0"]}}]}
+    code, reports, _ = run_main(["run", write_scenarios(tmp_path, doc)], tmp_path)
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err == ("error: scenario 'sup': exponent must be a "
+                                       "non-negative integer (line 1, column 4)\n")
+
+
 def test_help_is_unchanged(capsys):
     for argv in (["-h"], ["spectrum", "-h"]):
         with pytest.raises(SystemExit) as exit_:

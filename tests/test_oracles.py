@@ -1,10 +1,11 @@
 """Differential tests of the exact routes against sympy: rank, kernel and
 solve against sympy's elimination, on Gaussian and on real systems, the characteristic polynomial against
 sympy's, certified eigenvalues against spectra known by construction,
-S J S^-1 with J in Jordan form, the square-free split of characteristic
-polynomials against sympy's `sqf_list` over QQ_I, and reduced grevlex
+S J S^-1 with J in Jordan form, the roots in Q(i) of seeded polynomials
+with repeated roots against sympy's `roots` over QQ_I, and reduced grevlex
 Groebner bases and quotient dimensions against sympy's `groebner`."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -207,46 +208,63 @@ def _big_rational(rng, den):
     return sympy.Rational(rng.randint(-den, den), rng.randint(1, den))
 
 
-def _squarefree_case(rng):
-    """A seeded product of powers of linear factors x - r, r in Q(i), and of
-    quadratics (x - r)^2 - 3 s^2, irreducible over Q(i) since 3 is prime in
-    Z[i], times a Gaussian constant: degree 1 to 10, denominators up to
-    10^12."""
+def _roots_case(rng):
+    """A seeded product of powers of linear factors x - r, r in Q(i), and,
+    one time in four, of one quadratic (x - r)^2 - 3 s^2, irreducible over
+    Q(i) since 3 is prime in Z[i], times a Gaussian constant: degree 1 to
+    8, denominators up to 10^12, roots often repeated."""
     x = sympy.Symbol("x")
-    den, target = rng.choice([10, 10 ** 6, 10 ** 12]), rng.randint(1, 10)
-    expr, degree = _to_sympy(_gaussian(rng)) or 1, 0
+    den, target = rng.choice([10, 10 ** 6, 10 ** 12]), rng.randint(1, 8)
+    expr, degree, quadratic = _to_sympy(_gaussian(rng)) or 1, 0, rng.random() < 0.25
     while degree < target:
         r = _big_rational(rng, den)
         r += sympy.I * _big_rational(rng, den) if rng.random() < 0.5 else 0
-        size = 2 if target - degree >= 2 and rng.random() < 0.4 else 1
+        size = 2 if quadratic and target - degree >= 2 else 1
+        quadratic = quadratic and size == 1
         k = rng.randint(1, min(3, (target - degree) // size))
         base = (x - r) ** 2 - 3 * (_big_rational(rng, den) or 1) ** 2 if size == 2 else x - r
         expr, degree = expr * base ** k, degree + size * k
     return sympy.Poly(sympy.expand(expr), x, domain=sympy.QQ_I)
 
 
-def _first_squarefree_disagreement(seed, trials):
-    """The first case, or None, whose split by spectrum._squarefree, on the
-    primitive Gaussian-integer polynomial, differs from sympy's sqf_list
-    over QQ_I, both read as sets of (monic factor, multiplicity): case 0 is
-    (x^2 - 2)^2 (x - 1/3)^3, the rest are seeded."""
+@functools.cache
+def _roots_cases(seed, trials):
+    """(f, sympy's roots) pairs: f cleared to Gaussian-integer pairs, and
+    its roots over QQ_I by sympy's `roots`, IrrationalSpectrum standing for
+    any root outside Q(i). Case 0 is (x^2 - 2)^2 (x - 1/3)^3, case 1
+    x^2 (x - 4000), whose root 4000 is near Cauchy's bound 4001; the rest
+    are seeded. Cached, as sympy takes about 0.1 s a case."""
     rng = random.Random(seed)
     x = sympy.Symbol("x")
-    cases = [sympy.Poly((x ** 2 - 2) ** 2 * (x - sympy.Rational(1, 3)) ** 3, x)]
-    cases += [_squarefree_case(rng) for _ in range(trials)]
-    for trial, p in enumerate(cases):
-        coeffs = [_from_sympy(c) for c in reversed(p.all_coeffs())]
-        ours = spectrum._squarefree(spectrum._primitive(linalg._clear_denominators(coeffs)[1]))
-        got = {(tuple(poly._gauss_ratio(c, f[-1]) for c in f), k) for f, k in ours}
-        expected = {(tuple(_from_sympy(c) for c in reversed(f.monic().all_coeffs())), k)
-                    for f, k in p.sqf_list()[1]}
+    cases = [sympy.Poly((x ** 2 - 2) ** 2 * (x - sympy.Rational(1, 3)) ** 3, x),
+             sympy.Poly(x ** 2 * (x - 4000), x)]
+    cases += [_roots_case(rng) for _ in range(trials)]
+    out = []
+    for p in cases:
+        roots, expected = sympy.roots(p), IrrationalSpectrum
+        if all(sympy.re(r).is_Rational and sympy.im(r).is_Rational for r in roots):
+            expected = sorted(((_from_sympy(r), k) for r, k in roots.items()),
+                              key=lambda kv: kv[0].sort_key())
+        f = linalg._clear_denominators([_from_sympy(c) for c in reversed(p.all_coeffs())])[1]
+        out.append((f, expected))
+    return out
+
+
+def _first_roots_disagreement(seed, trials):
+    """The first case of _roots_cases, or None, whose roots by
+    spectrum._roots differ from sympy's."""
+    for trial, (f, expected) in enumerate(_roots_cases(seed, trials)):
+        try:
+            got = spectrum._roots(f)
+        except IrrationalSpectrum:
+            got = IrrationalSpectrum
         if got != expected:
             return trial
     return None
 
 
-def test_squarefree_split_matches_sympy():
-    assert _first_squarefree_disagreement(3030, 40) is None
+def test_roots_match_sympy():
+    assert _first_roots_disagreement(3030, 24) is None
 
 
 def _random_dense_system(rng, nvars):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from koszul_index import cli, poly as poly_mod, suites
 from koszul_index.errors import NotZeroDimensional, ParseError, UnknownVariable
-from koszul_index.poly import (MAX_BITS, MAX_EXPONENT, MAX_NESTING, MAX_TERMS, Polynomial,
+from koszul_index.poly import (MAX_BITS, MAX_EXPONENT, MAX_NESTING, MAX_TERMS,
+                               MAX_VARIABLES, Polynomial,
                                grevlex_key, groebner, normal_form, parse_system,
                                quotient_algebra)
 from koszul_index.scalars import QQi
@@ -53,6 +54,15 @@ _MALFORMED = [
     ("z1;;z1", 1, ParseError, "unexpected token ';'", 1, 4),
     ("z1 #\u00a0 2", 1, ParseError, "unexpected token '#'", 1, 4),
     ("z1 +\t\u00a0\n\u00a0z1 z1", 1, ParseError, "unexpected token 'z1'", 2, 5),
+    # digit tokens that int() refused with a bare ValueError: a superscript
+    # digit, which str.isdigit accepts, and numbers past Python's limit of
+    # 4,300 digits in a literal, an exponent or a variable index
+    ("z1^\u00b2; z2", 2, ParseError, "exponent must be a non-negative integer", 1, 4),
+    ("z1 +\n z\u00b2", 2, ParseError, "unexpected token 'z'", 2, 2),
+    ("z1 + " + "9" * 5000, 1, ParseError, f"a literal past {MAX_BITS} bits", 1, 6),
+    ("1/" + "7" * 5000, 1, ParseError, f"a literal past {MAX_BITS} bits", 1, 3),
+    ("z1^" + "9" * 5000, 1, ParseError, f"exponent above {MAX_EXPONENT}", 1, 4),
+    ("1 + z" + "9" * 5000, 2, UnknownVariable, f"variable z{'9' * 5000} outside z1..z2", 1, 5),
 ]
 
 
@@ -76,7 +86,12 @@ def test_size_bounds_refuse_before_forming():
     big = 2 ** (MAX_BITS // 2 - 2)  # its bits twice, plus 1 + 1, make MAX_BITS
     assert poly(f"{big}*{big}i", 1).terms == {(0,): QQi(0, big * big)}
     assert poly("2^256*z1 - 1", 1).terms[(1,)] == QQi(2 ** 256)
+    assert poly(str(2 ** MAX_BITS - 1), 1).terms == {(0,): QQi(2 ** MAX_BITS - 1)}
+    assert poly(f"z{MAX_VARIABLES}", MAX_VARIABLES).nvars == MAX_VARIABLES
+    with pytest.raises(ParseError, match=f"more than {MAX_VARIABLES} variables"):
+        parse_system("z1", MAX_VARIABLES + 1)
     refused = [
+        (str(2 ** MAX_BITS), 1, f"a literal past {MAX_BITS} bits"),
         (f"z1^{MAX_EXPONENT + 1}", 4, f"exponent above {MAX_EXPONENT}"),
         ("(z1+1)^3000; z2", 8, f"exponent above {MAX_EXPONENT}"),
         ("3^30000000*z1; z2", 3, f"exponent above {MAX_EXPONENT}"),

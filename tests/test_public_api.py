@@ -85,3 +85,19 @@ def test_one_function_decides_exact_or_float():
     catches = _sites(lambda n: isinstance(n, ast.ExceptHandler) and n.type is not None
                      and "IrrationalSpectrum" in _names(n.type))
     assert calls == catches == {("spectrum", "joint_eigenvalues")}
+
+
+def test_spectrum_computes_no_float_outside_the_float_split():
+    # the exact route finds, lifts and reads roots on ints: complex(, float(,
+    # cmath and math.ldexp appear only in float_spectrum and its _float_ helpers
+    def floating(node):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            return node.func.id in ("complex", "float")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return "cmath" in {getattr(node, "module", None), *(a.name for a in node.names)}
+        return (isinstance(node, ast.Name) and node.id == "cmath"
+                or isinstance(node, ast.Attribute) and node.attr == "ldexp")
+
+    funcs = {func for module, func in _sites(floating) if module == "spectrum"}
+    assert funcs, "the matcher finds the float split's own floats"
+    assert all(func == "float_spectrum" or func.startswith("_float_") for func in funcs), funcs

@@ -1,5 +1,6 @@
 import itertools
 import random
+import timeit
 from fractions import Fraction
 
 import pytest
@@ -66,18 +67,51 @@ def test_exact_eigenvalues_close_relative_to_their_size():
                              ((QQi(Fraction(1000001, 1000)),), 1))
 
 
+def _diagonal(values):
+    d = len(values)
+    return Matrix([[values[i] if i == j else QQi(0) for j in range(d)] for i in range(d)])
+
+
+def _sorted_pairs(values):
+    return sorted(((v, 1) for v in values), key=lambda kv: kv[0].sort_key())
+
+
 @pytest.mark.parametrize("entries", [
     ("1/1000000001", "2"), ("7/1000000011", "-4/3-2i"),
     [f"{k}/999999937" for k in range(1, 10)], [f"{k}/{1000003 + k}" for k in range(1, 14)],
 ])
 def test_exact_eigenvalues_with_denominators_above_10_to_the_9(entries):
-    # each root is read off its factor's leading coefficient, so no fixed
-    # denominator bound applies; in the last two that lead, the product of
-    # every denominator, is above 2^256, and the Newton grid must follow it
+    # each root r is read as lc r in Z[i], so no fixed denominator bound
+    # applies; in the last two lc, the product of every denominator, is
+    # above 2^256
     values = [QQi.parse(x) for x in entries]
-    d = len(values)
-    m = Matrix([[values[i] if i == j else QQi(0) for j in range(d)] for i in range(d)])
-    assert exact_eigenvalues(m) == sorted(((v, 1) for v in values), key=lambda kv: kv[0].sort_key())
+    assert exact_eigenvalues(_diagonal(values)) == _sorted_pairs(values)
+
+
+@pytest.mark.parametrize("values", [
+    [QQi(Fraction(k, 10007 + 2 * k)) for k in range(1, 21)],
+    [QQi(Fraction(k, 10007 + 2 * k), -Fraction(k, 9973 + k)) for k in range(1, 15)],
+    [QQi(Fraction(k, 10007 + 2 * k), -Fraction(k, 9973 + k)) for k in range(1, 25)],
+], ids=["wilkinson_20", "gaussian_14", "gaussian_24"])
+def test_ill_conditioned_and_gaussian_diagonals_come_back_exactly(values):
+    # roots 10^-4 apart that double precision merged, and Gaussian
+    # eigenvalues whose content Euclid in Z[i] took 9 s at 14 and past 40 s
+    # at 24: each is read exactly, best of three in under 0.1 s
+    m = _diagonal(values)
+    assert exact_eigenvalues(m) == _sorted_pairs(values)
+    assert min(timeit.repeat(lambda: exact_eigenvalues(m), number=1, repeat=3)) < 0.1
+
+
+def test_roots_that_merge_modulo_the_first_prime_are_read_on_a_later_one(monkeypatch):
+    # 1/3 and 1/3 + p meet modulo p as one double root, whose reading fails
+    # its check, so the next prime reads them apart
+    p = spectrum_mod._prime_after(spectrum_mod._PRIME_FLOOR)[0]
+    values = [QQi(Fraction(1, 3)), QQi(Fraction(1, 3) + p), QQi(2, 1)]
+    primes, original = [], spectrum_mod._read
+    monkeypatch.setattr(spectrum_mod, "_read",
+                        lambda f, roots, q, *rest: primes.append(q) or original(f, roots, q, *rest))
+    assert exact_eigenvalues(_diagonal(values)) == _sorted_pairs(values)
+    assert primes == [p, spectrum_mod._prime_after(p)[0]]
 
 
 def test_exact_eigenvalues_of_an_irrational_companion_still_raise():
@@ -127,14 +161,14 @@ def test_joint_eigenvalues_fall_back_to_float_only_off_q_i():
     assert joint_eigenvalues(DIAG) == (spectral_decomposition(DIAG).multiplicities(), "exact")
     t = mult_tuple("z1^2 - 2", 1)
     assert joint_eigenvalues(t) == (float_spectrum(t), "float")
-    # an error of the float split is tagged float, one of the exact split is
-    # not: roots +-sqrt(2)·10^200 leave Q(i) and their entry leaves float range;
-    # roots +-sqrt(2)·10^350 leave float range before the float split runs
-    for exponent, tagged in ((400, True), (700, False)):
+    # an error of the float split is tagged float: roots +-sqrt(2)·10^200 and
+    # +-sqrt(2)·10^350 leave Q(i), which the exact split certifies with no
+    # float, and their entries leave float range in the float split
+    for exponent in (400, 700):
         t = CommutingTuple([Matrix([[0, 2 * 10 ** exponent], [1, 0]])])
         with pytest.raises(ResourceLimit) as raised:
             joint_eigenvalues(t)
-        assert getattr(raised.value, "backend", None) == ("float" if tagged else None)
+        assert getattr(raised.value, "backend", None) == "float"
 
 
 def _conjugated_jordan(rng, blocks, steps, extra=()):
@@ -193,8 +227,7 @@ def _split_or_error(m):
 def test_conjugated_jordan_forms_come_back_exactly():
     # 200 seeded forms: the spectrum and multiplicities a Jordan form is
     # built with come back exactly, an irrational 2x2 block raises
-    # IrrationalSpectrum, and no error but a KoszulIndexError escapes (an
-    # OverflowError from a large leading coefficient would)
+    # IrrationalSpectrum, and no error but a KoszulIndexError escapes
     rng = random.Random(3030)
     for trial in range(200):
         irrational = trial % 4 == 3
@@ -207,22 +240,23 @@ def test_conjugated_jordan_forms_come_back_exactly():
         assert _split_or_error(m) == (IrrationalSpectrum if irrational else wanted), trial
 
 
-def _sympy_squarefree_oracle():
+def _sympy_roots_oracle():
     oracles = pytest.importorskip("test_oracles")
-    assert oracles._first_squarefree_disagreement(3030, 10) is None
+    assert oracles._first_roots_disagreement(3030, 24) is None
 
 
-# Mutations of the Gaussian-integer split, each with the independent oracle
-# that must reject it: (patched function, text, mutated text, oracle).
+# Mutations of the p-adic root route, each with the independent oracle that
+# must reject it: (patched function, text, mutated text, oracle).
 _SPLIT_MUTATIONS = {
-    "prem_without_lc": ("_prem", "r = [_gauss_mul(lc, c) for c in r]", "r = list(r)",
-                        _sympy_squarefree_oracle),
-    "candidate_over_unconjugated_lc": (
-        "_reconstruct_root", "round(lc[0] * x.im + lc[1] * x.re)), lc)",
-        "round(lc[0] * x.im + lc[1] * x.re)), (lc[0], -lc[1]))",
-        test_conjugated_jordan_forms_come_back_exactly),
-    "musser_counts_from_0": ("_squarefree", "out, i = [], 1", "out, i = [], 0",
-                             test_conjugated_jordan_forms_come_back_exactly),
+    "newton_on_f": ("_read", "derivs[mult - 1]], rho", "derivs[0]], rho",
+                    _sympy_roots_oracle),
+    "precision_b_squared": ("_read", "p ** k > 4 * b * b", "p ** k > b * b",
+                            _sympy_roots_oracle),
+    # (c, 0) - pk floor(c / pk), pk of norm q, for the residue of least norm
+    "reading_floors": ("_read", "_reduce((lcq * r % q, 0), pk)",
+                       "(lambda c, m: (c - m[0], -m[1]))(lcq * r % q, _gauss_mul(pk, ("
+                       "lcq * r % q * pk[0] // q, -(lcq * r % q) * pk[1] // q)))",
+                       _sympy_roots_oracle),
 }
 
 
