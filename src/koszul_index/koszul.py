@@ -16,7 +16,6 @@ from itertools import combinations
 from . import linalg
 from .errors import CommutatorError
 from .linalg import Matrix
-from .scalars import QQi
 
 
 @dataclass(frozen=True)
@@ -198,19 +197,12 @@ class HomologyProfile:
 def build_complex(t: CommutingTuple) -> KoszulComplex:
     """The Koszul complex of t, each operator placed at the faces of
     `shape(n)`; d squared = 0 is checked at build (see `KoszulComplex`)."""
-    d, sh, zero = t.dim, shape(t.n), QQi(0)
+    d, sh = t.dim, shape(t.n)
     dims = [d * len(basis) for basis in sh.bases]
-    diffs = {}
-    for k in range(1, t.n + 1):
-        rows = [[zero] * dims[k] for _ in range(dims[k - 1])]
-        for ci, faces in enumerate(sh.faces[k]):
-            for i, ri, sign in faces:
-                for r, oprow in enumerate(t.operators[i].entries):
-                    row = rows[ri * d + r]
-                    for c, v in enumerate(oprow):
-                        if v:
-                            row[ci * d + c] = v if sign > 0 else -v
-        diffs[k] = Matrix(rows, shape=(dims[k - 1], dims[k]))
+    diffs = {k: Matrix.place(dims[k - 1], dims[k], [
+        (ri * d, ci * d, 1, sign, t.operators[i])
+        for ci, faces in enumerate(sh.faces[k]) for i, ri, sign in faces])
+        for k in range(1, t.n + 1)}
     return KoszulComplex(t, dims, diffs)
 
 
@@ -229,10 +221,12 @@ def homology(c: ChainComplex) -> HomologyProfile:
 
 def homology_action(c: KoszulComplex, k: int, operators):
     """The matrices, in one basis of H_k(c), of the maps induced on it by
-    `operators`, each of which commutes with the tuple of c."""
-    ident = Matrix.identity(len(shape(c.n).bases[k]))
-    return linalg.induced_on_subquotient([ident.kron(op) for op in operators],
-                                         c.cycles(k), c.boundaries(k))[0]
+    `operators`, each of which commutes with the tuple of c: each acts on
+    C_k as I (x) op, op placed on the diagonal blocks, one per basis subset."""
+    d, count = c.tuple.dim, len(shape(c.n).bases[k])
+    return linalg.induced_on_subquotient(
+        [Matrix.place(d * count, d * count, [(i * d, i * d, 1, 1, op) for i in range(count)])
+         for op in operators], c.cycles(k), c.boundaries(k))[0]
 
 
 def mapping_cone(c: KoszulComplex, b: Matrix) -> ChainComplex:
@@ -248,30 +242,30 @@ def mapping_cone(c: KoszulComplex, b: Matrix) -> ChainComplex:
 
 
 def _cone(c: KoszulComplex, b: Matrix) -> dict:
-    """The differentials {k: matrix} of the cone of b over c, for a b already
-    known to commute with the tuple; the blocks of K_(n+1) and K_(-1) are empty."""
-    n, dims, bases = c.n, c.dims, shape(c.n).bases
+    """The differentials {k: matrix} of the cone of b over c, for a b known
+    to commute with the tuple, placed with no product: d_k's top rows hold
+    c.d(k), then b on each diagonal block of K_(k-1), and its lower rows -c.d(k-1)
+    behind a zero pad; the blocks of K_(n+1) and K_(-1) are empty."""
+    d, dims = c.tuple.dim, [0] + c.dims + [0]
     diffs = {}
-    for k in range(1, n + 2):
-        top = [c.d(k)] if k <= n else []
-        blocks = [top + [Matrix.identity(len(bases[k - 1])).kron(b)]]
-        if k >= 2:
-            left = [Matrix.zeros(dims[k - 2], dims[k])] if k <= n else []
-            blocks.append(left + [-c.d(k - 1)])
-        diffs[k] = Matrix.block(blocks)
+    for k in range(1, c.n + 2):
+        top, mid, low = dims[k + 1], dims[k], dims[k - 1]  # K_k, K_(k-1), K_(k-2)
+        diffs[k] = Matrix.place(mid + low, top + mid, [
+            (0, 0, 1, 1, c.d(k)), *[(i * d, top + i * d, 1, 1, b) for i in range(mid // d)],
+            (mid, top, 1, -1, c.d(k - 1))])
     return diffs
 
 
 def verify_cone_isomorphism(c: KoszulComplex, b: Matrix) -> bool:
     """Check that the signed permutation `shape(n).cone`, bijective by
     construction, is a chain map from the cone of b over the Koszul complex c
-    of A onto K(A + b, V): full.d(k), its rows and columns so permuted and
-    signed, must equal the cone's d_k. Both hold the same operator entries up
-    to sign, so they are compared by equality, with no arithmetic. The cone's
-    own d*d = 0 then needs no product: it is the conjugate of full.d*full.d,
-    checked when the complex of the extended tuple is built (over one exact
-    operator, by `extend` checking b).
-    """
+    of A onto K(A + b, V). Two independent placements hold the same operator
+    entries up to sign: full.d(k), placed by `build_complex` from shape(n+1)
+    and so permuted and signed, must equal the cone's d_k placed by `_cone`,
+    by equality with no arithmetic. The cone's own d*d = 0 then needs no
+    product: it is the conjugate of full.d*full.d, checked when the complex
+    of the extended tuple is built (over one exact operator, by `extend`
+    checking b)."""
     t, d = c.tuple, c.tuple.dim
     full = build_complex(t.extend(b))  # extend checks b against the tuple
     cone = _cone(c, b)

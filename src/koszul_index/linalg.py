@@ -73,20 +73,20 @@ class Matrix:
         return Matrix(data, shape=(rows, sum(b.cols for b in blocks)))
 
     @staticmethod
-    def vstack(blocks) -> "Matrix":
-        blocks = list(blocks)
-        cols = blocks[0].cols
-        data = []
-        for b in blocks:
-            if b.cols != cols:
-                raise ValueError("vstack: column counts differ")
-            data.extend(list(r) for r in b.entries)
-        return Matrix(data, shape=(sum(b.rows for b in blocks), cols))
-
-    @staticmethod
-    def block(grid) -> "Matrix":
-        """Assemble a matrix from a 2D grid of conforming blocks."""
-        return Matrix.vstack([Matrix.hstack(row) for row in grid])
+    def place(rows: int, cols: int, blocks) -> "Matrix":
+        """The rows x cols matrix, zero but for its blocks (row, col, step,
+        sign, m): entry (r, c) of m, negated if sign < 0, is added at (row +
+        step*r, col + step*c). I (x) m is m at step 1 down the diagonal, m (x) I
+        is m at step len(I) from each diagonal offset: nothing is multiplied."""
+        data = [[ZERO] * cols for _ in range(rows)]
+        for row, col, step, sign, m in blocks:
+            for r, entries in enumerate(m.entries):
+                out = data[row + step * r]
+                for c, v in enumerate(entries):
+                    if v:
+                        j, v = col + step * c, v if sign > 0 else -v
+                        out[j] = v if out[j] is ZERO else out[j] + v
+        return Matrix(data, shape=(rows, cols))
 
     # -- access ------------------------------------------------------------
 
@@ -152,13 +152,6 @@ class Matrix:
                 out_row.append(acc)
             data.append(out_row)
         return Matrix(data, shape=(self.rows, other.cols))
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        data = []
-        for ra in self.entries:
-            for rb in other.entries:
-                data.append([a * b for a in ra for b in rb])
-        return Matrix(data, shape=(self.rows * other.rows, self.cols * other.cols))
 
     def is_zero(self) -> bool:
         return all(not a for r in self.entries for a in r)

@@ -358,6 +358,15 @@ class TensorIdentityReport:
         return all(c.passed for c in self.checks)
 
 
+def _tensor_sums(base: CommutingTuple, nilpotent: CommutingTuple):
+    """The operators A_i (x) I + I (x) C_i, placed with no product: A_i at
+    step len(C_i) from each diagonal offset, then C_i on each diagonal block."""
+    d, e = base.dim, nilpotent.dim
+    return [Matrix.place(d * e, d * e, [(p, p, e, 1, a) for p in range(e)]
+                         + [(i * e, i * e, 1, 1, c) for i in range(d)])
+            for a, c in zip(base.operators, nilpotent.operators)]
+
+
 def tensor_index_identity(base: CommutingTuple,
                           nilpotent: CommutingTuple) -> TensorIdentityReport:
     """Homology bookkeeping for the sum tuple on a tensor product with a
@@ -374,11 +383,7 @@ def tensor_index_identity(base: CommutingTuple,
     for op in nilpotent.operators:
         if not spectrum._power_at_least(op, nil_dim).is_zero():
             raise NotNilpotent("auxiliary tuple is not nilpotent")
-    ident_base = Matrix.identity(base.dim)
-    ident_nil = Matrix.identity(nil_dim)
-    ops = [a.kron(ident_nil) + ident_base.kron(c)
-           for a, c in zip(base.operators, nilpotent.operators)]
-    product = CommutingTuple(ops)
+    product = CommutingTuple(_tensor_sums(base, nilpotent))
     dims_product = koszul.homology(koszul.build_complex(product)).dims
     dims_base = koszul.homology(koszul.build_complex(base)).dims
     index_product = sum((-1) ** (k + 1) * d for k, d in enumerate(dims_product))

@@ -337,6 +337,11 @@ def _decimal(digits: str, bound: int) -> int:
     return int(digits or "0") if len(digits) <= bound.bit_length() // 3 + 1 else bound + 1
 
 
+def _shown(tok):
+    """A refused token as an error repeats it: cut to 20 characters and '…'."""
+    return tok if tok is None or len(tok) <= 20 else tok[:20] + "…"
+
+
 def _bits(value) -> int:
     den, terms = value
     return max(map(abs, itertools.chain((den,), *terms.values()))).bit_length()
@@ -415,7 +420,7 @@ class _Parser:
             self.advance()
             values.append(self.parse_expr())
         if self.peek() is not None:
-            self.fail(f"unexpected token {self.peek()!r}")
+            self.fail(f"unexpected token {_shown(self.peek())!r}")
         return values
 
     def parse_expr(self):
@@ -466,7 +471,7 @@ class _Parser:
             inner = self.parse_expr()
             self.depth -= 1
             if self.peek() != ")":
-                self.fail(f"expected ')', found {self.peek()!r}")
+                self.fail(f"expected ')', found {_shown(self.peek())!r}")
             self.advance()
             return inner
         if tok == "i":
@@ -490,10 +495,10 @@ class _Parser:
             if not 1 <= index <= self.nvars:
                 line, col = self.where()
                 raise UnknownVariable(
-                    f"variable {tok} outside z1..z{self.nvars}", line, col)
+                    f"variable {_shown(tok)} outside z1..z{self.nvars}", line, col)
             self.advance()
             return 1, {(0,) * (index - 1) + (1,) + (0,) * (self.nvars - index): (1, 0)}
-        self.fail(f"unexpected token {tok!r}")
+        self.fail(f"unexpected token {_shown(tok)!r}")
 
 
 def parse_system(text: str, nvars: int):

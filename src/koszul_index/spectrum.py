@@ -285,11 +285,14 @@ def _kernel_chain(ops, bound: int) -> Matrix:
     power of any of them: start from the joint kernel, and pull the space
     back through every operator, {v : N v in the space for each N}, until
     its dimension reaches `bound` or stops growing."""
-    space = linalg.kernel_basis(Matrix.vstack(ops))
+    n = ops[0].rows
+    space = linalg.kernel_basis(
+        Matrix.place(n * len(ops), n, [(i * n, 0, 1, 1, op) for i, op in enumerate(ops)]))
     while 0 < space.cols < bound:
-        zero = Matrix.zeros(space.rows, space.cols)
-        pull = Matrix.block([[op] + [-space if j == i else zero for j in range(len(ops))]
-                             for i, op in enumerate(ops)])
+        s = space.cols
+        pull = Matrix.place(n * len(ops), n + s * len(ops), [
+            block for i, op in enumerate(ops) for block in
+            ((i * n, 0, 1, 1, op), (i * n, n + i * s, 1, -1, space))])
         top = linalg.kernel_basis(pull).take_rows(range(space.rows))
         grown = linalg.image_basis(top)
         if grown.cols == space.cols:

@@ -68,7 +68,8 @@ def test_criterion_1_euler_anchor():
                                        rng.randint(1, 8))
             profile = homology(build_complex(t))
             assert profile.index == 0
-            top = linalg.kernel_basis(Matrix.vstack(t.operators)).cols
+            top = linalg.kernel_basis(  # the joint kernel: operators stacked
+                Matrix([row for op in t.operators for row in op.entries])).cols
             bottom = t.dim - linalg.rank(Matrix.hstack(t.operators))
             assert profile.dims[-1] == top
             assert profile.dims[0] == bottom

@@ -850,6 +850,9 @@ def test_polynomials_past_the_parser_bounds_exit_two_at_once(tmp_path, capsys, s
      "variable z100000000 outside z1..z32 (line 1, column 1)"),
     (["--system", "z1", "--variables", "100000000", "--at", "0"],
      "payload field 'variables' must be a positive integer up to 32"),
+    # the refused token is cut: repeated whole, it made a 5,040-character line
+    (["--system", "z" + "9" * 5000, "--at", "0"],
+     f"variable z{'9' * 19}… outside z1..z32 (line 1, column 1)"),
 ])
 def test_too_many_variables_exit_two_at_once(tmp_path, capsys, argv, message):
     # every monomial is a tuple of one exponent per variable: these asked

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from koszul_index import cli, koszul, linalg, spectral, suites
+from koszul_index import cli, koszul, linalg, models, spectral, suites
 from koszul_index.errors import BackendMismatch, CommutatorError
 from koszul_index.koszul import (CommutingTuple, HomologyProfile, build_complex,
                                  homology, mapping_cone, verify_cone_isomorphism)
 from koszul_index.linalg import Matrix
 from koszul_index.scalars import QQi
+from mutations import patch_source
 from random_tuples import random_commuting_tuple, random_cone_instance
 
 
@@ -57,6 +58,11 @@ def test_build_zero_pair_on_scalars():
     c = build_complex(CommutingTuple([Matrix.zeros(1, 1), Matrix.zeros(1, 1)]))
     assert c.dims == [1, 2, 1]
     assert c.d(1).is_zero() and c.d(2).is_zero()
+
+
+def stacked(ops):
+    """The operators stacked one above the next, row by row."""
+    return Matrix([row for op in ops for row in op.entries])
 
 
 def square_zero(c):
@@ -289,8 +295,8 @@ def test_end_differentials_are_the_operator_blocks():
         ops, n = t.operators, t.n
         c = build_complex(t)
         assert c.d(1) == Matrix.hstack(ops)
-        assert c.d(n) == Matrix.vstack([ops[i] if i % 2 == 0 else -ops[i]
-                                        for i in reversed(range(n))])
+        assert c.d(n) == stacked([ops[i] if i % 2 == 0 else -ops[i]
+                                  for i in reversed(range(n))])
 
 
 def test_homology_ranks_each_differential_once(monkeypatch):
@@ -394,6 +400,78 @@ def test_verify_cone_isomorphism_rejects_a_wrong_cone(monkeypatch):
     assert not verify_cone_isomorphism(c, b)
 
 
+def _cone_is_square_zero(c, b):
+    """The product oracle on the cone, whose own d*d check raises first."""
+    try:
+        return square_zero(mapping_cone(c, b))
+    except AssertionError:
+        return False
+
+
+@pytest.mark.parametrize("old, new", [
+    ("top + i * d, 1, 1, b)", "top + (i + 1) % (mid // d) * d, 1, 1, b)"),
+    ("(mid, top, 1, -1, c.d(k - 1))", "(mid, top, 1, 1, c.d(k - 1))"),
+], ids=["b_in_the_next_block_column", "lower_block_with_plus_sign"])
+def test_cone_placement_mutations_are_rejected(monkeypatch, old, new):
+    # each mutation keeps every shape; n >= 2, so K_1 has two blocks to swap
+    rng = random.Random(71)
+    instances = [(build_complex(t), b) for t, b in
+                 (random_cone_instance(rng, n, dim) for n, dim in ((2, 2), (2, 3), (3, 2), (3, 3)))]
+    for c, b in instances:
+        assert verify_cone_isomorphism(c, b) and _cone_is_square_zero(c, b)
+    patch_source(monkeypatch, koszul, "_cone", old, new)
+    for c, b in instances:
+        assert not verify_cone_isomorphism(c, b)
+        assert not _cone_is_square_zero(c, b)
+
+
+def _from_numpy(array):
+    """The exact matrix of a float array of Gaussian integers below 2^53."""
+    return Matrix([[QQi(int(x.real), int(x.imag)) for x in row] for row in array])
+
+
+def _placement_oracle_failures():
+    """The placements that differ from numpy.kron of the same integer
+    operators, which float holds exactly: homology_action's I (x) A on the
+    complex of a zero tuple, where H_k is all of C_k so every nonzero A acts
+    nonzero, and models' A (x) I + I (x) C."""
+    np = pytest.importorskip("numpy")
+    rng = random.Random(73)
+    failures = set()
+    for n, dim in ((1, 3), (2, 3), (2, 4), (3, 2)):
+        inner = build_complex(CommutingTuple([Matrix.zeros(dim, dim)] * n))
+        ops = random_commuting_tuple(rng, 2, dim).operators
+        for k in range(n + 1):
+            eye = np.eye(len(koszul.shape(n).bases[k]))
+            placed = [_from_numpy(np.kron(eye, op.to_numpy())) for op in ops]
+            oracle = linalg.induced_on_subquotient(placed, inner.cycles(k),
+                                                   inner.boundaries(k))[0]
+            if koszul.homology_action(inner, k, ops) != oracle:
+                failures.add("action")
+    for _ in range(4):
+        base = random_commuting_tuple(rng, 2, rng.randint(1, 3))
+        nil = _nilpotent_tuple(rng, 2, rng.randint(2, 3))
+        for op, a, c in zip(models._tensor_sums(base, nil), base.operators, nil.operators):
+            expected = (np.kron(a.to_numpy(), np.eye(nil.dim))
+                        + np.kron(np.eye(base.dim), c.to_numpy()))
+            if not np.array_equal(op.to_numpy(), expected):
+                failures.add("tensor")
+    return failures
+
+
+@pytest.mark.parametrize("module, path, old, new, rejected_by", [
+    (None, None, None, None, set()),
+    # columns ignore the step: I (x) m (step 1) is unchanged, m (x) I is not
+    (linalg, "Matrix.place", "j, v = col + step * c,", "j, v = col + c,", {"tensor"}),
+    (koszul, "homology_action", "(i * d, i * d, 1, 1, op)",
+     "(i * d, (count - 1 - i) * d, 1, 1, op)", {"action"}),
+], ids=["placed", "column_step_ignored", "action_blocks_reversed"])
+def test_placements_match_numpy_kron(monkeypatch, module, path, old, new, rejected_by):
+    if module:
+        patch_source(monkeypatch, module, path, old, new)
+    assert _placement_oracle_failures() == rejected_by
+
+
 def test_verify_cone_isomorphism_does_no_subtraction(monkeypatch):
     # the pulled-back differentials hold the cone's entries up to sign, so
     # they are compared by equality, not by a difference tested for zero
@@ -458,6 +536,6 @@ def test_end_groups_match_kernel_and_cokernel():
     for _ in range(10):
         t = random_commuting_tuple(rng, 2, 5)
         dims = homology(build_complex(t)).dims
-        top = linalg.kernel_basis(Matrix.vstack(t.operators)).cols
+        top = linalg.kernel_basis(stacked(t.operators)).cols
         bottom = t.dim - linalg.rank(Matrix.hstack(t.operators))
         assert dims[-1] == top and dims[0] == bottom

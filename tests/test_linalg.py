@@ -273,8 +273,8 @@ def test_every_matrix_op_keeps_tuple_rows_of_qqi():
     results = [
         Matrix.identity(3), Matrix.zeros(2, 3), a + b, a - b, -a,
         a.scale(Fraction(2, 3)), a.shift(QQi(1, -1)), a @ b, tall @ wide, wide @ tall,
-        a.kron(wide), Matrix.hstack([a, b]), Matrix.vstack([a, b]),
-        Matrix.block([[a, b], [b, a]]), a.take_rows([2, 0]), a.take_cols([1]),
+        Matrix.place(5, 7, [(0, 0, 1, -1, a), (1, 0, 2, 1, wide)]),
+        Matrix.hstack([a, b]), a.take_rows([2, 0]), a.take_cols([1]),
         linalg.kernel_basis(wide), linalg.image_basis(tall),
         linalg.solve(a, a @ b.take_cols([0])), linalg.extend_basis(a.take_cols([0]), a),
     ]

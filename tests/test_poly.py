@@ -62,7 +62,11 @@ _MALFORMED = [
     ("z1 + " + "9" * 5000, 1, ParseError, f"a literal past {MAX_BITS} bits", 1, 6),
     ("1/" + "7" * 5000, 1, ParseError, f"a literal past {MAX_BITS} bits", 1, 3),
     ("z1^" + "9" * 5000, 1, ParseError, f"exponent above {MAX_EXPONENT}", 1, 4),
-    ("1 + z" + "9" * 5000, 2, UnknownVariable, f"variable z{'9' * 5000} outside z1..z2", 1, 5),
+    # a refused token is repeated to its first 20 characters and '…'
+    ("1 + z" + "9" * 5000, 2, UnknownVariable, f"variable z{'9' * 19}… outside z1..z2", 1, 5),
+    ("z1 " + "7" * 5000, 1, ParseError, f"unexpected token '{'7' * 20}…'", 1, 4),
+    ("(z1 " + "7" * 5000 + ")", 1, ParseError, f"expected ')', found '{'7' * 20}…'", 1, 5),
+    ("z1 + z" + "9" * 19, 1, UnknownVariable, f"variable z{'9' * 19} outside z1..z1", 1, 6),
 ]
 
 
