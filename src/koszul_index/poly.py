@@ -198,17 +198,15 @@ class Polynomial:
         return Polynomial(self.nvars, terms)
 
     def evaluate(self, point) -> QQi:
+        """p(point), one QQi: with coefficients c / L and the point a / M on
+        Gaussian-integer numerators, L M^D p(a / M) is _gauss_eval's sum."""
         point = [p if isinstance(p, QQi) else QQi(p) for p in point]
         if len(point) != self.nvars:
             raise ArityMismatch("point dimension differs from variable count")
-        acc = QQi(0)
-        for mono, coeff in self.terms.items():
-            val = coeff
-            for p, e in zip(point, mono):
-                if e:
-                    val = val * p ** e
-            acc = acc + val
-        return acc
+        lcm, coeffs = _clear_denominators(list(self.terms.values()))
+        m, ints = _clear_denominators(point)
+        (re, im), degree = _gauss_eval(list(zip(self.terms, coeffs)), ints, m)
+        return QQi(Fraction(re, lcm * m ** degree), Fraction(im, lcm * m ** degree))
 
     def eval_matrices(self, mats) -> Matrix:
         """Substitute commuting square matrices for the variables."""
@@ -514,6 +512,24 @@ def parse_system(text: str, nvars: int):
 
 def _gauss_mul(x, y):
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _gauss_eval(terms, point, m):
+    """(v, D) for Gaussian-integer pairs: v is the sum of c a^e m^(D - |e|)
+    over the (e, c) of `terms`, so v / m^D is their polynomial at a / m for
+    the point's pairs a, D the largest total degree; each power of an a_i or
+    of m is formed once."""
+    degree = max((mono_degree(e) for e, _ in terms), default=0)
+    powers = [list(itertools.accumulate([a] * degree, _gauss_mul, initial=(1, 0))) for a in point]
+    lifts = list(itertools.accumulate([m] * degree, operator.mul, initial=1))
+    re = im = 0
+    for mono, c in terms:
+        c = _gauss_mul(c, (lifts[degree - mono_degree(mono)], 0))
+        for pw, e in zip(powers, mono):
+            if e:
+                c = _gauss_mul(c, pw[e])
+        re, im = re + c[0], im + c[1]
+    return (re, im), degree
 
 
 def _gauss_ratio(x, y) -> QQi:

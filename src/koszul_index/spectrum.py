@@ -7,9 +7,10 @@ kernel chain that forms no matrix power. An operator keeps a piece whole
 when its shift by the mean eigenvalue is proved nilpotent there: by
 matrix-vector products from the unit's component in the piece when the
 tuple multiplies on C[z]/I, else by a matrix power. Eigenvalues are the
-roots in Q(i) of the Hessenberg characteristic polynomial, found modulo a
-prime, Newton-lifted, read back and verified exactly, with no float (Loos,
-SIAM J. Comput. 12, 1983); IrrationalSpectrum is raised when they leave Q(i).
+roots in Q(i) of the characteristic polynomial, formed with no division by
+Berkowitz's recurrence on Gaussian-integer numerators, found modulo a prime,
+Newton-lifted, read back and verified exactly, with no float (Loos, SIAM J.
+Comput. 12, 1983); IrrationalSpectrum is raised when they leave Q(i).
 `joint_eigenvalues` alone decides exact or float: on IrrationalSpectrum it
 runs `float_spectrum`, the same route on complex128 copies of the operators
 (Matrix.to_numpy) with eigenvalues clustered within _CLUSTER, kernels read
@@ -25,13 +26,14 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import koszul, linalg
 from .errors import (ArityMismatch, ClusteringAmbiguity, InconsistentSystem,
                      IrrationalSpectrum, KoszulIndexError, ResourceLimit)
 from .koszul import CommutingTuple
 from .linalg import Matrix
-from .poly import _gauss_mul, _gauss_ratio
+from .poly import _gauss_eval, _gauss_mul, _gauss_ratio
 from .scalars import EXACT, FLOAT, QQi
 
 _PRIME_FLOOR = 4096  # every prime tried is above it and above deg f
@@ -42,36 +44,39 @@ _KERNEL_CUT = 1e-9  # relative: singular values up to 1e-9 * max(sigma_max, 1) a
 
 
 def charpoly(m: Matrix):
-    """Characteristic polynomial det(x - m) of an exact matrix, low-to-high
-    coefficients, in O(d^3) field operations: an exact similarity reduction
-    to upper Hessenberg form, then the Hessenberg recurrence (Cohen, A
-    Course in Computational Algebraic Number Theory, GTM 138, 2.2.9)."""
-    h = [list(r) for r in m.entries]
-    d = len(h)
-    for k in range(1, d - 1):
-        piv = next((i for i in range(k, d) if h[i][k - 1]), None)
-        if piv is None:
-            continue
-        h[k], h[piv] = h[piv], h[k]
-        for row in h:
-            row[k], row[piv] = row[piv], row[k]
-        for i in range(k + 1, d):
-            u = h[i][k - 1] / h[k][k - 1]
-            if u:  # row i -= u * row k, then column k += u * column i
-                h[i] = [a - u * b if b else a for a, b in zip(h[i], h[k])]
-                for row in h:
-                    row[k] = row[k] + u * row[i] if row[i] else row[k]
-    # p_(k+1) = x p_k - sum over i <= k of h_ik (h_(i+1),i ... h_k,(k-1)) p_i
-    polys = [[QQi(1)]]
+    """det(x - m), low to high, with no division: on m cleared once to
+    Gaussian-integer pairs over the least common denominator L of its
+    entries, Berkowitz's recurrence (Inf. Process. Lett. 18(3), 1984)
+    multiplies the polynomial of each leading block B, bordered by R, C and
+    b, by the Toeplitz matrix of (1, -b, -R C, -R B C, ..., -R B^(k-1) C):
+    det(x - L m), whose coefficient a_k of x^k stands for a_k / L^(d - k)."""
+    d = m.rows
+    lcm, flat = linalg._clear_denominators([x for row in m.entries for x in row])
+    # each row's nonzero (column, entry), as multiplication tables are sparse
+    rows = [[(j, x) for j, x in enumerate(flat[i * d:i * d + d]) if x != (0, 0)] for i in range(d)]
+    poly = [(1, 0)]  # high to low
     for k in range(d):
-        p, t = [QQi(0)] + polys[k], QQi(1)
-        for i in range(k, -1, -1):
-            f = t * h[i][k]
-            for j, c in enumerate(polys[i] if f else ()):
-                p[j] = p[j] - f * c
-            t = t * h[i][i - 1]  # unused after i = 0
-        polys.append(p)
-    return polys[d]
+        b = flat[k * d + k]
+        t, col = [(1, 0), (-b[0], -b[1])], flat[k:k * d:d]
+        for _ in range(k):
+            re, im = _dot(rows[k], col)
+            t.append((-re, -im))
+            col = [_dot(rows[i], col) for i in range(k)]
+        poly = [_dot(enumerate(t[i::-1]), poly) for i in range(k + 2)]
+    return [QQi(Fraction(x, lcm ** j), Fraction(y, lcm ** j))
+            for j, (x, y) in enumerate(poly)][::-1]
+
+
+def _dot(xs, ys):
+    """Sum of x ys[j] over the (j, x) of xs, by increasing j, while j < len(ys)."""
+    re = im = 0
+    for j, (p, q) in xs:
+        if j >= len(ys):
+            break
+        u, v = ys[j]
+        re += p * u - q * v
+        im += p * v + q * u
+    return re, im
 
 
 # -- univariate polynomials over Z[i]: (re, im) int pairs, low to high -------
@@ -94,19 +99,6 @@ def _gauss_gcd(x, y):
     while y != (0, 0):
         x, y = y, _reduce(x, y)
     return x
-
-
-def _vanishes(h, r: QQi) -> bool:
-    """Whether h(r) = 0, by Horner's rule on d^deg(h) h(r) in Z[i] for the
-    least positive integer d with d r in Z[i]."""
-    d = math.lcm(r.re.denominator, r.im.denominator)
-    z = (r.re.numerator * (d // r.re.denominator), r.im.numerator * (d // r.im.denominator))
-    acc, w = h[-1], 1
-    for c in reversed(h[:-1]):
-        w *= d
-        x, y = _gauss_mul(acc, z)
-        acc = x + c[0] * w, y + c[1] * w
-    return acc == (0, 0)
 
 
 # -- univariate polynomials over F_p: ints in [0, p), low to high, no zero lead
@@ -212,7 +204,9 @@ def _read(derivs, roots, p, iota, pi):
     for rho, mult in roots:
         r = _lift([(x + y * iota) % q for x, y in derivs[mult - 1]], rho, p, k)
         root = _gauss_ratio(_reduce((lcq * r % q, 0), pk), lc)
-        if not all(_vanishes(h, root) for h in derivs[:mult]):
+        den, z = linalg._clear_denominators([root])
+        if any(_gauss_eval([((j,), c) for j, c in enumerate(h)], z, den)[0] != (0, 0)
+               for h in derivs[:mult]):
             return None
         out[root] = mult
     return out

@@ -141,6 +141,39 @@ def test_charpoly_matches_sympy():
         expected = [_from_sympy(c) for c in
                     reversed(_sympy_matrix(m).charpoly(x).all_coeffs())]
         assert charpoly(m) == expected, trial
+    assert _first_charpoly_disagreement(34) is None
+
+
+def _dense_gaussian_matrix(rng, d):
+    """A dense d x d matrix of Gaussian rationals: numerators up to 10^3
+    over three denominators up to 10^6 drawn for the matrix, so the common
+    denominator of its entries can reach 10^18."""
+    dens = [rng.randint(1, 10 ** 6) for _ in range(3)]
+
+    def part():
+        return Fraction(rng.randint(-10 ** 3, 10 ** 3), rng.choice(dens))
+    return Matrix([[QQi(part(), part()) for _ in range(d)] for _ in range(d)])
+
+
+@functools.cache
+def _dense_charpoly_cases(seed):
+    """(matrix, sympy's characteristic polynomial) for seeded dense Gaussian
+    matrices of sizes 2, 4, 8, 12 and 16. Cached, as sympy takes about 0.1 s
+    at 16."""
+    rng, x = random.Random(seed), sympy.Symbol("x")
+    out = []
+    for d in (2, 4, 8, 12, 16):
+        m = _dense_gaussian_matrix(rng, d)
+        out.append((m, [_from_sympy(c) for c in
+                        reversed(_sympy_matrix(m).charpoly(x).all_coeffs())]))
+    return out
+
+
+def _first_charpoly_disagreement(seed):
+    """The size of the first case of _dense_charpoly_cases, or None, whose
+    spectrum.charpoly, looked up at each call, differs from sympy's."""
+    return next((m.rows for m, expected in _dense_charpoly_cases(seed)
+                 if spectrum.charpoly(m) != expected), None)
 
 
 def _conjugated_jordan(rng, blocks):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koszul_index import cli, poly as poly_mod, suites
-from koszul_index.errors import NotZeroDimensional, ParseError, UnknownVariable
+from koszul_index.errors import ArityMismatch, NotZeroDimensional, ParseError, UnknownVariable
 from koszul_index.poly import (MAX_BITS, MAX_EXPONENT, MAX_NESTING, MAX_TERMS,
                                MAX_VARIABLES, Polynomial,
                                grevlex_key, groebner, normal_form, parse_system,
@@ -396,6 +396,50 @@ def test_normal_form_matches_a_qqi_reference():
         assert poly_mod.normal_form(p, divisors) == _qqi_normal_form(p, divisors), trial
 
 
+def _qqi_evaluate(p, point):
+    """p(point) term by term in QQi arithmetic, each power of a coordinate
+    formed by QQi.__pow__: a reference that forms no integer numerator."""
+    point = [x if isinstance(x, QQi) else QQi(x) for x in point]
+    if len(point) != p.nvars:
+        raise ArityMismatch("point dimension differs from variable count")
+    acc = QQi(0)
+    for mono, coeff in p.terms.items():
+        val = coeff
+        for x, e in zip(point, mono):
+            if e:
+                val = val * x ** e
+        acc = acc + val
+    return acc
+
+
+def _point(rng, n):
+    """A point whose coordinates mix 0, integers and Gaussian rationals over
+    denominators up to 10^6."""
+    return [rng.choice([QQi(0), QQi(rng.randint(-4, 4)), _gaussian(rng),
+                        QQi(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6)),
+                            Fraction(rng.randint(-99, 99), rng.randint(1, 10 ** 6)))])
+            for _ in range(n)]
+
+
+def test_evaluate_matches_a_qqi_reference():
+    # terms of mixed degree, so a point over a denominator weighs each
+    # term by its own power of it; the zero polynomial and integer points too
+    rng = random.Random(34)
+    for trial in range(80):
+        n = rng.randint(1, 3)
+        p = _random_polynomial(rng, n, rng.randint(0, 6), rng.choice([1, 3, 6]))
+        point = _point(rng, n)
+        assert p.evaluate(point) == _qqi_evaluate(p, point), trial
+        assert p.evaluate([QQi(0)] * n) == p.terms.get((0,) * n, QQi(0)), trial
+    assert Polynomial.zero(2).evaluate([QQi(1, 2), Fraction(1, 3)]) == QQi(0)
+    assert poly("z1^2*z2 - 1/2", 2).evaluate([2, QQi(0, 1)]) == QQi(Fraction(-1, 2), 4)
+    for bad in ([QQi(1)], [QQi(1)] * 3):
+        with pytest.raises(ArityMismatch):
+            poly("z1 + z2", 2).evaluate(bad)
+        with pytest.raises(ArityMismatch):
+            _qqi_evaluate(poly("z1 + z2", 2), bad)
+
+
 def _sympy_groebner_oracle():
     oracles = pytest.importorskip("test_oracles")
     rng = random.Random(606)
@@ -419,6 +463,8 @@ _INTEGER_ROUTE_MUTATIONS = {
         "_scaled(remainder, _gauss_mul(num, num), "
         "_gauss_mul((da * lcm, db * lcm), (da * lcm, db * lcm)))",
         test_normal_form_matches_a_qqi_reference),
+    "evaluate_without_the_lift": ("_gauss_eval", "(lifts[degree - mono_degree(mono)], 0)",
+                                  "(1, 0)", test_evaluate_matches_a_qqi_reference),
     "sum_scales_one_side": ("_Parser.add", "sign * den // db", "sign", _sympy_parser_oracle),
     "product_drops_an_imaginary_cross_term": (
         "_Parser.multiply", "_gauss_mul(c1, c2)",

@@ -245,9 +245,19 @@ def _sympy_roots_oracle():
     assert oracles._first_roots_disagreement(3030, 24) is None
 
 
-# Mutations of the p-adic root route, each with the independent oracle that
-# must reject it: (patched function, text, mutated text, oracle).
+def _sympy_charpoly_oracle():
+    oracles = pytest.importorskip("test_oracles")
+    assert oracles._first_charpoly_disagreement(34) is None
+
+
+# Mutations of the p-adic root route and of the characteristic polynomial,
+# each with the independent oracle that must reject it: (patched function,
+# text, mutated text, oracle).
 _SPLIT_MUTATIONS = {
+    "berkowitz_column_sign": ("charpoly", "t.append((-re, -im))", "t.append((re, im))",
+                              _sympy_charpoly_oracle),
+    "rescale_one_power_off": ("charpoly", "enumerate(poly)", "enumerate(poly, 1)",
+                              _sympy_charpoly_oracle),
     "newton_on_f": ("_read", "derivs[mult - 1]], rho", "derivs[0]], rho",
                     _sympy_roots_oracle),
     "precision_b_squared": ("_read", "p ** k > 4 * b * b", "p ** k > b * b",
