@@ -310,6 +310,9 @@ def _run_multiplicity(inputs, outputs, checks):
         checks.append(_check_dict("multiplicities_sum_to_quotient",
                                   total == table.quotient_dim,
                                   f"{total} of {table.quotient_dim}"))
+        if check_diagonal:
+            outputs["skipped_checks"] = [{"name": "diagonal_degree_identity", "reason":
+                                          "no `at` point: the identity is checked at one zero"}]
         return EXACT
     cert = mult_mod.local_multiplicity(system, point)
     outputs.update(multiplicity=cert.multiplicity,

@@ -6,7 +6,8 @@ class KoszulIndexError(Exception):
 
 
 class BackendMismatch(KoszulIndexError):
-    """A float was given where a Matrix needs a Gaussian rational (as_scalar)."""
+    """A float was given where a Gaussian rational is needed (as_scalar): a
+    Matrix entry, a polynomial coefficient, a point or a domain center."""
 
 
 class InconsistentSystem(KoszulIndexError):

@@ -22,7 +22,7 @@ from .koszul import CommutingTuple
 from .linalg import Matrix
 from .multiplicity import GlobalMultiplicityTable, local_multiplicity, winding_number
 from .poly import groebner, quotient_algebra
-from .scalars import EXACT, QQi
+from .scalars import EXACT, QQi, as_scalar
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -42,8 +42,7 @@ class DomainDescriptor:
         if self.kind not in ("polydisc", "ball"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
         object.__setattr__(self, "center",
-                           tuple(c if isinstance(c, QQi) else QQi(c)
-                                 for c in self.center))
+                           tuple(map(as_scalar, self.center)))
         object.__setattr__(self, "radii",
                            tuple(Fraction(r) for r in self.radii))
         if any(r <= 0 for r in self.radii):
@@ -176,7 +175,7 @@ def classify_zeros(mt: ModelTuple):
 def local_index(mt: ModelTuple, point, n_max: int = 30) -> int:
     """Local index of the composed tuple at a common zero: minus the local
     degree inside the domain, zero outside, refused on the boundary."""
-    point = tuple(p if isinstance(p, QQi) else QQi(p) for p in point)
+    point = tuple(map(as_scalar, point))
     for g in mt.system:
         if not g.evaluate(point).is_zero():
             raise NotAZero("the queried point is not a common zero")

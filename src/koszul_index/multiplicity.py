@@ -26,7 +26,7 @@ from .linalg import SparseEchelon
 from .poly import (Polynomial, groebner, mono_mul, monomials_of_degree,
                    quotient_algebra)
 from .koszul import CommutingTuple
-from .scalars import EXACT, QQi
+from .scalars import EXACT, as_scalar
 
 
 @dataclass(frozen=True)
@@ -55,17 +55,14 @@ def _require_square(system):
 class _Truncation:
     """The products m * g_i of a system at the origin in one SparseEchelon
     that grows with the truncation order: order N adds the products whose
-    least degree is N - 1, each generator's coefficients cleared to
-    Gaussian integers once. Columns number the monomials by degree first,
+    least degree is N - 1, each on its generator's Gaussian-integer
+    numerators. Columns number the monomials by degree first,
     so those of degree < N are the first C(N - 1 + n, n)."""
 
     def __init__(self, system_at_origin):
         self.nvars = system_at_origin[0].nvars
-        self.gens = []  # (order of vanishing, [(monomial, pair)])
-        for g in system_at_origin:
-            if not g.is_zero():
-                _, pairs = linalg._clear_denominators(g.terms.values())
-                self.gens.append((g.order_of_vanishing(), list(zip(g.terms, pairs))))
+        self.gens = [(g.order_of_vanishing(), list(g.num.items()))
+                     for g in system_at_origin if not g.is_zero()]
         self.columns = {}  # monomial -> column
         self.unnumbered = (m for d in itertools.count()
                            for m in sorted(monomials_of_degree(self.nvars, d)))
@@ -106,7 +103,7 @@ def local_multiplicity(system, point, n_max: int = 30) -> MultiplicityCertificat
     otherwise.
     """
     system, _ = _require_square(system)
-    point = tuple(p if isinstance(p, QQi) else QQi(p) for p in point)
+    point = tuple(map(as_scalar, point))
     translated = [g.shift(point) for g in system]
     # the constant term of g(z + point) is g(point)
     if any(g.order_of_vanishing() == 0 for g in translated):
@@ -132,7 +129,7 @@ def local_multiplicity(system, point, n_max: int = 30) -> MultiplicityCertificat
 def jacobian_regular(system, point) -> bool:
     """True when the Jacobian determinant is nonzero at the point (exact)."""
     system, nvars = _require_square(system)
-    point = tuple(p if isinstance(p, QQi) else QQi(p) for p in point)
+    point = tuple(map(as_scalar, point))
     rows = [[g.partial(j + 1).evaluate(point) for j in range(nvars)] for g in system]
     return bool(linalg.det(linalg.Matrix(rows)))
 
@@ -142,11 +139,8 @@ def build_diagonal_system(system):
     zeros are the doubled zeros of g."""
     system, nvars = _require_square(system)
     total = 2 * nvars
-    head = []
-    for i in range(nvars):
-        z_i = Polynomial.variable(total, i + 1)
-        w_i = Polynomial.variable(total, nvars + i + 1)
-        head.append(z_i - w_i)
+    unit = [tuple(int(j == k) for j in range(total)) for k in range(total)]
+    head = [Polynomial(total, {unit[i]: 1, unit[nvars + i]: -1}) for i in range(nvars)]
     tail = [g.embed(total, list(range(nvars))) for g in system]
     return head + tail
 

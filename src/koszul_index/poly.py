@@ -2,12 +2,13 @@
 for polynomial systems, Buchberger Groebner bases, and finite quotient
 algebras with multiplication matrices.
 
-A Polynomial maps monomials to exact QQi coefficients. Parsing, shifts,
-division and Groebner bases run on Gaussian-integer numerators, maps monomial
--> (re, im) of ints: the parser holds each value over one denominator, and
-division multiplies by a divisor's lead, divides out the content (the gcd of
-every part) and keeps the scale it owes as one num / den pair, so each QQi of
-a result is built once, at the end; a basis is made monic then.
+A Polynomial holds what the parser holds: Gaussian-integer numerators, maps
+monomial -> (re, im) of ints, over one positive denominator, in lowest terms.
+Shifts, evaluation, division and Groebner bases read and write those
+numerators: division multiplies by a divisor's lead, divides out the content
+(the gcd of every part) and keeps the scale it owes as one num / den pair,
+which the result is then built over; a basis is made monic then. QQi values
+are formed only for matrix entries and for the `terms` view.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from .errors import ArityMismatch, NotZeroDimensional, ParseError, UnknownVariable
 from .linalg import Matrix, _clear_denominators, commutes
-from .scalars import ZERO, QQi
+from .scalars import ZERO, QQi, as_scalar
 
 Monomial = tuple  # exponent vectors, fixed length = number of variables
 
@@ -65,148 +66,92 @@ def grevlex_key(mono: Monomial):
 
 
 class Polynomial:
-    """A polynomial in nvars variables with exact coefficients.
-
-    Terms map exponent tuples to nonzero QQi coefficients; two polynomials
-    are equal exactly when their term maps are equal.
+    """A polynomial in nvars variables with exact coefficients, held as
+    FLINT's fmpq_poly holds one: Gaussian-integer numerators `num`, maps
+    monomial -> (re, im) of ints, over one positive int `den`, with gcd(den,
+    every part) = 1. Each value has that one form, so two polynomials are
+    equal exactly when their nvars, den and num are.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "den", "num")
 
     def __init__(self, nvars: int, terms=None):
-        clean = {}
+        """From a map monomial -> coefficient, each an int, a Fraction, a QQi
+        or a scalar literal (`scalars.as_scalar`)."""
+        coeffs = {}
         for mono, coeff in (terms or {}).items():
-            coeff = coeff if isinstance(coeff, QQi) else QQi(coeff)
             if len(mono) != nvars:
                 raise ArityMismatch("monomial arity differs from variable count")
-            if coeff:
-                clean[tuple(mono)] = coeff
+            coeffs[tuple(mono)] = as_scalar(coeff)
+        den = math.lcm(*[q.denominator for c in coeffs.values() for q in (c.re, c.im)])
+        self._set(nvars, {m: (int(c.re * den), int(c.im * den)) for m, c in coeffs.items()},
+                  (den, 0))
+
+    @classmethod
+    def over(cls, nvars: int, num: dict, den) -> "Polynomial":
+        """num / den for Gaussian-integer pairs, den nonzero, in the one form."""
+        self = object.__new__(cls)
+        self._set(nvars, num, den)
+        return self
+
+    def _set(self, nvars, num, den):
+        d, im = den
+        if im or d < 0:  # made real and positive by the conjugate
+            num = {m: _gauss_mul(c, (d, -im)) for m, c in num.items()}
+            d = d * d + im * im
+        num = {m: c for m, c in num.items() if c != (0, 0)}
+        h = math.gcd(d, *itertools.chain.from_iterable(num.values()))
+        if h > 1:
+            d //= h
+            num = {m: (a // h, b // h) for m, (a, b) in num.items()}
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "den", d)
+        object.__setattr__(self, "num", num)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial values are immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(nvars: int) -> "Polynomial":
-        return Polynomial(nvars, {})
-
-    @staticmethod
-    def constant(nvars: int, c) -> "Polynomial":
-        return Polynomial(nvars, {(0,) * nvars: QQi(c) if not isinstance(c, QQi) else c})
-
-    @staticmethod
-    def variable(nvars: int, index: int) -> "Polynomial":
-        """The coordinate z_index, 1-based as in the text grammar."""
-        if not 1 <= index <= nvars:
-            raise ArityMismatch(f"variable z{index} outside z1..z{nvars}")
-        mono = tuple(1 if i == index - 1 else 0 for i in range(nvars))
-        return Polynomial(nvars, {mono: QQi(1)})
-
-    # -- ring operations ----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            if other.nvars != self.nvars:
-                raise ArityMismatch("variable counts differ")
-            return other
-        if isinstance(other, (int, Fraction, QQi)):
-            return Polynomial.constant(self.nvars, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, ZERO) + coeff
-        return Polynomial(self.nvars, terms)  # which drops the zero sums
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, QQi):
-            return Polynomial(self.nvars, {m: other * c for m, c in self.terms.items()})
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = mono_mul(m1, m2)
-                terms[mono] = terms.get(mono, ZERO) + c1 * c2
-        return Polynomial(self.nvars, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only non-negative integer powers")
-        result = Polynomial.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+    @property
+    def terms(self) -> dict:
+        """The coefficients as QQi, {monomial: num / den}: a view built on
+        each read, so changing it changes no Polynomial."""
+        return {m: QQi(Fraction(a, self.den), Fraction(b, self.den))
+                for m, (a, b) in self.num.items()}
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QQi)):
-            other = Polynomial.constant(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars, self.den, self.num) == (other.nvars, other.den, other.num)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.num.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def order_of_vanishing(self) -> int:
         """Smallest total degree of a term; -1 for the zero polynomial."""
-        return min((mono_degree(m) for m in self.terms), default=-1)
+        return min(map(mono_degree, self.num), default=-1)
 
     # -- calculus and substitution -------------------------------------------
 
     def partial(self, index: int) -> "Polynomial":
         """Formal partial derivative with respect to z_index (1-based)."""
         i = index - 1
-        terms = {}
-        for mono, coeff in self.terms.items():
-            if mono[i]:
-                new = list(mono)
-                new[i] -= 1
-                terms[tuple(new)] = coeff * QQi(mono[i])
-        return Polynomial(self.nvars, terms)
+        num = {mono[:i] + (mono[i] - 1,) + mono[i + 1:]: (a * mono[i], b * mono[i])
+               for mono, (a, b) in self.num.items() if mono[i]}
+        return Polynomial.over(self.nvars, num, (self.den, 0))
 
     def evaluate(self, point) -> QQi:
-        """p(point), one QQi: with coefficients c / L and the point a / M on
-        Gaussian-integer numerators, L M^D p(a / M) is _gauss_eval's sum."""
-        point = [p if isinstance(p, QQi) else QQi(p) for p in point]
+        """p(point), one QQi: with the point a / M on Gaussian-integer
+        numerators, den M^D p(a / M) is _gauss_eval's sum over num."""
+        point = [as_scalar(p) for p in point]
         if len(point) != self.nvars:
             raise ArityMismatch("point dimension differs from variable count")
-        lcm, coeffs = _clear_denominators(list(self.terms.values()))
         m, ints = _clear_denominators(point)
-        (re, im), degree = _gauss_eval(list(zip(self.terms, coeffs)), ints, m)
-        return QQi(Fraction(re, lcm * m ** degree), Fraction(im, lcm * m ** degree))
+        (re, im), degree = _gauss_eval(list(self.num.items()), ints, m)
+        scale = self.den * m ** degree
+        return QQi(Fraction(re, scale), Fraction(im, scale))
 
     def eval_matrices(self, mats) -> Matrix:
         """Substitute commuting square matrices for the variables."""
@@ -234,22 +179,20 @@ class Polynomial:
 
     def shift(self, point) -> "Polynomial":
         """The translate p(z + point), expanding each term by the binomial
-        theorem; p itself at the origin. With coefficients c / L and point
-        a / M on Gaussian-integer numerators, a term of degree |e| expands
-        over ints times M^(D - |e|), D the total degree, and the sum is
-        divided once by L * M^D."""
-        point = [p if isinstance(p, QQi) else QQi(p) for p in point]
+        theorem; p itself at the origin. With the point a / M on
+        Gaussian-integer numerators, a term of degree |e| expands over ints
+        times M^(D - |e|), D the total degree, and the sum is over den * M^D."""
+        point = [as_scalar(p) for p in point]
         if len(point) != self.nvars:
             raise ArityMismatch("point dimension differs from variable count")
         if not any(point):
             return self
-        lcm, coeffs = _clear_denominators(list(self.terms.values()))
         m, ints = _clear_denominators(point)
-        degree = max(map(mono_degree, self.terms), default=0)
+        degree = max(map(mono_degree, self.num), default=0)
         powers = [list(itertools.accumulate([a] * degree, _gauss_mul, initial=(1, 0)))
                   for a in ints]  # powers[i][k] = a_i^k
         terms = {}
-        for mono, c in zip(self.terms, coeffs):
+        for mono, c in self.num.items():
             # (z_i + a_i / M)^e * M^e = sum over k of C(e, k) a_i^(e - k) M^k z_i^k
             expansions = [[(k, _gauss_mul(pw[e - k], (math.comb(e, k) * m ** k, 0)))
                            for k in range(e + 1) if a != (0, 0) or k == e]
@@ -262,26 +205,27 @@ class Polynomial:
                 key = tuple(k for k, _ in combo)
                 ta, tb = terms.get(key, (0, 0))
                 terms[key] = (ta + f[0], tb + f[1])
-        return Polynomial(self.nvars, _scaled(terms, (1, 0), (lcm * m ** degree, 0)))
+        return Polynomial.over(self.nvars, terms, (self.den * m ** degree, 0))
 
     def embed(self, nvars: int, var_map) -> "Polynomial":
         """Reindex variables: old variable i+1 becomes new variable
         var_map[i]+1 inside a ring with `nvars` variables."""
-        terms = {}
-        for mono, coeff in self.terms.items():
+        num = {}
+        for mono, c in self.num.items():
             new = [0] * nvars
             for i, e in enumerate(mono):
                 new[var_map[i]] += e
-            terms[tuple(new)] = coeff
-        return Polynomial(nvars, terms)
+            num[tuple(new)] = c
+        return Polynomial.over(nvars, num, (self.den, 0))
 
     def leading(self):
         """(monomial, coefficient) of the grevlex-largest term."""
-        mono = max(self.terms, key=grevlex_key)
-        return mono, self.terms[mono]
+        mono = max(self.num, key=grevlex_key)
+        a, b = self.num[mono]
+        return mono, QQi(Fraction(a, self.den), Fraction(b, self.den))
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for mono, coeff in sorted(self.terms.items(), key=lambda mc: grevlex_key(mc[0]),
@@ -501,9 +445,8 @@ class _Parser:
 
 def parse_system(text: str, nvars: int):
     """Parse `;`-separated polynomials over z1..zn with exact literals; each
-    coefficient becomes a QQi once, from its numerator over the denominator."""
-    return [Polynomial(nvars, {m: QQi(Fraction(a, den), Fraction(b, den))
-                               for m, (a, b) in terms.items()})
+    value the parser holds becomes a Polynomial as it is, with no QQi."""
+    return [Polynomial.over(nvars, terms, (den, 0))
             for den, terms in _Parser(text, nvars).parse_system()]
 
 
@@ -539,8 +482,7 @@ def _gauss_ratio(x, y) -> QQi:
 
 
 def _divisors(polys) -> list:
-    return [_divisor(dict(zip(g.terms, _clear_denominators(list(g.terms.values()))[1])))
-            for g in polys if not g.is_zero()]
+    return [_divisor(g.num) for g in polys if not g.is_zero()]
 
 
 def _divisor(terms: dict):
@@ -588,7 +530,7 @@ def _reduce(terms: dict, divisors):
 
 
 def _scaled(terms: dict, num, den) -> dict:
-    """The exact coefficients terms * num / den, one QQi each."""
+    """The exact entries terms * num / den, one QQi each."""
     return {m: _gauss_ratio(_gauss_mul(c, num), den) for m, c in terms.items()}
 
 
@@ -598,10 +540,9 @@ def normal_form(p: Polynomial, basis) -> Polynomial:
     No remainder term is divisible by any leading term, and p - remainder
     lies in the ideal generated by the divisors.
     """
-    divisors = _divisors(basis)
-    lcm, pairs = _clear_denominators(list(p.terms.values()))
-    remainder, num, (da, db) = _reduce(dict(zip(p.terms, pairs)), divisors)
-    return Polynomial(p.nvars, _scaled(remainder, num, (da * lcm, db * lcm)))
+    remainder, num, den = _reduce(p.num, _divisors(basis))
+    remainder = {m: _gauss_mul(c, num) for m, c in remainder.items()}
+    return Polynomial.over(p.nvars, remainder, _gauss_mul(den, (p.den, 0)))
 
 
 @dataclass(frozen=True)
@@ -682,7 +623,7 @@ def groebner(gens) -> GroebnerBasis:
     for i, (_, _, terms) in enumerate(minimal):
         minimal[i] = _divisor(_reduce(terms, minimal[:i] + minimal[i + 1:])[0])
     minimal.sort(key=lambda g: grevlex_key(g[0]))
-    return GroebnerBasis(tuple(Polynomial(len(lm), _scaled(terms, (1, 0), lc))
+    return GroebnerBasis(tuple(Polynomial.over(len(lm), terms, lc)
                                for lm, lc, terms in minimal))
 
 

@@ -34,7 +34,7 @@ from .errors import (ArityMismatch, ClusteringAmbiguity, InconsistentSystem,
 from .koszul import CommutingTuple
 from .linalg import Matrix
 from .poly import _gauss_eval, _gauss_mul, _gauss_ratio
-from .scalars import EXACT, FLOAT, QQi
+from .scalars import EXACT, FLOAT, QQi, as_scalar
 
 _PRIME_FLOOR = 4096  # every prime tried is above it and above deg f
 _PRIME_TRIES = 8  # primes whose readings fail before IrrationalSpectrum
@@ -561,7 +561,7 @@ def localized_homology(t: CommutingTuple, polys, point):
     Summing these dimensions over all common zeros recovers the full
     homology dimensions of the mapped tuple.
     """
-    point = [p if isinstance(p, QQi) else QQi(p) for p in point]
+    point = [as_scalar(p) for p in point]
     if len(point) != t.n:
         raise ArityMismatch("point dimension differs from tuple length")
     mapped = apply_polynomial_map(t, polys)

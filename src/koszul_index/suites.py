@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .linalg import Matrix
 from .models import int_matmul
-from .poly import Polynomial
+from .poly import parse_system
 from .scalars import QQi, scalar_str
 
 
@@ -86,31 +86,10 @@ def random_commuting_family(rng: random.Random, count: int, dim: int,
     return [Matrix(op) for op in ops]
 
 
-def compose(poly: Polynomial, arguments) -> Polynomial:
-    """Substitute polynomials for the variables of `poly`."""
-    arguments = list(arguments)
-    if len(arguments) != poly.nvars:
-        raise ValueError("argument count differs from variable count")
-    nvars = arguments[0].nvars
-    acc = Polynomial.zero(nvars)
-    for mono, coeff in poly.terms.items():
-        term = Polynomial.constant(nvars, coeff)
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                term = term * arguments[i]
-        acc = acc + term
-    return acc
-
-
-def _combine(polys, weights, nvars: int) -> Polynomial:
-    """sum_j weights[j] * polys[j], skipping zero weights."""
-    return sum((p * w for p, w in zip(polys, weights) if w), Polynomial.zero(nvars))
-
-
 def random_regular_system(rng: random.Random, nvars: int = 2):
     """A square system with invertible Jacobian at every zero and all zeros
     rational: separable simple-root factors composed with unimodular changes
-    of variables and equations.
+    of variables and equations, written as text and parsed once.
 
     Returns (system, zeros) with zeros listed as tuples of QQi.
     """
@@ -119,18 +98,14 @@ def random_regular_system(rng: random.Random, nvars: int = 2):
         count = rng.randint(1, 2)
         vals = rng.sample([-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-1, 2)], count)
         roots.append([Fraction(v) for v in vals])
-    separable = []
-    for i in range(nvars):
-        g = Polynomial.constant(nvars, 1)
-        for a in roots[i]:
-            g = g * (Polynomial.variable(nvars, i + 1) - Polynomial.constant(nvars, QQi(a)))
-        separable.append(g)
     u, u_inv = _unimodular(rng, nvars, steps=3)
-    variables = [Polynomial.variable(nvars, j + 1) for j in range(nvars)]
-    system = [compose(g, [_combine(variables, row, nvars) for row in u])
-              for g in separable]
     v, _ = _unimodular(rng, nvars, steps=2)
-    mixed = [_combine(system, row, nvars) for row in v]
+    # equation i is the product of (y_i - a) over its roots a, y = u z
+    y = [" + ".join(f"({c})*z{k + 1}" for k, c in enumerate(row) if c) for row in u]
+    separable = ["*".join(f"({y[i]} - ({a}))" for a in roots[i]) for i in range(nvars)]
+    mixed = parse_system("; ".join(
+        " + ".join(f"({w})*{separable[j]}" for j, w in enumerate(row) if w) for row in v),
+        nvars)
     zeros = [tuple(QQi(sum(c * a for c, a in zip(row, combo))) for row in u_inv)
              for combo in itertools.product(*roots)]
     return mixed, sorted(zeros, key=lambda z: tuple(c.sort_key() for c in z))

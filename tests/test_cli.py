@@ -374,6 +374,19 @@ def test_exact_index_has_no_skipped_checks(tmp_path):
     assert "sum_of_local_indices" in {c["name"] for c in reports[0]["checks"]}
 
 
+def test_global_multiplicity_lists_the_diagonal_check_it_skipped(tmp_path):
+    # check_diagonal without `at` has no zero to check the identity at
+    code, reports, _ = run_main(
+        ["multiplicity", "--system", "z1^2; z2", "--check-diagonal"], tmp_path)
+    assert code == 0 and reports[0]["pass"]
+    skipped = reports[0]["outputs"]["skipped_checks"]
+    assert [s["name"] for s in skipped] == ["diagonal_degree_identity"]
+    assert "`at`" in skipped[0]["reason"]
+    assert [c["name"] for c in reports[0]["checks"]] == ["multiplicities_sum_to_quotient"]
+    code, reports, _ = run_main(["multiplicity", "--system", "z1^2; z2"], tmp_path)
+    assert code == 0 and "skipped_checks" not in reports[0]["outputs"]
+
+
 def test_reciprocity_reports_the_backend_that_ran(tmp_path):
     args = ["reciprocity", "--domain-a",
             '{"kind":"polydisc","center":["0"],"radii":["2"]}', "--domain-b",

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -166,8 +168,8 @@ def test_parse_system_matches_sympy():
 
 
 def test_parsing_a_document_forms_no_qqi_or_polynomial_product(monkeypatch):
-    # the parser convolves Gaussian-integer numerators; each coefficient
-    # becomes a QQi once, and no QQi or Polynomial arithmetic runs
+    # the parser convolves Gaussian-integer numerators, and a Polynomial
+    # keeps them as they are: validating a document constructs no QQi
     rng = random.Random(30)
     texts = ["; ".join(map(str, suites.random_regular_system(rng, 2 + k % 2)[0]))
              for k in range(100)]
@@ -175,18 +177,19 @@ def test_parsing_a_document_forms_no_qqi_or_polynomial_product(monkeypatch):
     doc = {"schema": cli.SCHEMA_VERSION, "scenarios": [
         {"id": f"s{k}", "kind": "MULTIPLICITY", "payload": {"system": text}}
         for k, text in enumerate(texts)]}
-    products = []
-    for cls in (QQi, Polynomial):
-        monkeypatch.setattr(cls, "__mul__", lambda self, other, mul=cls.__mul__:
-                            products.append(cls) or mul(self, other))
+    made = []
+    monkeypatch.setattr(QQi, "__init__", lambda self, *args, init=QQi.__init__:
+                        made.append(args) or init(self, *args))
     defaults = cli.Scenario("defaults", "IDENTITIES", {}, seed=7)
     assert len(cli.scenarios_from_document(doc, defaults)) == 120
-    assert not products
+    assert made == []
+    QQi(1)
+    assert made == [(1,)]  # the counter sees a construction
 
 
 def test_unary_minus_and_powers():
-    assert poly("-z1 + 1", 1) == Polynomial.constant(1, 1) - Polynomial.variable(1, 1)
-    assert poly("z1^0", 1) == Polynomial.constant(1, 1)
+    assert poly("-z1 + 1", 1) == Polynomial(1, {(1,): -1, (0,): 1})
+    assert poly("z1^0", 1) == Polynomial(1, {(0,): 1})
 
 
 coeffs = st.integers(min_value=-4, max_value=4)
@@ -196,15 +199,6 @@ def small_polys(nvars=2, max_terms=4, max_exp=3):
     monos = st.tuples(*(st.integers(0, max_exp) for _ in range(nvars)))
     return st.dictionaries(monos, coeffs, max_size=max_terms).map(
         lambda d: Polynomial(nvars, {m: QQi(c) for m, c in d.items()}))
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_polys(), small_polys(), small_polys())
-def test_ring_laws(a, b, c):
-    assert (a + b) * c == a * c + b * c
-    assert (a * b) * c == a * (b * c)
-    assert a * b == b * a
-    assert a + (b + c) == (a + b) + c
 
 
 @settings(max_examples=40, deadline=None)
@@ -262,11 +256,11 @@ def test_normal_form_properties():
     for g in gens:
         assert normal_form(g, basis).is_zero()
     assert normal_form(poly("1", 2), groebner(parse_system("z1; z2", 2))) == \
-        Polynomial.constant(2, 1)
+        Polynomial(2, {(0, 0): 1})
     p = poly("z1^5 + z1*z2 - 1/3", 2)
     once = normal_form(p, basis)
     assert normal_form(once, basis) == once
-    assert normal_form(p - once, basis).is_zero()
+    assert normal_form(poly(f"{p} - ({once})", 2), basis).is_zero()
 
 
 def test_quotient_algebra_examples():
@@ -288,7 +282,7 @@ def test_quotient_requires_zero_dimensional():
     with pytest.raises(NotZeroDimensional):
         quotient_algebra(groebner(parse_system("z1*z2", 2)))
     with pytest.raises(NotZeroDimensional):
-        quotient_algebra(groebner([Polynomial.zero(1)]))
+        quotient_algebra(groebner([Polynomial(1)]))
 
 
 def test_quotient_dim_independent_of_order():
@@ -345,6 +339,32 @@ def test_shift_properties_on_seeded_polynomials():
         assert p.shift([QQi(0)] * n) is p
 
 
+def _one_form(*values):
+    """True when the values share one nvars, den, num and hash, with den
+    positive and gcd(den, every part of num) = 1."""
+    first = values[0]
+    return all((p.nvars, p.den, p.num, hash(p)) == (first.nvars, first.den, first.num,
+                                                    hash(first))
+               and p.den > 0 and math.gcd(p.den, *itertools.chain(*p.num.values())) == 1
+               for p in values)
+
+
+def test_each_value_has_one_form():
+    assert _one_form(*parse_system("2/4*z1 + 1/2; 1/2*z1 + 1/2", 1),
+                     Polynomial(1, {(1,): Fraction(1, 2), (0,): "1/2"}))
+    p = poly("6/4*z1^2*z2 - 1/3*z2 + 2/3i", 2)
+    a = [QQi(Fraction(1, 2), -3), Fraction(-3, 5)]
+    assert _one_form(p, p.shift(a).shift([-x for x in a]))
+    assert _one_form(p, poly("1/2*z1^3*z2 - 1/3*z1*z2 + 2/3i*z1", 2).partial(1))
+    # a divisor whose Gaussian lead divides no term of p leaves p as it is
+    assert _one_form(p, normal_form(p, [poly("(2+i)*z1^4 + 3*z2^2", 2)]))
+    # the monic member (z1 - 3/5) / (2 + i) is made real by the conjugate
+    (g,) = groebner(parse_system("(2+i)*z1 - 3/5", 1))
+    assert _one_form(g, poly("z1 - 6/25 + 3/25i", 1), Polynomial(1, {(1,): 1, (0,): "-6/25+3/25i"}))
+    assert _one_form(Polynomial(2), poly("0", 2), poly("z1 - z1", 2))
+    assert (Polynomial(2).den, Polynomial(2).num) == (1, {})
+
+
 def test_str_round_trips_through_parser():
     for text, n in [("z1^2 - z2", 2), ("(1+1i)*z1*z2 - 3/4", 2),
                     ("-z1^3 + 1/2*z2^2 - i", 2)]:
@@ -391,7 +411,8 @@ def test_normal_form_matches_a_qqi_reference():
         divisors = [_random_polynomial(rng, n, rng.randint(1, 4), 2)
                     for _ in range(rng.randint(1, 3))]
         if trial % 3 == 0:
-            divisors = list(groebner([p + _gaussian(rng) for p in divisors]))
+            divisors = list(groebner([poly(f"{p} + ({_gaussian(rng)})", n)
+                                      for p in divisors]))
         p = _random_polynomial(rng, n, rng.randint(0, 6), 4)
         assert poly_mod.normal_form(p, divisors) == _qqi_normal_form(p, divisors), trial
 
@@ -431,7 +452,7 @@ def test_evaluate_matches_a_qqi_reference():
         point = _point(rng, n)
         assert p.evaluate(point) == _qqi_evaluate(p, point), trial
         assert p.evaluate([QQi(0)] * n) == p.terms.get((0,) * n, QQi(0)), trial
-    assert Polynomial.zero(2).evaluate([QQi(1, 2), Fraction(1, 3)]) == QQi(0)
+    assert Polynomial(2).evaluate([QQi(1, 2), Fraction(1, 3)]) == QQi(0)
     assert poly("z1^2*z2 - 1/2", 2).evaluate([2, QQi(0, 1)]) == QQi(Fraction(-1, 2), 4)
     for bad in ([QQi(1)], [QQi(1)] * 3):
         with pytest.raises(ArityMismatch):
@@ -453,15 +474,14 @@ def _sympy_groebner_oracle():
 _INTEGER_ROUTE_MUTATIONS = {
     "s_pair_sign": ("_s_pair", "_gauss_mul(c, fc)", "_gauss_mul(c, (-fc[0], -fc[1]))",
                     _sympy_groebner_oracle),
-    "no_monic_division": ("groebner", "_scaled(terms, (1, 0), lc)",
-                          "_scaled(terms, (1, 0), (1, 0))", _sympy_groebner_oracle),
-    "shift_over_m_to_d_minus_1": ("Polynomial.shift", "(lcm * m ** degree, 0)",
-                                  "(lcm * m ** (degree - 1), 0)",
+    "no_monic_division": ("groebner", "terms, lc)", "terms, (1, 0))", _sympy_groebner_oracle),
+    "shift_over_m_to_d_minus_1": ("Polynomial.shift", "(self.den * m ** degree, 0)",
+                                  "(self.den * m ** (degree - 1), 0)",
                                   test_shift_properties_on_seeded_polynomials),
     "normal_form_scale_twice": (
-        "normal_form", "_scaled(remainder, num, (da * lcm, db * lcm))",
-        "_scaled(remainder, _gauss_mul(num, num), "
-        "_gauss_mul((da * lcm, db * lcm), (da * lcm, db * lcm)))",
+        "normal_form", "remainder, _gauss_mul(den, (p.den, 0))",
+        "{m: _gauss_mul(c, num) for m, c in remainder.items()}, "
+        "_gauss_mul(_gauss_mul(den, den), (p.den ** 2, 0))",
         test_normal_form_matches_a_qqi_reference),
     "evaluate_without_the_lift": ("_gauss_eval", "(lifts[degree - mono_degree(mono)], 0)",
                                   "(1, 0)", test_evaluate_matches_a_qqi_reference),

@@ -3,7 +3,7 @@ import inspect
 import os
 
 import koszul_index
-from koszul_index import koszul, models, multiplicity, poly
+from koszul_index import koszul, models, multiplicity, poly, suites
 
 
 def test_every_exported_name_resolves():
@@ -18,11 +18,16 @@ def test_every_exported_name_resolves():
 def test_removed_names_stay_gone():
     # grevlex is the only term order, one polynomial parses as a
     # one-element system, the regular-case transforms are private,
-    # koszul.shape is the one holder of the exterior-basis convention, and
-    # S-pairs and monic bases are formed on integer numerators inside groebner
+    # koszul.shape is the one holder of the exterior-basis convention,
+    # S-pairs and monic bases are formed on integer numerators inside
+    # groebner, and a Polynomial holds the parser's numerators with no QQi
+    # ring arithmetic, so the generators write their systems as text
     removed = [(poly, ("LEX", "MonomialOrder", "DEGREVLEX", "parse_polynomial",
                        "s_polynomial")),
-               (poly.Polynomial, ("monic",)),
+               (poly.Polynomial, ("monic", "zero", "constant", "variable", "_coerce",
+                                  "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                                  "__mul__", "__rmul__", "__pow__")),
+               (suites, ("compose", "_combine")),
                (models, ("r_matrix", "l_matrix")),
                (multiplicity, ("multiplicity_table",)),
                (koszul, ("subsets", "removal_sign"))]

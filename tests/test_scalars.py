@@ -6,7 +6,12 @@ from hypothesis import given, strategies as st
 
 from koszul_index import cli, scalars, spectrum, suites
 from koszul_index.errors import BackendMismatch, ParseError
+from koszul_index.koszul import CommutingTuple
 from koszul_index.linalg import Matrix
+from koszul_index.models import DomainDescriptor, ModelTuple, local_index
+from koszul_index.multiplicity import jacobian_regular, local_multiplicity
+from koszul_index.poly import Polynomial, parse_system
+from koszul_index.spectrum import localized_homology
 from koszul_index.scalars import QQi, as_scalar, scalar_str
 
 rationals = st.fractions(max_denominator=50)
@@ -98,10 +103,36 @@ def test_as_scalar_backends():
     assert as_scalar("1/2i") == QQi(0, Fraction(1, 2))
     assert as_scalar(2) == QQi(2)
     assert as_scalar(Fraction(1, 3)) == QQi(Fraction(1, 3))
-    # the one place a float is refused: every Matrix entry passes through here
+    # the one place a float is refused: every Matrix entry, polynomial
+    # coefficient, point and domain center passes through here
     for value in (0.5, 1 + 1j, float("nan")):
         with pytest.raises(BackendMismatch):
             as_scalar(value)
+
+
+def test_every_exact_entry_point_refuses_a_float():
+    # a float read exactly is its binary fraction (0.1 is 3602879701896397/2^55,
+    # no zero of z1 - 1/10), so each entry point refuses it as Matrix does
+    system = parse_system("(z1 - 1/10)*(z1 - 1)", 1)
+    model = ModelTuple(DomainDescriptor.polydisc((0,), (2,)), tuple(system))
+    diagonal = CommutingTuple([Matrix([[Fraction(1, 10), 0], [0, 1]])])
+    entry_points = {
+        "Polynomial": lambda x: Polynomial(1, {(1,): x}),
+        "evaluate": lambda x: system[0].evaluate([x]),
+        "shift": lambda x: system[0].shift([x]),
+        "DomainDescriptor": lambda x: DomainDescriptor.polydisc((x,), (1,)),
+        "local_index": lambda x: local_index(model, [x]),
+        "local_multiplicity": lambda x: local_multiplicity(system, [x]),
+        "jacobian_regular": lambda x: jacobian_regular(system, [x]),
+        "localized_homology": lambda x: localized_homology(diagonal, system, [x]),
+    }
+    tenth = QQi(Fraction(1, 10))
+    for name, call in entry_points.items():
+        for bad in (0.1, 0.1j):
+            with pytest.raises(BackendMismatch):
+                call(bad)
+        for value, same in ((1, QQi(1)), (Fraction(1, 10), tenth), ("1/10", tenth)):
+            assert call(value) == call(same), name
 
 
 def test_scalar_str_exact_and_float():

@@ -3,6 +3,7 @@ Macaulay-matrix reference built here from the definition, plus the counts
 that pin how much work one certificate takes."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,8 @@ from koszul_index.linalg import Matrix
 from koszul_index.multiplicity import (build_diagonal_system,
                                        global_multiplicity_table,
                                        local_multiplicity)
-from koszul_index.poly import (Polynomial, mono_degree, mono_mul,
-                               monomials_of_degree, parse_system)
+from koszul_index.poly import mono_degree, mono_mul, monomials_of_degree, parse_system
 from koszul_index.scalars import QQi
-from koszul_index.suites import compose
 
 DEFAULTS = cli.Scenario("defaults", "IDENTITIES", {}, "exact", None, 7)
 
@@ -49,11 +48,10 @@ def _dense_codimension(system_at_origin, bound):
 
 def _dense_multiplicity(system, point):
     """(multiplicity, stabilization order) from the dense codimensions of
-    the system translated by substitution z -> z + point."""
-    nvars = len(point)
-    moved = [Polynomial.variable(nvars, i + 1) + Polynomial.constant(nvars, a)
-             for i, a in enumerate(point)]
-    at_origin = [compose(g, moved) for g in system]
+    the system translated by substitution z -> z + point in its text."""
+    at_origin = parse_system("; ".join(
+        re.sub(r"z(\d+)", lambda v: f"(z{v[1]} + ({point[int(v[1]) - 1]}))", str(g))
+        for g in system), len(point))
     prev = _dense_codimension(at_origin, 1)
     for order_bound in range(1, 30):
         nxt = _dense_codimension(at_origin, order_bound + 1)
@@ -74,21 +72,16 @@ def _random_system(rng, nvars):
         power = rng.randint(1, budget)
         budget = max(budget // power, 1)
         factors.append([(Fraction(r), power if k == 0 else 1) for k, r in enumerate(roots)])
-    z = [Polynomial.variable(nvars, i + 1) for i in range(nvars)]
     # y_i = z_i + c_i z_(i+1)^2 is invertible over the rationals
-    y = [z[i] + z[i + 1] * z[i + 1] * QQi(rng.randint(-1, 1)) if i + 1 < nvars else z[i]
+    y = [f"(z{i + 1} + ({rng.randint(-1, 1)})*z{i + 2}^2)" if i + 1 < nvars else f"z{i + 1}"
          for i in range(nvars)]
     a, b = rng.randrange(nvars), rng.randint(-1, 1)
-    y = [y[i] + y[(a + 1) % nvars] * QQi(b) if i == a else y[i] for i in range(nvars)]
-    system = []
-    for i in range(nvars):
-        g = Polynomial.constant(nvars, 1)
-        for r, e in factors[i]:
-            g = g * (y[i] - Polynomial.constant(nvars, QQi(r))) ** e
-        system.append(g)
+    y = [f"({y[i]} + ({b})*{y[(a + 1) % nvars]})" if i == a else y[i] for i in range(nvars)]
+    system = ["*".join(f"({y[i]} - ({r}))^{e}" for r, e in factors[i]) for i in range(nvars)]
     k = rng.randrange(nvars)
-    return [g + system[(k + 1) % nvars] * QQi(rng.randint(-2, 2)) if i == k else g
-            for i, g in enumerate(system)]
+    return parse_system("; ".join(
+        f"{g} + ({rng.randint(-2, 2)})*{system[(k + 1) % nvars]}" if i == k else g
+        for i, g in enumerate(system)), nvars)
 
 
 def test_engine_matches_dense_macaulay_reference():
