@@ -6,7 +6,7 @@ from . import errors
 from .scalars import EXACT, FLOAT, QQi
 from .linalg import Matrix, det, image_basis, kernel_basis, rank, solve
 from .poly import (GroebnerBasis, Polynomial, QuotientAlgebra, groebner,
-                   normal_form, parse_system, quotient_algebra)
+                   parse_system, quotient_algebra)
 from .koszul import (ChainComplex, CommutingTuple, HomologyProfile,
                      KoszulComplex, build_complex, homology, mapping_cone,
                      verify_cone_isomorphism)
@@ -32,7 +32,7 @@ __all__ = [
     "errors", "EXACT", "FLOAT", "QQi",
     "Matrix", "det", "image_basis", "kernel_basis", "rank", "solve",
     "GroebnerBasis", "Polynomial", "QuotientAlgebra", "groebner",
-    "normal_form", "parse_system", "quotient_algebra",
+    "parse_system", "quotient_algebra",
     "ChainComplex", "CommutingTuple", "HomologyProfile", "KoszulComplex",
     "build_complex", "homology", "mapping_cone", "verify_cone_isomorphism",
     "Bicomplex", "SpectralPage", "build_bicomplex", "e2_page",

@@ -37,6 +37,7 @@ from .scalars import EXACT, FLOAT, QQi, scalar_str
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 7
 _MAX_R_MAX = 100  # pages past n + 1 equal the limit; dim * 2**n keeps n far below this
+_MAX_IDENTITY = 64  # bound on an IDENTITIES m and range; verify-all stays within 8
 
 
 class SchemaError(Exception):
@@ -405,11 +406,11 @@ def _run_spectral_sequence(inputs, outputs, checks):
 
 def _parse_identities(payload):
     n, m = payload["n"], payload["m"]
-    if not (_is_int(n) and _is_int(m) and 1 <= n <= m):
-        raise SchemaError("identities need integers 1 <= n <= m")
+    if not (_is_int(n) and _is_int(m) and 1 <= n <= m <= _MAX_IDENTITY):
+        raise SchemaError(f"identities need integers 1 <= n <= m <= {_MAX_IDENTITY}")
     shift = payload["range"]
-    if not _is_int(shift) or shift < 0:
-        raise SchemaError("range must be a non-negative integer")
+    if not _is_int(shift) or not 0 <= shift <= _MAX_IDENTITY:
+        raise SchemaError(f"range must be an integer from 0 to {_MAX_IDENTITY}")
     return n, m, shift
 
 

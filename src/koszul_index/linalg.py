@@ -404,17 +404,14 @@ class SparseEchelon:
     column to a nonzero Gaussian-integer pair (re, im).
 
     Used for large structured rank queries where dense elimination would be
-    wasteful; only ranks are exposed. Rows are kept primitive (integer
-    content divided out), each leading at its least column, and reduced by
-    cross-multiplication, so no fraction is formed.
+    wasteful; `add` tells whether a vector was independent, and
+    `rank_below` reads the rank of a leading block of columns. Rows are
+    kept primitive (integer content divided out), each leading at its least
+    column, and reduced by cross-multiplication, so no fraction is formed.
     """
 
     def __init__(self):
         self._rows = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
 
     def rank_below(self, column: int) -> int:
         """Rank of the rows projected onto the columns before `column`: the

@@ -32,7 +32,8 @@ _BOUNDARY_MARGIN = Fraction(1e-6)  # around a boundary, where a float zero is re
 
 @dataclass(frozen=True)
 class DomainDescriptor:
-    """A polydisc or ball with exact rational center and radii."""
+    """A polydisc or ball with exact rational center and radii; a float
+    center or radius raises BackendMismatch, as `as_scalar` does."""
 
     kind: str                # "polydisc" | "ball"
     center: tuple            # QQi coordinates
@@ -43,10 +44,10 @@ class DomainDescriptor:
             raise ValueError(f"unknown domain kind {self.kind!r}")
         object.__setattr__(self, "center",
                            tuple(map(as_scalar, self.center)))
-        object.__setattr__(self, "radii",
-                           tuple(Fraction(r) for r in self.radii))
-        if any(r <= 0 for r in self.radii):
+        radii = tuple(map(as_scalar, self.radii))
+        if any(r.im or r.re <= 0 for r in radii):
             raise ValueError("radii must be positive")
+        object.__setattr__(self, "radii", tuple(r.re for r in radii))
         expected = len(self.center) if self.kind == "polydisc" else 1
         if len(self.radii) != expected:
             raise ValueError("radius count does not match the domain kind")
@@ -92,11 +93,13 @@ class DomainDescriptor:
 
     def coordinate_index(self, point) -> int:
         """Index of the shifted coordinate tuple of the model space: -1 on
-        the interior, 0 on the exterior; boundary points are refused."""
+        the interior, 0 on the exterior; a point on the boundary, where the
+        index function jumps, raises ZeroOnBoundary. Every index in this
+        module is read from this function."""
         location = self.classify(point)
         if location == BOUNDARY:
             raise ZeroOnBoundary(
-                "point sits on the domain boundary where the index jumps")
+                "a point lies on the domain boundary, where the index function jumps")
         return -1 if location == INTERIOR else 0
 
 
@@ -156,38 +159,30 @@ def classify_zeros(mt: ModelTuple):
     domain; zeros on the boundary raise ZeroOnBoundary. The table is exact
     unless a zero leaves Q(i), as `spectrum.joint_eigenvalues` decides."""
     algebra = quotient_algebra(groebner(list(mt.system)))
-    # quotient_algebra has proved that the multiplication matrices commute
-    entries, backend = spectrum.joint_eigenvalues(
-        CommutingTuple.proven(algebra.mult_matrices), unit=algebra.unit)
+    entries, backend = spectrum.joint_eigenvalues(algebra.mult_tuple, unit=algebra.unit)
     records = []
     with spectrum._raised_on(backend):
         table = GlobalMultiplicityTable(tuple(entries), algebra.dim, backend)
         for point, m in table.entries:
-            location = mt.domain.classify(point)
-            if location == BOUNDARY:
-                raise ZeroOnBoundary(
-                    "a symbol zero lies on the domain boundary; the model tuple "
-                    "is not Fredholm there")
-            records.append(ZeroRecord(point, m, location, -1 if location == INTERIOR else 0))
+            index = mt.domain.coordinate_index(point)
+            records.append(ZeroRecord(point, m, INTERIOR if index else EXTERIOR, index))
     return records, table
 
 
-def local_index(mt: ModelTuple, point, n_max: int = 30) -> int:
-    """Local index of the composed tuple at a common zero: minus the local
-    degree inside the domain, zero outside, refused on the boundary."""
+def local_index(mt: ModelTuple, point) -> int:
+    """Local index of the composed tuple at a common zero: the coordinate
+    index times the local degree, so minus the degree inside the domain and
+    zero outside."""
     point = tuple(map(as_scalar, point))
     for g in mt.system:
         if not g.evaluate(point).is_zero():
             raise NotAZero("the queried point is not a common zero")
-    location = mt.domain.classify(point)
-    if location == BOUNDARY:
-        raise ZeroOnBoundary("zero on the domain boundary")
-    if location == EXTERIOR:
+    if not mt.domain.coordinate_index(point):
         return 0
-    return -local_multiplicity(list(mt.system), point, n_max).multiplicity
+    return -local_multiplicity(list(mt.system), point).multiplicity
 
 
-def global_index(mt: ModelTuple, n_max: int = 30) -> IndexReport:
+def global_index(mt: ModelTuple) -> IndexReport:
     """The index of the composed model tuple with its cross-checks.
 
     The headline number comes from the zero table; interior contributions
@@ -202,7 +197,7 @@ def global_index(mt: ModelTuple, n_max: int = 30) -> IndexReport:
         checks = []
         skipped = []
         if table.backend == EXACT:
-            recomputed = sum(local_index(mt, rec.point, n_max) for rec in records)
+            recomputed = sum(local_index(mt, rec.point) for rec in records)
             checks.append(Check(
                 "sum_of_local_indices", recomputed == total,
                 f"truncation route {recomputed} vs eigenspace route {total}"))
@@ -329,16 +324,14 @@ def reciprocity_check(domain_a: DomainDescriptor, domain_b: DomainDescriptor,
         lhs = 0
         rhs = 0
         for rec in records_a:
-            loc_b = domain_b.classify(rec.point)
-            if loc_b == BOUNDARY:
-                raise ZeroOnBoundary("a symbol zero lies on the second boundary")
-            ind_mu_a = rec.coordinate_index              # Ind(mu - A)
-            ind_mu_b = -1 if loc_b == INTERIOR else 0    # Ind(mu - B)
-            local_a = rec.multiplicity * ind_mu_a        # Ind_mu over domain A
-            local_b = rec.multiplicity * ind_mu_b        # Ind_mu over domain B
+            ind_mu_a = rec.coordinate_index                  # Ind(mu - A)
+            ind_mu_b = domain_b.coordinate_index(rec.point)  # Ind(mu - B)
+            local_a = rec.multiplicity * ind_mu_a            # Ind_mu over domain A
+            local_b = rec.multiplicity * ind_mu_b            # Ind_mu over domain B
             lhs += ind_mu_a * local_b
             rhs += local_a * ind_mu_b
-            zeros.append((rec.point, rec.multiplicity, rec.location, loc_b))
+            zeros.append((rec.point, rec.multiplicity, rec.location,
+                          INTERIOR if ind_mu_b else EXTERIOR))
         return ReciprocityReport(lhs, rhs, lhs == rhs, tuple(zeros), table.backend)
 
 
@@ -380,7 +373,7 @@ def tensor_index_identity(base: CommutingTuple,
         raise ArityMismatch("tuple lengths differ")
     nil_dim = nilpotent.dim
     for op in nilpotent.operators:
-        if not spectrum._power_at_least(op, nil_dim).is_zero():
+        if spectrum._kernel_chain([op], nil_dim).cols != nil_dim:
             raise NotNilpotent("auxiliary tuple is not nilpotent")
     product = CommutingTuple(_tensor_sums(base, nilpotent))
     dims_product = koszul.homology(koszul.build_complex(product)).dims

@@ -25,8 +25,9 @@ from .errors import (ArityMismatch, NotAZero, NotIsolated, ResourceLimit,
 from .linalg import SparseEchelon
 from .poly import (Polynomial, groebner, mono_mul, monomials_of_degree,
                    quotient_algebra)
-from .koszul import CommutingTuple
 from .scalars import EXACT, as_scalar
+
+MAX_ORDER = 30  # the last truncation order read; a codimension growing there is refused
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,11 @@ def truncated_codimension(system_at_origin, order_bound: int) -> int:
     return _Truncation(system_at_origin).codimension(order_bound)
 
 
-def local_multiplicity(system, point, n_max: int = 30) -> MultiplicityCertificate:
+def local_multiplicity(system, point) -> MultiplicityCertificate:
     """dim of the local ring modulo the ideal at an isolated zero.
 
     Raises NotAZero when the point is not a common zero. When the
-    codimension still grows at order n_max, raises ResourceLimit if the
+    codimension still grows at order MAX_ORDER, raises ResourceLimit if the
     ideal is zero-dimensional (so every zero is isolated) and NotIsolated
     otherwise.
     """
@@ -110,7 +111,7 @@ def local_multiplicity(system, point, n_max: int = 30) -> MultiplicityCertificat
         raise NotAZero(f"system does not vanish at ({', '.join(map(str, point))})")
     engine = _Truncation(translated)
     prev = engine.codimension(1)
-    for order_bound in range(1, n_max):
+    for order_bound in range(1, MAX_ORDER):
         nxt = engine.codimension(order_bound + 1)
         if nxt < prev:
             raise AssertionError("codimension decreased; truncation engine bug")
@@ -119,10 +120,10 @@ def local_multiplicity(system, point, n_max: int = 30) -> MultiplicityCertificat
         prev = nxt
     if groebner(system).is_zero_dimensional():
         raise ResourceLimit(
-            f"codimension still growing at truncation order {n_max}, although "
+            f"codimension still growing at truncation order {MAX_ORDER}, although "
             "the ideal is zero-dimensional and the zero is isolated")
     raise NotIsolated(
-        f"codimension still growing at truncation order {n_max}, and the ideal "
+        f"codimension still growing at truncation order {MAX_ORDER}, and the ideal "
         "is not zero-dimensional: isolation was not proved")
 
 
@@ -141,19 +142,21 @@ def build_diagonal_system(system):
     total = 2 * nvars
     unit = [tuple(int(j == k) for j in range(total)) for k in range(total)]
     head = [Polynomial(total, {unit[i]: 1, unit[nvars + i]: -1}) for i in range(nvars)]
-    tail = [g.embed(total, list(range(nvars))) for g in system]
+    pad = (0,) * nvars  # g(z) reads no w
+    tail = [Polynomial.over(total, {mono + pad: c for mono, c in g.num.items()}, (g.den, 0))
+            for g in system]
     return head + tail
 
 
-def verify_diagonal_degree(system, point, n_max: int = 30) -> bool:
+def verify_diagonal_degree(system, point) -> bool:
     """Check the degree identity between g at a zero and the diagonal system
     at the doubled zero. `point` may be g's certificate at the zero, whose
     multiplicity is then not computed again."""
     if isinstance(point, MultiplicityCertificate):
         base = point
     else:
-        base = local_multiplicity(system, point, n_max)
-    diag = local_multiplicity(build_diagonal_system(system), base.point * 2, n_max)
+        base = local_multiplicity(system, point)
+    diag = local_multiplicity(build_diagonal_system(system), base.point * 2)
     return base.multiplicity == diag.multiplicity
 
 
@@ -179,9 +182,8 @@ def global_multiplicity_table(system) -> GlobalMultiplicityTable:
     decomposition of the multiplication tuple on its quotient algebra;
     raises IrrationalSpectrum when some zero leaves Q(i)."""
     algebra = quotient_algebra(groebner(list(system)))
-    # quotient_algebra has proved that the multiplication matrices commute
-    mult_tuple = CommutingTuple.proven(algebra.mult_matrices)
-    entries = spectrum.spectral_decomposition(mult_tuple, unit=algebra.unit).multiplicities()
+    entries = spectrum.spectral_decomposition(
+        algebra.mult_tuple, unit=algebra.unit).multiplicities()
     return GlobalMultiplicityTable(tuple(entries), algebra.dim, EXACT)
 
 
@@ -190,8 +192,7 @@ def eigenspace_multiplicity(system, point) -> int:
     tuple at one point: the multiplicity there, read without the
     eigenvalues of any other zero, so the others may leave Q(i)."""
     algebra = quotient_algebra(groebner(list(system)))
-    # quotient_algebra has proved that the multiplication matrices commute
-    mult_tuple = CommutingTuple.proven(algebra.mult_matrices)
+    mult_tuple = algebra.mult_tuple
     # every shifted operator nilpotent on the unit: the point is the only
     # zero, and V(point) is the whole quotient without a kernel
     if all(spectrum._nilpotent(op, algebra.unit) for op in mult_tuple.shift(point).operators):

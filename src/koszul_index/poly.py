@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityMismatch, NotZeroDimensional, ParseError, UnknownVariable
-from .linalg import Matrix, _clear_denominators, commutes
+from .koszul import CommutingTuple
+from .linalg import Matrix, _clear_denominators
 from .scalars import ZERO, QQi, as_scalar
 
 Monomial = tuple  # exponent vectors, fixed length = number of variables
@@ -206,17 +207,6 @@ class Polynomial:
                 ta, tb = terms.get(key, (0, 0))
                 terms[key] = (ta + f[0], tb + f[1])
         return Polynomial.over(self.nvars, terms, (self.den * m ** degree, 0))
-
-    def embed(self, nvars: int, var_map) -> "Polynomial":
-        """Reindex variables: old variable i+1 becomes new variable
-        var_map[i]+1 inside a ring with `nvars` variables."""
-        num = {}
-        for mono, c in self.num.items():
-            new = [0] * nvars
-            for i, e in enumerate(mono):
-                new[var_map[i]] += e
-            num[tuple(new)] = c
-        return Polynomial.over(nvars, num, (self.den, 0))
 
     def leading(self):
         """(monomial, coefficient) of the grevlex-largest term."""
@@ -633,16 +623,19 @@ def groebner(gens) -> GroebnerBasis:
 @dataclass(frozen=True)
 class QuotientAlgebra:
     """The finite algebra C[z]/I with its standard monomial basis and the
-    exact multiplication matrices of the coordinates."""
+    commuting tuple of the coordinates' exact multiplication matrices."""
 
     gb: GroebnerBasis
-    basis: tuple          # standard monomials, grevlex-ascending
-    mult_matrices: tuple  # one exact Matrix per variable
-    nvars: int
+    basis: tuple                # standard monomials, grevlex-ascending
+    mult_tuple: CommutingTuple  # one exact Matrix per variable
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def mult_matrices(self) -> tuple:
+        return self.mult_tuple.operators
 
     @property
     def unit(self) -> Matrix:
@@ -650,18 +643,18 @@ class QuotientAlgebra:
         return Matrix([[int(i == 0)] for i in range(self.dim)], shape=(self.dim, 1))
 
 
-
 def quotient_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
-    """Standard monomials and multiplication matrices of a zero-dimensional
+    """Standard monomials and multiplication tuple of a zero-dimensional
     ideal; raises NotZeroDimensional when some variable has no pure-power
-    leading term."""
+    leading term. The tuple checks that its matrices commute, as
+    CommutingTuple does, and raises CommutatorError when they do not."""
     if not gb.polys:
         raise NotZeroDimensional("the zero ideal is not zero-dimensional")
     nvars = gb.nvars
     leads = gb.leading_monomials()
     if any(mono_degree(lm) == 0 for lm in leads):  # unit ideal
-        mats = tuple(Matrix.zeros(0, 0) for _ in range(nvars))
-        return QuotientAlgebra(gb, (), mats, nvars)
+        mats = [Matrix.zeros(0, 0)] * nvars
+        return QuotientAlgebra(gb, (), CommutingTuple(mats))
     bounds = gb.pure_power_bounds()
     if None in bounds:
         raise NotZeroDimensional(
@@ -679,8 +672,4 @@ def quotient_algebra(gb: GroebnerBasis) -> QuotientAlgebra:
             for m, c in _scaled(*_reduce({shifted: (1, 0)}, divisors)).items():
                 rows[pos[m]][j] = c
         mats.append(Matrix(rows, shape=(dim, dim)))
-    for a in range(nvars):
-        for b in range(a + 1, nvars):
-            if not commutes(mats[a], mats[b]):
-                raise AssertionError("multiplication matrices fail to commute")
-    return QuotientAlgebra(gb, tuple(standard), tuple(mats), nvars)
+    return QuotientAlgebra(gb, tuple(standard), CommutingTuple(mats))

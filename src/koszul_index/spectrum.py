@@ -3,12 +3,12 @@ decompositions, polynomial functional calculus, and localized homology.
 
 Every tuple is exact. Its joint eigenvalues are split by one route: split
 the space by one operator at a time into generalized eigenspaces, each a
-kernel chain that forms no matrix power. An operator keeps a piece whole
-when its shift by the mean eigenvalue is proved nilpotent there: by
-matrix-vector products from the unit's component in the piece when the
-tuple multiplies on C[z]/I, else by a matrix power. Eigenvalues are the
-roots in Q(i) of the characteristic polynomial, formed with no division by
-Berkowitz's recurrence on Gaussian-integer numerators, found modulo a prime,
+kernel chain that forms no matrix power. When the tuple multiplies on
+C[z]/I, an operator keeps a piece whole if its shift by the mean eigenvalue
+is proved nilpotent there by matrix-vector products from the unit's
+component in the piece. Eigenvalues are the roots in Q(i) of the
+characteristic polynomial, formed with no division by Berkowitz's
+recurrence on Gaussian-integer numerators, found modulo a prime,
 Newton-lifted, read back and verified exactly, with no float (Loos, SIAM J.
 Comput. 12, 1983); IrrationalSpectrum is raised when they leave Q(i).
 `joint_eigenvalues` alone decides exact or float: on IrrationalSpectrum it
@@ -264,16 +264,6 @@ class SpectralDecomposition:
         return sum(space.cols for _, space in self.components)
 
 
-def _power_at_least(m: Matrix, k: int) -> Matrix:
-    """m^e for the least power of two e >= k by repeated squaring, stopping
-    early at zero. When k bounds the size of m's Jordan blocks at 0, this
-    has the kernel of m^k, and it is zero exactly when m^k is."""
-    e = 1
-    while e < k and not m.is_zero():
-        m, e = m @ m, 2 * e
-    return m
-
-
 def _kernel_chain(ops, bound: int) -> Matrix:
     """Basis of the joint generalized kernel of commuting operators, with no
     power of any of them: start from the joint kernel, and pull the space
@@ -299,16 +289,17 @@ def _decomposition(t: CommutingTuple, unit: Matrix | None) -> SpectralDecomposit
     """Split the space by one operator at a time. Each piece carries its
     basis, the operators not yet used, restricted to it, and its generator
     or None, and is cut into the generalized eigenspaces of the next one.
-    An operator whose shift by its mean trace is proved nilpotent on a piece
-    (_nilpotent) has that one eigenvalue there and keeps it whole. A piece
-    on which every operator has been used is a component."""
+    On a piece with a generator, an operator whose shift by its mean trace
+    is proved nilpotent there (_nilpotent) has that one eigenvalue and keeps
+    the piece whole. A piece on which every operator has been used is a
+    component."""
     pieces = [((), Matrix.identity(t.dim), t.operators, unit)]
     for _ in range(t.n):
         refined = []
         for point, basis, (rep, *rest), gen in pieces:
             k = rep.rows
             lam = sum((rep[i, i] for i in range(k)), QQi(0)) / QQi(k)
-            if _nilpotent(rep.shift(lam), gen):
+            if gen is not None and _nilpotent(rep.shift(lam), gen):
                 refined.append((point + (lam,), basis, rest, gen))
                 continue
             eigenvalues = exact_eigenvalues(rep)
@@ -331,14 +322,12 @@ def _decomposition(t: CommutingTuple, unit: Matrix | None) -> SpectralDecomposit
     return SpectralDecomposition(tuple(components))
 
 
-def _nilpotent(m: Matrix, gen: Matrix | None) -> bool:
+def _nilpotent(m: Matrix, gen: Matrix) -> bool:
     """Whether m^k = 0 for the k x k matrix m, an operator shifted on a
-    piece. A generator g of the piece, the unit's component in it, stands
+    piece. The generator g of the piece, the unit's component in it, stands
     for an idempotent e of the commutative algebra A the tuple multiplies
     on, with piece A*e; as m^k (a e) = a m^k e, m^k = 0 exactly when
-    m^k g = 0, at most k matrix-vector products. Else, a matrix power."""
-    if gen is None:
-        return _power_at_least(m, m.rows).is_zero()
+    m^k g = 0, at most k matrix-vector products."""
     return any((gen := m @ gen).is_zero() for _ in range(m.rows))
 
 

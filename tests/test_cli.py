@@ -540,11 +540,18 @@ def test_console_entry_point_installed():
 
 def test_multiplicity_of_z1_15_z2_15_takes_no_matrix_power(tmp_path, monkeypatch):
     from koszul_index import spectrum
+    from koszul_index.linalg import Matrix
 
     def refuse(*args):
         raise AssertionError("matrix power or characteristic polynomial used")
 
-    monkeypatch.setattr(spectrum, "_power_at_least", refuse)
+    def one_column(a, b):  # the cyclic-vector route multiplies columns only
+        if b.cols > 1:
+            refuse()
+        return product(a, b)
+
+    product = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", one_column)
     monkeypatch.setattr(spectrum, "exact_eigenvalues", refuse)
     code, reports, data = run_main(
         ["multiplicity", "--system", "z1^15 ; z2^15", "--at", "0,0"], tmp_path)
@@ -570,12 +577,37 @@ def test_r_max_past_the_bound_is_a_schema_violation(tmp_path, capsys, monkeypatc
         assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_identities_over_a_large_range_return(tmp_path):
+def _identities_refused(tmp_path, capsys, n, m, shift):
     start = time.perf_counter()
     code, reports, _ = run_main(
-        ["identities", "--n", "3", "--m", "5", "--range", "100000"], tmp_path)
-    assert code == 0 and reports[0]["outputs"]["binomial_identity"] is True
+        ["identities", "--n", str(n), "--m", str(m), "--range", str(shift)], tmp_path)
+    assert code == 2 and reports == []
+    assert capsys.readouterr().err.startswith("error: ")
     assert time.perf_counter() - start < 5
+
+
+def test_identities_over_a_large_range_return(tmp_path, capsys):
+    # a range past _MAX_IDENTITY is a schema error; unbounded, range
+    # 100000000 summed binomials for longer than 10 s
+    for shift in (65, 100000, 100000000):
+        _identities_refused(tmp_path, capsys, 1, 1, shift)
+
+
+def test_identities_over_a_large_m_return(tmp_path, capsys):
+    # unbounded, m = 60000 multiplied (m + 1) x (m + 2) integer matrices
+    for m in (65, 60000):
+        _identities_refused(tmp_path, capsys, 1, m, 1)
+
+
+def test_identities_at_the_bound_return_at_once(tmp_path):
+    start = time.perf_counter()
+    for n in (1, cli._MAX_IDENTITY):
+        code, reports, _ = run_main(
+            ["identities", "--n", str(n), "--m", str(cli._MAX_IDENTITY),
+             "--range", str(cli._MAX_IDENTITY)], tmp_path)
+        assert code == 0 and reports[0]["pass"]
+        assert reports[0]["outputs"]["binomial_identity"] is True
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("system, at, multiplicity", [

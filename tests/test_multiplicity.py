@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from koszul_index import linalg, spectrum
+from koszul_index import linalg, multiplicity, spectrum
 from koszul_index.errors import (ArityMismatch, IrrationalSpectrum, NotAZero,
                                  NotIsolated, ZeroOnBoundary)
 from koszul_index.multiplicity import (build_diagonal_system,
@@ -51,9 +51,10 @@ def test_not_a_zero_raises():
         local_multiplicity(system("z1 - 1", 1), ORIGIN1)
 
 
-def test_non_isolated_zero_raises():
+def test_non_isolated_zero_raises(monkeypatch):
+    monkeypatch.setattr(multiplicity, "MAX_ORDER", 8)
     with pytest.raises(NotIsolated):
-        local_multiplicity(system("z1*z2; z1*z2", 2), ORIGIN2, n_max=8)
+        local_multiplicity(system("z1*z2; z1*z2", 2), ORIGIN2)
 
 
 def test_square_system_required():
@@ -81,6 +82,13 @@ def test_diagonal_system_shape():
     assert str(h[1]) == "z2 - z4"
     single = build_diagonal_system(system("z1^2", 1))
     assert [str(p) for p in single] == ["z1 - z2", "z1^2"]
+    # g(z) in the 2n variables (z, w) is g's text parsed in 2n variables
+    texts = ["z1^2 - z2; z2^3 + (1/3+1/3i)*z1 - 5/2", "(2/7-1/7i)*z1*z2*z3 + z1^4; z2 - z3^2; 1/6*z3"]
+    for text in texts:
+        n = text.count(";") + 1
+        diagonal = "; ".join(f"z{i} - z{n + i}" for i in range(1, n + 1))
+        assert build_diagonal_system(system(text, n)) == \
+            system(f"{diagonal}; {text}", 2 * n), text
 
 
 @pytest.mark.parametrize("text,n,point", [
@@ -130,13 +138,9 @@ def counting(monkeypatch, module, name):
 
 
 def test_single_zero_table_needs_no_characteristic_polynomial(monkeypatch):
-    def no_power(m, k):
-        raise AssertionError("_power_at_least called")
-
     def no_charpoly(m):
         raise AssertionError("characteristic polynomial formed")
 
-    monkeypatch.setattr(spectrum, "_power_at_least", no_power)
     # refused at once rather than counted: a split that reached it would
     # run Berkowitz's recurrence on the 225 x 225 table for minutes
     monkeypatch.setattr(spectrum, "charpoly", no_charpoly)
@@ -159,11 +163,12 @@ def test_eigenspace_multiplicity_at_the_only_zero_takes_no_kernel(monkeypatch):
 
 
 def test_global_table_checks_commutation_once(monkeypatch):
-    # quotient_algebra proves the multiplication matrices commute
+    # quotient_algebra's CommutingTuple checks the one pair of the two
+    # multiplication matrices, and the table reads that tuple unchecked
     calls = counting(monkeypatch, linalg, "commutes")
     table = global_multiplicity_table(system("z1*(z1 - 1); z2^2 - z2", 2))
     assert table.total() == 4
-    assert calls == []
+    assert calls == ["commutes"]
 
 
 def test_global_table_float_fallback():

@@ -3,7 +3,7 @@ import inspect
 import os
 
 import koszul_index
-from koszul_index import koszul, models, multiplicity, poly, suites
+from koszul_index import koszul, linalg, models, multiplicity, poly, spectrum, suites
 
 
 def test_every_exported_name_resolves():
@@ -21,29 +21,39 @@ def test_removed_names_stay_gone():
     # koszul.shape is the one holder of the exterior-basis convention,
     # S-pairs and monic bases are formed on integer numerators inside
     # groebner, and a Polynomial holds the parser's numerators with no QQi
-    # ring arithmetic, so the generators write their systems as text
+    # ring arithmetic, so the generators write their systems as text;
+    # nilpotency is read from a kernel chain or a generator, never a power,
+    # build_diagonal_system pads its monomials itself, and the truncation
+    # engine reads rank_below only
     removed = [(poly, ("LEX", "MonomialOrder", "DEGREVLEX", "parse_polynomial",
                        "s_polynomial")),
                (poly.Polynomial, ("monic", "zero", "constant", "variable", "_coerce",
                                   "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
-                                  "__mul__", "__rmul__", "__pow__")),
+                                  "__mul__", "__rmul__", "__pow__", "embed")),
                (suites, ("compose", "_combine")),
                (models, ("r_matrix", "l_matrix")),
                (multiplicity, ("multiplicity_table",)),
-               (koszul, ("subsets", "removal_sign"))]
+               (koszul, ("subsets", "removal_sign")),
+               (spectrum, ("_power_at_least",))]
     for module, names in removed:
         for name in names:
             assert not hasattr(koszul_index, name), name
             assert not hasattr(module, name), name
             assert name not in koszul_index.__all__
+    # koszul_index.rank is linalg.rank, which stays
+    assert not hasattr(linalg.SparseEchelon, "rank")
+    # groebner reduces with poly._reduce; poly.normal_form stays in its
+    # module for its reference tests and the benchmark tracer only
+    assert "normal_form" not in koszul_index.__all__
+    assert not hasattr(koszul_index, "normal_form")
 
 
 _REPORT_RECORDS = {"GlobalMultiplicityTable", "IndexReport", "ReciprocityReport"}
 
 
-def test_no_public_callable_takes_a_tolerance():
-    # the float kernel cut is one fixed constant of spectrum's float split,
-    # and exact or float is decided by spectrum.joint_eigenvalues alone
+def _public_parameters():
+    """(exported name, parameter names) of every exported callable and of
+    every method of an exported class."""
     for name in koszul_index.__all__:
         obj = getattr(koszul_index, name)
         fns = [obj]
@@ -51,12 +61,25 @@ def test_no_public_callable_takes_a_tolerance():
             fns += [fn for _, fn in inspect.getmembers(obj, callable)]
         for fn in filter(callable, fns):
             try:
-                params = inspect.signature(fn).parameters
+                yield name, inspect.signature(fn).parameters
             except (TypeError, ValueError):
                 continue
-            assert "tol" not in params, name
-            # a report record names the backend that ran; nothing takes one to run
-            assert "backend" not in params or name in _REPORT_RECORDS, name
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # the float kernel cut is one fixed constant of spectrum's float split,
+    # and exact or float is decided by spectrum.joint_eigenvalues alone
+    for name, params in _public_parameters():
+        assert "tol" not in params, name
+        # a report record names the backend that ran; nothing takes one to run
+        assert "backend" not in params or name in _REPORT_RECORDS, name
+
+
+def test_no_public_callable_takes_an_order_bound():
+    # multiplicity.MAX_ORDER is the one truncation bound
+    assert multiplicity.MAX_ORDER == 30
+    for name, params in _public_parameters():
+        assert "n_max" not in params, name
 
 
 def _sites(match):
@@ -106,3 +129,16 @@ def test_spectrum_computes_no_float_outside_the_float_split():
     funcs = {func for module, func in _sites(floating) if module == "spectrum"}
     assert funcs, "the matcher finds the float split's own floats"
     assert all(func == "float_spectrum" or func.startswith("_float_") for func in funcs), funcs
+
+
+def test_one_index_function_refuses_the_boundary():
+    # every index of models is read from DomainDescriptor.coordinate_index,
+    # the one place a zero on the boundary is refused; the multiplication
+    # tuple is built once, checked once, by quotient_algebra
+    raises = _sites(lambda n: isinstance(n, ast.Raise) and n.exc is not None
+                    and "ZeroOnBoundary" in _names(n.exc))
+    assert {site for site in raises if site[0] == "models"} == {("models", "coordinate_index")}
+    proven = _sites(lambda n: isinstance(n, ast.Call) and "proven" in _names(n.func)
+                    and any("mult_matrices" in _names(arg) for arg in n.args))
+    commutes = _sites(lambda n: isinstance(n, ast.Call) and "commutes" in _names(n.func))
+    assert not proven and ("poly", "quotient_algebra") not in commutes

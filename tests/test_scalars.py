@@ -121,6 +121,7 @@ def test_every_exact_entry_point_refuses_a_float():
         "evaluate": lambda x: system[0].evaluate([x]),
         "shift": lambda x: system[0].shift([x]),
         "DomainDescriptor": lambda x: DomainDescriptor.polydisc((x,), (1,)),
+        "radius": lambda x: DomainDescriptor.polydisc((0,), (x,)),
         "local_index": lambda x: local_index(model, [x]),
         "local_multiplicity": lambda x: local_multiplicity(system, [x]),
         "jacobian_regular": lambda x: jacobian_regular(system, [x]),

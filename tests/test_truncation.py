@@ -144,9 +144,10 @@ def test_isolated_zero_past_the_order_bound_is_a_resource_limit(monkeypatch):
     assert calls == []  # no product z_i^40 * m reaches below order 30
 
 
-def test_not_isolated_says_isolation_was_not_proved():
+def test_not_isolated_says_isolation_was_not_proved(monkeypatch):
+    monkeypatch.setattr(multiplicity, "MAX_ORDER", 8)
     with pytest.raises(NotIsolated, match="isolation was not proved"):
-        local_multiplicity(parse_system("z1*z2; z1*z2", 2), (QQi(0), QQi(0)), n_max=8)
+        local_multiplicity(parse_system("z1*z2; z1*z2", 2), (QQi(0), QQi(0)))
 
 
 def test_truncation_columns_are_ints_numbered_degree_first():
