@@ -390,8 +390,7 @@ def _run_spectral_sequence(inputs, outputs, checks):
     ops_a, ops_b, r_max = inputs
     bc = spectral.build_bicomplex(CommutingTuple(ops_a), CommutingTuple(ops_b))
     pages = spectral.page_sequence(bc, r_max)
-    outputs["pages"] = [{"r": page.r, "dims": page.dims_grid()}
-                        for page in pages]
+    outputs["pages"] = [{"r": page.r, "dims": page.dims} for page in pages]
     outputs["stabilization_page"] = spectral.stabilization_page(pages)
     outputs["euler_via_e2"] = spectral.euler_via_e2(bc)
     outputs["total_homology"] = list(bc.profile.dims)

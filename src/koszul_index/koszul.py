@@ -180,18 +180,21 @@ class KoszulComplex(ChainComplex):
 
 @dataclass(frozen=True)
 class HomologyProfile:
-    """Homology dimensions with the Euler characteristic and Fredholm index;
-    the index is minus the Euler characteristic."""
+    """Homology dimensions, and the Euler characteristic and Fredholm index
+    read from them; the index is minus the Euler characteristic."""
 
     dims: tuple
-    euler: int
-    index: int
 
-    @staticmethod
-    def from_dims(dims) -> "HomologyProfile":
-        dims = tuple(dims)
-        euler = sum((-1) ** k * d for k, d in enumerate(dims))
-        return HomologyProfile(dims, euler, -euler)
+    def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(self.dims))
+
+    @property
+    def euler(self) -> int:
+        return sum((-1) ** k * d for k, d in enumerate(self.dims))
+
+    @property
+    def index(self) -> int:
+        return -self.euler
 
 
 def build_complex(t: CommutingTuple) -> KoszulComplex:
@@ -216,17 +219,19 @@ def homology(c: ChainComplex) -> HomologyProfile:
     with an independent kernel and rank lives in the tests
     (`test_end_groups_match_kernel_and_cokernel`, acceptance criterion 1).
     """
-    return HomologyProfile.from_dims(c.homology_dims())
+    return HomologyProfile(c.homology_dims())
 
 
-def homology_action(c: KoszulComplex, k: int, operators):
-    """The matrices, in one basis of H_k(c), of the maps induced on it by
-    `operators`, each of which commutes with the tuple of c: each acts on
-    C_k as I (x) op, op placed on the diagonal blocks, one per basis subset."""
+def homology_action(c: KoszulComplex, k: int, acting: CommutingTuple) -> CommutingTuple:
+    """The tuple, in one basis of H_k(c), of the maps induced on it by a
+    tuple whose operators commute with the tuple of c: each acts on C_k as
+    I (x) op, op placed on the diagonal blocks, one per basis subset. The
+    induced maps commute because the operators of `acting` do (checked when
+    it was built) and inducing on a subquotient respects products."""
     d, count = c.tuple.dim, len(shape(c.n).bases[k])
-    return linalg.induced_on_subquotient(
+    return CommutingTuple.proven(linalg.induced_on_subquotient(
         [Matrix.place(d * count, d * count, [(i * d, i * d, 1, 1, op) for i in range(count)])
-         for op in operators], c.cycles(k), c.boundaries(k))[0]
+         for op in acting.operators], c.cycles(k), c.boundaries(k))[0])
 
 
 def mapping_cone(c: KoszulComplex, b: Matrix) -> ChainComplex:

@@ -174,9 +174,10 @@ def local_index(mt: ModelTuple, point) -> int:
     index times the local degree, so minus the degree inside the domain and
     zero outside."""
     point = tuple(map(as_scalar, point))
-    for g in mt.system:
-        if not g.evaluate(point).is_zero():
-            raise NotAZero("the queried point is not a common zero")
+    # inside the domain, local_multiplicity proves the zero (NotAZero)
+    if mt.domain.classify(point) != INTERIOR and any(
+            not g.evaluate(point).is_zero() for g in mt.system):
+        raise NotAZero("the queried point is not a common zero")
     if not mt.domain.coordinate_index(point):
         return 0
     return -local_multiplicity(list(mt.system), point).multiplicity
@@ -376,10 +377,10 @@ def tensor_index_identity(base: CommutingTuple,
         if spectrum._kernel_chain([op], nil_dim).cols != nil_dim:
             raise NotNilpotent("auxiliary tuple is not nilpotent")
     product = CommutingTuple(_tensor_sums(base, nilpotent))
-    dims_product = koszul.homology(koszul.build_complex(product)).dims
-    dims_base = koszul.homology(koszul.build_complex(base)).dims
-    index_product = sum((-1) ** (k + 1) * d for k, d in enumerate(dims_product))
-    index_base = sum((-1) ** (k + 1) * d for k, d in enumerate(dims_base))
+    profile_product = koszul.homology(koszul.build_complex(product))
+    profile_base = koszul.homology(koszul.build_complex(base))
+    dims_product, dims_base = profile_product.dims, profile_base.dims
+    index_product, index_base = profile_product.index, profile_base.index
     checks = [
         Check("index_transformation",
               index_product == index_base * nil_dim and index_product == 0,

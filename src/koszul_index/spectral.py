@@ -2,21 +2,22 @@
 
 The Koszul complex of the joined tuple A+B is K(A) tensor K(B), so it is
 built once and filtered: a basis subset S of {1..n+m} in degree k sits at
-p = |S meet {1..n}|, q = k - p. Pages are subquotients of this
-subset-filtered complex, presented as nested subspaces of the fixed chain
-spaces K_{p,q}: an entry on page r is cycles/boundaries where both sit
-inside K_{p,q}, and every differential is computed by lifting
-representatives through the joined differential. This machinery is
-exact, as every Matrix is.
+p = |S meet {1..n}|, q = k - p. A page is its grid of dimensions: the
+entry (p, q) of page r is cycles/boundaries, both nested subspaces of the
+fixed chain space K_{p,q}. No differential is formed: E_{r+1} = H(E_r, d_r),
+so d_r vanishes exactly when pages r and r + 1 have the same grid. Pages 0,
+1 and 2 are checked against routes that use no filtration. This machinery
+is exact, as every Matrix is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 from . import koszul, linalg
-from .koszul import CommutingTuple
+from .koszul import CommutingTuple, HomologyProfile
 from .linalg import Matrix
 
 
@@ -32,9 +33,8 @@ class Bicomplex:
     product, and the laws rest on `join`'s exact cross-pair `commutes`.
 
     Pages and the approximate-cycle subspaces they come from are computed
-    once per bicomplex and cached. Products use only the target block's
-    rows of d (K_{p,q} for the boundaries of entry (p,q), K_{p-r,q+r-1}
-    for its page-r differential) and only the columns the cycles are
+    once per bicomplex and cached. The boundaries of entry (p,q) use only
+    the rows of d in block K_{p,q} and only the columns the cycles are
     supported on: picking rows commutes with the product, and the other
     columns meet zero coefficients, so no other entry is computed."""
 
@@ -61,7 +61,7 @@ class Bicomplex:
         self._pages = {}
 
     @cached_property
-    def profile(self) -> koszul.HomologyProfile:
+    def profile(self) -> HomologyProfile:
         """Homology of the joined tuple, the limit of the pages."""
         return koszul.homology(self.complex)
 
@@ -88,7 +88,10 @@ class Bicomplex:
             self._a_cache[key] = cols, linalg.kernel_basis(d)
         return self._a_cache[key]
 
-    def entry(self, p: int, q: int, r: int) -> PageEntry:
+    def entry(self, p: int, q: int, r: int) -> int:
+        """dim E_r(p, q): the block-p part of the chains whose boundary drops
+        r filtration steps, modulo the boundaries of chains from at most
+        r - 1 steps above."""
         k = p + q
         cols, basis = self.approx_cycles(p, p - r, k)
         tail = range(len(cols) - self.dims[p][q], len(cols))  # block p
@@ -99,40 +102,13 @@ class Bicomplex:
             if prev.cols:
                 d = self.complex.d(k + 1).take_rows(self.blocks[k][p]).take_cols(cols_prev)
                 boundaries = linalg.image_basis(d @ prev)
-        reps = linalg.extend_basis(boundaries, cycles)
-        return PageEntry(boundaries, reps)
+        return linalg.extend_basis(boundaries, cycles).cols
 
     def page(self, r: int) -> SpectralPage:
-        if r in self._pages:
-            return self._pages[r]
-        entries = {}
-        for p in range(self.n + 1):
-            for q in range(self.m + 1):
-                entries[(p, q)] = self.entry(p, q, r)
-        diffs = {}
-        for (p, q), entry in entries.items():
-            target = entries.get((p - r, q + r - 1))
-            if entry.dim == 0 or target is None:
-                continue
-            diffs[(p, q)] = self._differential(p, q, r, entry, target)
-        self._pages[r] = SpectralPage(r, entries, diffs)
+        if r not in self._pages:
+            self._pages[r] = SpectralPage(r, [[self.entry(p, q, r) for q in range(self.m + 1)]
+                                              for p in range(self.n + 1)])
         return self._pages[r]
-
-    def _differential(self, p, q, r, entry: PageEntry, target: PageEntry) -> Matrix:
-        """Lift every representative to an approximate cycle with one solve,
-        apply the rows of d that land in the target block, and read the
-        target coordinates off one frame solve."""
-        if target.dim == 0:
-            return Matrix.zeros(0, entry.dim)
-        k = p + q
-        cols, basis = self.approx_cycles(p, p - r, k)
-        tail = range(len(cols) - self.dims[p][q], len(cols))  # block p
-        lift = basis @ linalg.solve(basis.take_rows(tail), entry.reps)
-        d = self.complex.d(k).take_rows(self.blocks[k - 1][p - r]).take_cols(cols)
-        image = d @ lift
-        frame = Matrix.hstack([target.boundaries, target.reps])
-        coords = linalg.solve(frame, image)
-        return coords.take_rows(range(target.boundaries.cols, frame.cols))
 
 
 def build_bicomplex(a: CommutingTuple, b: CommutingTuple) -> Bicomplex:
@@ -141,141 +117,97 @@ def build_bicomplex(a: CommutingTuple, b: CommutingTuple) -> Bicomplex:
 
 
 @dataclass(frozen=True)
-class PageEntry:
-    """One (p,q) spot of a page: a subquotient of K_{p,q}, held as a column
-    basis of its boundaries and the chosen representatives that complete
-    it to a basis of its cycles."""
+class SpectralPage:
+    """Page r as its grid of dimensions: dims[p][q] = dim E_r(p, q)."""
 
-    boundaries: Matrix
-    reps: Matrix
+    r: int
+    dims: list
 
     @property
-    def dim(self) -> int:
-        return self.reps.cols
-
-
-@dataclass(frozen=True)
-class SpectralPage:
-    r: int
-    entries: dict
-    differentials: dict  # (p,q) -> Matrix into (p-r, q+r-1)
-
-    def dim(self, p: int, q: int) -> int:
-        entry = self.entries.get((p, q))
-        return entry.dim if entry else 0
-
-    def dims_grid(self):
-        ps = max(p for p, _ in self.entries) + 1
-        qs = max(q for _, q in self.entries) + 1
-        return [[self.dim(p, q) for q in range(qs)] for p in range(ps)]
-
-    def euler_sum(self) -> int:
-        return sum((-1) ** (p + q) * e.dim for (p, q), e in self.entries.items())
-
-    def differentials_all_zero(self) -> bool:
-        return all(mat.is_zero() for mat in self.differentials.values())
+    def totals(self) -> HomologyProfile:
+        """The page summed along p + q, one total per degree."""
+        n, m = len(self.dims) - 1, len(self.dims[0]) - 1
+        return HomologyProfile([sum(self.dims[p][k - p]
+                                    for p in range(max(0, k - m), min(n, k) + 1))
+                                for k in range(n + m + 1)])
 
 
 def page_sequence(bc: Bicomplex, r_max: int = 2):
-    """Pages E^0..E^R with R at least the filtration length + 1, so the last
-    page is the limit page.
+    """Pages E^0..E^R with R = max(r_max, n + 1, 2), so the last page is the
+    limit page.
 
-    Asserts on every run: the signed dimension sum is constant from page 2
-    on, the limit page adds up to the Koszul homology of the joined tuple,
-    and the page-2 (non)triviality consequences hold.
+    Asserts on every run: no entry grows from one page to the next (each is
+    a subquotient of the one before), the signed dimension sum is constant
+    from page 2 on, the limit page adds up to the Koszul homology of the
+    joined tuple, and the page-2 (non)triviality consequences hold.
     """
     r_stop = max(r_max, bc.n + 1, 2)
     pages = [bc.page(r) for r in range(r_stop + 1)]
+    for cur, nxt in zip(pages, pages[1:]):
+        if any(after > before for row, row_after in zip(cur.dims, nxt.dims)
+               for before, after in zip(row, row_after)):
+            raise AssertionError(f"an entry grows from page {cur.r} to page {nxt.r}")
+    if len({page.totals.euler for page in pages[2:]}) != 1:
+        raise AssertionError("signed dimension sum changed between pages")
 
-    for r in range(len(pages) - 1):
-        _check_page_step(pages[r], pages[r + 1])
-    euler_ref = pages[2].euler_sum()
-    for page in pages[2:]:
-        if page.euler_sum() != euler_ref:
-            raise AssertionError("signed dimension sum changed between pages")
-
-    total_profile = bc.profile
-    limit = pages[-1]
-    for k in range(bc.n + bc.m + 1):
-        esum = sum(limit.dim(p, k - p) for p in range(max(0, k - bc.m),
-                                                      min(bc.n, k) + 1))
-        if esum != total_profile.dims[k]:
-            raise AssertionError("limit page does not add up to the homology")
-
-    e2 = pages[2]
-    for k in range(bc.n + bc.m + 1):
-        spots = [(p, k - p) for p in range(max(0, k - bc.m), min(bc.n, k) + 1)]
-        if all(e2.dim(p, q) == 0 for p, q in spots) and total_profile.dims[k] != 0:
+    total = bc.profile.dims
+    if pages[-1].totals.dims != total:
+        raise AssertionError("limit page does not add up to the homology")
+    for k, e2_k in enumerate(pages[2].totals.dims):
+        if not e2_k and total[k]:
             raise AssertionError("vanishing page-2 antidiagonal with homology")
-    for (p, q), entry in e2.entries.items():
-        if entry.dim and not any(total_profile.dims[k] for k in
-                                 range(p + q, bc.n + bc.m + 1)):
+        if e2_k and not any(total[k:]):
             raise AssertionError("page-2 class with no homology at or above it")
     return pages
 
 
 def stabilization_page(pages) -> int:
-    """First page from which every later computed differential vanishes.
+    """The least r from which every later page of E^0..E^R has the grid of
+    page r: the first page from which every differential vanishes.
 
-    Detection is structural (differentials are zero maps), never a
-    dimension plateau.
+    The grids decide it by rank. E_{r+1} = H(E_r, d_r), so dim E_{r+1}(p,q)
+    is dim E_r(p,q) minus the ranks of d_r out of (p,q) and into it, and
+    d_r = 0 exactly when pages r and r + 1 have the same grid. The last
+    page, R = max(r_max, n + 1, 2), has no differential: d_R would land at
+    p - R < 0.
     """
-    r_stab = pages[-1].r
-    for page in reversed(pages):
-        if page.differentials_all_zero():
-            r_stab = page.r
-        else:
-            break
-    return r_stab
-
-
-def _check_page_step(cur: SpectralPage, nxt: SpectralPage):
-    r = cur.r
-    ranks = {spot: linalg.rank(mat) for spot, mat in cur.differentials.items()}
-    for (p, q), entry in cur.entries.items():
-        expected = entry.dim - ranks.get((p, q), 0) - ranks.get((p + r, q - r + 1), 0)
-        if nxt.dim(p, q) != expected:
-            raise AssertionError(
-                f"page {r + 1} entry ({p},{q}) is {nxt.dim(p, q)}, expected {expected}")
+    for i, page in enumerate(pages):
+        if all(later.dims == page.dims for later in pages[i + 1:]):
+            return page.r
 
 
 def e2_page(bc: Bicomplex) -> SpectralPage:
-    """The page-2 term, cross-checked against the independent pipeline: row
-    homology, induced action of the first tuple on it, Koszul homology of
-    the induced tuple."""
-    page = bc.page(2)
-    indep = e2_dims_independent(bc)
-    for p in range(bc.n + 1):
-        for q in range(bc.m + 1):
-            if page.dim(p, q) != indep[p][q]:
-                raise AssertionError(
-                    f"page-2 pipelines disagree at ({p},{q}): "
-                    f"{page.dim(p, q)} vs {indep[p][q]}")
-    return page
+    """The page-2 term, with pages 0, 1 and 2 each checked against
+    `e2_dims_independent`."""
+    for r, grid in enumerate(e2_dims_independent(bc)):
+        if bc.page(r).dims != grid:
+            raise AssertionError(
+                f"page-{r} routes disagree: {bc.page(r).dims} vs {grid}")
+    return bc.page(2)
 
 
 def e2_dims_independent(bc: Bicomplex):
-    """dim H_p(A, H_q(B, V)) computed without the filtration machinery."""
+    """The grids of pages 0, 1 and 2 computed without the filtration: the
+    page-2 pipeline, with the closed forms of pages 0 and 1 read off the
+    same K(B). E_0(p,q) = K_p(A) tensor K_q(B) has dimension C(n,p) C(m,q) d;
+    d_0 is the differential of K(B) on each of the C(n,p) copies, so
+    dim E_1(p,q) = C(n,p) dim H_q(K(B)); and E_2(p,q) = H_p(A, H_q(K(B))),
+    the Koszul homology of the action the first tuple induces on H_q(K(B))."""
+    n, m = bc.n, bc.m
     complex_b = koszul.build_complex(bc.b)
-    out = [[0] * (bc.m + 1) for _ in range(bc.n + 1)]
-    for q in range(bc.m + 1):
-        induced = koszul.homology_action(complex_b, q, bc.a.operators)
-        if not induced[0].rows:
-            continue
-        # the induced maps commute because A's operators do (checked when
-        # bc.a was built) and inducing respects products; the same fact
-        # backs spectrum.localized_homology
-        dims = koszul.build_complex(CommutingTuple.proven(induced)).homology_dims()
-        for p in range(bc.n + 1):
-            out[p][q] = dims[p]
-    return out
+    induced = [koszul.homology_action(complex_b, q, bc.a) for q in range(m + 1)]
+    e2_cols = [koszul.build_complex(t).homology_dims() if t.dim else [0] * (n + 1)
+               for t in induced]
+    e0 = [[comb(n, p) * comb(m, q) * bc.d for q in range(m + 1)] for p in range(n + 1)]
+    e1 = [[comb(n, p) * induced[q].dim for q in range(m + 1)] for p in range(n + 1)]
+    e2 = [[dims[p] for dims in e2_cols] for p in range(n + 1)]
+    return e0, e1, e2
 
 
 def euler_via_e2(bc: Bicomplex) -> int:
-    """Signed page-2 dimension sum; checked against the Koszul index of the
-    joined tuple (both vanish in finite dimension)."""
-    page = e2_page(bc)
-    value = -page.euler_sum()
+    """The index read from the page-2 totals; checked against the Koszul
+    index of the joined tuple (both vanish in finite dimension)."""
+    value = e2_page(bc).totals.index
     if value != bc.profile.index:
         raise AssertionError("page-2 index disagrees with the Koszul index")
     return value

@@ -555,7 +555,5 @@ def localized_homology(t: CommutingTuple, polys, point):
         raise ArityMismatch("point dimension differs from tuple length")
     mapped = apply_polynomial_map(t, polys)
     complex_ = koszul.build_complex(mapped)
-    # the induced matrices commute because the operators of t do
-    return [generalized_eigenspace(CommutingTuple.proven(
-                koszul.homology_action(complex_, k, t.operators)), point).cols
+    return [generalized_eigenspace(koszul.homology_action(complex_, k, t), point).cols
             for k in range(mapped.n + 1)]

@@ -12,7 +12,7 @@ from koszul_index.models import (DomainDescriptor, ModelTuple, _l_matrix, _r_mat
                                  int_matmul, local_index, lr_identity_holds,
                                  reciprocity_check, regular_case_identities,
                                  tensor_index_identity)
-from koszul_index.poly import parse_system
+from koszul_index.poly import Polynomial, parse_system
 from koszul_index.scalars import QQi
 
 DISC = DomainDescriptor.unit_disc()
@@ -86,6 +86,25 @@ def test_local_index_examples():
         local_index(mt, (QQi(0),))
     with pytest.raises(ZeroOnBoundary):
         local_index(model(DISC, "z1 - 1"), (QQi(1),))
+
+
+def test_local_index_proves_a_zero_once(monkeypatch):
+    # inside the domain local_multiplicity proves the zero; evaluate proves
+    # it elsewhere, and a point that is no zero is refused wherever it lies
+    mt = model(DISC, "(z1 - 1/2)*(z1 - 1)*(z1 - 2)")
+    for point in (QQi(Fraction(1, 4)), QQi(0, 1), QQi(3)):  # inside, boundary, outside
+        with pytest.raises(NotAZero):
+            local_index(mt, (point,))
+    with pytest.raises(ZeroOnBoundary):
+        local_index(mt, (QQi(1),))
+    calls = []
+    evaluate = Polynomial.evaluate
+    monkeypatch.setattr(Polynomial, "evaluate",
+                        lambda *args: calls.append(1) or evaluate(*args))
+    assert local_index(mt, (QQi(Fraction(1, 2)),)) == -1
+    assert calls == []
+    assert local_index(mt, (QQi(2),)) == 0
+    assert calls == [1]
 
 
 def test_boundary_zero_rejected():

@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 import inspect
 import os
 
 import koszul_index
-from koszul_index import koszul, linalg, models, multiplicity, poly, spectrum, suites
+from koszul_index import (koszul, linalg, models, multiplicity, poly, spectral, spectrum,
+                          suites)
 
 
 def test_every_exported_name_resolves():
@@ -23,8 +25,10 @@ def test_removed_names_stay_gone():
     # groebner, and a Polynomial holds the parser's numerators with no QQi
     # ring arithmetic, so the generators write their systems as text;
     # nilpotency is read from a kernel chain or a generator, never a power,
-    # build_diagonal_system pads its monomials itself, and the truncation
-    # engine reads rank_below only
+    # build_diagonal_system pads its monomials itself, the truncation
+    # engine reads rank_below only, a spectral page is its grid of
+    # dimensions (no differential is formed), and a homology profile holds
+    # its dimensions only
     removed = [(poly, ("LEX", "MonomialOrder", "DEGREVLEX", "parse_polynomial",
                        "s_polynomial")),
                (poly.Polynomial, ("monic", "zero", "constant", "variable", "_coerce",
@@ -34,7 +38,12 @@ def test_removed_names_stay_gone():
                (models, ("r_matrix", "l_matrix")),
                (multiplicity, ("multiplicity_table",)),
                (koszul, ("subsets", "removal_sign")),
-               (spectrum, ("_power_at_least",))]
+               (spectrum, ("_power_at_least",)),
+               (spectral, ("PageEntry", "_check_page_step")),
+               (spectral.Bicomplex, ("_differential",)),
+               (spectral.SpectralPage, ("differentials", "differentials_all_zero",
+                                        "euler_sum", "dims_grid", "dim")),
+               (koszul.HomologyProfile, ("from_dims",))]
     for module, names in removed:
         for name in names:
             assert not hasattr(koszul_index, name), name
@@ -46,6 +55,8 @@ def test_removed_names_stay_gone():
     # module for its reference tests and the benchmark tracer only
     assert "normal_form" not in koszul_index.__all__
     assert not hasattr(koszul_index, "normal_form")
+    assert [f.name for f in dataclasses.fields(spectral.SpectralPage)] == ["r", "dims"]
+    assert [f.name for f in dataclasses.fields(koszul.HomologyProfile)] == ["dims"]
 
 
 _REPORT_RECORDS = {"GlobalMultiplicityTable", "IndexReport", "ReciprocityReport"}
@@ -142,3 +153,22 @@ def test_one_index_function_refuses_the_boundary():
                     and any("mult_matrices" in _names(arg) for arg in n.args))
     commutes = _sites(lambda n: isinstance(n, ast.Call) and "commutes" in _names(n.func))
     assert not proven and ("poly", "quotient_algebra") not in commutes
+
+
+def test_spectral_module_solves_nothing():
+    # pages are dimension grids read by rank; no representative is lifted
+    # through a solve
+    solves = _sites(lambda n: isinstance(n, ast.Call) and "solve" in _names(n.func))
+    assert solves and not {site for site in solves if site[0] == "spectral"}
+
+
+def test_signed_sums_are_read_from_a_profile():
+    # the Euler characteristic and the index are HomologyProfile's; models
+    # keeps only the signs of its binomial identities
+    def signed(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.left, ast.UnaryOp) and isinstance(node.left.op, ast.USub)
+                and isinstance(node.left.operand, ast.Constant) and node.left.operand.value == 1)
+
+    assert _sites(signed) == {("koszul", "euler"), ("models", "_l_matrix"),
+                              ("models", "binomial_identity_holds")}

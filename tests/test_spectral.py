@@ -1,18 +1,20 @@
 import random
+from dataclasses import dataclass
 from math import comb
 
 import pytest
 
-from koszul_index import koszul, linalg
+from koszul_index import koszul, linalg, spectral
 from koszul_index.cli import Scenario, run_scenario
 from koszul_index.errors import BackendMismatch, CommutatorError
 from koszul_index.koszul import CommutingTuple, build_complex, homology
 from koszul_index.linalg import Matrix
 from koszul_index.scalars import QQi
-from koszul_index.spectral import (Bicomplex, PageEntry, _check_page_step,
-                                   build_bicomplex, e2_dims_independent,
-                                   e2_page, euler_via_e2, page_sequence)
+from koszul_index.spectral import (Bicomplex, SpectralPage, build_bicomplex,
+                                   e2_dims_independent, e2_page, euler_via_e2,
+                                   page_sequence, stabilization_page)
 from koszul_index.suites import _matrix_json
+from mutations import patch_source
 from random_tuples import random_bicomplex_pair
 
 ZERO1 = Matrix.zeros(1, 1)
@@ -22,20 +24,20 @@ JORDAN = Matrix([[0, 1], [0, 0]])
 def test_zero_pair_block_dims():
     bc = build_bicomplex(CommutingTuple([ZERO1]), CommutingTuple([ZERO1]))
     assert bc.dims == [[1, 1], [1, 1]]
-    assert e2_page(bc).dims_grid() == [[1, 1], [1, 1]]
+    assert e2_page(bc).dims == [[1, 1], [1, 1]]
 
 
 def test_identity_pair_total_homology_zero():
     one = Matrix.identity(1)
     bc = build_bicomplex(CommutingTuple([one]), CommutingTuple([one]))
     assert homology(build_complex(bc.joined)).dims == (0, 0, 0)
-    assert e2_page(bc).dims_grid() == [[0, 0], [0, 0]]
+    assert e2_page(bc).dims == [[0, 0], [0, 0]]
 
 
 def test_invertible_second_tuple_clears_page_two():
     bc = build_bicomplex(CommutingTuple([Matrix.zeros(2, 2)]),
                          CommutingTuple([Matrix.identity(2)]))
-    assert e2_page(bc).dims_grid() == [[0, 0], [0, 0]]
+    assert e2_page(bc).dims == [[0, 0], [0, 0]]
 
 
 def test_bicomplex_laws_assert_on_build():
@@ -110,10 +112,9 @@ def test_induced_action_builds_one_frame_per_subquotient(monkeypatch):
 
 def test_jordan_example_pipelines_agree():
     bc = build_bicomplex(CommutingTuple([JORDAN]), CommutingTuple([Matrix.zeros(2, 2)]))
-    page = e2_page(bc)  # raises when the two pipelines disagree
-    assert page.dims_grid() == [[1, 1], [1, 1]]
-    indep = e2_dims_independent(bc)
-    assert indep == [[1, 1], [1, 1]]
+    page = e2_page(bc)  # raises when the routes to pages 0, 1 or 2 disagree
+    assert page.dims == [[1, 1], [1, 1]]
+    assert e2_dims_independent(bc) == ([[2, 2], [2, 2]], [[2, 2], [2, 2]], [[1, 1], [1, 1]])
 
 
 def test_page_sequence_converges_to_homology():
@@ -125,7 +126,7 @@ def test_page_sequence_converges_to_homology():
         limit = pages[-1]
         profile = homology(build_complex(bc.joined))
         for k in range(bc.n + bc.m + 1):
-            acc = sum(limit.dim(p, k - p) for p in range(bc.n + 1)
+            acc = sum(limit.dims[p][k - p] for p in range(bc.n + 1)
                       if 0 <= k - p <= bc.m)
             assert acc == profile.dims[k]
 
@@ -136,9 +137,9 @@ def test_one_column_stabilizes_at_page_two():
     for _ in range(5):
         a, b = random_bicomplex_pair(rng, 1, 1, rng.randint(1, 4))
         pages = page_sequence(build_bicomplex(a, b), 2)
+        assert stabilization_page(pages) <= 2
         for page in pages[2:]:
-            assert page.differentials_all_zero()
-            assert page.dims_grid() == pages[2].dims_grid()
+            assert page.dims == pages[2].dims
 
 
 def test_signed_sums_constant_from_page_two():
@@ -146,7 +147,7 @@ def test_signed_sums_constant_from_page_two():
     for _ in range(8):
         a, b = random_bicomplex_pair(rng, 2, 1, rng.randint(1, 4))
         pages = page_sequence(build_bicomplex(a, b), 4)
-        sums = {page.euler_sum() for page in pages[2:]}
+        sums = {page.totals.euler for page in pages[2:]}
         assert len(sums) == 1
 
 
@@ -180,11 +181,11 @@ def test_nonzero_page_two_differential():
     bc = _engineered_d2_bicomplex()
     pages = page_sequence(bc, 3)
     e2, e3 = pages[2], pages[3]
-    d2 = e2.differentials[(2, 0)]
-    assert not d2.is_zero()
-    assert e2.dims_grid() == [[3, 2], [6, 5], [3, 3]]
-    assert e3.dims_grid() == [[3, 1], [6, 5], [2, 3]]
-    assert e3.differentials_all_zero()
+    source, target = _reference_entry(bc, 2, 0, 2), _reference_entry(bc, 0, 1, 2)
+    assert not _reference_differential(bc, 2, 0, 2, source, target).is_zero()
+    assert e2.dims == [[3, 2], [6, 5], [3, 3]]
+    assert e3.dims == [[3, 1], [6, 5], [2, 3]]
+    assert stabilization_page(pages) == 3
     profile = homology(build_complex(bc.joined))
     assert profile.dims == (3, 7, 7, 3)
 
@@ -203,6 +204,19 @@ def test_union_must_commute():
 
 
 # -- the page engine against its per-representative reference ------------------
+
+
+@dataclass(frozen=True)
+class _RefEntry:
+    """One (p,q) spot of a reference page: a column basis of its boundaries
+    and the representatives that complete it to a basis of its cycles."""
+
+    boundaries: Matrix
+    reps: Matrix
+
+    @property
+    def dim(self) -> int:
+        return self.reps.cols
 
 
 def _padded_cycles(bc, level, floor, k):
@@ -229,7 +243,7 @@ def _reference_entry(bc, p, q, r):
             img = bc.complex.d(k + 1) @ a_prev
             boundaries = linalg.image_basis(img.take_rows(bc.blocks[k][p]))
     reps = linalg.extend_basis(boundaries, cycles)
-    return PageEntry(boundaries, reps)
+    return _RefEntry(boundaries, reps)
 
 
 def _reference_differential(bc, p, q, r, entry, target):
@@ -250,6 +264,28 @@ def _reference_differential(bc, p, q, r, entry, target):
         cols.append([coords[target.boundaries.cols + i, 0] for i in range(target.dim)])
     return Matrix([[col[i] for col in cols] for i in range(target.dim)],
                   shape=(target.dim, entry.reps.cols))
+
+
+def _reference_pages(bc, r_stop):
+    """(grid, whether some differential is nonzero) of reference pages
+    0..r_stop, each differential lifted one representative at a time."""
+    out = []
+    for r in range(r_stop + 1):
+        ref = {(p, q): _reference_entry(bc, p, q, r)
+               for p in range(bc.n + 1) for q in range(bc.m + 1)}
+        nonzero = False
+        for (p, q), entry in ref.items():
+            target = ref.get((p - r, q + r - 1))
+            if entry.dim and target is not None:
+                nonzero |= not _reference_differential(bc, p, q, r, entry, target).is_zero()
+        out.append(([[ref[(p, q)].dim for q in range(bc.m + 1)] for p in range(bc.n + 1)],
+                    nonzero))
+    return out
+
+
+def _reference_stabilization(reference):
+    """The first page from which every reference differential vanishes."""
+    return max((r + 1 for r, (_, nonzero) in enumerate(reference) if nonzero), default=0)
 
 
 def test_approx_cycles_live_in_their_own_blocks_columns():
@@ -283,73 +319,69 @@ def _reference_bicomplexes():
 def test_page_engine_matches_the_per_representative_reference():
     nonzero = 0
     for bc in _reference_bicomplexes():
-        for r in range(max(3, bc.n + 1) + 1):
-            page = bc.page(r)
-            ref = {spot: _reference_entry(bc, *spot, r) for spot in page.entries}
-            for spot, entry in page.entries.items():
-                assert entry.boundaries == ref[spot].boundaries
-                assert entry.reps == ref[spot].reps
-            expected = {}
-            for (p, q), entry in ref.items():
-                target = ref.get((p - r, q + r - 1))
-                if entry.dim and target is not None:
-                    expected[(p, q)] = _reference_differential(bc, p, q, r, entry, target)
-            assert page.differentials == expected
-            nonzero += sum(not mat.is_zero() for mat in expected.values())
+        pages = [bc.page(r) for r in range(max(3, bc.n + 1) + 1)]
+        reference = _reference_pages(bc, pages[-1].r)
+        assert [page.dims for page in pages] == [grid for grid, _ in reference]
+        assert stabilization_page(pages) == _reference_stabilization(reference)
+        nonzero += sum(flag for _, flag in reference)
     assert nonzero  # the comparison covers nonzero differentials
 
 
-def test_each_page_differential_is_ranked_once(monkeypatch):
-    pages = page_sequence(_engineered_d2_bicomplex(), 3)
-    calls = []
-    rank = linalg.rank
-    monkeypatch.setattr(linalg, "rank", lambda *args: calls.append(1) or rank(*args))
-    for cur, nxt in zip(pages, pages[1:]):
-        calls.clear()
-        _check_page_step(cur, nxt)
-        assert len(calls) == len(cur.differentials)
+def _jordan_zero_bicomplex():
+    # d_0 = 0 and d_1 != 0: pages 0 and 1 agree, page 2 is smaller
+    return build_bicomplex(CommutingTuple([JORDAN]), CommutingTuple([Matrix.zeros(2, 2)]))
 
 
-def test_differentials_make_two_solves_and_no_full_products(monkeypatch):
-    bicomplexes = [build_bicomplex(*random_bicomplex_pair(random.Random(5), 2, 2, 3)),
-                   _engineered_d2_bicomplex()]
-    solves = []
-    seen = []  # (representatives, target dimension, solves) per differential
-    solve, differential = linalg.solve, Bicomplex._differential
-
-    def counting_differential(self, p, q, r, entry, target):
-        before = len(solves)
-        out = differential(self, p, q, r, entry, target)
-        seen.append((entry.dim, target.dim, len(solves) - before))
-        return out
-
-    full_products = []
-    matmul = Matrix.__matmul__
-    full = [bc.complex.d(k) for bc in bicomplexes
-            for k in range(1, bc.complex.length + 1)]
-
-    def watching_matmul(left, right):
-        if any(left is d for d in full):
-            full_products.append(left.shape)
-        return matmul(left, right)
-
-    monkeypatch.setattr(linalg, "solve", lambda *args: solves.append(1) or solve(*args))
-    monkeypatch.setattr(Bicomplex, "_differential", counting_differential)
-    monkeypatch.setattr(Matrix, "__matmul__", watching_matmul)
+def _spectral_oracle_failures():
+    """The oracles that reject the installed page engine: "checks" when
+    page_sequence or e2_page raises, "stabilization" when
+    stabilization_page is not the first page from which every reference
+    differential vanishes."""
+    rng = random.Random(71)
+    bicomplexes = [_jordan_zero_bicomplex(), _engineered_d2_bicomplex()]
+    bicomplexes += [build_bicomplex(*random_bicomplex_pair(rng, n, m, 3))
+                    for n, m in ((2, 1), (1, 2), (2, 2))]
+    failures = set()
     for bc in bicomplexes:
-        pages = page_sequence(bc, 3)
-    # the pages above reach no zero target, so hand the engineered (last)
-    # bicomplex one: the page-2 target of (2, 0) with its classes removed
-    cur = pages[2].entries[(0, 1)]
-    empty = PageEntry(cur.boundaries, cur.reps.take_cols([]))
-    source = pages[2].entries[(2, 0)]
-    assert bc._differential(2, 0, 2, source, empty).shape == (0, source.dim)
-    assert all(n_solves == (2 if target_dim else 0) for _, target_dim, n_solves in seen)
-    # several representatives share the two solves; the zero target takes none
-    assert any(reps > 1 and target_dim for reps, target_dim, _ in seen)
-    assert seen[-1][1:] == (0, 0)
-    # every product takes only the target block's rows of a differential
-    assert full_products == []
+        try:
+            pages = page_sequence(bc, 3)
+            e2_page(bc)
+        except AssertionError:
+            failures.add("checks")
+            continue
+        reference = _reference_pages(bc, pages[-1].r)
+        if spectral.stabilization_page(pages) != _reference_stabilization(reference):
+            failures.add("stabilization")
+    return failures
+
+
+@pytest.mark.parametrize("path, old, new, rejected_by", [
+    (None, None, None, set()),
+    ("stabilization_page", "pages[i + 1:]", "pages[i + 1:i + 2]", {"stabilization"}),
+    ("e2_dims_independent", "comb(n, p) * induced", "comb(m, q) * induced", {"checks"}),
+    ("Bicomplex.approx_cycles", "lambda p: p > floor", "lambda p: p >= floor", {"checks"}),
+], ids=["engine", "stabilized_at_first_equal_pair", "e1_with_c_m_q", "floor_off_by_one"])
+def test_independent_oracles_reject_page_mutations(monkeypatch, path, old, new, rejected_by):
+    if path:
+        patch_source(monkeypatch, spectral, path, old, new)
+    assert _spectral_oracle_failures() == rejected_by
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_e2_page_checks_pages_zero_one_and_two(r):
+    bc = _jordan_zero_bicomplex()
+    grid = [list(row) for row in bc.page(r).dims]
+    grid[0][0] -= 1
+    bc._pages[r] = SpectralPage(r, grid)
+    with pytest.raises(AssertionError, match=f"page-{r} routes disagree"):
+        e2_page(bc)
+
+
+def test_an_entry_growing_between_pages_is_refused():
+    bc = _jordan_zero_bicomplex()
+    bc._pages[3] = SpectralPage(3, [[2, 1], [1, 1]])  # page 2 is [[1, 1], [1, 1]]
+    with pytest.raises(AssertionError, match="grows from page 2 to page 3"):
+        page_sequence(bc, 3)
 
 
 def test_pages_past_the_limit_reuse_cached_kernels(monkeypatch):
@@ -365,5 +397,5 @@ def test_pages_past_the_limit_reuse_cached_kernels(monkeypatch):
     for bc in bicomplexes:
         limit = page_sequence(bc, bc.n + 1)[-1]
         kernels.clear()
-        assert bc.page(bc.n + 2).dims_grid() == limit.dims_grid()
+        assert bc.page(bc.n + 2).dims == limit.dims
         assert kernels == []
